@@ -352,6 +352,11 @@ def run(manifest: RunManifest) -> int:
         config = resolve_config(manifest)
         _write_manifest(manifest, config)
         report = validate(config)
+        if manifest.command in ("find-periodic", "verify") and config.alpha <= 0.0:
+            raise DomainError(
+                f"{manifest.command} needs alpha > 0: the return map is built on "
+                "the alpha > 0 stationary profile"
+            )
         if manifest.command == "simulate" and not report.condition_C_holds:
             print(
                 "warning: sign condition on the forcing fails; "

@@ -25,6 +25,7 @@ from .solver import (
     assemble_operators,
     build_grid,
     constant_field,
+    step_toward,
 )
 from . import stationary
 
@@ -301,9 +302,7 @@ def gradient_probe(
     state = eta0
     for slot, t in zip(order, sorted_times):
         while state.time < t:
-            remaining = t - state.time
-            step_dt = dt if remaining > dt * (1.0 + 1.0e-12) else remaining
-            state = advance(state, step_dt, ops)
+            state = advance(state, step_toward(t - state.time, dt), ops)
         grads[slot] = float(np.max(np.abs(discrete_gradient(state, config))))
 
     eta0_sup = float(np.max(np.abs(eta0.values)))

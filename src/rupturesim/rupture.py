@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ModelConfig, effective_parameters
 from .errors import BracketError, DomainError, EmptyRuptureSetError, StagnationError
-from .solver import CoupledState, Field, Operators, advance, assemble_operators
+from .solver import CoupledState, Field, Operators, advance, assemble_operators, step_toward
 
 _BRACKET_FLOOR = 1.0e-3
 
@@ -219,7 +219,7 @@ def run_with_rupture(
             remaining = t_end - time
             if remaining <= 0.0:
                 break
-            step_dt = dt if remaining > dt * (1.0 + 1.0e-12) else remaining
+            step_dt = step_toward(remaining, dt)
         else:
             step_dt = dt
         trial = advance(state, step_dt, ops)

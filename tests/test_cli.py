@@ -189,3 +189,28 @@ def test_unknown_initial_condition_is_a_config_error(tmp_path):
         main(["bounds", "--preset", "ex1", "--eta0", "ramp:1", "--out", str(tmp_path / "z")])
         == 2
     )
+
+
+def test_simulate_on_a_fine_grid(tmp_path):
+    out = tmp_path / "fine"
+    code = main(
+        [
+            "simulate",
+            "--preset",
+            "ex1",
+            "--set",
+            "numerics.grid_points=16384",
+            "--max-events",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 0
+    assert len((out / "events.jsonl").read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["find-periodic", "verify"])
+def test_return_map_commands_reject_zero_alpha(tmp_path, command):
+    out = tmp_path / command
+    assert main([command, "--preset", "ex1", "--set", "alpha=0", "--out", str(out)]) == 2
