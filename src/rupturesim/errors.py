@@ -38,6 +38,10 @@ class LinearSolveError(NumericalError):
     """An implicit time-step solve failed its residual check."""
 
 
+class HorizonError(NumericalError):
+    """A gap passed the closed-form horizon by which it must rupture."""
+
+
 class NoSolutionError(SimulationError):
     """No stationary solution exists for the requested parameters."""
 

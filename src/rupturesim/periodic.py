@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .config import ModelConfig, effective_parameters
 from .errors import ModelViolationError, UnsupportedError
-from .rupture import run_with_rupture, rupture_time_bounds
+from .rupture import run_with_rupture, rupture_horizon
 from .solver import (
     CoupledState,
     Field,
@@ -143,12 +143,9 @@ def poincare_map(
     start = splice(xi, config, index)
     start.time = 0.0
 
-    bounds = rupture_time_bounds(config, start)
-    cap = None
-    if bounds.upper_applicable and math.isfinite(bounds.t_upper):
-        # discrete mean decays slightly slower than the continuous one
-        cap = bounds.t_upper * (1.0 + config.alpha * config.numerics.dt) + 10.0 * config.numerics.dt
-    events, _ = run_with_rupture(config, start, max_events=1, t_end=cap)
+    events, _ = run_with_rupture(
+        config, start, max_events=1, t_end=rupture_horizon(config, start)
+    )
     if not events:
         raise ModelViolationError("no rupture located within the predicted horizon")
     event = events[0]

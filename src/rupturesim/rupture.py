@@ -6,19 +6,44 @@ The crossing is bracketed inside one accepted step and localized by
 bisecting the step size.  Every junction interval touched by the rupture
 set is reset: the thickness jumps to the reset level there, and in coupled
 mode the bubble-top height drops by the collapse depth on the same nodes.
+In decoupled mode the paper's rupture-time bounds run inside the event
+loop: the constant subsolution lets a gap skip, in one closed-form jump,
+every step it proves free of rupture, the mean's decay sets a horizon by
+which the gap must end, and the discrete fixed point shows when it never
+can.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ModelConfig, effective_parameters
-from .errors import BracketError, DomainError, EmptyRuptureSetError, StagnationError
-from .solver import CoupledState, Field, Operators, advance, assemble_operators, step_toward
+from .errors import (
+    BracketError,
+    DomainError,
+    EmptyRuptureSetError,
+    HorizonError,
+    LinearSolveError,
+    StagnationError,
+)
+from .solver import (
+    CoupledState,
+    Field,
+    Operators,
+    advance,
+    assemble_operators,
+    decoupled_fixed_point,
+    jump_decoupled,
+    step_toward,
+)
 
 _BRACKET_FLOOR = 1.0e-3
+# roundoff allowed in the closed-form lower bounds, relative to
+# _roundoff_scale
+_JUMP_TOL = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -88,6 +113,103 @@ def rupture_time_bounds(config: ModelConfig, eta0: Field) -> BoundsReport:
         lower_applicable=lower_applicable,
         upper_applicable=upper_applicable,
     )
+
+
+def rupture_horizon(config: ModelConfig, eta0: Field) -> float | None:
+    """Elapsed time by which a decoupled run from ``eta0`` must rupture, or
+    ``None`` when the upper bound does not apply.
+
+    The discrete mean decays by ``1/(1 + alpha*dt)`` per step, slightly
+    slower than the continuous one, so the continuous upper bound is
+    stretched by ``1 + alpha*dt`` and padded by ten steps.
+    """
+    bounds = rupture_time_bounds(config, eta0)
+    if not (bounds.upper_applicable and math.isfinite(bounds.t_upper)):
+        return None
+    dt = config.numerics.dt
+    return bounds.t_upper * (1.0 + config.alpha * dt) + 10.0 * dt
+
+
+def _subsolution(c0: float, load_min: float, alpha: float, dt: float, steps: int) -> float:
+    """``c_steps`` of the constant sequence ``c_{k+1} = (c_k/dt + load_min) /
+    (1/dt + alpha)``, in closed form.  Backward Euler is an M-matrix step
+    that maps constants to constants, so a state whose minimum is ``c0``
+    stays at or above ``c_k`` after ``k`` steps, for any sign of the load."""
+    c_inf = load_min / alpha
+    return c_inf + (c0 - c_inf) * (1.0 + alpha * dt) ** -steps
+
+
+def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: float) -> int:
+    """Largest ``m`` with ``c_m >= threshold`` for the subsolution from
+    ``c0`` (``sys.maxsize`` when it never falls below ``threshold``)."""
+    if c0 < threshold:
+        return 0
+    c_inf = load_min / alpha
+    if c_inf >= threshold:
+        return sys.maxsize
+    steps = int(math.log((c0 - c_inf) / (threshold - c_inf)) / math.log1p(alpha * dt))
+    while steps > 0 and _subsolution(c0, load_min, alpha, dt, steps) < threshold:
+        steps -= 1
+    return steps
+
+
+def _roundoff_scale(state: Field, ops: Operators) -> float:
+    """The larger of the state and the a-priori bound ``max|load|/alpha`` on
+    the fixed point, which scales the roundoff of the closed forms."""
+    return max(float(np.max(np.abs(state.values))), float(np.max(np.abs(ops.load))) / ops.alpha)
+
+
+def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> int | None:
+    """Step count after which a decoupled run from ``state`` stays above
+    ``threshold`` for good, or ``None`` when the fixed point does not.
+
+    With ``x*`` the fixed point of the step and ``v = state - x*``, one step
+    maps ``v`` to ``P v`` with ``P`` nonnegative and of row sums
+    ``q = 1/(1 + alpha*dt)``, so after ``k`` steps every node is at least
+    ``min x* + min(min v, 0)*q**k``.  A state whose constant subsolution
+    never falls below ``threshold`` settles at once.
+    """
+    c0 = float(np.min(state.values))
+    if _safe_steps(c0, float(np.min(ops.load)), ops.alpha, dt, threshold) == sys.maxsize:
+        return 0
+    fixed = decoupled_fixed_point(ops)
+    margin = float(np.min(fixed)) - threshold - _JUMP_TOL * _roundoff_scale(state, ops)
+    if not margin > 0.0:
+        return None
+    dip = -float(np.min(state.values - fixed))
+    if dip <= margin:
+        return 0
+    return math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
+
+
+def _jump_to_bound(
+    state: Field, dt: float, ops: Operators, threshold: float, limit: float | None
+) -> Field | None:
+    """Jump over every step the subsolution proves free of rupture, ending
+    at least one full step before ``limit`` (if any); ``None`` when no step
+    is.
+
+    The crossing bisection's value tolerance is in ``threshold``, so no
+    jumped-over step could have located an event.  A jumped state that is
+    not finite or falls below the bound beyond roundoff raises
+    :class:`LinearSolveError`.
+    """
+    c0 = float(np.min(state.values))
+    load_min = float(np.min(ops.load))
+    steps = _safe_steps(c0, load_min, ops.alpha, dt, threshold)
+    if limit is not None:
+        steps = min(steps, int((limit - state.time) / dt) - 2)
+    if steps < 1:
+        return None
+    jumped = jump_decoupled(state, steps, dt, ops)
+    bound = _subsolution(c0, load_min, ops.alpha, dt, steps)
+    low = float(np.min(jumped.values))
+    scale = _roundoff_scale(state, ops)
+    if not np.isfinite(jumped.values).all() or low < bound - _JUMP_TOL * scale:
+        raise LinearSolveError(
+            f"jump of {steps} steps gave minimum {low:g} below the discrete lower bound {bound:g}"
+        )
+    return jumped
 
 
 def locate_crossing(
@@ -198,6 +320,15 @@ def run_with_rupture(
     ``max_events`` is not given.  Raises :class:`StagnationError` when two
     events are separated by less than one nominal time step, which signals
     that the step size is too coarse for the configured threshold gap.
+
+    In decoupled mode with ``alpha > 0`` each gap starts with closed-form
+    jumps over the steps the discrete lower bound proves free of rupture,
+    then steps to the crossing; event times are those of plain stepping.
+    Each such gap must rupture within :func:`rupture_horizon`, else
+    :class:`HorizonError`.  Where that bound does not apply and no
+    ``t_end`` is given, a gap that passes the step count after which the
+    fixed point keeps it above the threshold for good can never rupture,
+    and is refused with :class:`DomainError`.
     """
     if max_events is None and t_end is None:
         raise ValueError("need max_events or t_end")
@@ -210,9 +341,23 @@ def run_with_rupture(
     ops = assemble_operators(grid, config)
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
+    threshold = config.eta_c + config.numerics.event_tol * config.eta_a
+    jumps = config.mode == "decoupled" and config.alpha > 0.0
+
+    def gap_deadline(start: Field | CoupledState) -> tuple[float | None, bool]:
+        """Time by which the gap from ``start`` ends, and whether a rupture
+        is due by then (else none can follow it)."""
+        if not jumps:
+            return None, False
+        horizon = rupture_horizon(config, start)
+        if horizon is not None:
+            return start.time + horizon, True
+        settle = None if t_end is not None else _settle_steps(start, dt, ops, threshold)
+        return (None, False) if settle is None else (start.time + settle * dt, False)
 
     events: list[RuptureEvent] = []
     state = initial
+    (deadline, due), may_jump = gap_deadline(state), jumps
     while len(events) < cap:
         time = eta_of(state).time
         if t_end is not None:
@@ -222,6 +367,22 @@ def run_with_rupture(
             step_dt = step_toward(remaining, dt)
         else:
             step_dt = dt
+        if deadline is not None and time > deadline:
+            if due:
+                raise HorizonError(
+                    f"no rupture by t = {time:g}, past the closed-form horizon {deadline:g}"
+                )
+            raise DomainError(
+                f"no rupture can occur after t = {deadline:g}: the thickness stays "
+                "above the threshold for good; give an end time (--t-end)"
+            )
+        if may_jump:
+            limit = min((t for t in (t_end, deadline) if t is not None), default=None)
+            jumped = _jump_to_bound(state, dt, ops, threshold, limit)
+            if jumped is not None:
+                state = jumped
+                continue
+            may_jump = False
         trial = advance(state, step_dt, ops)
         if float(np.min(eta_of(trial).values)) > config.eta_c:
             state = trial
@@ -230,7 +391,6 @@ def run_with_rupture(
         elapsed, at_rupture = locate_crossing(state, step_dt, ops, config)
         pre_eta = eta_of(at_rupture)
         intervals = rupture_intervals(pre_eta, config)
-        threshold = config.eta_c + config.numerics.event_tol * config.eta_a
         nodes = np.nonzero(pre_eta.values <= threshold)[0]
         post = apply_reset(at_rupture, intervals, config)
         coupled = isinstance(post, CoupledState)
@@ -250,4 +410,5 @@ def run_with_rupture(
             )
         events.append(event)
         state = post
+        (deadline, due), may_jump = gap_deadline(state), jumps
     return events, state

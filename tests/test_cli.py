@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rupturesim
+from rupturesim import rupture
 from rupturesim.cli import main, preset_config
 
 
@@ -214,3 +219,33 @@ def test_simulate_on_a_fine_grid(tmp_path):
 def test_return_map_commands_reject_zero_alpha(tmp_path, command):
     out = tmp_path / command
     assert main([command, "--preset", "ex1", "--set", "alpha=0", "--out", str(out)]) == 2
+
+
+def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
+    # run in a child process so that a regression fails on the timeout
+    # instead of hanging the suite
+    args = ["simulate", "--preset", "ex1", "--set", "forcing_offset=0", "--max-events", "1"]
+    src = str(Path(rupturesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert child.returncode == 2
+    assert "--t-end" in child.stderr
+
+
+def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):
+    out = tmp_path / "run"
+    args = ["--preset", "ex2", "--set", "forcing_offset=2.94", "--max-events", "3"]
+    assert main(["simulate", *args, "--out", str(out)]) == 0
+    assert len((out / "events.jsonl").read_text().splitlines()) == 3
+
+
+def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(rupture, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
+    out = tmp_path / "run"
+    assert main(["simulate", "--preset", "ex1", "--max-events", "1", "--out", str(out)]) == 3

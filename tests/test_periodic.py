@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rupturesim.cli import preset_config
 from rupturesim.errors import ModelViolationError, UnsupportedError
 from rupturesim import periodic, rupture, solver, stationary
 from rupturesim.periodic import (
@@ -58,6 +59,23 @@ def test_map_is_a_fixed_point_after_convergence(ex1, ex1_profile, ex1_converged)
     assert periodic.sup_diff_outside(mapped, fixed, ex1, 0) <= 1e-6
     twice, _ = poincare_map(mapped, ex1, ex1_profile)
     assert periodic.sup_diff_outside(twice, mapped, ex1, 0) <= 1e-6
+
+
+def test_map_without_rupture_by_the_horizon_is_a_model_violation(ex1, ex1_profile, monkeypatch):
+    monkeypatch.setattr(periodic, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
+    with pytest.raises(ModelViolationError, match="horizon"):
+        poincare_map(constant_field(build_grid(ex1, 128), ex1.eta_a), ex1, ex1_profile)
+
+
+def test_map_under_a_positive_forcing_integral_is_not_refused():
+    # no mean-decay horizon applies, but the fixed point dips below eta_c,
+    # so the run must still step to its rupture
+    shifted = preset_config("ex1", overrides=(("forcing_offset", 2.97),))
+    assert rupture.rupture_horizon(shifted, constant_field(build_grid(shifted), 1.0)) is None
+    profile = stationary.solve_stationary(shifted)
+    xi = Field(build_grid(shifted), stationary.eval_stationary(profile, build_grid(shifted).nodes))
+    mapped, t_r = poincare_map(xi, shifted, profile)
+    assert t_r > 0.0 and np.min(mapped.values) <= shifted.eta_c
 
 
 def test_map_detects_delocalized_rupture(ex2):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rupturesim.config import ModelConfig, Numerics
+from rupturesim.cli import preset_config
 from rupturesim.errors import (
     BracketError,
     DomainError,
     EmptyRuptureSetError,
+    HorizonError,
     StagnationError,
 )
 from rupturesim import rupture, solver
@@ -286,3 +288,114 @@ def test_state_kind_must_match_mode(ex1, ex3):
         run_with_rupture(ex1, CoupledState(h, zeta), max_events=1)
     with pytest.raises(DomainError):
         run_with_rupture(ex3, constant_field(grid, 1.0), max_events=1)
+
+
+def counted_advances(monkeypatch):
+    """Count the single steps ``run_with_rupture`` takes."""
+    calls = []
+    real = rupture.advance
+
+    def advance(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rupture, "advance", advance)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "preset, n, count, atol",
+    [("ex1", 1024, 11, 1e-12), ("ex2", 1024, 5, 1e-12), ("ex1", 8192, 3, 1e-10)],
+)
+def test_jumped_run_equals_plain_stepping(monkeypatch, preset, n, count, atol):
+    cfg = preset_config(preset)
+    grid = build_grid(cfg, n)
+    steps = counted_advances(monkeypatch)
+    jumped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=count)
+    jumped_steps = len(steps)
+    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)  # plain stepping
+    stepped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=count)
+    assert jumped_steps < (len(steps) - jumped_steps) / 2
+    assert len(jumped) == len(stepped) == count
+    assert [e.time for e in jumped] == [e.time for e in stepped]
+    assert [e.reset_intervals for e in jumped] == [e.reset_intervals for e in stepped]
+    for a, b in zip(jumped, stepped):
+        assert np.max(np.abs(a.pre_profile.values - b.pre_profile.values)) <= atol
+        assert np.max(np.abs(a.post_profile.values - b.post_profile.values)) <= atol
+
+
+def test_jump_stops_a_full_step_before_t_end(monkeypatch):
+    # with no forcing offset nothing ruptures, so the bound allows jumping
+    # far past t_end; the run must still land on t_end as stepping does
+    cfg = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
+    grid = build_grid(cfg, 256)
+    t_end = 0.0123
+    steps = counted_advances(monkeypatch)
+    events, jumped = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), t_end=t_end)
+    assert events == [] and jumped.time == t_end
+    assert 1 <= len(steps) <= 3
+    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)
+    _, stepped = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), t_end=t_end)
+    assert np.max(np.abs(jumped.values - stepped.values)) <= 1e-12
+
+
+def test_run_that_cannot_rupture_is_refused(monkeypatch):
+    # no forcing offset: the fixed point stays far above eta_c, so a gap
+    # without t_end would never end; a regression fails on the count of
+    # steps and jumps instead of hanging the suite
+    moves = []
+    for name in ("advance", "jump_decoupled"):
+        real = getattr(rupture, name)
+
+        def counted(*args, real=real):
+            moves.append(1)
+            assert len(moves) < 1_000, "the run was not refused"
+            return real(*args)
+
+        monkeypatch.setattr(rupture, name, counted)
+    cfg = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
+    grid = build_grid(cfg, 64)
+    with pytest.raises(DomainError, match="t-end"):
+        run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=1)
+    ops = assemble_operators(grid, cfg)
+    at_rest = Field(grid, solver.decoupled_fixed_point(ops).copy())
+    threshold = cfg.eta_c + cfg.numerics.event_tol * cfg.eta_a
+    assert rupture._settle_steps(at_rest, cfg.numerics.dt, ops, threshold) == 0
+    with pytest.raises(DomainError, match="t-end"):
+        run_with_rupture(cfg, at_rest, max_events=1)
+
+
+@pytest.mark.parametrize("preset, offset", [("ex1", 2.97), ("ex2", 2.94)])
+def test_positive_forcing_integral_still_ruptures(monkeypatch, preset, offset):
+    # neither the mean-decay horizon nor the fixed-point bound applies; the
+    # run steps to its ruptures as plain stepping does
+    cfg = preset_config(preset, overrides=(("forcing_offset", offset),))
+    grid = build_grid(cfg, 1024)
+    assert rupture.rupture_horizon(cfg, constant_field(grid, cfg.eta_a)) is None
+    jumped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=3)
+    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)
+    stepped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=3)
+    assert len(jumped) == 3
+    assert [e.time for e in jumped] == [e.time for e in stepped]
+    assert [e.reset_intervals for e in jumped] == [e.reset_intervals for e in stepped]
+
+
+def test_gap_past_the_horizon_raises(ex1, monkeypatch):
+    monkeypatch.setattr(rupture, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
+    grid = build_grid(ex1, 128)
+    with pytest.raises(HorizonError):
+        run_with_rupture(ex1, constant_field(grid, ex1.eta_a), max_events=1)
+
+
+def test_horizon_covers_every_gap(ex1):
+    # the discrete mean falls by 1/(1 + alpha*dt) per step, so every gap ends
+    # before the horizon computed at its start
+    grid = build_grid(ex1, 256)
+    start = constant_field(grid, ex1.eta_a)
+    events, _ = run_with_rupture(ex1, start, max_events=4)
+    for event in events:
+        horizon = rupture.rupture_horizon(ex1, start)
+        assert event.time - start.time < horizon
+        start = event.post_profile
+    unforced = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
+    assert rupture.rupture_horizon(unforced, start) is None

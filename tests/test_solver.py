@@ -4,7 +4,7 @@ from scipy.linalg import solve_banded
 
 from rupturesim.config import ModelConfig, config_from_dict
 from rupturesim.errors import DomainError, UnsupportedError
-from rupturesim import stationary
+from rupturesim import solver, stationary
 from rupturesim.solver import (
     Field,
     assemble_operators,
@@ -260,6 +260,18 @@ def test_reference_fixes_the_stationary_profile(ex1):
     s_nodes = stationary.eval_stationary(profile, grid.nodes)
     out = fourier_reference(ex1, Field(grid, s_nodes.copy(), 0.0), 0.7)
     assert np.max(np.abs(out.values - s_nodes)) < 1e-10
+
+
+def test_reference_takes_the_stationary_profile_once_per_grid(ex1):
+    grid = build_grid(ex1, 256)
+    eta0 = constant_field(grid, ex1.eta_a)
+    first = fourier_reference(ex1, eta0, 0.01)
+    cached = solver._stationary_nodes(ex1, grid.n)
+    assert not cached.flags.writeable
+    direct = stationary.eval_stationary(stationary.solve_stationary(ex1), grid.nodes)
+    assert np.array_equal(cached, direct)
+    assert np.array_equal(fourier_reference(ex1, eta0, 0.01).values, first.values)
+    assert solver._stationary_nodes(ex1, grid.n) is cached
 
 
 def test_reference_decays_one_mode_exactly(ex1):

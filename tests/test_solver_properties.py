@@ -1,15 +1,17 @@
-"""Properties of the cached cyclic solve and the implicit step over random
-admissible step parameters ``(n, dt, sigma, alpha)`` on the unit domain."""
+"""Properties of the cached cyclic solve, the implicit step and the
+multi-step jump over random admissible step parameters ``(n, dt, sigma,
+alpha)`` on the unit domain."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rupturesim import solver
+from rupturesim import rupture, solver
 from rupturesim.config import ModelConfig
 from rupturesim.solver import (
     Field,
     assemble_operators,
     build_grid,
+    jump_decoupled,
     solve_periodic_tridiagonal,
     step_decoupled,
 )
@@ -23,6 +25,19 @@ step_parameters = st.tuples(
     st.floats(0.0, 100.0),
 )
 seeds = st.integers(0, 2**32 - 1)
+# positive evaporation, up to 50 steps, and a load of either sign
+jump_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    st.integers(1, 50),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(-3.0, 3.0),
+)
+# roundoff relative to the larger of the start state and the a-priori bound
+# max|load|/alpha on the fixed point; measured worst cases are about 1e-13
+JUMP_TOL = 1e-12
 
 
 def step_matrix(n, dt, sigma, alpha):
@@ -80,15 +95,12 @@ def test_cached_factors_are_read_only(params):
             array[0] = 1
 
 
-@PROPERTY_SETTINGS
-@given(step_parameters, seeds)
-def test_decoupled_step_preserves_order(params, seed):
-    n, dt, sigma, alpha = params
+def operators(n, sigma, alpha, strengths=(1.0, 1.0, 1.0), offset=3.0):
     config = ModelConfig(
         omega=1.0,
         junctions=(0.1, 0.6, 0.9),
-        jump_strengths=(1.0, 1.0, 1.0),
-        forcing_offset=3.0,
+        jump_strengths=strengths,
+        forcing_offset=offset,
         sigma1=sigma,
         sigma2=sigma,
         tau=1.0,
@@ -97,7 +109,29 @@ def test_decoupled_step_preserves_order(params, seed):
         eta_a=0.03,
         d=0.1,
     )
-    ops = assemble_operators(build_grid(config, n), config)
+    return assemble_operators(build_grid(config, n), config)
+
+
+def jump_case(params, seed):
+    """Operators, a random start, the step count, the step size and the
+    roundoff scale of one jump example."""
+    n, dt, sigma, alpha, steps, strengths, offset = params
+    ops = operators(n, sigma, alpha, strengths, offset)
+    start = Field(ops.grid, random_rhs(n, seed))
+    scale = max(np.max(np.abs(start.values)), np.max(np.abs(ops.load)) / alpha)
+    return ops, start, steps, dt, scale
+
+
+def mean_step(mean, dt, ops):
+    """Exact one-step law of the discrete mean: the stiffness rows sum to 0."""
+    return (mean / dt + np.mean(ops.load)) / (1.0 / dt + ops.alpha)
+
+
+@PROPERTY_SETTINGS
+@given(step_parameters, seeds)
+def test_decoupled_step_preserves_order(params, seed):
+    n, dt, sigma, alpha = params
+    ops = operators(n, sigma, alpha)
     rng = np.random.default_rng(seed)
     low = rng.standard_normal(n)
     high = low + rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
@@ -106,3 +140,77 @@ def test_decoupled_step_preserves_order(params, seed):
     # the exact step is monotone; allow only roundoff below it
     scale = max(np.max(np.abs(stepped_low)), np.max(np.abs(stepped_high)))
     assert np.min(stepped_high - stepped_low) >= -1e-13 * scale
+
+
+@PROPERTY_SETTINGS
+@given(jump_parameters, seeds)
+def test_jump_matches_repeated_steps(params, seed):
+    ops, start, steps, dt, scale = jump_case(params, seed)
+    stepped = start
+    for _ in range(steps):
+        stepped = step_decoupled(stepped, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
+    assert np.max(np.abs(jumped.values - stepped.values)) <= JUMP_TOL * scale
+    assert jumped.time == stepped.time  # repeated additions of dt, as stepping
+
+
+@PROPERTY_SETTINGS
+@given(jump_parameters, seeds)
+def test_step_and_jump_obey_the_mean_decay_law(params, seed):
+    ops, start, steps, dt, scale = jump_case(params, seed)
+    state, mean = start, float(np.mean(start.values))
+    for _ in range(steps):
+        state = step_decoupled(state, dt, ops)
+        expected = mean_step(mean, dt, ops)
+        assert abs(np.mean(state.values) - expected) <= JUMP_TOL * scale
+        mean = float(np.mean(state.values))
+    expected = float(np.mean(start.values))
+    for _ in range(steps):
+        expected = mean_step(expected, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
+    assert abs(np.mean(jumped.values) - expected) <= JUMP_TOL * scale
+
+
+@PROPERTY_SETTINGS
+@given(jump_parameters, seeds)
+def test_jump_stays_above_the_constant_subsolution(params, seed):
+    ops, start, steps, dt, scale = jump_case(params, seed)
+    bound = rupture._subsolution(
+        float(np.min(start.values)), float(np.min(ops.load)), ops.alpha, dt, steps
+    )
+    jumped = jump_decoupled(start, steps, dt, ops)
+    assert np.min(jumped.values) >= bound - JUMP_TOL * scale
+
+
+@PROPERTY_SETTINGS
+@given(jump_parameters)
+def test_fixed_point_solves_the_stationary_system(params):
+    n, _, sigma, alpha, _, strengths, offset = params
+    ops = operators(n, sigma, alpha, strengths, offset)
+    fixed = solver.decoupled_fixed_point(ops)
+    residual = alpha * fixed + sigma * ops.stiffness_matvec(fixed) - ops.load
+    diag = alpha + 4.0 * sigma * n * n
+    assert np.max(np.abs(residual)) <= 1e-12 * diag * np.max(np.abs(fixed))
+    assert abs(np.mean(fixed) - np.mean(ops.load) / alpha) <= 1e-14 * np.max(np.abs(fixed))
+    with pytest.raises(ValueError):
+        fixed[0] = 1
+
+
+def exact_values(start, steps, dt, ops):
+    """State after ``steps`` steps by the closed form, without counting the
+    time step by step as ``jump_decoupled`` does."""
+    fixed, symbol = solver._modes_of(ops)
+    modes = np.fft.rfft(start.values - fixed) * (1.0 + dt * symbol) ** -float(steps)
+    return fixed + np.fft.irfft(modes, ops.grid.n)
+
+
+@PROPERTY_SETTINGS
+@given(jump_parameters, seeds, st.floats(1e-6, 1.0))
+def test_run_stays_above_the_threshold_after_the_settle_count(params, seed, depth):
+    ops, start, _, dt, scale = jump_case(params, seed)
+    threshold = np.min(solver.decoupled_fixed_point(ops)) - depth * (scale + 1.0)
+    settle = rupture._settle_steps(start, dt, ops, threshold)
+    assert settle is not None
+    for later in (0, 1, 7, 50, 10**6):
+        values = exact_values(start, settle + later, dt, ops)
+        assert np.min(values) >= threshold - JUMP_TOL * scale
