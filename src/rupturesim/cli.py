@@ -28,7 +28,7 @@ from .errors import (
 )
 from .rupture import run_with_rupture, rupture_time_bounds
 from .solver import CoupledState, Field, build_grid, constant_field
-from .periodic import find_periodic, splice, distinguished_interval, verify_periodic
+from .periodic import find_periodic, splice, verify_periodic
 from . import stationary
 
 PRESETS: dict[str, dict] = {
@@ -291,8 +291,7 @@ def _cmd_find_periodic(manifest: RunManifest, config: ModelConfig) -> int:
     report = find_periodic(config, xi0, fp_tol=manifest.fp_tol, max_iter=max_iter)
 
     out = manifest.output_dir
-    profile = stationary.solve_stationary(config)
-    index = distinguished_interval(profile, config)
+    index = report.distinguished_interval
     rows = []
     for m, t_r, sup_diff in report.iterates:
         rows.append({"m": m, "t_r": t_r, "sup_diff": sup_diff})

@@ -123,10 +123,6 @@ class ModelConfig:
         if self.reduction_case not in REDUCTION_CASES:
             raise DomainError(f"reduction_case must be one of {REDUCTION_CASES}")
 
-    @property
-    def num_junctions(self) -> int:
-        return len(self.junctions)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import ModelConfig, effective_parameters
 from .errors import ModelViolationError, UnsupportedError
@@ -46,13 +45,15 @@ class ConvergenceReport:
 
     ``iterates`` holds ``(m, t_r, sup_diff)`` per application, where
     ``sup_diff`` is the sup-norm change outside the distinguished interval.
-    ``period`` is the rupture time of the final iterate.
+    ``period`` is the rupture time of the final iterate and
+    ``distinguished_interval`` the index of the interval the map resets.
     """
 
     iterates: tuple[tuple[int, float, float], ...]
     converged: bool
     period: float
     fixed_profile: Field
+    distinguished_interval: int
 
 
 @dataclass(frozen=True)
@@ -216,6 +217,7 @@ def find_periodic(
         converged=sup_diff <= fp_tol,
         period=iterates[-1][1],
         fixed_profile=last.xi,
+        distinguished_interval=index,
     )
 
 
@@ -258,21 +260,32 @@ def _fit_bound_constants(
     times: np.ndarray, grads: np.ndarray, eta0_sup: float, strength_sum: float
 ) -> tuple[float, float]:
     """Smallest ``(c0, c1)`` (by ``c0 + c1``) with
-    ``c0*eta0_sup/sqrt(t) + c1*strength_sum >= grad`` at every sample."""
+    ``c0*eta0_sup/sqrt(t) + c1*strength_sum >= grad`` at every sample.
+
+    For fixed ``c0`` the best ``c1`` is ``max(0, max_i (g_i - c0*u_i)/v)``,
+    so the objective is convex and piecewise linear in ``c0`` and its
+    minimum lies at ``c0 = 0``, at a root ``g_i/u_i`` of one constraint, or
+    where two constraints cross.  With ``v = 0`` a constraint counts as met
+    up to roundoff in the gradients.
+    """
     u = eta0_sup / np.sqrt(times)
-    v = np.full_like(times, strength_sum)
+    v = strength_sum
     if np.all(grads <= 0.0):
         return 0.0, 0.0
-    result = linprog(
-        c=[1.0, 1.0],
-        A_ub=np.column_stack([-u, -v]),
-        b_ub=-grads,
-        bounds=[(0.0, None), (0.0, None)],
-        method="highs",
-    )
-    if not result.success:
+    du = u[:, None] - u[None, :]
+    pairs = du != 0.0
+    crossings = (grads[:, None] - grads[None, :])[pairs] / du[pairs]
+    candidates = np.concatenate(([0.0], grads[u > 0.0] / u[u > 0.0], crossings))
+    candidates = candidates[candidates >= 0.0]
+    need = np.max(grads[None, :] - candidates[:, None] * u[None, :], axis=1)
+    if v > 0.0:
+        c1 = np.maximum(need, 0.0) / v
+    else:
+        c1 = np.where(need <= 1.0e-12 * max(1.0, float(np.max(grads))), 0.0, math.inf)
+    best = int(np.argmin(candidates + c1))
+    if not math.isfinite(c1[best]):
         raise UnsupportedError("bound fit infeasible: no gradient budget available")
-    return float(result.x[0]), float(result.x[1])
+    return float(candidates[best]), float(c1[best])
 
 
 def gradient_probe(

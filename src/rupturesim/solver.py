@@ -4,14 +4,14 @@ Uniform nodes, piecewise-linear hat functions for the point loads, lumped
 mass.  Each implicit step solves a periodic tridiagonal system whose matrix
 has a positive diagonal, nonpositive off-diagonals, and strict diagonal
 dominance, so the step is order preserving; that monotonicity is what the
-rupture and return-map layers rely on.  The periodic system is reduced to
-one tridiagonal solve plus a rank-one correction.  Each step matrix is
-factored once and the factors of the few most recent matrices are cached,
-so a run of equal steps on one grid pays only a forward/back sweep per
-solve.  Every solve is still checked for a backward error of about 1e-12.
-The decoupled step matrix is circulant, so ``jump_decoupled`` applies many
-equal steps at once in closed form, mode by mode about the discrete fixed
-point.
+rupture and return-map layers rely on.  On the uniform periodic grid every
+step matrix is circulant, so it is inverted by dividing each rfft mode by
+its eigenvalue; the eigenvalues of the second difference come from one
+cached table per grid size, and the reciprocal eigenvalues of the few most
+recent step matrices are cached too.  Every solve is checked for a backward
+error of about 1e-12.  The same per-mode division lets ``jump_decoupled``
+apply many equal decoupled steps at once in closed form, about the discrete
+fixed point.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .config import ModelConfig, effective_parameters
 from .errors import DomainError, LinearSolveError, UnsupportedError
@@ -112,10 +111,6 @@ class Operators:
     def stiffness_matvec(self, v: np.ndarray) -> np.ndarray:
         return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / self.grid.dx**2
 
-    @property
-    def lumped_mass(self) -> float:
-        return self.grid.dx
-
 
 def _load_vector(
     grid: Grid, junctions: tuple[float, ...], strengths: tuple[float, ...], offset: float
@@ -145,49 +140,44 @@ def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _cyclic_factorization(n: int, diag: float, off: float) -> tuple:
-    """LU factors of the corner-modified bands, the correction vector ``z``
-    and the Sherman-Morrison denominator, for one constant cyclic matrix.
+@functools.lru_cache(maxsize=8)
+def _second_difference_symbol(n: int) -> np.ndarray:
+    """``s_k = 4 sin^2(pi k/n)`` for the rfft modes ``k = 0..n//2``: the
+    eigenvalues of the periodic second difference with row pattern
+    ``(-1, 2, -1)`` on ``n`` nodes, read-only."""
+    table = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    table.flags.writeable = False
+    return table
 
-    The periodic corners are removed by the rank-one update ``u v^T`` with
-    ``u = (gamma, 0, ..., 0, off)`` and ``v = (1, 0, ..., 0, off/gamma)``,
-    ``gamma = -diag``.  The cached arrays are read-only.
-    """
-    gamma = -diag
-    d = np.full(n, diag)
-    d[0] = diag - gamma
-    d[-1] = diag - off * off / gamma
-    bands = np.full(n - 1, off)
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(bands, d, bands)
-    if info != 0:
-        raise LinearSolveError(f"cyclic step matrix is singular (dgttrf info {info})")
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = off
-    z, _ = lapack.dgttrs(dl, d, du, du2, ipiv, u)
-    ratio = off / gamma
-    denominator = 1.0 + z[0] + ratio * z[-1]
-    for array in (dl, d, du, du2, ipiv, z):
-        array.flags.writeable = False
-    return (dl, d, du, du2, ipiv), z, ratio, denominator
+
+@functools.lru_cache(maxsize=4)
+def _inverse_symbol(n: int, diag: float, off: float) -> np.ndarray:
+    """``1/(diag + off*(2 - s_k))`` per rfft mode of the cyclic matrix, each
+    value twice so that it scales the real and the imaginary part of its
+    mode in the interleaved float view; read-only.  Kept per matrix because
+    a run of equal steps reuses it, and a real product costs far less than
+    evaluating the eigenvalues and a complex division on every solve."""
+    inverse = np.repeat(1.0 / (diag + off * (2.0 - _second_difference_symbol(n))), 2)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def solve_periodic_tridiagonal(diag: float, off: float, rhs: np.ndarray) -> np.ndarray:
     """Solve the cyclic tridiagonal system with constant diagonals.
 
-    The matrix is factored once per ``(n, diag, off)`` and the factors are
-    cached, so a run of equal steps costs one ``dgttrs`` sweep plus a
-    rank-one correction per solve.  Every solution is checked against the
-    original system: a residual above ``1e-12 * |diag| * ||x||`` (a
-    backward error of about ``1e-12``, independent of the grid size) raises
-    :class:`LinearSolveError`; it cannot occur for the diagonally dominant
-    step matrices in exact arithmetic.
+    The matrix is circulant, so mode ``k`` of the solution is mode ``k`` of
+    ``rhs`` divided by the eigenvalue ``diag + off*(2 - s_k)``.  Every
+    solution is checked against the original system: a residual above
+    ``1e-12 * |diag| * ||x||`` (a backward error of about ``1e-12``,
+    independent of the grid size) raises :class:`LinearSolveError`; it
+    cannot occur for the diagonally dominant step matrices in exact
+    arithmetic.
     """
-    factors, z, ratio, denominator = _cyclic_factorization(rhs.shape[0], diag, off)
-    y, _ = lapack.dgttrs(*factors, rhs)
-    factor = (y[0] + ratio * y[-1]) / denominator
-    x = y - factor * z
+    n = rhs.shape[0]
+    modes = np.fft.rfft(rhs)
+    parts = modes.view(np.float64)
+    parts *= _inverse_symbol(n, diag, off)
+    x = np.fft.irfft(modes, n)
 
     residual = diag * x - rhs
     residual[1:] += off * x[:-1]
@@ -220,12 +210,12 @@ def _decoupled_modes(
     ``alpha I + sigma K`` per rfft mode, both read-only.
 
     ``K`` is circulant, so mode ``k`` has eigenvalue
-    ``alpha + sigma*lambda_k`` with ``lambda_k = 4 sin^2(pi k/n) / dx^2``,
+    ``alpha + sigma*s_k/dx^2`` with ``s_k`` from
+    :func:`_second_difference_symbol`,
     and ``(alpha I + sigma K) x* = load`` is solved mode by mode; mode 0
     gives ``mean(x*) = mean(load)/alpha``.
     """
-    eigenvalues = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2 / (dx * dx)
-    symbol = alpha + sigma * eigenvalues
+    symbol = alpha + sigma * (_second_difference_symbol(n) / (dx * dx))
     fixed = np.fft.irfft(np.fft.rfft(np.frombuffer(load)) / symbol, n)
     for array in (fixed, symbol):
         array.flags.writeable = False

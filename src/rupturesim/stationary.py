@@ -207,19 +207,6 @@ def eval_stationary(profile: StationaryProfile, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def eval_stationary_derivative(profile: StationaryProfile, x) -> np.ndarray | float:
-    """Derivative of the profile, right-continuous at the junctions."""
-    idx, u = _locate(profile, x)
-    if profile.alpha_zero:
-        out = 2.0 * profile.quad_lead * u + profile.coeffs[idx, 0]
-    else:
-        lam = profile.lam
-        p = profile.coeffs[idx, 0]
-        q = profile.coeffs[idx, 1]
-        out = lam * (p * np.exp(lam * u) - q * np.exp(-lam * u))
-    return out if out.ndim else float(out)
-
-
 def junction_slope_jump(profile: StationaryProfile, k: int) -> float:
     """Derivative jump ``s'(a_k+0) - s'(a_k-0)`` from the closed forms."""
     left = (k - 1) % profile.num_intervals

@@ -144,6 +144,7 @@ def test_find_periodic_then_verify_succeeds(tmp_path):
     assert code == 0
     report = read_json(out / "report.json")
     assert report["converged"] is True
+    assert report["distinguished_interval"] == 0
     assert (out / report["fixed_csv"]).exists()
     assert [row["m"] for row in report["iterates"]] == list(
         range(1, len(report["iterates"]) + 1)
@@ -221,19 +222,31 @@ def test_return_map_commands_reject_zero_alpha(tmp_path, command):
     assert main([command, "--preset", "ex1", "--set", "alpha=0", "--out", str(out)]) == 2
 
 
+def run_child(*args, timeout):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(rupturesim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env
+    )
+
+
+def test_cli_import_loads_no_scipy():
+    child = run_child(
+        "-c",
+        "import sys, rupturesim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
 def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
     # run in a child process so that a regression fails on the timeout
     # instead of hanging the suite
     args = ["simulate", "--preset", "ex1", "--set", "forcing_offset=0", "--max-events", "1"]
-    src = str(Path(rupturesim.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    child = subprocess.run(
-        [sys.executable, "-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run")],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
     assert child.returncode == 2
     assert "--t-end" in child.stderr
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linprog
 
 from rupturesim.cli import preset_config
 from rupturesim.errors import ModelViolationError, UnsupportedError
@@ -29,8 +31,9 @@ def ex1_converged(ex1):
     return find_periodic(ex1, fp_tol=1e-6, max_iter=45)
 
 
-def test_distinguished_interval_is_the_long_one(ex1, ex1_profile):
+def test_distinguished_interval_is_the_long_one(ex1, ex1_profile, ex1_converged):
     assert distinguished_interval(ex1_profile, ex1) == 0
+    assert ex1_converged.distinguished_interval == 0
 
 
 def test_splice_overwrites_the_open_interval(ex1):
@@ -211,3 +214,46 @@ def test_gradient_probe_rejects_coupled_mode(ex3):
     grid = build_grid(ex3, 64)
     with pytest.raises(UnsupportedError):
         gradient_probe(ex3, constant_field(grid, 1.0), [0.1])
+
+
+def fit_samples(size):
+    times = st.lists(st.floats(-4.0, 1.0).map(lambda e: 10.0**e), min_size=size, max_size=size)
+    # linprog counts a violation below its 1e-7 feasibility tolerance as met,
+    # so it cannot resolve gradients of that size; exact zeros stay in
+    gradient = st.one_of(st.just(0.0), st.floats(-1.0, 10.0).filter(lambda g: abs(g) >= 1e-6))
+    grads = st.lists(gradient, min_size=size, max_size=size)
+    return st.tuples(times, grads)
+
+
+budgets = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6).flatmap(fit_samples), budgets, budgets)
+@example(([1e-3, 1e-2, 1e-1, 1.0], [0.49, 0.57, 0.78, 0.79]), 0.03, 3.0)
+@example(([0.25, 4.0], [2.0, 1.0]), 1.0, 1.0)  # optimum where two constraints cross
+@example(([0.01, 0.1], [-0.5, 0.0]), 1.0, 0.0)
+@example(([0.01, 0.1], [2.0, 1.0]), 1.0, 0.0)
+@example(([0.01, 0.1], [1e-15, 0.0]), 0.0, 0.0)
+@example(([0.01, 0.1], [2.0, 1.0]), 0.0, 0.0)
+def test_bound_fit_matches_the_linear_program(samples, eta0_sup, strength_sum):
+    times, grads = (np.array(values) for values in samples)
+    u = eta0_sup / np.sqrt(times)
+    v = np.full_like(times, strength_sum)
+    if strength_sum == 0.0 and eta0_sup == 0.0 and grads.max() > 1e-12 * max(1.0, grads.max()):
+        with pytest.raises(UnsupportedError):
+            periodic._fit_bound_constants(times, grads, eta0_sup, strength_sum)
+        return
+    c0, c1 = periodic._fit_bound_constants(times, grads, eta0_sup, strength_sum)
+    assert c0 >= 0.0 and c1 >= 0.0
+    bound = c0 * u + c1 * v
+    assert np.all(bound - grads >= -1e-12 * max(1.0, np.abs(grads).max(), bound.max()))
+    reference = linprog(
+        c=[1.0, 1.0],
+        A_ub=np.column_stack([-u, -v]),
+        b_ub=-grads,
+        bounds=[(0.0, None), (0.0, None)],
+        method="highs",
+    )
+    assert reference.success
+    assert c0 + c1 == pytest.approx(reference.fun, rel=1e-12, abs=0.0)

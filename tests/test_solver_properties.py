@@ -1,4 +1,4 @@
-"""Properties of the cached cyclic solve, the implicit step and the
+"""Properties of the per-mode cyclic solve, the implicit step and the
 multi-step jump over random admissible step parameters ``(n, dt, sigma,
 alpha)`` on the unit domain."""
 import numpy as np
@@ -70,16 +70,21 @@ def test_cached_solve_matches_dense_solve(params, seed):
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def clear_solve_caches():
+    solver._second_difference_symbol.cache_clear()
+    solver._inverse_symbol.cache_clear()
+
+
 @PROPERTY_SETTINGS
 @given(step_parameters, seeds)
 def test_repeat_solve_is_bit_identical_cold_or_warm(params, seed):
     n = params[0]
     diag, off = step_matrix(*params)
     rhs = random_rhs(n, seed)
-    solver._cyclic_factorization.cache_clear()
+    clear_solve_caches()
     cold = solve_periodic_tridiagonal(diag, off, rhs)
     warm = solve_periodic_tridiagonal(diag, off, rhs)
-    solver._cyclic_factorization.cache_clear()
+    clear_solve_caches()
     cold_again = solve_periodic_tridiagonal(diag, off, rhs)
     assert np.array_equal(cold, warm)
     assert np.array_equal(cold, cold_again)
@@ -88,11 +93,15 @@ def test_repeat_solve_is_bit_identical_cold_or_warm(params, seed):
 @PROPERTY_SETTINGS
 @given(step_parameters)
 def test_cached_factors_are_read_only(params):
+    # the cached solve data: the per-n eigenvalue table of the second
+    # difference and the per-matrix reciprocal eigenvalues
     n = params[0]
-    factors, z, _, _ = solver._cyclic_factorization(n, *step_matrix(*params))
-    for array in (*factors, z):
+    for table in (
+        solver._second_difference_symbol(n),
+        solver._inverse_symbol(n, *step_matrix(*params)),
+    ):
         with pytest.raises(ValueError):
-            array[0] = 1
+            table[0] = 1
 
 
 def operators(n, sigma, alpha, strengths=(1.0, 1.0, 1.0), offset=3.0):
