@@ -46,7 +46,6 @@ from .rupture import (
 from .periodic import (
     ConvergenceReport,
     GradientProbeReport,
-    PoincareIterate,
     find_periodic,
     gradient_probe,
     poincare_map,
@@ -65,7 +64,6 @@ __all__ = [
     "ModelConfig",
     "Numerics",
     "Operators",
-    "PoincareIterate",
     "RuptureEvent",
     "SReport",
     "StationaryProfile",

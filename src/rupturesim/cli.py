@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, config_from_dict, config_to_dict, validate
+from .config import ModelConfig, config_from_dict, config_to_dict, read_scenario, validate
 from .errors import (
     ConfigError,
     DomainError,
@@ -27,7 +28,7 @@ from .errors import (
     SimulationError,
 )
 from .rupture import run_with_rupture, rupture_time_bounds
-from .solver import CoupledState, Field, build_grid, constant_field
+from .solver import CoupledState, Field, build_grid
 from .periodic import find_periodic, splice, verify_periodic
 from . import stationary
 
@@ -130,11 +131,7 @@ def parse_override(text: str) -> tuple[str, object]:
 def resolve_config(manifest: RunManifest) -> ModelConfig:
     if manifest.config_source in PRESETS:
         return preset_config(manifest.config_source, manifest.overrides)
-    text = Path(manifest.config_source).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest.config_source}: {exc}") from exc
+    raw = read_scenario(manifest.config_source)
     return config_from_dict(_apply_overrides(raw, manifest.overrides))
 
 
@@ -146,25 +143,30 @@ def make_initial_field(spec: str | None, grid, config: ModelConfig) -> Field:
     kind, _, args = spec.partition(":")
     try:
         if kind == "const":
-            return constant_field(grid, float(args))
-        if kind == "const_plus_sine":
+            values = np.full(grid.n, float(args))
+        elif kind == "const_plus_sine":
             base_s, amp_s, freq_s = args.split(",")
             base, amp, freq = float(base_s), float(amp_s), float(freq_s)
             values = base + amp * np.sin(2.0 * np.pi * freq * grid.nodes / grid.omega)
-            return Field(grid, values, 0.0)
+        else:
+            raise DomainError(f"unknown initial-condition kind {kind!r}")
     except ValueError as exc:
         raise DomainError(f"bad initial-condition spec {spec!r}: {exc}") from exc
-    raise DomainError(f"unknown initial-condition kind {kind!r}")
+    if not np.isfinite(values).all():
+        raise DomainError(f"initial-condition spec {spec!r} gives non-finite values")
+    return Field(grid, values, 0.0)
 
 
 def write_profile_csv(path: Path, xs: np.ndarray, values: np.ndarray, value_name: str = "value") -> None:
-    lines = [f"x,{value_name}"]
-    lines.extend(f"{x:.17g},{v:.17g}" for x, v in zip(xs, values))
-    path.write_text("\n".join(lines) + "\n")
+    rows = np.column_stack((xs, values)).ravel().tolist()
+    path.write_text(f"x,{value_name}\n" + "%.17g,%.17g\n" * len(xs) % tuple(rows))
 
 
 def read_profile_csv(path: Path, grid) -> Field:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if rows.ndim != 2 or rows.shape[0] != grid.n:
         raise DomainError(f"{path}: expected {grid.n} rows of x,value")
     return Field(grid, rows[:, 1].copy(), 0.0)
@@ -186,18 +188,11 @@ def _write_manifest(manifest: RunManifest, config: ModelConfig) -> None:
     )
 
 
-def _initial_state(config: ModelConfig, grid, eta0_spec: str | None):
-    """Initial simulation state; coupled runs start from a flat height."""
-    eta0 = make_initial_field(eta0_spec, grid, config)
-    if config.mode == "coupled":
-        h0 = constant_field(grid, 0.0)
-        return CoupledState(h0, Field(grid, h0.values + eta0.values, 0.0))
-    return eta0
-
-
 def _cmd_simulate(manifest: RunManifest, config: ModelConfig) -> int:
     grid = build_grid(config)
-    state = _initial_state(config, grid, manifest.eta0)
+    state = make_initial_field(manifest.eta0, grid, config)
+    if config.mode == "coupled":
+        state = CoupledState.from_thickness(state)
     events, final = run_with_rupture(
         config, state, max_events=manifest.max_events, t_end=manifest.t_end
     )
@@ -231,13 +226,11 @@ def _cmd_simulate(manifest: RunManifest, config: ModelConfig) -> int:
         write_profile_csv(out / "profile_eta_final.csv", grid.nodes, final.eta.values)
         write_profile_csv(out / "profile_h_final.csv", grid.nodes, final.h.values)
         write_profile_csv(out / "profile_zeta_final.csv", grid.nodes, final.zeta.values)
-        final_time = final.time
     else:
         write_profile_csv(out / "profile_eta_final.csv", grid.nodes, final.values)
-        final_time = final.time
     _write_json(
         out / "report.json",
-        {"command": "simulate", "events": len(records), "final_time": final_time},
+        {"command": "simulate", "events": len(records), "final_time": final.time},
     )
     return 0
 
@@ -403,6 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
+    for flag, value in (("--t-end", args.t_end), ("--fp-tol", args.fp_tol)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite")
+    if args.max_iter is not None and args.max_iter < 1:
+        raise DomainError("--max-iter must be at least 1")
     overrides = tuple(parse_override(text) for text in args.overrides)
     return RunManifest(
         command=args.command,

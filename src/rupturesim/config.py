@@ -11,32 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import DomainError, ParseError, SchemaError
 
 MODES = ("decoupled", "coupled")
 REDUCTION_CASES = ("case_i", "case_ii")
-
-_TOP_KEYS = (
-    "omega",
-    "junctions",
-    "jump_strengths",
-    "forcing_offset",
-    "sigma1",
-    "sigma2",
-    "tau",
-    "alpha",
-    "eta_c",
-    "eta_a",
-    "d",
-    "mode",
-    "reduction_case",
-    "numerics",
-)
-_OPTIONAL_KEYS = frozenset({"reduction_case", "numerics"})
-_NUMERICS_KEYS = ("grid_points", "dt", "event_tol", "fp_tol", "max_ruptures")
 
 
 @dataclass(frozen=True)
@@ -208,85 +189,68 @@ def _as_float_tuple(raw: object, key: str) -> tuple[float, ...]:
     return tuple(_as_float(v, key) for v in raw)
 
 
-def numerics_from_dict(raw: dict) -> Numerics:
-    unknown = set(raw) - set(_NUMERICS_KEYS)
+def _as_str(raw: object, key: str) -> str:
+    if not isinstance(raw, str):
+        raise SchemaError(f"field {key!r} must be a string")
+    return raw
+
+
+def _from_dict(cls, raw: object, key: str):
+    """Build the dataclass ``cls`` from a JSON object, reading each field by
+    its annotation (a string, as annotations are postponed in this module).
+    ``key`` is the object's dotted path, empty for the scenario itself.  A
+    field without a default is required, and so is ``mode``: a scenario must
+    name its mode, the library default serves direct construction only."""
+    if not isinstance(raw, dict):
+        if key:
+            raise SchemaError(f"field {key!r} must be an object")
+        raise SchemaError("scenario document must be a JSON object")
+    where = key or "scenario"
+    spec = fields(cls)
+    names = {f.name for f in spec}
+    unknown = set(raw) - names
     if unknown:
-        raise SchemaError(f"unknown numerics fields: {sorted(unknown)}")
-    kwargs = {}
-    if "grid_points" in raw:
-        kwargs["grid_points"] = _as_int(raw["grid_points"], "numerics.grid_points")
-    if "max_ruptures" in raw:
-        kwargs["max_ruptures"] = _as_int(raw["max_ruptures"], "numerics.max_ruptures")
-    for key in ("dt", "event_tol", "fp_tol"):
-        if key in raw:
-            kwargs[key] = _as_float(raw[key], f"numerics.{key}")
-    return Numerics(**kwargs)
+        raise SchemaError(f"unknown {where} fields: {sorted(unknown)}")
+    required = {f.name for f in spec if f.default is MISSING and f.default_factory is MISSING}
+    missing = (required | (names & {"mode"})) - set(raw)
+    if missing:
+        raise SchemaError(f"missing {where} fields: {sorted(missing)}")
+    prefix = f"{key}." if key else ""
+    return cls(**{
+        f.name: _READERS[f.type](raw[f.name], prefix + f.name) for f in spec if f.name in raw
+    })
+
+
+_READERS = {
+    "float": _as_float,
+    "int": _as_int,
+    "str": _as_str,
+    "tuple[float, ...]": _as_float_tuple,
+    "Numerics": lambda raw, key: _from_dict(Numerics, raw, key),
+}
 
 
 def config_from_dict(raw: dict) -> ModelConfig:
     """Build a config from a plain dict, applying defaults for the optional
     ``reduction_case`` and ``numerics`` entries."""
-    if not isinstance(raw, dict):
-        raise SchemaError("scenario document must be a JSON object")
-    unknown = set(raw) - set(_TOP_KEYS)
-    if unknown:
-        raise SchemaError(f"unknown scenario fields: {sorted(unknown)}")
-    missing = set(_TOP_KEYS) - _OPTIONAL_KEYS - set(raw)
-    if missing:
-        raise SchemaError(f"missing scenario fields: {sorted(missing)}")
-
-    mode = raw["mode"]
-    if not isinstance(mode, str):
-        raise SchemaError("field 'mode' must be a string")
-    case = raw.get("reduction_case", "case_i")
-    if not isinstance(case, str):
-        raise SchemaError("field 'reduction_case' must be a string")
-    numerics_raw = raw.get("numerics", {})
-    if not isinstance(numerics_raw, dict):
-        raise SchemaError("field 'numerics' must be an object")
-
-    return ModelConfig(
-        omega=_as_float(raw["omega"], "omega"),
-        junctions=_as_float_tuple(raw["junctions"], "junctions"),
-        jump_strengths=_as_float_tuple(raw["jump_strengths"], "jump_strengths"),
-        forcing_offset=_as_float(raw["forcing_offset"], "forcing_offset"),
-        sigma1=_as_float(raw["sigma1"], "sigma1"),
-        sigma2=_as_float(raw["sigma2"], "sigma2"),
-        tau=_as_float(raw["tau"], "tau"),
-        alpha=_as_float(raw["alpha"], "alpha"),
-        eta_c=_as_float(raw["eta_c"], "eta_c"),
-        eta_a=_as_float(raw["eta_a"], "eta_a"),
-        d=_as_float(raw["d"], "d"),
-        mode=mode,
-        reduction_case=case,
-        numerics=numerics_from_dict(numerics_raw),
-    )
+    return _from_dict(ModelConfig, raw, "")
 
 
 def config_to_dict(config: ModelConfig) -> dict:
     """Full scenario dict; inverse of :func:`config_from_dict`."""
-    return {
-        "omega": config.omega,
-        "junctions": list(config.junctions),
-        "jump_strengths": list(config.jump_strengths),
-        "forcing_offset": config.forcing_offset,
-        "sigma1": config.sigma1,
-        "sigma2": config.sigma2,
-        "tau": config.tau,
-        "alpha": config.alpha,
-        "eta_c": config.eta_c,
-        "eta_a": config.eta_a,
-        "d": config.d,
-        "mode": config.mode,
-        "reduction_case": config.reduction_case,
-        "numerics": {
-            "grid_points": config.numerics.grid_points,
-            "dt": config.numerics.dt,
-            "event_tol": config.numerics.event_tol,
-            "fp_tol": config.numerics.fp_tol,
-            "max_ruptures": config.numerics.max_ruptures,
-        },
-    }
+    return asdict(
+        config,
+        dict_factory=lambda items: {k: list(v) if isinstance(v, tuple) else v for k, v in items},
+    )
+
+
+def read_scenario(path: str | Path) -> dict:
+    """Parse a scenario file into a plain dict; malformed JSON raises
+    :class:`ParseError`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> ModelConfig:
@@ -296,12 +260,7 @@ def load_scenario(path: str | Path) -> ModelConfig:
     missing/unknown/ill-typed fields, and :class:`DomainError` when a value
     violates a model invariant.
     """
-    text = Path(path).read_text()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return config_from_dict(raw)
+    return config_from_dict(read_scenario(path))
 
 
 def save_scenario(config: ModelConfig, path: str | Path) -> None:

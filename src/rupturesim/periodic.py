@@ -5,7 +5,10 @@ The return map takes a profile on the complement of the distinguished
 interval, overwrites the inside with the reset level, evolves to the next
 rupture, and returns the pre-rupture profile.  Its fixed points are
 time-periodic solutions; they are found here by plain Picard iteration.
-The map is deliberately not assumed to be order preserving.
+The map is deliberately not assumed to be order preserving.  The
+distinguished interval is the open span between two junctions; which
+interval holds a node comes from
+:func:`rupturesim.stationary.interval_index`.
 """
 from __future__ import annotations
 
@@ -27,16 +30,6 @@ from .solver import (
     step_toward,
 )
 from . import stationary
-
-
-@dataclass(frozen=True)
-class PoincareIterate:
-    """One return-map iterate: the profile fed to the map, the rupture time
-    it produced, and the iteration index."""
-
-    xi: Field
-    t_r: float
-    iteration_index: int
 
 
 @dataclass(frozen=True)
@@ -82,20 +75,18 @@ def distinguished_interval(profile: stationary.StationaryProfile, config: ModelC
     return int(np.argmin(mins))
 
 
-def inside_open_interval_mask(grid, config: ModelConfig, index: int) -> np.ndarray:
-    """Node mask of the open interval ``(a_i, a_{i+1})`` (periodic wrap)."""
-    junctions = config.junctions
-    k = len(junctions)
+def _open_interval(grid, config: ModelConfig, index: int) -> np.ndarray:
+    """Node mask of the open interval ``(a_i, a_{i+1})`` (periodic wrap):
+    the half-open span without its left end, the only junction it holds."""
     x = grid.nodes
-    if index == k - 1:
-        return (x > junctions[-1]) | (x < junctions[0])
-    return (x > junctions[index]) & (x < junctions[index + 1])
+    inside = stationary.interval_index(config.junctions, x) == index
+    return inside & (x != config.junctions[index])
 
 
 def splice(xi: Field, config: ModelConfig, index: int) -> Field:
     """Overwrite the open distinguished interval with the reset level."""
     values = xi.values.copy()
-    values[inside_open_interval_mask(xi.grid, config, index)] = config.eta_a
+    values[_open_interval(xi.grid, config, index)] = config.eta_a
     return Field(xi.grid, values, xi.time)
 
 
@@ -111,7 +102,7 @@ def in_invariant_set(
     profile with unit margin."""
     if bound is None:
         bound = default_invariant_band(profile, config)
-    outside = ~inside_open_interval_mask(xi.grid, config, index)
+    outside = ~_open_interval(xi.grid, config, index)
     s_nodes = stationary.eval_stationary(profile, xi.grid.nodes[outside])
     v = xi.values[outside]
     return bool(np.all(v >= s_nodes) and np.all(v <= s_nodes + bound))
@@ -124,7 +115,7 @@ def default_invariant_band(profile: stationary.StationaryProfile, config: ModelC
 
 
 def sup_diff_outside(a: Field, b: Field, config: ModelConfig, index: int) -> float:
-    outside = ~inside_open_interval_mask(a.grid, config, index)
+    outside = ~_open_interval(a.grid, config, index)
     return float(np.max(np.abs(a.values[outside] - b.values[outside])))
 
 
@@ -180,43 +171,29 @@ def find_periodic(
     if xi0 is None:
         xi0 = constant_field(build_grid(config), config.eta_a)
 
+    coupled = config.mode == "coupled"
+    if coupled:
+        state = CoupledState.from_thickness(splice(xi0, config, index))
     iterates: list[tuple[int, float, float]] = []
-    sup_diff = math.inf
-    if config.mode == "coupled":
-        grid = xi0.grid
-        start_eta = splice(xi0, config, index)
-        h0 = constant_field(grid, 0.0)
-        state: CoupledState = CoupledState(
-            h0, Field(grid, h0.values + start_eta.values, 0.0)
-        )
-        previous, previous_time = xi0, 0.0
-        last = PoincareIterate(xi=xi0, t_r=math.nan, iteration_index=0)
-        for m in range(1, max_iter + 1):
+    xi = xi0
+    for m in range(1, max_iter + 1):
+        if coupled:
+            start = state.time
             events, state = run_with_rupture(config, state, max_events=1)
-            event = events[0]
-            last = PoincareIterate(
-                xi=event.pre_profile, t_r=event.time - previous_time, iteration_index=m
-            )
-            sup_diff = sup_diff_outside(last.xi, previous, config, index)
-            iterates.append((m, last.t_r, sup_diff))
-            previous, previous_time = last.xi, event.time
-            if sup_diff <= fp_tol:
-                break
-    else:
-        last = PoincareIterate(xi=xi0, t_r=math.nan, iteration_index=0)
-        for m in range(1, max_iter + 1):
-            mapped, t_r = poincare_map(last.xi, config, profile)
-            sup_diff = sup_diff_outside(mapped, last.xi, config, index)
-            iterates.append((m, t_r, sup_diff))
-            last = PoincareIterate(xi=mapped, t_r=t_r, iteration_index=m)
-            if sup_diff <= fp_tol:
-                break
+            mapped, t_r = events[0].pre_profile, events[0].time - start
+        else:
+            mapped, t_r = poincare_map(xi, config, profile)
+        sup_diff = sup_diff_outside(mapped, xi, config, index)
+        iterates.append((m, t_r, sup_diff))
+        xi = mapped
+        if sup_diff <= fp_tol:
+            break
 
     return ConvergenceReport(
         iterates=tuple(iterates),
         converged=sup_diff <= fp_tol,
         period=iterates[-1][1],
-        fixed_profile=last.xi,
+        fixed_profile=xi,
         distinguished_interval=index,
     )
 

@@ -6,6 +6,8 @@ The crossing is bracketed inside one accepted step and localized by
 bisecting the step size.  Every junction interval touched by the rupture
 set is reset: the thickness jumps to the reset level there, and in coupled
 mode the bubble-top height drops by the collapse depth on the same nodes.
+Which interval holds a node is decided by
+:func:`rupturesim.stationary.interval_index` alone.
 In decoupled mode the paper's rupture-time bounds run inside the event
 loop: the constant subsolution lets a gap skip, in one closed-form jump,
 every step it proves free of rupture, the mean's decay sets a horizon by
@@ -39,6 +41,7 @@ from .solver import (
     jump_decoupled,
     step_toward,
 )
+from .stationary import interval_index
 
 _BRACKET_FLOOR = 1.0e-3
 # roundoff allowed in the closed-form lower bounds, relative to
@@ -245,14 +248,6 @@ def locate_crossing(
     return hi, state_hi
 
 
-def interval_index_of(positions: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """0-based junction-interval index containing each position; positions
-    before the first junction wrap into the last interval."""
-    junctions = np.asarray(config.junctions)
-    idx = np.searchsorted(junctions, positions, side="right") - 1
-    return np.where(idx < 0, len(junctions) - 1, idx)
-
-
 def rupture_intervals(at_rupture: Field, config: ModelConfig) -> tuple[int, ...]:
     """Indices of every interval whose half-open span contains a node at or
     below ``eta_c + event_tol * eta_a``."""
@@ -260,22 +255,15 @@ def rupture_intervals(at_rupture: Field, config: ModelConfig) -> tuple[int, ...]
     nodes = np.nonzero(at_rupture.values <= threshold)[0]
     if nodes.size == 0:
         raise EmptyRuptureSetError("no node is at or below the rupture threshold")
-    indices = interval_index_of(at_rupture.grid.nodes[nodes], config)
+    indices = interval_index(config.junctions, at_rupture.grid.nodes[nodes])
     return tuple(sorted(set(int(i) for i in indices)))
 
 
 def reset_mask(grid, config: ModelConfig, intervals) -> np.ndarray:
     """Node mask of the union of half-open spans ``[a_k, a_{k+1})``."""
-    junctions = config.junctions
-    k = len(junctions)
-    x = grid.nodes
-    mask = np.zeros(grid.n, dtype=bool)
-    for i in intervals:
-        if i == k - 1:
-            mask |= (x >= junctions[-1]) | (x < junctions[0])
-        else:
-            mask |= (x >= junctions[i]) & (x < junctions[i + 1])
-    return mask
+    chosen = np.zeros(len(config.junctions), dtype=bool)
+    chosen[list(intervals)] = True
+    return chosen[interval_index(config.junctions, grid.nodes)]
 
 
 def apply_reset(
@@ -334,8 +322,9 @@ def run_with_rupture(
         raise ValueError("need max_events or t_end")
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
-    if float(np.min(eta_of(initial).values)) <= config.eta_c:
-        raise DomainError("initial thickness must exceed the rupture threshold")
+    eta0 = eta_of(initial).values
+    if not (float(np.min(eta0)) > config.eta_c and np.isfinite(eta0).all()):
+        raise DomainError("initial thickness must be finite and exceed the rupture threshold")
 
     grid = eta_of(initial).grid
     ops = assemble_operators(grid, config)

@@ -87,6 +87,13 @@ class CoupledState:
     def copy(self) -> "CoupledState":
         return CoupledState(self.h.copy(), self.zeta.copy())
 
+    @classmethod
+    def from_thickness(cls, eta: Field) -> "CoupledState":
+        """Start state of thickness ``eta`` over a flat zero height, at
+        time 0."""
+        h0 = constant_field(eta.grid, 0.0)
+        return cls(h0, Field(eta.grid, h0.values + eta.values, 0.0))
+
 
 @dataclass(frozen=True)
 class Operators:

@@ -184,11 +184,18 @@ def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
     )
 
 
+def interval_index(junctions, positions) -> np.ndarray:
+    """0-based index of the half-open junction interval ``[a_k, a_{k+1})``
+    holding each position in ``[0, omega)``; positions before ``a_0`` wrap
+    into the last interval."""
+    idx = np.searchsorted(junctions, positions, side="right") - 1
+    return np.where(idx < 0, len(junctions) - 1, idx)
+
+
 def _locate(profile: StationaryProfile, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interval index and local coordinate for positions reduced mod omega."""
     xs = np.asarray(x, dtype=float) % profile.omega
-    idx = np.searchsorted(profile.junctions, xs, side="right") - 1
-    idx = np.where(idx < 0, profile.num_intervals - 1, idx)
+    idx = interval_index(profile.junctions, xs)
     u = (xs - profile.junctions[idx]) % profile.omega
     return idx, u
 

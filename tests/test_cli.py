@@ -10,7 +10,7 @@ import pytest
 
 import rupturesim
 from rupturesim import rupture
-from rupturesim.cli import main, preset_config
+from rupturesim.cli import main, preset_config, write_profile_csv
 
 
 def read_json(path: Path) -> dict:
@@ -262,3 +262,40 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
     monkeypatch.setattr(rupture, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
     out = tmp_path / "run"
     assert main(["simulate", "--preset", "ex1", "--max-events", "1", "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["find-periodic", "--preset", "ex1", "--max-iter", "0"],
+        ["simulate", "--preset", "ex1", "--t-end", "nan"],
+        ["simulate", "--preset", "ex1", "--eta0", "const:nan"],
+        ["simulate", "--preset", "ex1", "--eta0", "const:inf"],
+        ["find-periodic", "--preset", "ex1", "--fp-tol", "inf"],
+    ],
+    ids=["max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf"],
+)
+def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):
+    assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_malformed_fixed_profile_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "orbit"
+    assert main(["find-periodic", "--preset", "ex1", "--out", str(out)]) == 0
+    (out / "fixed_profile.csv").write_text("x,value\n0,not-a-number\n")
+    capsys.readouterr()
+    assert main(["verify", "--preset", "ex1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_profile_csv_bytes_match_the_f_string_writer(tmp_path):
+    rng = np.random.default_rng(5)
+    edges = np.array([-0.0, 5e-324, 1e17, -1e-17, 0.1, 1.0 / 3.0])
+    xs = np.concatenate([rng.uniform(0.0, 1.0, 200), edges])
+    scales = 10.0 ** rng.integers(-20, 20, 200)
+    values = np.concatenate([rng.standard_normal(200) * scales, edges[::-1]])
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, xs, values, "s")
+    lines = ["x,s", *(f"{x:.17g},{v:.17g}" for x, v in zip(xs, values))]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

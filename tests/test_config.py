@@ -189,3 +189,33 @@ def test_effective_parameters_reduction_cases():
 def test_config_is_immutable(ex1):
     with pytest.raises(Exception):
         ex1.omega = 2.0
+
+
+def test_schema_errors_name_the_field():
+    no_mode = minimal_scenario()
+    del no_mode["mode"]
+    cases = {
+        "missing scenario fields: ['mode']": no_mode,
+        "scenario document must be a JSON object": [],
+        "field 'mode' must be a string": minimal_scenario(mode=1),
+        "field 'junctions' must be an array of numbers": minimal_scenario(junctions=0.5),
+        "field 'numerics' must be an object": minimal_scenario(numerics=[]),
+        "unknown numerics fields: ['step']": minimal_scenario(numerics={"step": 1}),
+        "field 'numerics.grid_points' must be an integer": minimal_scenario(
+            numerics={"grid_points": 1.5}
+        ),
+        "field 'numerics.dt' must be a number": minimal_scenario(numerics={"dt": "x"}),
+    }
+    for message, raw in cases.items():
+        with pytest.raises(SchemaError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
+
+
+def test_config_dict_lists_every_field_in_order():
+    raw = config_to_dict(config_from_dict(minimal_scenario()))
+    assert list(raw) == [*minimal_scenario(), "reduction_case", "numerics"]
+    assert raw["junctions"] == [0.5] and raw["jump_strengths"] == [0.0]
+    assert raw["numerics"] == {
+        "grid_points": 1024, "dt": 1e-4, "event_tol": 1e-6, "fp_tol": 1e-6, "max_ruptures": 100,
+    }

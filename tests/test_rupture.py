@@ -399,3 +399,14 @@ def test_horizon_covers_every_gap(ex1):
         start = event.post_profile
     unforced = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
     assert rupture.rupture_horizon(unforced, start) is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_initial_state_is_refused(ex1, ex3, bad):
+    grid = build_grid(ex1, 64)
+    eta0 = constant_field(grid, ex1.eta_a)
+    eta0.values[5] = bad
+    with pytest.raises(DomainError):
+        run_with_rupture(ex1, eta0, max_events=1)
+    with pytest.raises(DomainError):
+        run_with_rupture(ex3, CoupledState.from_thickness(eta0), max_events=1)
