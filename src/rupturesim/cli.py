@@ -32,52 +32,26 @@ from .solver import CoupledState, Field, build_grid
 from .periodic import find_periodic, splice, verify_periodic
 from . import stationary
 
+_EX1 = {
+    "omega": 1.0,
+    "junctions": [0.1, 0.6, 0.9],
+    "jump_strengths": [1.0, 1.0, 1.0],
+    "forcing_offset": 3.0,
+    "sigma1": 1.0,
+    "sigma2": 1.0,
+    "tau": 1.0,
+    "alpha": 1.0,
+    "eta_c": 0.03e-12,
+    "eta_a": 0.03,
+    "d": 0.1,
+    "mode": "decoupled",
+    "reduction_case": "case_i",
+}
+# ex2 and ex3 share ex1's lists; preset_config copies a preset before use
 PRESETS: dict[str, dict] = {
-    "ex1": {
-        "omega": 1.0,
-        "junctions": [0.1, 0.6, 0.9],
-        "jump_strengths": [1.0, 1.0, 1.0],
-        "forcing_offset": 3.0,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "tau": 1.0,
-        "alpha": 1.0,
-        "eta_c": 0.03e-12,
-        "eta_a": 0.03,
-        "d": 0.1,
-        "mode": "decoupled",
-        "reduction_case": "case_i",
-    },
-    "ex2": {
-        "omega": 1.0,
-        "junctions": [0.1, 0.6, 0.9],
-        "jump_strengths": [1.0, 1.0, 1.0],
-        "forcing_offset": 3.0,
-        "sigma1": 1.0,
-        "sigma2": 1.0,
-        "tau": 1.0,
-        "alpha": 60.0,
-        "eta_c": 0.003,
-        "eta_a": 0.03,
-        "d": 0.1,
-        "mode": "decoupled",
-        "reduction_case": "case_i",
-    },
-    "ex3": {
-        "omega": 1.0,
-        "junctions": [0.1, 0.6, 0.9],
-        "jump_strengths": [1.0, 1.0, 1.0],
-        "forcing_offset": 3.0,
-        "sigma1": 0.5,
-        "sigma2": 1.0,
-        "tau": 1.0,
-        "alpha": 1.0,
-        "eta_c": 0.03e-12,
-        "eta_a": 0.03,
-        "d": 0.1,
-        "mode": "coupled",
-        "reduction_case": "case_i",
-    },
+    "ex1": _EX1,
+    "ex2": {**_EX1, "alpha": 60.0, "eta_c": 0.003},
+    "ex3": {**_EX1, "sigma1": 0.5, "mode": "coupled"},
 }
 
 COMMANDS = ("simulate", "bounds", "stationary", "find-periodic", "verify")
@@ -222,12 +196,10 @@ def _cmd_simulate(manifest: RunManifest, config: ModelConfig) -> int:
         "".join(json.dumps(record) + "\n" for record in records)
     )
 
-    if isinstance(final, CoupledState):
-        write_profile_csv(out / "profile_eta_final.csv", grid.nodes, final.eta.values)
+    write_profile_csv(out / "profile_eta_final.csv", grid.nodes, final.eta.values)
+    if config.mode == "coupled":
         write_profile_csv(out / "profile_h_final.csv", grid.nodes, final.h.values)
         write_profile_csv(out / "profile_zeta_final.csv", grid.nodes, final.zeta.values)
-    else:
-        write_profile_csv(out / "profile_eta_final.csv", grid.nodes, final.values)
     _write_json(
         out / "report.json",
         {"command": "simulate", "events": len(records), "final_time": final.time},
@@ -310,7 +282,9 @@ def _cmd_verify(manifest: RunManifest, config: ModelConfig) -> int:
     out = manifest.output_dir
     report_path = out / "report.json"
     if report_path.exists():
-        previous = json.loads(report_path.read_text())
+        previous = read_scenario(report_path)
+        if not isinstance(previous, dict):
+            raise ParseError(f"{report_path}: not a JSON object")
         if previous.get("command") == "find-periodic" and not previous.get("converged", False):
             print("verify: fixed-point search did not converge", file=sys.stderr)
             return 1
@@ -399,8 +373,9 @@ def manifest_from_args(args: argparse.Namespace) -> RunManifest:
     for flag, value in (("--t-end", args.t_end), ("--fp-tol", args.fp_tol)):
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{flag} must be finite")
-    if args.max_iter is not None and args.max_iter < 1:
-        raise DomainError("--max-iter must be at least 1")
+    for flag, count in (("--max-iter", args.max_iter), ("--max-events", args.max_events)):
+        if count is not None and count < 1:
+            raise DomainError(f"{flag} must be at least 1")
     overrides = tuple(parse_override(text) for text in args.overrides)
     return RunManifest(
         command=args.command,

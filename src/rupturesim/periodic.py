@@ -23,11 +23,10 @@ from .rupture import run_with_rupture, rupture_horizon
 from .solver import (
     CoupledState,
     Field,
-    advance,
     assemble_operators,
     build_grid,
     constant_field,
-    step_toward,
+    evolve,
 )
 from . import stationary
 
@@ -288,8 +287,7 @@ def gradient_probe(
     grads = np.empty(len(times))
     state = eta0
     for slot, t in zip(order, sorted_times):
-        while state.time < t:
-            state = advance(state, step_toward(t - state.time, dt), ops)
+        state = evolve(state, t, dt, ops)
         grads[slot] = float(np.max(np.abs(discrete_gradient(state, config))))
 
     eta0_sup = float(np.max(np.abs(eta0.values)))

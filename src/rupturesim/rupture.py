@@ -37,7 +37,6 @@ from .solver import (
     Operators,
     advance,
     assemble_operators,
-    decoupled_fixed_point,
     jump_decoupled,
     step_toward,
 )
@@ -81,10 +80,6 @@ class RuptureEvent:
     post_profile: Field
     pre_h: Field | None = None
     post_h: Field | None = None
-
-
-def eta_of(state: Field | CoupledState) -> Field:
-    return state.eta if isinstance(state, CoupledState) else state
 
 
 def rupture_time_bounds(config: ModelConfig, eta0: Field) -> BoundsReport:
@@ -175,7 +170,7 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     c0 = float(np.min(state.values))
     if _safe_steps(c0, float(np.min(ops.load)), ops.alpha, dt, threshold) == sys.maxsize:
         return 0
-    fixed = decoupled_fixed_point(ops)
+    fixed = ops.fixed_point
     margin = float(np.min(fixed)) - threshold - _JUMP_TOL * _roundoff_scale(state, ops)
     if not margin > 0.0:
         return None
@@ -228,20 +223,20 @@ def locate_crossing(
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
-    if float(np.min(eta_of(pre).values)) <= eta_c:
+    if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
     state_hi = advance(pre, dt, ops)
-    if float(np.min(eta_of(state_hi).values)) > eta_c:
+    if float(np.min(state_hi.eta.values)) > eta_c:
         raise BracketError("no crossing within one step")
 
     lo, hi = 0.0, dt
     while (
-        abs(float(np.min(eta_of(state_hi).values)) - eta_c) > value_tol
+        abs(float(np.min(state_hi.eta.values)) - eta_c) > value_tol
         and (hi - lo) >= _BRACKET_FLOOR * dt
     ):
         mid = 0.5 * (lo + hi)
         trial = advance(pre, mid, ops)
-        if float(np.min(eta_of(trial).values)) <= eta_c:
+        if float(np.min(trial.eta.values)) <= eta_c:
             hi, state_hi = mid, trial
         else:
             lo = mid
@@ -278,8 +273,8 @@ def apply_reset(
     """
     if not intervals:
         raise ValueError("reset needs a non-empty interval list")
+    mask = reset_mask(state.eta.grid, config, intervals)
     if isinstance(state, CoupledState):
-        mask = reset_mask(state.h.grid, config, intervals)
         h_values = state.h.values.copy()
         z_values = state.zeta.values.copy()
         h_values[mask] -= config.d
@@ -288,7 +283,6 @@ def apply_reset(
             Field(state.h.grid, h_values, state.h.time),
             Field(state.zeta.grid, z_values, state.zeta.time),
         )
-    mask = reset_mask(state.grid, config, intervals)
     values = state.values.copy()
     values[mask] = config.eta_a
     return Field(state.grid, values, state.time)
@@ -322,12 +316,11 @@ def run_with_rupture(
         raise ValueError("need max_events or t_end")
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
-    eta0 = eta_of(initial).values
-    if not (float(np.min(eta0)) > config.eta_c and np.isfinite(eta0).all()):
+    eta0 = initial.eta
+    if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")
 
-    grid = eta_of(initial).grid
-    ops = assemble_operators(grid, config)
+    ops = assemble_operators(eta0.grid, config)
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
@@ -348,7 +341,7 @@ def run_with_rupture(
     state = initial
     (deadline, due), may_jump = gap_deadline(state), jumps
     while len(events) < cap:
-        time = eta_of(state).time
+        time = state.time
         if t_end is not None:
             remaining = t_end - time
             if remaining <= 0.0:
@@ -373,12 +366,12 @@ def run_with_rupture(
                 continue
             may_jump = False
         trial = advance(state, step_dt, ops)
-        if float(np.min(eta_of(trial).values)) > config.eta_c:
+        if float(np.min(trial.eta.values)) > config.eta_c:
             state = trial
             continue
 
         elapsed, at_rupture = locate_crossing(state, step_dt, ops, config)
-        pre_eta = eta_of(at_rupture)
+        pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]
         post = apply_reset(at_rupture, intervals, config)
@@ -388,7 +381,7 @@ def run_with_rupture(
             rupture_nodes=nodes,
             reset_intervals=intervals,
             pre_profile=pre_eta.copy(),
-            post_profile=eta_of(post).copy(),
+            post_profile=post.eta.copy(),
             pre_h=at_rupture.h.copy() if coupled else None,
             post_h=post.h.copy() if coupled else None,
         )

@@ -9,9 +9,10 @@ step matrix is circulant, so it is inverted by dividing each rfft mode by
 its eigenvalue; the eigenvalues of the second difference come from one
 cached table per grid size, and the reciprocal eigenvalues of the few most
 recent step matrices are cached too.  Every solve is checked for a backward
-error of about 1e-12.  The same per-mode division lets ``jump_decoupled``
-apply many equal decoupled steps at once in closed form, about the discrete
-fixed point.
+error of about 1e-12.  The operator bundle :class:`Operators` owns the
+thickness step matrix and the decoupled symbol and fixed point, about which
+``jump_decoupled`` applies many equal decoupled steps at once in closed
+form.  Both state kinds expose their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -60,6 +61,11 @@ class Field:
     values: np.ndarray
     time: float = 0.0
 
+    @property
+    def eta(self) -> "Field":
+        """The layer thickness: the field itself."""
+        return self
+
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.time)
 
@@ -79,6 +85,11 @@ class CoupledState:
     @property
     def time(self) -> float:
         return self.zeta.time
+
+    @time.setter
+    def time(self, value: float) -> None:
+        self.h.time = value
+        self.zeta.time = value
 
     @property
     def eta(self) -> Field:
@@ -101,22 +112,52 @@ class Operators:
 
     ``load`` is the nodal forcing of the reduced thickness equation
     (delta parts split by hat-function weights, divided by the lumped
-    mass, minus the effective constant offset); ``load_raw`` is the same
-    construction from the unscaled strengths and offset, used by the
-    height equation.  The stiffness action is the periodic second
-    difference with row pattern ``(-1, 2, -1)/dx**2``.
+    mass, minus the effective constant offset); ``height_load`` is the same
+    construction from the unscaled strengths and offset, divided by
+    ``tau``, the forcing of the height equation.  The stiffness action is
+    the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
+    The bundle owns the thickness step matrix and the decoupled symbol and
+    fixed point; the last two fill lazily, deterministically and read-only.
     """
 
     grid: Grid
     sigma: float
     alpha: float
     load: np.ndarray
-    load_raw: np.ndarray
+    height_load: np.ndarray
     sigma_h: float
-    tau: float
 
     def stiffness_matvec(self, v: np.ndarray) -> np.ndarray:
         return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / self.grid.dx**2
+
+    def thickness_matrix(self, dt: float) -> tuple[float, float]:
+        """``(diag, off)`` of the cyclic matrix of one backward-Euler step of
+        the thickness, ``I/dt + sigma K + alpha I``."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        dx2 = self.grid.dx**2
+        return 1.0 / dt + 2.0 * self.sigma / dx2 + self.alpha, -self.sigma / dx2
+
+    @functools.cached_property
+    def symbol(self) -> np.ndarray:
+        """Eigenvalue ``alpha + sigma*s_k/dx^2`` of ``alpha I + sigma K`` per
+        rfft mode (``s_k`` from :func:`_second_difference_symbol`)."""
+        n, dx = self.grid.n, self.grid.dx
+        symbol = self.alpha + self.sigma * (_second_difference_symbol(n) / (dx * dx))
+        symbol.flags.writeable = False
+        return symbol
+
+    @functools.cached_property
+    def fixed_point(self) -> np.ndarray:
+        """Fixed point of every decoupled step, ``(alpha I + sigma K) x* =
+        load``, solved mode by mode, so mode 0 gives ``mean(x*) =
+        mean(load)/alpha``; read-only.  Requires ``alpha > 0``, which makes it
+        unique."""
+        if not self.alpha > 0.0:
+            raise UnsupportedError("the decoupled fixed point requires alpha > 0")
+        fixed = np.fft.irfft(np.fft.rfft(self.load) / self.symbol, self.grid.n)
+        fixed.flags.writeable = False
+        return fixed
 
 
 def _load_vector(
@@ -134,16 +175,14 @@ def _load_vector(
 
 def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
     sigma_eff, strengths_eff, offset_eff = effective_parameters(config)
+    raw = _load_vector(grid, config.junctions, config.jump_strengths, config.forcing_offset)
     return Operators(
         grid=grid,
         sigma=sigma_eff,
         alpha=config.alpha,
         load=_load_vector(grid, config.junctions, strengths_eff, offset_eff),
-        load_raw=_load_vector(
-            grid, config.junctions, config.jump_strengths, config.forcing_offset
-        ),
+        height_load=raw / config.tau,
         sigma_h=config.sigma1 / config.tau,
-        tau=config.tau,
     )
 
 
@@ -200,46 +239,9 @@ def solve_periodic_tridiagonal(diag: float, off: float, rhs: np.ndarray) -> np.n
 
 def step_decoupled(state: Field, dt: float, ops: Operators) -> Field:
     """One backward-Euler step of the reduced thickness equation."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    dx2 = ops.grid.dx**2
-    diag = 1.0 / dt + 2.0 * ops.sigma / dx2 + ops.alpha
-    off = -ops.sigma / dx2
+    diag, off = ops.thickness_matrix(dt)
     rhs = state.values / dt + ops.load
     return Field(state.grid, solve_periodic_tridiagonal(diag, off, rhs), state.time + dt)
-
-
-@functools.lru_cache(maxsize=4)
-def _decoupled_modes(
-    n: int, dx: float, sigma: float, alpha: float, load: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed point ``x*`` of the decoupled step and the symbol of
-    ``alpha I + sigma K`` per rfft mode, both read-only.
-
-    ``K`` is circulant, so mode ``k`` has eigenvalue
-    ``alpha + sigma*s_k/dx^2`` with ``s_k`` from
-    :func:`_second_difference_symbol`,
-    and ``(alpha I + sigma K) x* = load`` is solved mode by mode; mode 0
-    gives ``mean(x*) = mean(load)/alpha``.
-    """
-    symbol = alpha + sigma * (_second_difference_symbol(n) / (dx * dx))
-    fixed = np.fft.irfft(np.fft.rfft(np.frombuffer(load)) / symbol, n)
-    for array in (fixed, symbol):
-        array.flags.writeable = False
-    return fixed, symbol
-
-
-def _modes_of(ops: Operators) -> tuple[np.ndarray, np.ndarray]:
-    if not ops.alpha > 0.0:
-        raise UnsupportedError("the decoupled fixed point requires alpha > 0")
-    grid = ops.grid
-    return _decoupled_modes(grid.n, grid.dx, ops.sigma, ops.alpha, ops.load.tobytes())
-
-
-def decoupled_fixed_point(ops: Operators) -> np.ndarray:
-    """Fixed point of every decoupled step, ``(alpha I + sigma K) x* = load``;
-    read-only.  Requires ``alpha > 0``, which makes it unique."""
-    return _modes_of(ops)[0]
 
 
 def jump_decoupled(state: Field, steps: int, dt: float, ops: Operators) -> Field:
@@ -252,9 +254,9 @@ def jump_decoupled(state: Field, steps: int, dt: float, ops: Operators) -> Field
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    fixed, symbol = _modes_of(ops)
+    fixed = ops.fixed_point
     grid = state.grid
-    modes = np.fft.rfft(state.values - fixed) * (1.0 + dt * symbol) ** -steps
+    modes = np.fft.rfft(state.values - fixed) * (1.0 + dt * ops.symbol) ** -steps
     values = fixed + np.fft.irfft(modes, grid.n)
     time = state.time
     for _ in range(steps):
@@ -270,15 +272,11 @@ def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Fiel
     splitting introduces no error into the height and only a first-order
     term into the surface.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    diag_z, off_z = ops.thickness_matrix(dt)
     dx2 = ops.grid.dx**2
     diag_h = 1.0 / dt + 2.0 * ops.sigma_h / dx2
     off_h = -ops.sigma_h / dx2
-    h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.load_raw / ops.tau)
-
-    diag_z = 1.0 / dt + 2.0 * ops.sigma / dx2 + ops.alpha
-    off_z = -ops.sigma / dx2
+    h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.height_load)
     z_new = solve_periodic_tridiagonal(diag_z, off_z, zeta.values / dt + ops.alpha * h_new)
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
@@ -308,11 +306,7 @@ def evolve(state: Field | CoupledState, t_end: float, dt: float, ops: Operators)
     while time < t_end:
         state = advance(state, step_toward(t_end - time, dt), ops)
         time = state.time
-    if isinstance(state, CoupledState):
-        state.h.time = t_end
-        state.zeta.time = t_end
-    else:
-        state.time = t_end
+    state.time = t_end
     return state
 
 

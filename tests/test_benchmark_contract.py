@@ -3,7 +3,9 @@
 The harness patches the functions listed in ``tracing.TRACED`` and calls
 ``setup_probe.set_up`` and the ``rs.*`` names of ``workloads.py``; a renamed
 or deleted helper would otherwise only show as an ``AttributeError`` when
-the benchmark runs.
+the benchmark runs.  A step taken other than through ``solver.advance``
+would not fail at all, only make the per-layer counts read 0, so the
+counts of one traced run are checked against each other too.
 """
 import importlib
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import rupturesim
+from rupturesim.cli import preset_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +54,22 @@ def test_setup_probe_runs_on_ex1(harness, tmp_path):
     config, eta0 = harness["setup_probe"].set_up(args)
     assert config.junctions == (0.1, 0.6, 0.9)
     assert eta0.grid.n == config.numerics.grid_points
+
+
+@pytest.mark.parametrize("preset, solves_per_step", [("ex1", 1), ("ex3", 2)])
+def test_tracer_counts_every_step(harness, preset, solves_per_step):
+    tracing = harness["tracing"]
+    config = preset_config(preset)
+    eta0 = rupturesim.constant_field(rupturesim.build_grid(config), config.eta_a)
+    start = rupturesim.CoupledState.from_thickness(eta0) if config.mode == "coupled" else eta0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        events, _ = rupturesim.run_with_rupture(config, start, max_events=2)
+    metrics = tracing.layer_metrics(tracer.spans, config.numerics.grid_points)
+    steps = metrics["solver.step.calls"]
+    assert len(events) == 2
+    assert steps == (
+        metrics["rupture.accepted_steps"] + len(events) + metrics["rupture.bisection_steps"]
+    )
+    assert metrics["solver.solve.calls"] == solves_per_step * steps
+    assert metrics["rupture.bisection_steps"] > 0

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import rupturesim
 from rupturesim import rupture
-from rupturesim.cli import main, preset_config, write_profile_csv
+from rupturesim.cli import PRESETS, main, preset_config, write_profile_csv
 
 
 def read_json(path: Path) -> dict:
@@ -272,8 +273,13 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
         ["simulate", "--preset", "ex1", "--eta0", "const:nan"],
         ["simulate", "--preset", "ex1", "--eta0", "const:inf"],
         ["find-periodic", "--preset", "ex1", "--fp-tol", "inf"],
+        ["simulate", "--preset", "ex1", "--max-events", "-3"],
+        ["simulate", "--preset", "ex1", "--max-events", "0"],
     ],
-    ids=["max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf"],
+    ids=[
+        "max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf",
+        "max-events-negative", "max-events-0",
+    ],
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):
     assert main([*args, "--out", str(tmp_path / "run")]) == 2
@@ -287,6 +293,27 @@ def test_malformed_fixed_profile_is_a_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--preset", "ex1", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "data", [b"{bad", b"[1, 2]", b"\xff{"], ids=["malformed", "not-an-object", "not-utf-8"]
+)
+def test_unreadable_previous_report_is_a_config_error(tmp_path, capsys, data):
+    out = tmp_path / "orbit"
+    out.mkdir()
+    (out / "report.json").write_bytes(data)
+    assert main(["verify", "--preset", "ex1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_preset_overrides_leave_every_preset_unchanged():
+    before = copy.deepcopy(PRESETS)
+    configs = {name: preset_config(name) for name in PRESETS}
+    for name in PRESETS:
+        changed = preset_config(name, (("junctions", [0.2, 0.5, 0.8]), ("numerics.dt", 1e-3)))
+        assert changed.junctions == (0.2, 0.5, 0.8) and changed.numerics.dt == 1e-3
+    assert PRESETS == before
+    assert {name: preset_config(name) for name in PRESETS} == configs
 
 
 def test_profile_csv_bytes_match_the_f_string_writer(tmp_path):

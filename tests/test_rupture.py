@@ -358,7 +358,7 @@ def test_run_that_cannot_rupture_is_refused(monkeypatch):
     with pytest.raises(DomainError, match="t-end"):
         run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=1)
     ops = assemble_operators(grid, cfg)
-    at_rest = Field(grid, solver.decoupled_fixed_point(ops).copy())
+    at_rest = Field(grid, ops.fixed_point.copy())
     threshold = cfg.eta_c + cfg.numerics.event_tol * cfg.eta_a
     assert rupture._settle_steps(at_rest, cfg.numerics.dt, ops, threshold) == 0
     with pytest.raises(DomainError, match="t-end"):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from rupturesim.config import ModelConfig, config_from_dict
 from rupturesim.errors import DomainError, UnsupportedError
 from rupturesim import solver, stationary
 from rupturesim.solver import (
+    CoupledState,
     Field,
+    advance,
     assemble_operators,
     build_grid,
     constant_field,
@@ -213,6 +217,43 @@ def test_evolve_composes():
     assert np.max(np.abs(once.values - twice.values)) < 1e-13
 
 
+def test_evolve_lands_a_coupled_state_on_t_end(ex3):
+    grid = build_grid(ex3, 64)
+    ops = assemble_operators(grid, ex3)
+    rng = np.random.default_rng(7)
+    start = CoupledState.from_thickness(Field(grid, 0.05 + 0.01 * rng.random(grid.n)))
+    dt = 2.0**-10  # binary fractions, so the times sum exactly
+    t_end = 10.5 * dt
+    evolved = evolve(start.copy(), t_end, dt, ops)
+    assert evolved.h.time == evolved.zeta.time == evolved.time == t_end
+    by_hand = start
+    for _ in range(10):
+        by_hand = advance(by_hand, dt, ops)
+    by_hand = advance(by_hand, 0.5 * dt, ops)
+    assert np.array_equal(evolved.h.values, by_hand.h.values)
+    assert np.array_equal(evolved.zeta.values, by_hand.zeta.values)
+
+
+def test_both_state_kinds_expose_thickness_and_time(ex3):
+    grid = build_grid(ex3, 16)
+    field = constant_field(grid, 0.2, time=0.5)
+    assert field.eta is field
+    state = CoupledState.from_thickness(field)
+    assert np.array_equal(state.eta.values, field.values)
+    state.time = 0.25
+    assert state.h.time == state.zeta.time == state.eta.time == 0.25
+
+
+def test_fixed_point_needs_alpha_and_is_read_only(ex1):
+    grid = build_grid(ex1, 64)
+    ops = assemble_operators(grid, ex1)
+    for table in (ops.fixed_point, ops.symbol):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    with pytest.raises(UnsupportedError):
+        assemble_operators(grid, replace(ex1, alpha=0.0)).fixed_point
+
+
 def test_evolve_constant_decay_matches_exponential():
     cfg = plain_config()
     grid = build_grid(cfg, 32)
@@ -314,8 +355,6 @@ def test_system_matrix_is_strictly_diagonally_dominant(ex1):
     grid = build_grid(ex1, 128)
     ops = assemble_operators(grid, ex1)
     dt = 1e-4
-    dx2 = grid.dx**2
-    diag = 1.0 / dt + 2.0 * ops.sigma / dx2 + ops.alpha
-    off = -ops.sigma / dx2
+    diag, off = ops.thickness_matrix(dt)
     assert diag > 0.0 and off <= 0.0
     assert diag - 2.0 * abs(off) == pytest.approx(1.0 / dt + ops.alpha, rel=1e-12)

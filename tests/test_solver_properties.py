@@ -196,7 +196,7 @@ def test_jump_stays_above_the_constant_subsolution(params, seed):
 def test_fixed_point_solves_the_stationary_system(params):
     n, _, sigma, alpha, _, strengths, offset = params
     ops = operators(n, sigma, alpha, strengths, offset)
-    fixed = solver.decoupled_fixed_point(ops)
+    fixed = ops.fixed_point
     residual = alpha * fixed + sigma * ops.stiffness_matvec(fixed) - ops.load
     diag = alpha + 4.0 * sigma * n * n
     assert np.max(np.abs(residual)) <= 1e-12 * diag * np.max(np.abs(fixed))
@@ -208,7 +208,7 @@ def test_fixed_point_solves_the_stationary_system(params):
 def exact_values(start, steps, dt, ops):
     """State after ``steps`` steps by the closed form, without counting the
     time step by step as ``jump_decoupled`` does."""
-    fixed, symbol = solver._modes_of(ops)
+    fixed, symbol = ops.fixed_point, ops.symbol
     modes = np.fft.rfft(start.values - fixed) * (1.0 + dt * symbol) ** -float(steps)
     return fixed + np.fft.irfft(modes, ops.grid.n)
 
@@ -217,7 +217,7 @@ def exact_values(start, steps, dt, ops):
 @given(jump_parameters, seeds, st.floats(1e-6, 1.0))
 def test_run_stays_above_the_threshold_after_the_settle_count(params, seed, depth):
     ops, start, _, dt, scale = jump_case(params, seed)
-    threshold = np.min(solver.decoupled_fixed_point(ops)) - depth * (scale + 1.0)
+    threshold = np.min(ops.fixed_point) - depth * (scale + 1.0)
     settle = rupture._settle_steps(start, dt, ops, threshold)
     assert settle is not None
     for later in (0, 1, 7, 50, 10**6):
