@@ -371,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def manifest_from_args(args: argparse.Namespace) -> RunManifest:
     for flag, value in (("--t-end", args.t_end), ("--fp-tol", args.fp_tol)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{flag} must be finite")
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{flag} must be finite and positive")
     for flag, count in (("--max-iter", args.max_iter), ("--max-events", args.max_events)):
         if count is not None and count < 1:
             raise DomainError(f"{flag} must be at least 1")

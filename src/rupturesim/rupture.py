@@ -12,7 +12,10 @@ In decoupled mode the paper's rupture-time bounds run inside the event
 loop: the constant subsolution lets a gap skip, in one closed-form jump,
 every step it proves free of rupture, the mean's decay sets a horizon by
 which the gap must end, and the discrete fixed point shows when it never
-can.
+can.  In coupled mode a gap takes its steps in batches in rfft mode space,
+each checked for its thickness after every step and for the backward error
+of its last step; the step that crosses is taken again through ``advance``
+to bracket the crossing, so the bisection is that of plain stepping.
 """
 from __future__ import annotations
 
@@ -37,12 +40,16 @@ from .solver import (
     Operators,
     advance,
     assemble_operators,
+    jump_coupled,
     jump_decoupled,
     step_toward,
 )
 from .stationary import interval_index
 
 _BRACKET_FLOOR = 1.0e-3
+# steps per coupled batch; the batch keeps its mode rows and thickness rows,
+# so a larger one adds to peak memory for little further gain
+_COUPLED_BATCH = 16
 # roundoff allowed in the closed-form lower bounds, relative to
 # _roundoff_scale
 _JUMP_TOL = 1.0e-12
@@ -305,15 +312,15 @@ def run_with_rupture(
 
     In decoupled mode with ``alpha > 0`` each gap starts with closed-form
     jumps over the steps the discrete lower bound proves free of rupture,
-    then steps to the crossing; event times are those of plain stepping.
+    then steps to the crossing; in coupled mode each gap takes batches of
+    steps up to the one that crosses (:func:`jump_coupled`).  Either way
+    event times are those of plain stepping.
     Each such gap must rupture within :func:`rupture_horizon`, else
     :class:`HorizonError`.  Where that bound does not apply and no
     ``t_end`` is given, a gap that passes the step count after which the
     fixed point keeps it above the threshold for good can never rupture,
     and is refused with :class:`DomainError`.
     """
-    if max_events is None and t_end is None:
-        raise ValueError("need max_events or t_end")
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
     eta0 = initial.eta
@@ -324,7 +331,8 @@ def run_with_rupture(
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
-    jumps = config.mode == "decoupled" and config.alpha > 0.0
+    coupled = config.mode == "coupled"
+    jumps = not coupled and config.alpha > 0.0
 
     def gap_deadline(start: Field | CoupledState) -> tuple[float | None, bool]:
         """Time by which the gap from ``start`` ends, and whether a rupture
@@ -342,13 +350,8 @@ def run_with_rupture(
     (deadline, due), may_jump = gap_deadline(state), jumps
     while len(events) < cap:
         time = state.time
-        if t_end is not None:
-            remaining = t_end - time
-            if remaining <= 0.0:
-                break
-            step_dt = step_toward(remaining, dt)
-        else:
-            step_dt = dt
+        if t_end is not None and t_end - time <= 0.0:
+            break
         if deadline is not None and time > deadline:
             if due:
                 raise HorizonError(
@@ -365,6 +368,15 @@ def run_with_rupture(
                 state = jumped
                 continue
             may_jump = False
+        elif coupled:
+            steps = _COUPLED_BATCH
+            if t_end is not None:
+                steps = min(steps, int((t_end - time) / dt) - 2)
+            if steps >= 1:
+                taken, state = jump_coupled(state, steps, dt, ops, config.eta_c)
+                if taken == steps:
+                    continue
+        step_dt = dt if t_end is None else step_toward(t_end - state.time, dt)
         trial = advance(state, step_dt, ops)
         if float(np.min(trial.eta.values)) > config.eta_c:
             state = trial
@@ -375,7 +387,6 @@ def run_with_rupture(
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]
         post = apply_reset(at_rupture, intervals, config)
-        coupled = isinstance(post, CoupledState)
         event = RuptureEvent(
             time=pre_eta.time,
             rupture_nodes=nodes,

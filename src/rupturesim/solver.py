@@ -10,9 +10,13 @@ its eigenvalue; the eigenvalues of the second difference come from one
 cached table per grid size, and the reciprocal eigenvalues of the few most
 recent step matrices are cached too.  Every solve is checked for a backward
 error of about 1e-12.  The operator bundle :class:`Operators` owns the
-thickness step matrix and the decoupled symbol and fixed point, about which
-``jump_decoupled`` applies many equal decoupled steps at once in closed
-form.  Both state kinds expose their layer thickness as ``eta``.
+height and thickness step matrices and the decoupled symbol and fixed point,
+about which ``jump_decoupled`` applies many equal decoupled steps at once in
+closed form.  ``jump_coupled`` takes a batch of equal coupled steps in rfft
+mode space, where each step is lower-triangular per mode, and transforms the
+batch's thickness rows back in one batched inverse transform; the last
+step it hands out passes the same backward-error check as a solve.  Both
+state kinds expose their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -116,8 +120,9 @@ class Operators:
     construction from the unscaled strengths and offset, divided by
     ``tau``, the forcing of the height equation.  The stiffness action is
     the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
-    The bundle owns the thickness step matrix and the decoupled symbol and
-    fixed point; the last two fill lazily, deterministically and read-only.
+    The bundle owns the height and thickness step matrices and the decoupled
+    symbol and fixed point; the last two fill lazily, deterministically and
+    read-only.
     """
 
     grid: Grid
@@ -129,6 +134,14 @@ class Operators:
 
     def stiffness_matvec(self, v: np.ndarray) -> np.ndarray:
         return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / self.grid.dx**2
+
+    def height_matrix(self, dt: float) -> tuple[float, float]:
+        """``(diag, off)`` of the cyclic matrix of one backward-Euler step of
+        the height, ``I/dt + sigma_h K``."""
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        dx2 = self.grid.dx**2
+        return 1.0 / dt + 2.0 * self.sigma_h / dx2, -self.sigma_h / dx2
 
     def thickness_matrix(self, dt: float) -> tuple[float, float]:
         """``(diag, off)`` of the cyclic matrix of one backward-Euler step of
@@ -224,7 +237,14 @@ def solve_periodic_tridiagonal(diag: float, off: float, rhs: np.ndarray) -> np.n
     parts = modes.view(np.float64)
     parts *= _inverse_symbol(n, diag, off)
     x = np.fft.irfft(modes, n)
+    _check_solution(diag, off, x, rhs)
+    return x
 
+
+def _check_solution(diag: float, off: float, x: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise :class:`LinearSolveError` unless ``x`` solves the cyclic system
+    with constant diagonals ``(diag, off)`` and right side ``rhs`` to a
+    residual of at most ``1e-12 * |diag| * max|x|``."""
     residual = diag * x - rhs
     residual[1:] += off * x[:-1]
     residual[:-1] += off * x[1:]
@@ -234,7 +254,6 @@ def solve_periodic_tridiagonal(diag: float, off: float, rhs: np.ndarray) -> np.n
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
         raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
-    return x
 
 
 def step_decoupled(state: Field, dt: float, ops: Operators) -> Field:
@@ -258,10 +277,15 @@ def jump_decoupled(state: Field, steps: int, dt: float, ops: Operators) -> Field
     grid = state.grid
     modes = np.fft.rfft(state.values - fixed) * (1.0 + dt * ops.symbol) ** -steps
     values = fixed + np.fft.irfft(modes, grid.n)
-    time = state.time
+    return Field(grid, values, _time_after(state.time, steps, dt))
+
+
+def _time_after(time: float, steps: int, dt: float) -> float:
+    """``time`` after ``steps`` repeated additions of ``dt``, as stepping
+    counts it."""
     for _ in range(steps):
         time += dt
-    return Field(grid, values, time)
+    return time
 
 
 def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Field, Field]:
@@ -272,14 +296,72 @@ def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Fiel
     splitting introduces no error into the height and only a first-order
     term into the surface.
     """
+    diag_h, off_h = ops.height_matrix(dt)
     diag_z, off_z = ops.thickness_matrix(dt)
-    dx2 = ops.grid.dx**2
-    diag_h = 1.0 / dt + 2.0 * ops.sigma_h / dx2
-    off_h = -ops.sigma_h / dx2
     h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.height_load)
     z_new = solve_periodic_tridiagonal(diag_z, off_z, zeta.values / dt + ops.alpha * h_new)
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
+
+
+def jump_coupled(
+    state: CoupledState, steps: int, dt: float, ops: Operators, eta_c: float
+) -> tuple[int, CoupledState]:
+    """Up to ``steps`` backward-Euler steps of the height/surface pair at
+    once, stopping before the first whose thickness is at or below ``eta_c``.
+
+    Per rfft mode ``k`` the coupled step is lower-triangular:
+    ``h' = a_k (h/dt - l)`` and ``zeta' = b_k (zeta/dt + alpha h')``, with
+    ``a_k`` and ``b_k`` the reciprocal eigenvalues of the height and the
+    thickness step matrices and ``l`` the height load.  The recursion runs
+    in mode space, one batched inverse transform gives the thickness after
+    every step, and only the last state taken is transformed back, after
+    its step is checked as :func:`solve_periodic_tridiagonal` checks a
+    solve.  Returns the number of steps taken, ``0`` (with ``state``
+    itself) when the first step crosses.  A non-finite thickness raises
+    :class:`LinearSolveError`.  The time advances by repeated additions of
+    ``dt``, so it is bit-identical to stepping.
+    """
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    grid = state.h.grid
+    n = grid.n
+    diag_h, off_h = ops.height_matrix(dt)
+    diag_z, off_z = ops.thickness_matrix(dt)
+    inverse_h = _inverse_symbol(n, diag_h, off_h)
+    inverse_z = _inverse_symbol(n, diag_z, off_z)
+    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values, ops.height_load)))
+    # row i holds the modes after i steps; the recursion runs on their
+    # interleaved real and imaginary parts, the layout of _inverse_symbol
+    h_modes = np.empty((steps + 1, n // 2 + 1), dtype=complex)
+    z_modes = np.empty_like(h_modes)
+    h_modes[0], z_modes[0] = start[0], start[1]
+    h_rows, z_rows = h_modes.view(np.float64), z_modes.view(np.float64)
+    scale_h, scale_z = inverse_h / dt, inverse_z / dt
+    load = inverse_h * start[2].view(np.float64)
+    relax = ops.alpha * inverse_z
+    coupling = np.empty_like(relax)
+    for i in range(steps):
+        h, z = h_rows[i + 1], z_rows[i + 1]
+        np.multiply(h_rows[i], scale_h, out=h)
+        h -= load
+        np.multiply(z_rows[i], scale_z, out=z)
+        z += np.multiply(h, relax, out=coupling)
+
+    lows = np.fft.irfft(z_modes[1:] - h_modes[1:], n).min(axis=1)
+    if not np.isfinite(lows).all():
+        raise LinearSolveError("coupled step gave a non-finite thickness")
+    crossed = np.flatnonzero(lows <= eta_c)
+    taken = int(crossed[0]) if crossed.size else steps
+    if taken == 0:
+        return 0, state
+    h_prev, h_new, z_prev, z_new = np.fft.irfft(
+        np.stack((h_modes[taken - 1], h_modes[taken], z_modes[taken - 1], z_modes[taken])), n
+    )
+    _check_solution(diag_h, off_h, h_new, h_prev / dt - ops.height_load)
+    _check_solution(diag_z, off_z, z_new, z_prev / dt + ops.alpha * h_new)
+    time = _time_after(state.time, taken, dt)
+    return taken, CoupledState(Field(grid, h_new, time), Field(grid, z_new, time))
 
 
 def advance(state: Field | CoupledState, dt: float, ops: Operators):

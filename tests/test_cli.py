@@ -259,6 +259,14 @@ def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):
     assert len((out / "events.jsonl").read_text().splitlines()) == 3
 
 
+def test_simulate_without_limits_stops_at_max_ruptures(tmp_path):
+    out = tmp_path / "run"
+    args = ["--preset", "ex1", "--set", "numerics.max_ruptures=3"]
+    assert main(["simulate", *args, "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["events"] == 3
+    assert len((out / "events.jsonl").read_text().splitlines()) == 3
+
+
 def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(rupture, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
     out = tmp_path / "run"
@@ -275,10 +283,15 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
         ["find-periodic", "--preset", "ex1", "--fp-tol", "inf"],
         ["simulate", "--preset", "ex1", "--max-events", "-3"],
         ["simulate", "--preset", "ex1", "--max-events", "0"],
+        ["simulate", "--preset", "ex1", "--t-end", "-1"],
+        ["simulate", "--preset", "ex1", "--t-end", "0"],
+        ["find-periodic", "--preset", "ex1", "--fp-tol", "-1"],
+        ["verify", "--preset", "ex1", "--fp-tol", "-1"],
     ],
     ids=[
         "max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf",
-        "max-events-negative", "max-events-0",
+        "max-events-negative", "max-events-0", "t-end-negative", "t-end-0",
+        "find-periodic-fp-tol-negative", "verify-fp-tol-negative",
     ],
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):

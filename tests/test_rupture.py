@@ -20,7 +20,14 @@ from rupturesim.rupture import (
     rupture_intervals,
     rupture_time_bounds,
 )
-from rupturesim.solver import CoupledState, Field, assemble_operators, build_grid, constant_field
+from rupturesim.solver import (
+    CoupledState,
+    Field,
+    advance,
+    assemble_operators,
+    build_grid,
+    constant_field,
+)
 
 
 def decay_config(**over):
@@ -201,6 +208,12 @@ def test_run_stops_before_first_crossing(ex1):
     events, final = run_with_rupture(ex1, eta0, t_end=1e-3)
     assert events == []
     assert final.time == pytest.approx(1e-3)
+
+
+def test_run_without_limits_stops_at_max_ruptures(ex1):
+    grid = build_grid(ex1, 128)
+    events, _ = run_with_rupture(ex1, constant_field(grid, ex1.eta_a))
+    assert len(events) == ex1.numerics.max_ruptures
 
 
 def test_run_rejects_initial_data_at_threshold(ex1):
@@ -410,3 +423,47 @@ def test_non_finite_initial_state_is_refused(ex1, ex3, bad):
         run_with_rupture(ex1, eta0, max_events=1)
     with pytest.raises(DomainError):
         run_with_rupture(ex3, CoupledState.from_thickness(eta0), max_events=1)
+
+
+def stepped_events(config, state, count):
+    """Event times and reset intervals of a plain stepping loop: one
+    ``advance`` per step, the crossing located in the step that crosses."""
+    ops = assemble_operators(state.eta.grid, config)
+    dt = config.numerics.dt
+    events = []
+    while len(events) < count:
+        trial = advance(state, dt, ops)
+        if np.min(trial.eta.values) > config.eta_c:
+            state = trial
+            continue
+        _, at_rupture = locate_crossing(state, dt, ops, config)
+        intervals = rupture_intervals(at_rupture.eta, config)
+        events.append((at_rupture.time, intervals))
+        state = apply_reset(at_rupture, intervals, config)
+    return events
+
+
+def test_batched_coupled_run_equals_plain_stepping(monkeypatch, ex3):
+    grid = build_grid(ex3, 256)
+    start = CoupledState.from_thickness(constant_field(grid, ex3.eta_a))
+    expected = stepped_events(ex3, start, 5)
+    steps = counted_advances(monkeypatch)
+    events, _ = run_with_rupture(ex3, start, max_events=5)
+    assert [e.reset_intervals for e in events] == [iv for _, iv in expected]
+    for event, (time, _) in zip(events, expected):
+        assert event.time == pytest.approx(time, rel=0, abs=1e-12)
+    assert len(events) == 5
+    # one bracketing step and at most eleven bisection steps per event, where
+    # plain stepping takes over a hundred steps for the first gap alone
+    assert len(steps) <= 5 * 12
+
+
+@pytest.mark.parametrize("t_end", [1e-3, 0.02])
+def test_batched_coupled_run_lands_on_t_end(ex3, t_end):
+    # ten repeated additions of dt = 1e-4 overshoot 1e-3 by roundoff, so the
+    # batch must leave the last step to the shortened step that lands
+    grid = build_grid(ex3, 256)
+    start = CoupledState.from_thickness(constant_field(grid, ex3.eta_a))
+    events, final = run_with_rupture(ex3, start, t_end=t_end)
+    assert final.time == final.h.time == t_end
+    assert all(event.time < t_end for event in events)

@@ -1,14 +1,16 @@
 """Properties of the per-mode cyclic solve, the implicit step and the
-multi-step jump over random admissible step parameters ``(n, dt, sigma,
+multi-step jumps over random admissible step parameters ``(n, dt, sigma,
 alpha)`` on the unit domain."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rupturesim import rupture, solver
 from rupturesim.config import ModelConfig
 from rupturesim.solver import (
+    CoupledState,
     Field,
+    advance,
     assemble_operators,
     build_grid,
     jump_decoupled,
@@ -34,6 +36,18 @@ jump_parameters = st.tuples(
     st.integers(1, 50),
     st.tuples(*[st.floats(-2.0, 2.0)] * 3),
     st.floats(-3.0, 3.0),
+)
+# n, dt, alpha, sigma1, tau, forcing offset, steps, and which gap between
+# the sorted thickness minima of the steps holds the floor
+coupled_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -2.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 60.0),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
+    st.floats(-3.0, 3.0),
+    st.integers(1, 40),
+    st.integers(0, 41),
 )
 # roundoff relative to the larger of the start state and the a-priori bound
 # max|load|/alpha on the fixed point; measured worst cases are about 1e-13
@@ -223,3 +237,52 @@ def test_run_stays_above_the_threshold_after_the_settle_count(params, seed, dept
     for later in (0, 1, 7, 50, 10**6):
         values = exact_values(start, settle + later, dt, ops)
         assert np.min(values) >= threshold - JUMP_TOL * scale
+
+
+def coupled_case(params, seed):
+    """Operators, a random coupled start, the step count, the step size and
+    the thickness floor of one batched coupled example."""
+    n, dt, alpha, sigma1, tau, offset, steps, pick = params
+    config = ModelConfig(
+        omega=1.0,
+        junctions=(0.1, 0.6, 0.9),
+        jump_strengths=(1.0, 1.0, 1.0),
+        forcing_offset=offset,
+        sigma1=sigma1,
+        sigma2=1.0,
+        tau=tau,
+        alpha=alpha,
+        eta_c=1e-3,
+        eta_a=0.03,
+        d=0.1,
+        mode="coupled",
+    )
+    grid = build_grid(config, n)
+    rng = np.random.default_rng(seed)
+    h = Field(grid, rng.standard_normal(n))
+    zeta = Field(grid, h.values + rng.uniform(0.05, 1.0) + 0.05 * rng.random(n))
+    return assemble_operators(grid, config), CoupledState(h, zeta), steps, dt, pick
+
+
+@PROPERTY_SETTINGS
+@given(coupled_parameters, seeds)
+def test_coupled_batch_matches_repeated_steps(params, seed):
+    ops, start, steps, dt, pick = coupled_case(params, seed)
+    states, lows = [start], []
+    for _ in range(steps):
+        states.append(advance(states[-1], dt, ops))
+        lows.append(float(np.min(states[-1].eta.values)))
+    ranked = [min(lows) - 1.0, *sorted(lows), max(lows) + 1.0]
+    gap = pick % (len(ranked) - 1)
+    floor = 0.5 * (ranked[gap] + ranked[gap + 1])
+    # a floor within roundoff of a step's minimum could go either way
+    assume(min(abs(low - floor) for low in lows) > 1e-10 * (1.0 + max(map(abs, lows))))
+    expected = next((i for i, low in enumerate(lows) if low <= floor), steps)
+
+    taken, batched = solver.jump_coupled(start, steps, dt, ops, floor)
+    assert taken == expected
+    stepped = states[taken]
+    assert batched.time == stepped.time  # repeated additions of dt, as stepping
+    scale = max(np.max(np.abs(stepped.h.values)), np.max(np.abs(stepped.zeta.values)))
+    assert np.max(np.abs(batched.h.values - stepped.h.values)) <= JUMP_TOL * scale
+    assert np.max(np.abs(batched.zeta.values - stepped.zeta.values)) <= JUMP_TOL * scale
