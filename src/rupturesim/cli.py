@@ -139,7 +139,7 @@ def write_profile_csv(path: Path, xs: np.ndarray, values: np.ndarray, value_name
 def read_profile_csv(path: Path, grid) -> Field:
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if rows.ndim != 2 or rows.shape[0] != grid.n:
         raise DomainError(f"{path}: expected {grid.n} rows of x,value")

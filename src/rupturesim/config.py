@@ -245,11 +245,11 @@ def config_to_dict(config: ModelConfig) -> dict:
 
 
 def read_scenario(path: str | Path) -> dict:
-    """Parse a scenario file into a plain dict; malformed JSON or text that
-    is not UTF-8 raises :class:`ParseError`."""
+    """Parse a scenario file into a plain dict; a file that cannot be read,
+    malformed JSON or text that is not UTF-8 raises :class:`ParseError`."""
     try:
         return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 

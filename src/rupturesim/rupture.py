@@ -9,13 +9,17 @@ mode the bubble-top height drops by the collapse depth on the same nodes.
 Which interval holds a node is decided by
 :func:`rupturesim.stationary.interval_index` alone.
 In decoupled mode the paper's rupture-time bounds run inside the event
-loop: the constant subsolution lets a gap skip, in one closed-form jump,
-every step it proves free of rupture, the mean's decay sets a horizon by
+loop: each closed-form jump of a gap skips every step that either of two
+certificates proves free of rupture, the mean's decay sets a horizon by
 which the gap must end, and the discrete fixed point shows when it never
-can.  In coupled mode a gap takes its steps in batches in rfft mode space,
-each checked for its thickness after every step and for the backward error
-of its last step; the step that crosses is taken again through ``advance``
-to bracket the crossing, so the bisection is that of plain stepping.
+can.  The certificates are the paper's constant subsolution, which weakens
+as the thickness nears the threshold, and a bound on how far the state can
+move per step, read off the Fourier modes of its transient, which ends
+each gap in a few jumps.  In coupled mode a gap takes its steps in batches
+in rfft mode space, each checked for its thickness after every step and
+for the backward error of its last step.  Either way the step that
+crosses is taken through ``advance`` and brackets the crossing, so the
+bisection is that of plain stepping.
 """
 from __future__ import annotations
 
@@ -40,6 +44,7 @@ from .solver import (
     Operators,
     advance,
     assemble_operators,
+    decoupled_transient,
     jump_coupled,
     jump_decoupled,
     step_toward,
@@ -158,6 +163,38 @@ def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: 
     return steps
 
 
+def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
+    """Bound on how far one decoupled step can move any node, from the rfft
+    modes ``transient`` of ``x - x*``.
+
+    With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``,
+    ``x_j - x_0 = irfft((f^j - 1) * transient)``.  Each term of that inverse
+    transform is at most ``w_k |transient_k| (1 - f_k^j)`` at every node,
+    with ``w_k = 1/n`` for mode 0 and (``n`` even) the Nyquist mode and
+    ``2/n`` otherwise, and ``1 - f^j <= j (1 - f)`` for ``0 <= f <= 1``.
+    So no node moves by more than ``j`` times the returned rate in ``j``
+    steps.
+    """
+    n = ops.grid.n
+    growth = dt * ops.symbol
+    weights = np.full(growth.shape, 2.0 / n)
+    weights[0] = 1.0 / n
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n
+    return float(np.dot(np.abs(transient), weights * growth / (1.0 + growth)))
+
+
+def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
+    """Largest ``m`` with ``c0 - m*rate >= threshold``: the steps over which
+    a state of minimum ``c0`` that moves at most ``rate`` per step stays at
+    or above ``threshold`` (``sys.maxsize`` when it does not move)."""
+    if not c0 > threshold:
+        return 0
+    if not rate > 0.0:
+        return sys.maxsize
+    return min(math.floor((c0 - threshold) / rate), sys.maxsize)
+
+
 def _roundoff_scale(state: Field, ops: Operators) -> float:
     """The larger of the state and the a-priori bound ``max|load|/alpha`` on
     the fixed point, which scales the roundoff of the closed forms."""
@@ -190,24 +227,34 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
 def _jump_to_bound(
     state: Field, dt: float, ops: Operators, threshold: float, limit: float | None
 ) -> Field | None:
-    """Jump over every step the subsolution proves free of rupture, ending
-    at least one full step before ``limit`` (if any); ``None`` when no step
-    is.
+    """Jump over every step that the constant subsolution
+    (:func:`_safe_steps`) or the change rate (:func:`_change_rate`,
+    :func:`_spectral_steps`) proves free of rupture, whichever covers more,
+    ending at least one full step before ``limit`` (if any); ``None`` when
+    no step is.
 
-    The crossing bisection's value tolerance is in ``threshold``, so no
+    One ``rfft`` of the transient serves both the rate and the jump.  The
+    crossing bisection's value tolerance is in ``threshold``, so no
     jumped-over step could have located an event.  A jumped state that is
-    not finite or falls below the bound beyond roundoff raises
-    :class:`LinearSolveError`.
+    not finite or falls below the larger of the two lower bounds beyond
+    roundoff raises :class:`LinearSolveError`.
     """
     c0 = float(np.min(state.values))
+    room = sys.maxsize if limit is None else int((limit - state.time) / dt) - 2
+    if room < 1 or not c0 > threshold:
+        return None
     load_min = float(np.min(ops.load))
-    steps = _safe_steps(c0, load_min, ops.alpha, dt, threshold)
-    if limit is not None:
-        steps = min(steps, int((limit - state.time) / dt) - 2)
+    transient = decoupled_transient(state, ops)
+    rate = _change_rate(transient, dt, ops)
+    steps = max(
+        _safe_steps(c0, load_min, ops.alpha, dt, threshold),
+        _spectral_steps(c0, rate, threshold),
+    )
+    steps = min(steps, room)
     if steps < 1:
         return None
-    jumped = jump_decoupled(state, steps, dt, ops)
-    bound = _subsolution(c0, load_min, ops.alpha, dt, steps)
+    jumped = jump_decoupled(state, steps, dt, ops, transient)
+    bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
     low = float(np.min(jumped.values))
     scale = _roundoff_scale(state, ops)
     if not np.isfinite(jumped.values).all() or low < bound - _JUMP_TOL * scale:
@@ -218,21 +265,27 @@ def _jump_to_bound(
 
 
 def locate_crossing(
-    pre: Field | CoupledState, dt: float, ops: Operators, config: ModelConfig
+    pre: Field | CoupledState,
+    dt: float,
+    ops: Operators,
+    config: ModelConfig,
+    *,
+    stepped: Field | CoupledState | None = None,
 ) -> tuple[float, Field | CoupledState]:
     """Localize the threshold crossing bracketed by one step from ``pre``.
 
     Bisects the trial step size, re-stepping from ``pre`` each time, until
     the minimum thickness is within ``event_tol * eta_a`` of the threshold
-    or the bracket is below ``1e-3 * dt``.  Returns the elapsed time and
-    the state at the located crossing (whose minimum is at or below the
-    threshold).
+    or the bracket is below ``1e-3 * dt``.  A caller that already took the
+    step of ``dt`` from ``pre`` passes its result as ``stepped``, which is
+    then not taken again.  Returns the elapsed time and the state at the
+    located crossing (whose minimum is at or below the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
     if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
-    state_hi = advance(pre, dt, ops)
+    state_hi = advance(pre, dt, ops) if stepped is None else stepped
     if float(np.min(state_hi.eta.values)) > eta_c:
         raise BracketError("no crossing within one step")
 
@@ -311,9 +364,10 @@ def run_with_rupture(
     that the step size is too coarse for the configured threshold gap.
 
     In decoupled mode with ``alpha > 0`` each gap starts with closed-form
-    jumps over the steps the discrete lower bound proves free of rupture,
-    then steps to the crossing; in coupled mode each gap takes batches of
-    steps up to the one that crosses (:func:`jump_coupled`).  Either way
+    jumps over the steps the discrete lower bounds prove free of rupture
+    (:func:`_jump_to_bound`), then steps to the crossing; in coupled mode
+    each gap takes batches of steps up to the one that crosses
+    (:func:`jump_coupled`).  Either way
     event times are those of plain stepping.
     Each such gap must rupture within :func:`rupture_horizon`, else
     :class:`HorizonError`.  Where that bound does not apply and no
@@ -382,7 +436,7 @@ def run_with_rupture(
             state = trial
             continue
 
-        elapsed, at_rupture = locate_crossing(state, step_dt, ops, config)
+        _, at_rupture = locate_crossing(state, step_dt, ops, config, stepped=trial)
         pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]

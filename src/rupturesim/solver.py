@@ -263,20 +263,31 @@ def step_decoupled(state: Field, dt: float, ops: Operators) -> Field:
     return Field(state.grid, solve_periodic_tridiagonal(diag, off, rhs), state.time + dt)
 
 
-def jump_decoupled(state: Field, steps: int, dt: float, ops: Operators) -> Field:
+def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
+    """rfft modes of ``state - x*``, the part of a decoupled state that its
+    steps decay.  Requires ``alpha > 0``."""
+    return np.fft.rfft(state.values - ops.fixed_point)
+
+
+def jump_decoupled(
+    state: Field, steps: int, dt: float, ops: Operators, transient: np.ndarray | None = None
+) -> Field:
     """``steps`` backward-Euler steps of the reduced thickness equation at once.
 
     Exact in exact arithmetic: ``x_m = x* + P^m (x_0 - x*)``, where one step
     multiplies rfft mode ``k`` of ``x - x*`` by ``1 / (1 + dt*symbol_k)``.
-    The time advances by ``steps`` repeated additions of ``dt``, so it is
-    bit-identical to stepping.  Requires ``alpha > 0``.
+    A caller that already holds :func:`decoupled_transient` of ``state``
+    passes it as ``transient``.  The time advances by ``steps`` repeated
+    additions of ``dt``, so it is bit-identical to stepping.  Requires
+    ``alpha > 0``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    fixed = ops.fixed_point
+    if transient is None:
+        transient = decoupled_transient(state, ops)
     grid = state.grid
-    modes = np.fft.rfft(state.values - fixed) * (1.0 + dt * ops.symbol) ** -steps
-    values = fixed + np.fft.irfft(modes, grid.n)
+    modes = transient * (1.0 + dt * ops.symbol) ** -steps
+    values = ops.fixed_point + np.fft.irfft(modes, grid.n)
     return Field(grid, values, _time_after(state.time, steps, dt))
 
 

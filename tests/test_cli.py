@@ -319,6 +319,23 @@ def test_unreadable_previous_report_is_a_config_error(tmp_path, capsys, data):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--config", "missing.json"],
+        ["simulate", "--config", "."],
+        ["verify", "--preset", "ex1"],
+    ],
+    ids=["missing-config", "config-is-a-directory", "verify-without-fixed-profile"],
+)
+def test_input_that_cannot_be_read_is_a_config_error(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "Traceback" not in err
+
+
 def test_preset_overrides_leave_every_preset_unchanged():
     before = copy.deepcopy(PRESETS)
     configs = {name: preset_config(name) for name in PRESETS}

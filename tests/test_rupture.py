@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rupturesim.errors import (
     DomainError,
     EmptyRuptureSetError,
     HorizonError,
+    LinearSolveError,
     StagnationError,
 )
 from rupturesim import rupture, solver
@@ -127,6 +129,23 @@ def test_tighter_event_tolerance_lands_closer():
         _, located = locate_crossing(state, dt, ops, cfg)
         gaps.append(abs(float(np.min(located.values)) - cfg.eta_c))
     assert gaps[1] < gaps[0]
+
+
+def test_crossing_reuses_the_step_it_is_given(monkeypatch):
+    cfg = decay_config(eta_c=0.01, eta_a=0.02)
+    grid = build_grid(cfg, 16)
+    ops = assemble_operators(grid, cfg)
+    dt = 1e-3
+    pre = constant_field(grid, 0.010005)  # one step falls below eta_c
+    steps = counted_advances(monkeypatch)
+    elapsed, located = locate_crossing(pre, dt, ops, cfg)
+    retaken = len(steps)
+    stepped = advance(pre, dt, ops)
+    steps.clear()
+    reused = locate_crossing(pre, dt, ops, cfg, stepped=stepped)
+    assert len(steps) == retaken - 1
+    assert reused[0] == elapsed
+    assert np.array_equal(reused[1].values, located.values)
 
 
 def test_crossing_requires_a_bracket():
@@ -316,6 +335,22 @@ def counted_advances(monkeypatch):
     return calls
 
 
+def plain_stepping(monkeypatch):
+    """Turn jumping off at its one seam, ``_jump_to_bound``, so that every
+    certificate is off; returns the list of jumps made after that, which a
+    plain-stepping baseline must leave empty."""
+    monkeypatch.setattr(rupture, "_jump_to_bound", lambda *args: None)
+    jumps = []
+    real = rupture.jump_decoupled
+
+    def jump_decoupled(*args):
+        jumps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rupture, "jump_decoupled", jump_decoupled)
+    return jumps
+
+
 @pytest.mark.parametrize(
     "preset, n, count, atol",
     [("ex1", 1024, 11, 1e-12), ("ex2", 1024, 5, 1e-12), ("ex1", 8192, 3, 1e-10)],
@@ -326,8 +361,9 @@ def test_jumped_run_equals_plain_stepping(monkeypatch, preset, n, count, atol):
     steps = counted_advances(monkeypatch)
     jumped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=count)
     jumped_steps = len(steps)
-    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)  # plain stepping
+    jumps = plain_stepping(monkeypatch)
     stepped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=count)
+    assert jumps == []
     assert jumped_steps < (len(steps) - jumped_steps) / 2
     assert len(jumped) == len(stepped) == count
     assert [e.time for e in jumped] == [e.time for e in stepped]
@@ -347,8 +383,9 @@ def test_jump_stops_a_full_step_before_t_end(monkeypatch):
     events, jumped = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), t_end=t_end)
     assert events == [] and jumped.time == t_end
     assert 1 <= len(steps) <= 3
-    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)
+    jumps = plain_stepping(monkeypatch)
     _, stepped = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), t_end=t_end)
+    assert jumps == []
     assert np.max(np.abs(jumped.values - stepped.values)) <= 1e-12
 
 
@@ -386,11 +423,137 @@ def test_positive_forcing_integral_still_ruptures(monkeypatch, preset, offset):
     grid = build_grid(cfg, 1024)
     assert rupture.rupture_horizon(cfg, constant_field(grid, cfg.eta_a)) is None
     jumped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=3)
-    monkeypatch.setattr(rupture, "_safe_steps", lambda *args: 0)
+    jumps = plain_stepping(monkeypatch)
     stepped, _ = run_with_rupture(cfg, constant_field(grid, cfg.eta_a), max_events=3)
+    assert jumps == []
     assert len(jumped) == 3
     assert [e.time for e in jumped] == [e.time for e in stepped]
     assert [e.reset_intervals for e in jumped] == [e.reset_intervals for e in stepped]
+
+
+def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
+    # the change rate carries each gap to within one step of its crossing;
+    # with the constant subsolution alone ex1's gaps take about 12 jumps
+    # and 4 loop steps each
+    jumps, loop_steps, locating = [], [], []
+    real_jump, real_advance, real_locate = (
+        rupture._jump_to_bound, rupture.advance, rupture.locate_crossing
+    )
+
+    def jump_to_bound(*args):
+        jumped = real_jump(*args)
+        if jumped is not None:
+            jumps.append(1)
+        return jumped
+
+    def advance(*args):
+        if not locating:
+            loop_steps.append(1)
+        return real_advance(*args)
+
+    def locate_crossing(*args, **kwargs):
+        locating.append(1)
+        try:
+            return real_locate(*args, **kwargs)
+        finally:
+            locating.pop()
+
+    for name, patched in (
+        ("_jump_to_bound", jump_to_bound),
+        ("advance", advance),
+        ("locate_crossing", locate_crossing),
+    ):
+        monkeypatch.setattr(rupture, name, patched)
+    grid = build_grid(ex1, 1024)
+    events, _ = run_with_rupture(ex1, constant_field(grid, ex1.eta_a), max_events=11)
+    assert len(events) == 11
+    assert len(jumps) <= 6 * len(events)
+    # the one loop step per event is the step that crosses
+    assert len(loop_steps) <= len(events)
+
+
+def gap_case(config, n):
+    """Operators, step size, threshold, and the state after the first jump
+    of a gap from the reset level, which the change rate carries on."""
+    grid = build_grid(config, n)
+    ops = assemble_operators(grid, config)
+    dt = config.numerics.dt
+    threshold = config.eta_c + config.numerics.event_tol * config.eta_a
+    start = constant_field(grid, config.eta_a)
+    return ops, dt, threshold, rupture._jump_to_bound(start, dt, ops, threshold, None)
+
+
+def test_jump_below_the_change_rate_bound_is_refused(monkeypatch, ex1):
+    ops, dt, threshold, state = gap_case(ex1, 256)
+    c0, load_min = float(np.min(state.values)), float(np.min(ops.load))
+    assert rupture._jump_to_bound(state, dt, ops, threshold, None) is not None
+
+    real = rupture.jump_decoupled
+
+    def lowered(state, steps, *args):
+        # still above the subsolution, but below the change-rate bound
+        jumped = real(state, steps, *args)
+        floor = rupture._subsolution(c0, load_min, ops.alpha, dt, steps)
+        assert floor < threshold  # the jump goes past the subsolution's steps
+        jumped.values += 0.5 * (floor + threshold) - np.min(jumped.values)
+        return jumped
+
+    monkeypatch.setattr(rupture, "jump_decoupled", lowered)
+    with pytest.raises(LinearSolveError, match="below the discrete lower bound"):
+        rupture._jump_to_bound(state, dt, ops, threshold, None)
+
+
+def test_a_jump_pays_one_transform_pair(monkeypatch, ex1):
+    # the transient's modes serve both the change rate and the jump
+    ops, dt, threshold, state = gap_case(ex1, 256)
+    transforms = []
+    for name in ("rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            transforms.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    assert rupture._jump_to_bound(state, dt, ops, threshold, None) is not None
+    assert sorted(transforms) == ["irfft", "rfft"]
+
+
+def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
+    ops, dt, threshold, state = gap_case(ex1, 256)
+    rate = rupture._change_rate(solver.decoupled_transient(state, ops), dt, ops)
+    assert rate > 0.0
+    for c0 in (threshold, threshold - 1e-3):
+        assert rupture._spectral_steps(c0, rate, threshold) == 0
+        assert rupture._spectral_steps(c0, 0.0, threshold) == 0
+        at = Field(state.grid, state.values - np.min(state.values) + c0, state.time)
+        assert rupture._jump_to_bound(at, dt, ops, threshold, None) is None
+    assert rupture._spectral_steps(threshold + 1e-3, 0.0, threshold) == sys.maxsize
+
+
+@pytest.mark.parametrize("wobble", [0.0, 1e-15])
+def test_start_at_the_fixed_point_jumps_once_and_lands_on_t_end(monkeypatch, wobble):
+    # the state does not move, so the change rate is roundoff and certifies
+    # every step up to t_end, where the subsolution certifies a third of them
+    cfg = decay_config(forcing_offset=1.0, jump_strengths=(1.5,))
+    grid = build_grid(cfg, 64)
+    ops = assemble_operators(grid, cfg)
+    rng = np.random.default_rng(3)
+    at_rest = Field(grid, ops.fixed_point * (1.0 + wobble * rng.standard_normal(grid.n)))
+    moves = []
+    for name in ("advance", "jump_decoupled"):
+        real = getattr(rupture, name)
+
+        def counted(*args, real=real, name=name):
+            moves.append(name)
+            assert len(moves) < 100, "the run loops"
+            return real(*args)
+
+        monkeypatch.setattr(rupture, name, counted)
+    events, final = run_with_rupture(cfg, at_rest, t_end=1.0)
+    assert events == [] and final.time == 1.0
+    assert moves.count("jump_decoupled") == 1 and moves.count("advance") <= 3
+    assert np.max(np.abs(final.values - ops.fixed_point)) <= 1e-12 * np.max(ops.fixed_point)
 
 
 def test_gap_past_the_horizon_raises(ex1, monkeypatch):

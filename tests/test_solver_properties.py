@@ -239,6 +239,60 @@ def test_run_stays_above_the_threshold_after_the_settle_count(params, seed, dept
         assert np.min(values) >= threshold - JUMP_TOL * scale
 
 
+# n, dt, sigma, alpha, the load, the start's kind and sign, the certified
+# step count and where the threshold falls inside the next step's rate
+certificate_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(-3.0, 3.0),
+    st.sampled_from(("noise", "spike", "shift")),
+    st.sampled_from((-1.0, 1.0)),
+    st.integers(0, 60),
+    st.floats(0.05, 0.95),
+)
+
+
+def certificate_start(ops, kind, sign, seed):
+    """A start of the given kind: noise of either sign, the fixed point with
+    its lowest node raised or lowered by half the gap to the next lowest
+    (raised, the node falls by exactly the change rate in one step, so the
+    bound is tight), or the fixed point shifted by a constant."""
+    fixed = ops.fixed_point
+    if kind == "noise":
+        return Field(ops.grid, sign * random_rhs(ops.grid.n, seed))
+    if kind == "spike":
+        lowest, second = np.partition(fixed, 1)[:2]
+        values = fixed.copy()
+        values[np.argmin(fixed)] += sign * 0.5 * max(second - lowest, 1e-3 * (1.0 + abs(lowest)))
+        return Field(ops.grid, values)
+    return Field(ops.grid, fixed + sign * 0.1 * (1.0 + np.max(np.abs(fixed))))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(certificate_parameters, seeds)
+def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
+    n, dt, sigma, alpha, strengths, offset, kind, sign, count, inside = params
+    ops = operators(n, sigma, alpha, strengths, offset)
+    start = certificate_start(ops, kind, sign, seed)
+    c0 = float(np.min(start.values))
+    scale = rupture._roundoff_scale(start, ops)
+    rate = rupture._change_rate(solver.decoupled_transient(start, ops), dt, ops)
+    # a rate within roundoff of the state moves no node measurably
+    assume(rate > 1e3 * JUMP_TOL * scale)
+    threshold = c0 - (count + inside) * rate
+    certified = rupture._spectral_steps(c0, rate, threshold)
+    assert certified == count
+    state = start
+    for j in range(1, min(certified, 60) + 1):
+        state = advance(state, dt, ops)
+        low = float(np.min(state.values))
+        assert low >= c0 - j * rate - JUMP_TOL * scale
+        assert low > threshold
+
+
 def coupled_case(params, seed):
     """Operators, a random coupled start, the step count, the step size and
     the thickness floor of one batched coupled example."""
