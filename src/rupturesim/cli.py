@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 model violation (or failed verification),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,9 +132,22 @@ def make_initial_field(spec: str | None, grid, config: ModelConfig) -> Field:
     return Field(grid, values, 0.0)
 
 
+@functools.lru_cache(maxsize=4)
+def _csv_template(x_bytes: bytes, value_name: str) -> str:
+    """The CSV text of one x column with a ``%.17g`` slot for each value,
+    built with one format; keyed on the column's bytes, so each grid and
+    column name gets its own."""
+    xs = np.frombuffer(x_bytes).tolist()
+    header = f"x,{value_name}\n".replace("%", "%%")
+    return header + "%.17g,%%.17g\n" * len(xs) % tuple(xs)
+
+
 def write_profile_csv(path: Path, xs: np.ndarray, values: np.ndarray, value_name: str = "value") -> None:
-    rows = np.column_stack((xs, values)).ravel().tolist()
-    path.write_text(f"x,{value_name}\n" + "%.17g,%.17g\n" * len(xs) % tuple(rows))
+    """Write ``%.17g`` rows into the grid's cached template, :func:`_csv_template`."""
+    if len(values) != len(xs):
+        raise ValueError(f"{len(values)} values for {len(xs)} x positions")
+    x_bytes = np.asarray(xs, dtype=np.float64).tobytes()
+    path.write_text(_csv_template(x_bytes, value_name) % tuple(values.tolist()))
 
 
 def read_profile_csv(path: Path, grid) -> Field:

@@ -72,6 +72,9 @@ class ModelConfig:
     numerics: Numerics = field(default_factory=Numerics)
 
     def __post_init__(self) -> None:
+        # tuples keep the config hashable, so it can key cached operators
+        object.__setattr__(self, "junctions", tuple(self.junctions))
+        object.__setattr__(self, "jump_strengths", tuple(self.jump_strengths))
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise DomainError("omega must be positive and finite")
         k = len(self.junctions)

@@ -23,6 +23,7 @@ bisection is that of plain stepping.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .errors import (
 from .solver import (
     CoupledState,
     Field,
+    Grid,
     Operators,
     advance,
     assemble_operators,
@@ -303,6 +305,14 @@ def locate_crossing(
     return hi, state_hi
 
 
+@functools.lru_cache(maxsize=8)
+def _shared_operators(grid: Grid, config: ModelConfig) -> Operators:
+    """The operator bundle of one grid and configuration, built once and
+    shared by every run on them, such as the return maps of an orbit search;
+    its arrays are read-only."""
+    return assemble_operators(grid, config)
+
+
 def rupture_intervals(at_rupture: Field, config: ModelConfig) -> tuple[int, ...]:
     """Indices of every interval whose half-open span contains a node at or
     below ``eta_c + event_tol * eta_a``."""
@@ -381,7 +391,7 @@ def run_with_rupture(
     if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")
 
-    ops = assemble_operators(eta0.grid, config)
+    ops = _shared_operators(eta0.grid, config)
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
@@ -400,12 +410,13 @@ def run_with_rupture(
         return (None, False) if settle is None else (start.time + settle * dt, False)
 
     events: list[RuptureEvent] = []
-    state = initial
-    (deadline, due), may_jump = gap_deadline(state), jumps
+    state, gap_starts = initial, True
     while len(events) < cap:
         time = state.time
         if t_end is not None and t_end - time <= 0.0:
             break
+        if gap_starts:
+            (deadline, due), may_jump, gap_starts = gap_deadline(state), jumps, False
         if deadline is not None and time > deadline:
             if due:
                 raise HorizonError(
@@ -456,6 +467,5 @@ def run_with_rupture(
                 "the reset-threshold gap"
             )
         events.append(event)
-        state = post
-        (deadline, due), may_jump = gap_deadline(state), jumps
+        state, gap_starts = post, True
     return events, state

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +39,13 @@ _STEP_RESIDUAL_TOL = 1.0e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid: node j sits at ``j*omega/n``."""
+    """Uniform periodic grid: node j sits at ``j*omega/n``.  The nodes
+    follow from the other fields, so equality and the hash leave them out."""
 
     n: int
     omega: float
     dx: float
-    nodes: np.ndarray
+    nodes: np.ndarray = field(compare=False)
 
 
 def build_grid(config: ModelConfig, n: int | None = None) -> Grid:
@@ -121,8 +122,8 @@ class Operators:
     ``tau``, the forcing of the height equation.  The stiffness action is
     the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
     The bundle owns the height and thickness step matrices and the decoupled
-    symbol and fixed point; the last two fill lazily, deterministically and
-    read-only.
+    symbol and fixed point; the last two fill lazily and deterministically.
+    Every array it holds is read-only, so one bundle can serve many runs.
     """
 
     grid: Grid
@@ -188,13 +189,17 @@ def _load_vector(
 
 def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
     sigma_eff, strengths_eff, offset_eff = effective_parameters(config)
-    raw = _load_vector(grid, config.junctions, config.jump_strengths, config.forcing_offset)
+    load = _load_vector(grid, config.junctions, strengths_eff, offset_eff)
+    height_load = _load_vector(
+        grid, config.junctions, config.jump_strengths, config.forcing_offset
+    ) / config.tau
+    load.flags.writeable = height_load.flags.writeable = False
     return Operators(
         grid=grid,
         sigma=sigma_eff,
         alpha=config.alpha,
-        load=_load_vector(grid, config.junctions, strengths_eff, offset_eff),
-        height_load=raw / config.tau,
+        load=load,
+        height_load=height_load,
         sigma_h=config.sigma1 / config.tau,
     )
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rupturesim
-from rupturesim import rupture
+from rupturesim import cli, rupture
 from rupturesim.cli import PRESETS, main, preset_config, write_profile_csv
 
 
@@ -346,6 +346,12 @@ def test_preset_overrides_leave_every_preset_unchanged():
     assert {name: preset_config(name) for name in PRESETS} == configs
 
 
+def f_string_csv(header: str, rows) -> bytes:
+    """The reference rendering of a profile CSV, one f-string per row."""
+    lines = [header, *(f"{x:.17g},{v:.17g}" for x, v in rows)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_profile_csv_bytes_match_the_f_string_writer(tmp_path):
     rng = np.random.default_rng(5)
     edges = np.array([-0.0, 5e-324, 1e17, -1e-17, 0.1, 1.0 / 3.0])
@@ -354,5 +360,62 @@ def test_profile_csv_bytes_match_the_f_string_writer(tmp_path):
     values = np.concatenate([rng.standard_normal(200) * scales, edges[::-1]])
     path = tmp_path / "profile.csv"
     write_profile_csv(path, xs, values, "s")
-    lines = ["x,s", *(f"{x:.17g},{v:.17g}" for x, v in zip(xs, values))]
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_bytes() == f_string_csv("x,s", zip(xs, values))
+
+
+def test_csv_templates_follow_the_x_column_and_the_name(tmp_path):
+    # columns that differ in one value, in the sign of a zero or in length
+    # must never share a cached template
+    rng = np.random.default_rng(11)
+    base = np.arange(32) / 32.0
+    nudged = base.copy()
+    nudged[7] = np.nextafter(nudged[7], 1.0)
+    signed = base.copy()
+    signed[0] = -0.0
+    columns = [base, nudged, signed, base[:31]]
+    path = tmp_path / "profile.csv"
+    for _ in range(2):
+        for xs in columns:
+            for name in ("value", "s"):
+                values = rng.standard_normal(len(xs))
+                write_profile_csv(path, xs, values, name)
+                assert path.read_bytes() == f_string_csv(f"x,{name}", zip(xs, values))
+
+
+def test_profile_csv_rejects_a_length_mismatch(tmp_path):
+    xs = np.arange(8) / 8.0
+    for count in (7, 9):
+        with pytest.raises(ValueError, match="values for 8 x positions"):
+            write_profile_csv(tmp_path / "profile.csv", xs, np.ones(count))
+
+
+def test_simulate_builds_the_csv_template_once(tmp_path):
+    # seven profiles on one grid: the x column is formatted for the first only
+    cli._csv_template.cache_clear()
+    args = ["simulate", "--preset", "ex1", "--set", "numerics.grid_points=256"]
+    assert main(args + ["--max-events", "3", "--out", str(tmp_path / "run")]) == 0
+    info = cli._csv_template.cache_info()
+    assert (info.misses, info.hits) == (1, 6)
+
+
+def test_cli_csvs_are_the_f_string_rendering_of_their_values(tmp_path):
+    # %.17g round-trips, so parsing a file and rendering it again with the
+    # reference writer must give back its exact bytes
+    coarse_ex1 = ["--preset", "ex1", "--set", "numerics.grid_points=256"]
+    runs = {
+        "ex1": ["simulate", *coarse_ex1, "--max-events", "3"],
+        "ex3": ["simulate", "--preset", "ex3", "--max-events", "3"],
+        "ex2": ["stationary", "--preset", "ex2"],
+    }
+    checked = 0
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert main(args + ["--out", str(out)]) == 0
+        for path in sorted(out.glob("*.csv")):
+            header, *lines = path.read_text().splitlines()
+            assert header in ("x,value", "x,s")
+            rows = [tuple(float(cell) for cell in line.split(",")) for line in lines]
+            assert path.read_bytes() == f_string_csv(header, rows), path.name
+            checked += 1
+    # ex1: 3 pre, 3 post, final; ex3: 3 pre, 3 post, 3 post h, 3 finals
+    assert checked == 7 + 12 + 1

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -630,3 +631,58 @@ def test_batched_coupled_run_lands_on_t_end(ex3, t_end):
     events, final = run_with_rupture(ex3, start, t_end=t_end)
     assert final.time == final.h.time == t_end
     assert all(event.time < t_end for event in events)
+
+
+def test_shared_operators_follow_the_config_and_the_grid(ex1):
+    # configs that differ only in alpha or only in the offset, and grids that
+    # differ only in size, alternate in one process without sharing a bundle
+    cases = [
+        (ex1, 256),
+        (replace(ex1, alpha=1.5), 256),
+        (replace(ex1, forcing_offset=3.1), 256),
+        (ex1, 128),
+    ]
+
+    def event_times(config, n):
+        start = constant_field(build_grid(config, n), config.eta_a)
+        events, _ = run_with_rupture(config, start, max_events=2)
+        return [event.time for event in events]
+
+    fresh = []
+    for case in cases:
+        rupture._shared_operators.cache_clear()
+        fresh.append(event_times(*case))
+    assert len({tuple(times) for times in fresh}) == len(cases)
+    for _ in range(2):
+        for case, times in zip(cases, fresh):
+            assert event_times(*case) == times
+
+
+def test_a_config_built_from_lists_can_key_the_shared_operators():
+    listed = decay_config(junctions=[0.5], jump_strengths=[0.0])
+    assert listed == decay_config() and hash(listed) == hash(decay_config())
+    start = constant_field(build_grid(listed, 32), listed.eta_a)
+    events, _ = run_with_rupture(listed, start, max_events=1)
+    assert len(events) == 1
+
+
+def test_shared_operators_are_read_only(ex1, ex3):
+    for config in (ex1, ex3):
+        ops = rupture._shared_operators(build_grid(config, 64), config)
+        for array in (ops.load, ops.height_load, ops.symbol, ops.fixed_point):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_no_deadline_is_computed_after_the_last_event(monkeypatch, ex1):
+    horizons = []
+    real = rupture.rupture_horizon
+
+    def counted(config, eta0):
+        horizons.append(eta0.time)
+        return real(config, eta0)
+
+    monkeypatch.setattr(rupture, "rupture_horizon", counted)
+    start = constant_field(build_grid(ex1, 256), ex1.eta_a)
+    events, _ = run_with_rupture(ex1, start, max_events=3)
+    assert horizons == [0.0] + [event.time for event in events[:-1]]
