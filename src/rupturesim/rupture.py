@@ -15,9 +15,9 @@ which the gap must end, and the discrete fixed point shows when it never
 can.  The certificates are the paper's constant subsolution, which weakens
 as the thickness nears the threshold, and a bound on how far the state can
 move per step, read off the Fourier modes of its transient, which ends
-each gap in a few jumps.  In coupled mode a gap takes its steps in batches
-in rfft mode space, each checked for its thickness after every step and
-for the backward error of its last step.  Either way the step that
+each gap in a few jumps.  In coupled mode a gap runs in one call of the
+mode-space kernel, which tests the thickness after every step and checks
+the backward error of the state it hands out.  Either way the step that
 crosses is taken through ``advance`` and brackets the crossing, so the
 bisection is that of plain stepping.
 """
@@ -54,9 +54,6 @@ from .solver import (
 from .stationary import interval_index
 
 _BRACKET_FLOOR = 1.0e-3
-# steps per coupled batch; the batch keeps its mode rows and thickness rows,
-# so a larger one adds to peak memory for little further gain
-_COUPLED_BATCH = 16
 # roundoff allowed in the closed-form lower bounds, relative to
 # _roundoff_scale
 _JUMP_TOL = 1.0e-12
@@ -376,8 +373,8 @@ def run_with_rupture(
     In decoupled mode with ``alpha > 0`` each gap starts with closed-form
     jumps over the steps the discrete lower bounds prove free of rupture
     (:func:`_jump_to_bound`), then steps to the crossing; in coupled mode
-    each gap takes batches of steps up to the one that crosses
-    (:func:`jump_coupled`).  Either way
+    each gap takes all its steps up to the one that crosses in one call of
+    :func:`jump_coupled`.  Either way
     event times are those of plain stepping.
     Each such gap must rupture within :func:`rupture_horizon`, else
     :class:`HorizonError`.  Where that bound does not apply and no
@@ -434,9 +431,7 @@ def run_with_rupture(
                 continue
             may_jump = False
         elif coupled:
-            steps = _COUPLED_BATCH
-            if t_end is not None:
-                steps = min(steps, int((t_end - time) / dt) - 2)
+            steps = sys.maxsize if t_end is None else int((t_end - time) / dt) - 2
             if steps >= 1:
                 taken, state = jump_coupled(state, steps, dt, ops, config.eta_c)
                 if taken == steps:

@@ -12,11 +12,12 @@ recent step matrices are cached too.  Every solve is checked for a backward
 error of about 1e-12.  The operator bundle :class:`Operators` owns the
 height and thickness step matrices and the decoupled symbol and fixed point,
 about which ``jump_decoupled`` applies many equal decoupled steps at once in
-closed form.  ``jump_coupled`` takes a batch of equal coupled steps in rfft
-mode space, where each step is lower-triangular per mode, and transforms the
-batch's thickness rows back in one batched inverse transform; the last
-step it hands out passes the same backward-error check as a solve.  Both
-state kinds expose their layer thickness as ``eta``.
+closed form.  ``jump_coupled`` runs a whole coupled gap in rfft mode space,
+where each step is lower-triangular per mode: cached per-mode tables give
+the thickness after each step of a 16-step chunk, one batched inverse
+transform per chunk gives their minima, and only the state it hands out
+returns to real space, where it passes the same backward-error check as a
+solve.  Both state kinds expose their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -298,9 +299,30 @@ def jump_decoupled(
 
 def _time_after(time: float, steps: int, dt: float) -> float:
     """``time`` after ``steps`` repeated additions of ``dt``, as stepping
-    counts it."""
-    for _ in range(steps):
+    counts it, in a few operations per binade of the time.
+
+    While every sum stays inside one binade ``[top/2, top)`` of the time,
+    each addition rounds to the same whole number of ulps; only when ``dt``
+    leaves exactly half an ulp can round-to-even make the first addition
+    differ, so the increment is read off the second.  Small times, the last
+    ``2*dt`` below each binade's top and the last few steps use plain
+    additions.
+    """
+    while steps > 0:
+        if steps >= 4 and 4.0 * dt <= time < math.inf:
+            top = math.ldexp(1.0, math.frexp(time)[1])
+            first = time + dt
+            increment = (first + dt) - first
+            if increment == 0.0:
+                return first
+            # the additions after the first whose sums stay below top - 2*dt,
+            # one fewer for the rounding of this quotient
+            count = min(steps - 1, math.floor((top - 2.0 * dt - first) / increment) - 1)
+            if count >= 1:
+                time, steps = first + count * increment, steps - count - 1
+                continue
         time += dt
+        steps -= 1
     return time
 
 
@@ -320,6 +342,50 @@ def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Fiel
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
 
+# steps per chunk of jump_coupled: one batched inverse transform of this many
+# thickness rows spreads its overhead, and each further row adds to the
+# cached tables and the working set
+_CHUNK = 16
+
+
+@functools.lru_cache(maxsize=4)
+def _coupled_tables(
+    n: int, dt: float, height: tuple[float, float], thickness: tuple[float, float], alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode coefficients of ``_CHUNK`` coupled steps, in the interleaved
+    float layout of :func:`_inverse_symbol`; read-only.
+
+    ``rows[0..2, j]`` give the thickness after ``j + 1`` steps as
+    ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]*l`` in terms of the start
+    modes; ``ends`` gives the height after the whole chunk as
+    ``ends[0]*h + ends[1]*l`` and the surface as ``ends[2]*zeta +
+    ends[3]*h + ends[4]*l``.  They come from the step recursion itself, run
+    on unit inputs, and not from a closed form in powers of the two step
+    factors, which divides by their difference where they meet.  The
+    recursion runs in ``np.longdouble`` (extended precision where the
+    platform has it) and each coefficient is rounded once: every chunk of a
+    gap reuses them, so a coefficient a few ulps off would move the state by
+    that much again per chunk.
+    """
+    wide = np.longdouble
+    inverse_h = _inverse_symbol(n, *height).astype(wide)
+    inverse_z = _inverse_symbol(n, *thickness).astype(wide)
+    dt, alpha = wide(dt), wide(alpha)
+    # unit inputs (zeta, h, l) = e_0, e_1, e_2, one per row
+    h = np.zeros((3, inverse_h.size), dtype=wide)
+    z = np.zeros_like(h)
+    h[1] = z[0] = 1.0
+    load = np.array([[0.0], [0.0], [1.0]], dtype=wide)
+    rows = np.empty((3, _CHUNK, h.shape[1]))
+    for j in range(_CHUNK):
+        h = inverse_h * (h / dt - load)
+        z = inverse_z * (z / dt + alpha * h)
+        rows[:, j] = z - h
+    ends = np.stack((h[1], h[2], z[0], z[1], z[2])).astype(np.float64)
+    rows.flags.writeable = ends.flags.writeable = False
+    return rows, ends
+
+
 def jump_coupled(
     state: CoupledState, steps: int, dt: float, ops: Operators, eta_c: float
 ) -> tuple[int, CoupledState]:
@@ -329,12 +395,16 @@ def jump_coupled(
     Per rfft mode ``k`` the coupled step is lower-triangular:
     ``h' = a_k (h/dt - l)`` and ``zeta' = b_k (zeta/dt + alpha h')``, with
     ``a_k`` and ``b_k`` the reciprocal eigenvalues of the height and the
-    thickness step matrices and ``l`` the height load.  The recursion runs
-    in mode space, one batched inverse transform gives the thickness after
-    every step, and only the last state taken is transformed back, after
-    its step is checked as :func:`solve_periodic_tridiagonal` checks a
-    solve.  Returns the number of steps taken, ``0`` (with ``state``
-    itself) when the first step crosses.  A non-finite thickness raises
+    thickness step matrices and ``l`` the height load.  The whole gap runs
+    in mode space from one forward transform: per chunk of ``_CHUNK`` steps
+    the cached tables of :func:`_coupled_tables` give the thickness modes
+    after every step, one batched inverse transform gives their minima, and
+    the chunk-end coefficients move the chunk base on.  Only the last state
+    taken is transformed back, rebuilt by the step recursion from its chunk
+    base; its step is checked as :func:`solve_periodic_tridiagonal` checks a
+    solve, and its thickness minimum must equal the one tested for that
+    step.  Returns the number of steps taken, ``0`` (with ``state`` itself)
+    when the first step crosses.  A non-finite thickness raises
     :class:`LinearSolveError`.  The time advances by repeated additions of
     ``dt``, so it is bit-identical to stepping.
     """
@@ -344,38 +414,63 @@ def jump_coupled(
     n = grid.n
     diag_h, off_h = ops.height_matrix(dt)
     diag_z, off_z = ops.thickness_matrix(dt)
-    inverse_h = _inverse_symbol(n, diag_h, off_h)
-    inverse_z = _inverse_symbol(n, diag_z, off_z)
+    rows, ends = _coupled_tables(n, dt, (diag_h, off_h), (diag_z, off_z), ops.alpha)
     start = np.fft.rfft(np.stack((state.h.values, state.zeta.values, ops.height_load)))
-    # row i holds the modes after i steps; the recursion runs on their
-    # interleaved real and imaginary parts, the layout of _inverse_symbol
-    h_modes = np.empty((steps + 1, n // 2 + 1), dtype=complex)
-    z_modes = np.empty_like(h_modes)
-    h_modes[0], z_modes[0] = start[0], start[1]
-    h_rows, z_rows = h_modes.view(np.float64), z_modes.view(np.float64)
-    scale_h, scale_z = inverse_h / dt, inverse_z / dt
-    load = inverse_h * start[2].view(np.float64)
-    relax = ops.alpha * inverse_z
-    coupling = np.empty_like(relax)
-    for i in range(steps):
-        h, z = h_rows[i + 1], z_rows[i + 1]
-        np.multiply(h_rows[i], scale_h, out=h)
-        h -= load
-        np.multiply(z_rows[i], scale_z, out=z)
-        z += np.multiply(h, relax, out=coupling)
-
-    lows = np.fft.irfft(z_modes[1:] - h_modes[1:], n).min(axis=1)
-    if not np.isfinite(lows).all():
-        raise LinearSolveError("coupled step gave a non-finite thickness")
-    crossed = np.flatnonzero(lows <= eta_c)
-    taken = int(crossed[0]) if crossed.size else steps
+    h, z, load = start.view(np.float64)
+    eta = np.empty((_CHUNK, n // 2 + 1), dtype=complex)
+    eta_rows, product = eta.view(np.float64), np.empty((_CHUNK, h.size))
+    loaded = rows[2] * load  # the load's part of every chunk
+    # base and previous: (step, h, zeta) modes at the start of this chunk and
+    # of the one before; low: the tested thickness minimum after step done
+    done, low = 0, math.nan
+    base = previous = (0, h, z)
+    while True:
+        count = min(_CHUNK, steps - done)
+        out, tmp = eta_rows[:count], product[:count]
+        np.multiply(rows[0, :count], z, out=out)
+        out += np.multiply(rows[1, :count], h, out=tmp)
+        out += loaded[:count]
+        lows = np.fft.irfft(eta[:count], n).min(axis=1)
+        if not np.isfinite(lows).all():
+            raise LinearSolveError("coupled step gave a non-finite thickness")
+        crossed = np.flatnonzero(lows <= eta_c)
+        if crossed.size:
+            first = int(crossed[0])
+            taken = done + first
+            if first:
+                low = float(lows[first - 1])
+            break
+        done += count
+        low = float(lows[-1])
+        if done == steps:
+            taken = done
+            break
+        h, z = ends[0] * h + ends[1] * load, ends[2] * z + ends[3] * h + ends[4] * load
+        previous, base = base, (done, h, z)
     if taken == 0:
         return 0, state
-    h_prev, h_new, z_prev, z_new = np.fft.irfft(
-        np.stack((h_modes[taken - 1], h_modes[taken], z_modes[taken - 1], z_modes[taken])), n
-    )
+
+    # rebuild steps taken - 1 and taken from the base of the chunk that
+    # holds step taken - 1, by the step recursion
+    origin, h, z = base if base[0] < taken else previous
+    inverse_h = _inverse_symbol(n, diag_h, off_h)
+    inverse_z = _inverse_symbol(n, diag_z, off_z)
+    scale_h, scale_z = inverse_h / dt, inverse_z / dt
+    shift, relax = inverse_h * load, ops.alpha * inverse_z
+    for _ in range(taken - origin):
+        h_prev, z_prev = h, z
+        h = h_prev * scale_h - shift
+        z = z_prev * scale_z + h * relax
+    pairs = np.stack((h_prev, h, z_prev, z)).view(complex)
+    h_prev, h_new, z_prev, z_new = np.fft.irfft(pairs, n)
     _check_solution(diag_h, off_h, h_new, h_prev / dt - ops.height_load)
     _check_solution(diag_z, off_z, z_new, z_prev / dt + ops.alpha * h_new)
+    handed = float(np.min(z_new - h_new))
+    scale = max(float(np.abs(h_new).max()), float(np.abs(z_new).max()))
+    if not abs(handed - low) <= _STEP_RESIDUAL_TOL * scale:
+        raise LinearSolveError(
+            f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
+        )
     time = _time_after(state.time, taken, dt)
     return taken, CoupledState(Field(grid, h_new, time), Field(grid, z_new, time))
 

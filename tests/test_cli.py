@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rupturesim
-from rupturesim import cli, rupture
+from rupturesim import cli, rupture, solver
 from rupturesim.cli import PRESETS, main, preset_config, write_profile_csv
 
 
@@ -62,13 +62,20 @@ def test_simulate_emits_events_and_profiles(tmp_path):
 
 
 def test_simulate_is_byte_reproducible(tmp_path):
-    args = ["simulate", "--preset", "ex1", "--max-events", "2"]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(out_a)]) == 0
-    assert main(args + ["--out", str(out_b)]) == 0
-    for path_a in sorted(out_a.iterdir()):
-        path_b = out_b / path_a.name
-        assert path_a.read_bytes() == path_b.read_bytes()
+    runs = {
+        "ex1": ["simulate", "--preset", "ex1", "--max-events", "2"],
+        "ex3": ["simulate", "--preset", "ex3", "--max-events", "3",
+                "--set", "numerics.grid_points=256"],
+    }
+    for name, args in runs.items():
+        # the first run fills the coupled step tables, the second reuses them
+        solver._coupled_tables.cache_clear()
+        out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+        assert main(args + ["--out", str(out_a)]) == 0
+        assert main(args + ["--out", str(out_b)]) == 0
+        for path_a in sorted(out_a.iterdir()):
+            path_b = out_b / path_a.name
+            assert path_a.read_bytes() == path_b.read_bytes()
 
 
 def test_overrides_reach_the_resolved_config(tmp_path):
@@ -250,6 +257,14 @@ def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
     assert child.returncode == 2
     assert "--t-end" in child.stderr
+
+
+def test_simulate_to_a_distant_end_time_finishes(tmp_path):
+    # jumps cover this run; its time bookkeeping once took one addition per
+    # step, 10**10 of them
+    args = ["simulate", "--preset", "ex1", "--set", "forcing_offset=2", "--t-end", "1e6"]
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 0, child.stderr
 
 
 def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):

@@ -622,6 +622,32 @@ def test_batched_coupled_run_equals_plain_stepping(monkeypatch, ex3):
     assert len(steps) <= 5 * 12
 
 
+def test_a_coupled_gap_is_one_kernel_call_with_one_check_per_equation(monkeypatch, ex3):
+    # batches of 16 steps took 31 kernel calls and 62 checks here
+    calls = {"kernel": 0, "checks": 0}
+    inside = []
+    kernel, check = rupture.jump_coupled, solver._check_solution
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        inside.append(1)
+        try:
+            return kernel(*args)
+        finally:
+            inside.pop()
+
+    def counted_check(*args):
+        calls["checks"] += bool(inside)
+        return check(*args)
+
+    monkeypatch.setattr(rupture, "jump_coupled", counted_kernel)
+    monkeypatch.setattr(solver, "_check_solution", counted_check)
+    start = CoupledState.from_thickness(constant_field(build_grid(ex3, 256), ex3.eta_a))
+    events, _ = run_with_rupture(ex3, start, max_events=5)
+    assert len(events) == 5
+    assert calls == {"kernel": 5, "checks": 10}
+
+
 @pytest.mark.parametrize("t_end", [1e-3, 0.02])
 def test_batched_coupled_run_lands_on_t_end(ex3, t_end):
     # ten repeated additions of dt = 1e-4 overshoot 1e-3 by roundoff, so the

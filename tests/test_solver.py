@@ -232,8 +232,8 @@ def test_coupled_batch_guards(ex3, monkeypatch):
 
 
 def test_coupled_batch_peak_memory(ex3):
-    # the benchmark bounds peak RSS at 5 %; a batch of 64 steps peaks near
-    # 2 MiB here, the batch of 16 that the event loop takes near 0.6 MiB
+    # the benchmark bounds peak RSS at 5 %; a call of 16 steps peaks near
+    # 0.55 MiB here, mostly the buffers of one chunk
     start = coupled_start(ex3, 1024)
     ops = assemble_operators(start.h.grid, ex3)
     dt = ex3.numerics.dt
@@ -246,6 +246,58 @@ def test_coupled_batch_peak_memory(ex3):
         tracemalloc.stop()
     assert taken == 16
     assert peak < 1 << 20
+
+
+def test_coupled_gap_peak_memory_does_not_grow_with_its_length(ex3):
+    start = coupled_start(ex3, 1024)
+    ops = assemble_operators(start.h.grid, ex3)
+    dt, floor = ex3.numerics.dt, -1.0e9  # a floor that no step reaches
+    solver.jump_coupled(start, 16, dt, ops, floor)  # fill the caches
+    tracemalloc.start()
+    try:
+        taken, _ = solver.jump_coupled(start, 4096, dt, ops, floor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert taken == 4096
+    assert peak < 1 << 20
+
+
+# (budget, step that crosses): the last row of the first chunk and the first
+# row of the second, and budgets that end on chunk boundaries
+@pytest.mark.parametrize("budget, crossing", [(40, 16), (40, 17), (1, None), (16, None), (32, None)])
+def test_coupled_gap_equals_stepping_across_chunk_boundaries(ex3, budget, crossing):
+    grid = build_grid(ex3, 64)
+    ops = assemble_operators(grid, ex3)
+    dt = ex3.numerics.dt
+    states = [CoupledState.from_thickness(constant_field(grid, ex3.eta_a))]
+    for _ in range(budget):
+        states.append(advance(states[-1], dt, ops))
+    lows = [float(np.min(state.eta.values)) for state in states]
+    assert all(np.diff(lows) < 0.0)  # the flat start thins at every step
+    floor = ex3.eta_c if crossing is None else 0.5 * (lows[crossing - 1] + lows[crossing])
+    taken, jumped = solver.jump_coupled(states[0], budget, dt, ops, floor)
+    assert taken == (budget if crossing is None else crossing - 1)
+    stepped = states[taken]
+    assert jumped.time == stepped.time
+    scale = max(np.max(np.abs(stepped.h.values)), np.max(np.abs(stepped.zeta.values)))
+    assert np.max(np.abs(jumped.h.values - stepped.h.values)) <= 1e-12 * scale
+    assert np.max(np.abs(jumped.zeta.values - stepped.zeta.values)) <= 1e-12 * scale
+
+
+def test_coupled_gap_hands_out_the_minimum_it_tested(ex3, monkeypatch):
+    grid = build_grid(ex3, 64)
+    ops = assemble_operators(grid, ex3)
+    start = CoupledState.from_thickness(constant_field(grid, ex3.eta_a))
+    tables = solver._coupled_tables
+
+    def skewed(*key):
+        rows, ends = tables(*key)
+        return rows * (1.0 + 1e-9), ends
+
+    monkeypatch.setattr(solver, "_coupled_tables", skewed)
+    with pytest.raises(LinearSolveError, match="tested"):
+        solver.jump_coupled(start, 20, ex3.numerics.dt, ops, ex3.eta_c)
 
 
 def test_evolve_to_current_time_is_identity():

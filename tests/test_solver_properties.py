@@ -1,6 +1,8 @@
 """Properties of the per-mode cyclic solve, the implicit step and the
 multi-step jumps over random admissible step parameters ``(n, dt, sigma,
 alpha)`` on the unit domain."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -46,8 +48,8 @@ coupled_parameters = st.tuples(
     st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
     st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
     st.floats(-3.0, 3.0),
-    st.integers(1, 40),
-    st.integers(0, 41),
+    st.integers(1, 100),
+    st.integers(0, 101),
 )
 # roundoff relative to the larger of the start state and the a-priori bound
 # max|load|/alpha on the fixed point; measured worst cases are about 1e-13
@@ -340,3 +342,20 @@ def test_coupled_batch_matches_repeated_steps(params, seed):
     scale = max(np.max(np.abs(stepped.h.values)), np.max(np.abs(stepped.zeta.values)))
     assert np.max(np.abs(batched.h.values - stepped.h.values)) <= JUMP_TOL * scale
     assert np.max(np.abs(batched.zeta.values - stepped.zeta.values)) <= JUMP_TOL * scale
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.floats(0.0, 1e4),
+    st.floats(-9.0, 0.0).map(lambda e: 10.0**e),
+    st.integers(0, 10**5),
+    st.one_of(st.none(), st.integers(0, 2**20)),
+)
+def test_time_after_equals_repeated_addition(time, dt, steps, half):
+    if half is not None and time > 0.0:
+        # dt leaves exactly half an ulp of the start time: round-to-even
+        dt = (2 * half + 1) * math.ulp(time) / 2
+    expected = time
+    for _ in range(steps):
+        expected += dt
+    assert solver._time_after(time, steps, dt) == expected
