@@ -18,8 +18,12 @@ move per step, read off the Fourier modes of its transient, which ends
 each gap in a few jumps.  In coupled mode a gap runs in one call of the
 mode-space kernel, which tests the thickness after every step and checks
 the backward error of the state it hands out.  Either way the step that
-crosses is taken through ``advance`` and brackets the crossing, so the
-bisection is that of plain stepping.
+crosses is taken through ``advance`` and brackets the crossing.  The
+bisection takes its trial steps in Fourier modes from one transform of the
+state before the crossing, re-takes with ``advance`` any trial whose
+minimum lies within roundoff of a value it is compared with, and hands out
+the located step taken by ``advance``, so its decisions, times and states
+are those of plain stepping.
 """
 from __future__ import annotations
 
@@ -46,7 +50,9 @@ from .solver import (
     Operators,
     advance,
     assemble_operators,
+    coupled_trial,
     decoupled_transient,
+    decoupled_trial,
     jump_coupled,
     jump_decoupled,
     step_toward,
@@ -57,6 +63,9 @@ _BRACKET_FLOOR = 1.0e-3
 # roundoff allowed in the closed-form lower bounds, relative to
 # _roundoff_scale
 _JUMP_TOL = 1.0e-12
+# roundoff allowed between a bisection trial taken in modes and the same step
+# taken by advance, relative to the trial's inputs (see _mode_trial)
+_TRIAL_GUARD = _JUMP_TOL
 
 
 @dataclass(frozen=True)
@@ -169,18 +178,24 @@ def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
     With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``,
     ``x_j - x_0 = irfft((f^j - 1) * transient)``.  Each term of that inverse
     transform is at most ``w_k |transient_k| (1 - f_k^j)`` at every node,
-    with ``w_k = 1/n`` for mode 0 and (``n`` even) the Nyquist mode and
-    ``2/n`` otherwise, and ``1 - f^j <= j (1 - f)`` for ``0 <= f <= 1``.
+    with ``w_k`` from :func:`_mode_weights`, and ``1 - f^j <= j (1 - f)``
+    for ``0 <= f <= 1``.
     So no node moves by more than ``j`` times the returned rate in ``j``
     steps.
     """
-    n = ops.grid.n
     growth = dt * ops.symbol
-    weights = np.full(growth.shape, 2.0 / n)
+    return float(np.dot(np.abs(transient), _mode_weights(ops.grid.n) * growth / (1.0 + growth)))
+
+
+def _mode_weights(n: int) -> np.ndarray:
+    """Bound ``w_k`` on the size at any node of the inverse rfft term of a
+    unit mode ``k``: ``1/n`` for mode 0 and (``n`` even) the Nyquist mode,
+    ``2/n`` otherwise."""
+    weights = np.full(n // 2 + 1, 2.0 / n)
     weights[0] = 1.0 / n
     if n % 2 == 0:
         weights[-1] = 1.0 / n
-    return float(np.dot(np.abs(transient), weights * growth / (1.0 + growth)))
+    return weights
 
 
 def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
@@ -223,6 +238,33 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     return math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
 
 
+def _stays_above_without_evaporation(state: Field, ops: Operators, threshold: float) -> bool:
+    """Whether a decoupled run with ``alpha = 0`` and a nonnegative mean
+    load from ``state`` stays above ``threshold`` for good.
+
+    With ``alpha = 0`` a step adds ``dt*mean(load)`` to the mean, and every
+    other rfft mode of ``x - s`` decays by ``1/(1 + dt*symbol_k)``, where
+    ``s`` is the zero-mean shape with modes ``l_k/symbol_k``.  So with
+    ``mean(load) >= 0`` every later state is at least ``mean(x) + min(s) -
+    sum_{k>=1} w_k |v_k|``, with ``v`` the modes of ``x - s`` and ``w_k``
+    from :func:`_mode_weights`; the bound, less roundoff, must exceed
+    ``threshold``.
+    """
+    if not float(np.mean(ops.load)) >= 0.0:
+        return False
+    shape_modes = np.zeros_like(ops.load_modes)
+    shape_modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
+    shape = np.fft.irfft(shape_modes, ops.grid.n)
+    transient = np.abs(np.fft.rfft(state.values - shape)[1:])
+    floor = (
+        float(np.mean(state.values))
+        + float(np.min(shape))
+        - float(np.dot(transient, _mode_weights(ops.grid.n)[1:]))
+    )
+    scale = max(float(np.max(np.abs(state.values))), float(np.max(np.abs(shape))))
+    return floor - _JUMP_TOL * scale > threshold
+
+
 def _jump_to_bound(
     state: Field, dt: float, ops: Operators, threshold: float, limit: float | None
 ) -> Field | None:
@@ -263,6 +305,21 @@ def _jump_to_bound(
     return jumped
 
 
+def _mode_trial(pre: Field | CoupledState, dt: float, ops: Operators):
+    """The mode-space trial of ``pre`` (:func:`decoupled_trial` or
+    :func:`coupled_trial`), and the margin by which its minimum may differ
+    from that of :func:`advance` by roundoff for steps up to ``dt``:
+    ``_TRIAL_GUARD`` times the largest magnitude among the transformed
+    inputs, the state and ``dt`` times the load."""
+    if isinstance(pre, CoupledState):
+        trial = coupled_trial(pre, ops)
+        inputs, load = (pre.h.values, pre.zeta.values), ops.height_load
+    else:
+        trial, inputs, load = decoupled_trial(pre, ops), (pre.values,), ops.load
+    scale = max(dt * max(load.max(), -load.min()), *(max(x.max(), -x.min()) for x in inputs))
+    return trial, _TRIAL_GUARD * float(scale)
+
+
 def locate_crossing(
     pre: Field | CoupledState,
     dt: float,
@@ -273,9 +330,14 @@ def locate_crossing(
 ) -> tuple[float, Field | CoupledState]:
     """Localize the threshold crossing bracketed by one step from ``pre``.
 
-    Bisects the trial step size, re-stepping from ``pre`` each time, until
-    the minimum thickness is within ``event_tol * eta_a`` of the threshold
-    or the bracket is below ``1e-3 * dt``.  A caller that already took the
+    Bisects the trial step size until the minimum thickness is within
+    ``event_tol * eta_a`` of the threshold or the bracket is below
+    ``1e-3 * dt``.  Each trial step is taken in rfft modes from one forward
+    transform of ``pre``; a trial whose minimum lies within roundoff of a
+    value the bisection compares it with is re-taken by :func:`advance`, so
+    every decision, and the located time, is that of re-stepping from
+    ``pre`` with :func:`advance`.  The state handed out is the step of the
+    located size taken by :func:`advance`.  A caller that already took the
     step of ``dt`` from ``pre`` passes its result as ``stepped``, which is
     then not taken again.  Returns the elapsed time and the state at the
     located crossing (whose minimum is at or below the threshold).
@@ -285,20 +347,31 @@ def locate_crossing(
     if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
     state_hi = advance(pre, dt, ops) if stepped is None else stepped
-    if float(np.min(state_hi.eta.values)) > eta_c:
+    low_hi = float(np.min(state_hi.eta.values))
+    if low_hi > eta_c:
         raise BracketError("no crossing within one step")
 
-    lo, hi = 0.0, dt
-    while (
-        abs(float(np.min(state_hi.eta.values)) - eta_c) > value_tol
-        and (hi - lo) >= _BRACKET_FLOOR * dt
-    ):
+    lo, hi, trial = 0.0, dt, None
+    while abs(low_hi - eta_c) > value_tol and (hi - lo) >= _BRACKET_FLOOR * dt:
+        if trial is None:
+            trial, margin = _mode_trial(pre, dt, ops)
         mid = 0.5 * (lo + hi)
-        trial = advance(pre, mid, ops)
-        if float(np.min(trial.eta.values)) <= eta_c:
-            hi, state_hi = mid, trial
+        low = trial(mid)
+        # within roundoff of eta_c or of eta_c -/+ value_tol: let advance decide
+        gap = abs(low - eta_c)
+        if min(gap, abs(gap - value_tol)) <= margin:
+            low = float(np.min(advance(pre, mid, ops).eta.values))
+        if low <= eta_c:
+            hi, low_hi = mid, low
         else:
             lo = mid
+    if hi != dt:
+        state_hi = advance(pre, hi, ops)
+        handed = float(np.min(state_hi.eta.values))
+        if not (handed <= eta_c and abs(handed - low_hi) <= margin):
+            raise LinearSolveError(
+                f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
+            )
     return hi, state_hi
 
 
@@ -380,7 +453,9 @@ def run_with_rupture(
     :class:`HorizonError`.  Where that bound does not apply and no
     ``t_end`` is given, a gap that passes the step count after which the
     fixed point keeps it above the threshold for good can never rupture,
-    and is refused with :class:`DomainError`.
+    and is refused with :class:`DomainError`; so is a decoupled gap with
+    ``alpha = 0`` and a nonnegative mean load whose Fourier bound
+    (:func:`_stays_above_without_evaporation`) keeps it above the threshold.
     """
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
@@ -399,7 +474,12 @@ def run_with_rupture(
         """Time by which the gap from ``start`` ends, and whether a rupture
         is due by then (else none can follow it)."""
         if not jumps:
-            return None, False
+            never = (
+                not coupled
+                and t_end is None
+                and _stays_above_without_evaporation(start, ops, threshold)
+            )
+            return (start.time if never else None), False
         horizon = rupture_horizon(config, start)
         if horizon is not None:
             return start.time + horizon, True

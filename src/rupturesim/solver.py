@@ -17,7 +17,11 @@ where each step is lower-triangular per mode: cached per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state it hands out
 returns to real space, where it passes the same backward-error check as a
-solve.  Both state kinds expose their layer thickness as ``eta``.
+solve.  ``decoupled_trial`` and ``coupled_trial`` take one step of any size
+in rfft modes from one forward transform of a state, with the eigenvalues
+rounded as the solve rounds them, and return only its minimum thickness:
+the crossing bisection's trials, which are not checked and never handed
+out.  Both state kinds expose their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -28,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -122,8 +127,9 @@ class Operators:
     construction from the unscaled strengths and offset, divided by
     ``tau``, the forcing of the height equation.  The stiffness action is
     the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
-    The bundle owns the height and thickness step matrices and the decoupled
-    symbol and fixed point; the last two fill lazily and deterministically.
+    The bundle owns the height and thickness step matrices, the decoupled
+    symbol and fixed point, and the rfft modes of both loads; all but the
+    matrices fill lazily and deterministically.
     Every array it holds is read-only, so one bundle can serve many runs.
     """
 
@@ -163,6 +169,20 @@ class Operators:
         return symbol
 
     @functools.cached_property
+    def load_modes(self) -> np.ndarray:
+        """rfft modes of ``load``; read-only."""
+        modes = np.fft.rfft(self.load)
+        modes.flags.writeable = False
+        return modes
+
+    @functools.cached_property
+    def height_load_modes(self) -> np.ndarray:
+        """rfft modes of ``height_load``; read-only."""
+        modes = np.fft.rfft(self.height_load)
+        modes.flags.writeable = False
+        return modes
+
+    @functools.cached_property
     def fixed_point(self) -> np.ndarray:
         """Fixed point of every decoupled step, ``(alpha I + sigma K) x* =
         load``, solved mode by mode, so mode 0 gives ``mean(x*) =
@@ -170,7 +190,7 @@ class Operators:
         unique."""
         if not self.alpha > 0.0:
             raise UnsupportedError("the decoupled fixed point requires alpha > 0")
-        fixed = np.fft.irfft(np.fft.rfft(self.load) / self.symbol, self.grid.n)
+        fixed = np.fft.irfft(self.load_modes / self.symbol, self.grid.n)
         fixed.flags.writeable = False
         return fixed
 
@@ -481,6 +501,81 @@ def advance(state: Field | CoupledState, dt: float, ops: Operators):
         h, zeta = step_coupled(state.h, state.zeta, dt, ops)
         return CoupledState(h, zeta)
     return step_decoupled(state, dt, ops)
+
+
+def decoupled_trial(state: Field, ops: Operators) -> Callable[[float], float]:
+    """The minimum thickness after one backward-Euler step of any size
+    ``tau`` from ``state``, as a function of ``tau``, taken in rfft modes.
+
+    One step maps mode ``k`` to ``(eta_k/tau + l_k)/lambda_k``, with ``l``
+    the load and ``lambda_k = diag + off*(2 - s_k)`` the eigenvalue of the
+    step matrix.  That is ``(eta_k + tau*l_k)/(1 + tau*symbol_k)``, but
+    with ``lambda_k`` rounded as :func:`solve_periodic_tridiagonal` rounds
+    it: there it loses digits to the cancellation of ``diag`` against
+    ``2*off`` when ``sigma*tau/dx^2`` is large, and the trial must lose the
+    same ones to agree with the solve.  The forward transform of ``state``
+    is made here, once, so each call of the returned function costs a few
+    per-mode operations on the interleaved float view of the modes and one
+    inverse transform.  It makes no backward-error check: a state to hand
+    out is taken by :func:`advance`.
+    """
+    n = state.grid.n
+    eta = np.fft.rfft(state.values).view(np.float64)
+    load = ops.load_modes.view(np.float64)
+    coupling = _eigenvalue_coupling(n, ops.thickness_matrix(1.0)[1])
+    modes = np.empty(n // 2 + 1, dtype=complex)
+    parts, eigenvalues = modes.view(np.float64), np.empty(eta.size)
+
+    def minimum_after(tau: float) -> float:
+        np.add(coupling, ops.thickness_matrix(tau)[0], out=eigenvalues)
+        np.add(np.divide(eta, tau, out=parts), load, out=parts)
+        np.divide(parts, eigenvalues, out=parts)
+        return float(np.fft.irfft(modes, n).min())
+
+    return minimum_after
+
+
+def coupled_trial(state: CoupledState, ops: Operators) -> Callable[[float], float]:
+    """The minimum thickness after one backward-Euler step of any size
+    ``tau`` from ``state``, as a function of ``tau``, taken in rfft modes.
+
+    Per mode the step of :func:`step_coupled` is ``h' = (h/tau - l)/mu_k``
+    and then ``zeta' = (zeta/tau + alpha*h')/lambda_k``, with ``l`` the
+    height load and ``mu_k`` and ``lambda_k`` the eigenvalues of the height
+    and the thickness step matrices, rounded as in :func:`decoupled_trial`;
+    the thickness is ``zeta' - h'``.  The forward transform is made here,
+    once, and the step is not checked.
+    """
+    n = state.h.grid.n
+    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values)))
+    h, zeta = start.view(np.float64)
+    load = ops.height_load_modes.view(np.float64)
+    height = _eigenvalue_coupling(n, ops.height_matrix(1.0)[1])
+    thickness = _eigenvalue_coupling(n, ops.thickness_matrix(1.0)[1])
+    modes = np.empty(n // 2 + 1, dtype=complex)
+    parts, h_new, relax, eigenvalues = modes.view(np.float64), *np.empty((3, h.size))
+
+    def minimum_after(tau: float) -> float:
+        np.add(height, ops.height_matrix(tau)[0], out=eigenvalues)
+        np.subtract(np.divide(h, tau, out=h_new), load, out=h_new)
+        np.divide(h_new, eigenvalues, out=h_new)
+        np.add(thickness, ops.thickness_matrix(tau)[0], out=eigenvalues)
+        np.add(np.divide(zeta, tau, out=parts), np.multiply(h_new, ops.alpha, out=relax), out=parts)
+        np.divide(parts, eigenvalues, out=parts)
+        np.subtract(parts, h_new, out=parts)
+        return float(np.fft.irfft(modes, n).min())
+
+    return minimum_after
+
+
+def _eigenvalue_coupling(n: int, off: float) -> np.ndarray:
+    """``off*(2 - s_k)`` per rfft mode, each value twice, in the interleaved
+    float layout of :func:`_inverse_symbol`.  Adding a step matrix's
+    ``diag`` gives its eigenvalues, rounded as that function rounds them.
+    Not cached: at n = 8192 a cached copy raised the peak RSS of a
+    ``simulate`` run by about 0.15 MiB, and it costs microseconds per
+    crossing."""
+    return np.repeat(off * (2.0 - _second_difference_symbol(n)), 2)
 
 
 def step_toward(remaining: float, dt: float) -> float:

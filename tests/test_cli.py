@@ -259,6 +259,16 @@ def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
     assert "--t-end" in child.stderr
 
 
+def test_simulate_refuses_a_run_without_evaporation_that_cannot_rupture(tmp_path):
+    # alpha = 0 with a zero mean load: the mean stays put and the transient
+    # cannot reach the threshold, so without an end time this ran forever
+    args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "eta_a=0.3",
+            "--max-events", "1"]
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 2
+    assert "--t-end" in child.stderr
+
+
 def test_simulate_to_a_distant_end_time_finishes(tmp_path):
     # jumps cover this run; its time bookkeeping once took one addition per
     # step, 10**10 of them

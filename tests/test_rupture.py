@@ -149,6 +149,78 @@ def test_crossing_reuses_the_step_it_is_given(monkeypatch):
     assert np.array_equal(reused[1].values, located.values)
 
 
+def run_events(config, n, count):
+    grid = build_grid(config, n)
+    start = constant_field(grid, config.eta_a)
+    if config.mode == "coupled":
+        start = CoupledState.from_thickness(start)
+    events, _ = run_with_rupture(config, start, max_events=count)
+    return events
+
+
+@pytest.mark.parametrize("preset, count", [("ex1", 4), ("ex3", 3)])
+def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, count):
+    # an infinite guard margin re-takes every bisection trial by advance,
+    # as plain stepping does; the mode-space trials must change nothing
+    config = preset_config(preset)
+    steps = counted_advances(monkeypatch)
+    in_modes = run_events(config, 256, count)
+    fast = len(steps)
+    monkeypatch.setattr(rupture, "_TRIAL_GUARD", math.inf)
+    by_advance = run_events(config, 256, count)
+    assert len(steps) - fast > 2 * fast  # every trial went through advance
+    assert len(in_modes) == len(by_advance) == count
+    for a, b in zip(in_modes, by_advance):
+        assert a.time == b.time and a.reset_intervals == b.reset_intervals
+        assert np.array_equal(a.pre_profile.values, b.pre_profile.values)
+        assert np.array_equal(a.post_profile.values, b.post_profile.values)
+        if a.pre_h is not None:
+            assert np.array_equal(a.pre_h.values, b.pre_h.values)
+
+
+@pytest.mark.parametrize("preset, count", [("ex1", 11), ("ex3", 5)])
+def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
+    # the bisection's trials run in modes; advance takes only the state
+    # handed out, and no trial falls back to advance
+    config = preset_config(preset)
+    steps = counted_advances(monkeypatch)
+    real = rupture.locate_crossing
+    located = []
+
+    def locate_crossing(pre, dt, ops, config, *, stepped):
+        before = len(steps)
+        elapsed, state = real(pre, dt, ops, config, stepped=stepped)
+        given = len(steps) - before
+        before = len(steps)
+        again = real(pre, dt, ops, config)
+        assert given == (elapsed != dt)
+        assert len(steps) - before == given + 1
+        assert again[0] == elapsed and np.array_equal(again[1].eta.values, state.eta.values)
+        located.append(elapsed)
+        return elapsed, state
+
+    monkeypatch.setattr(rupture, "locate_crossing", locate_crossing)
+    events = run_events(config, 1024, count)
+    assert len(events) == len(located) == count
+
+
+def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
+    cfg = decay_config(eta_c=0.01, eta_a=0.02)
+    grid = build_grid(cfg, 16)
+    ops = assemble_operators(grid, cfg)
+    pre = constant_field(grid, 0.0105)
+    real = rupture.advance
+
+    def raised(state, dt, ops):
+        stepped = real(state, dt, ops)
+        return Field(stepped.grid, stepped.values + 1e-3, stepped.time)
+
+    stepped = real(pre, 1e-1, ops)
+    monkeypatch.setattr(rupture, "advance", raised)
+    with pytest.raises(LinearSolveError):
+        locate_crossing(pre, 1e-1, ops, cfg, stepped=stepped)
+
+
 def test_crossing_requires_a_bracket():
     cfg = decay_config()
     grid = build_grid(cfg, 16)
@@ -414,6 +486,35 @@ def test_run_that_cannot_rupture_is_refused(monkeypatch):
     assert rupture._settle_steps(at_rest, cfg.numerics.dt, ops, threshold) == 0
     with pytest.raises(DomainError, match="t-end"):
         run_with_rupture(cfg, at_rest, max_events=1)
+
+
+def test_run_without_evaporation_that_cannot_rupture_is_refused(monkeypatch):
+    # alpha = 0 and a zero mean load: the mean stays put and the transient
+    # about the zero-mean shape cannot reach the threshold
+    cfg = preset_config("ex1", overrides=(("alpha", 0.0), ("eta_a", 0.3)))
+    grid = build_grid(cfg, 64)
+    start = constant_field(grid, cfg.eta_a)
+    threshold = cfg.eta_c + cfg.numerics.event_tol * cfg.eta_a
+    ops = assemble_operators(grid, cfg)
+    state = start
+    for _ in range(2_000):
+        state = advance(state, cfg.numerics.dt, ops)
+        assert np.min(state.values) > threshold
+    steps = counted_advances(monkeypatch)
+    with pytest.raises(DomainError, match="t-end"):
+        run_with_rupture(cfg, start, max_events=1)
+    assert len(steps) <= 1
+
+
+def test_run_without_evaporation_under_a_negative_mean_load_ruptures():
+    cfg = preset_config("ex1", overrides=(("alpha", 0.0), ("forcing_offset", 4.0)))
+    grid = build_grid(cfg, 64)
+    ops = assemble_operators(grid, cfg)
+    start = constant_field(grid, cfg.eta_a)
+    assert np.mean(ops.load) < 0.0
+    assert not rupture._stays_above_without_evaporation(start, ops, cfg.eta_c)
+    events, _ = run_with_rupture(cfg, start, max_events=2)
+    assert len(events) == 2
 
 
 @pytest.mark.parametrize("preset, offset", [("ex1", 2.97), ("ex2", 2.94)])
@@ -695,7 +796,9 @@ def test_a_config_built_from_lists_can_key_the_shared_operators():
 def test_shared_operators_are_read_only(ex1, ex3):
     for config in (ex1, ex3):
         ops = rupture._shared_operators(build_grid(config, 64), config)
-        for array in (ops.load, ops.height_load, ops.symbol, ops.fixed_point):
+        arrays = (ops.load, ops.height_load, ops.symbol, ops.fixed_point,
+                  ops.load_modes, ops.height_load_modes)
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 

@@ -2,13 +2,15 @@
 multi-step jumps over random admissible step parameters ``(n, dt, sigma,
 alpha)`` on the unit domain."""
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rupturesim import rupture, solver
-from rupturesim.config import ModelConfig
+from rupturesim.config import ModelConfig, Numerics
 from rupturesim.solver import (
     CoupledState,
     Field,
@@ -359,3 +361,140 @@ def test_time_after_equals_repeated_addition(time, dt, steps, half):
     for _ in range(steps):
         expected += dt
     assert solver._time_after(time, steps, dt) == expected
+
+
+# kind, n, dt, alpha, sigma, tau, forcing offset, where the threshold falls
+# between the minima after the step and before it (None: on the minimum after
+# half the step, the first trial, so that a decision is a tie), and the event
+# tolerance
+crossing_parameters = st.tuples(
+    st.sampled_from(("decoupled", "coupled")),
+    st.integers(8, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(0.0, 60.0),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
+    st.floats(0.0, 30.0),
+    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    st.floats(-9.0, -2.0).map(lambda e: 10.0**e),
+)
+
+
+def crossing_case(params, seed, bracket=True):
+    """A config whose threshold one step of ``dt`` from a random start
+    crosses (with ``bracket``), the operators, the start and ``dt``."""
+    kind, n, dt, alpha, sigma, tau, offset, where, event_tol = params
+    config = ModelConfig(
+        omega=1.0,
+        junctions=(0.1, 0.6, 0.9),
+        jump_strengths=(1.0, 1.0, 1.0),
+        forcing_offset=offset,
+        sigma1=sigma,
+        sigma2=sigma,
+        tau=tau,
+        alpha=alpha,
+        eta_c=1e-3,
+        eta_a=0.03,
+        d=0.1,
+        mode=kind,
+        numerics=Numerics(dt=dt, event_tol=event_tol),
+    )
+    grid = build_grid(config, n)
+    ops = assemble_operators(grid, config)
+    rng = np.random.default_rng(seed)
+    eta = Field(grid, 1.0 + rng.uniform(0.0, 0.01) * rng.random(n))
+    start = eta
+    if kind == "coupled":
+        h = Field(grid, rng.standard_normal(n))
+        start = CoupledState(h, Field(grid, h.values + eta.values))
+    if not bracket:
+        return config, ops, start, dt
+    before = float(np.min(start.eta.values))
+    after = float(np.min(advance(start, dt, ops).eta.values))
+    assume(0.0 < after < before)
+    if where is None:
+        eta_c = float(np.min(advance(start, 0.5 * dt, ops).eta.values))
+    else:
+        eta_c = after + where * (before - after)
+    assume(after < eta_c < before)
+    config = replace(config, eta_c=eta_c, eta_a=2.0 * before)
+    return config, ops, start, dt
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("decoupled", "coupled")),
+    st.integers(8, 2048),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(1e-3, 1.0),
+    seeds,
+)
+def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, fraction, seed):
+    # the guard margin around each decision is _TRIAL_GUARD times the scale;
+    # the trials keep a hundredfold inside it, also where sigma*dt/dx^2 is
+    # large and the step matrix's eigenvalues lose digits to cancellation
+    config, ops, pre, _ = crossing_case(
+        (kind, n, dt, 5.0, sigma, 1.0, 3.0, 0.5, 1e-6), seed, bracket=False
+    )
+    trial, margin = rupture._mode_trial(pre, dt, ops)
+    tau = fraction * dt
+    stepped = float(np.min(advance(pre, tau, ops).eta.values))
+    assert abs(trial(tau) - stepped) <= 1e-2 * margin
+
+
+def reference_crossing(pre, dt, ops, config, stepped):
+    """The bisection of plain stepping: every trial re-steps from ``pre``
+    with ``advance``; returns the time, the state and the trial count."""
+    eta_c = config.eta_c
+    value_tol = config.numerics.event_tol * config.eta_a
+    state_hi = advance(pre, dt, ops) if stepped is None else stepped
+    lo, hi, trials = 0.0, dt, 0
+    while abs(float(np.min(state_hi.eta.values)) - eta_c) > value_tol and (hi - lo) >= 1e-3 * dt:
+        mid = 0.5 * (lo + hi)
+        trial = advance(pre, mid, ops)
+        trials += 1
+        if float(np.min(trial.eta.values)) <= eta_c:
+            hi, state_hi = mid, trial
+        else:
+            lo = mid
+    return hi, state_hi, trials
+
+
+def counting_trials(calls):
+    """A patch of the bisection's one seam to its mode-space trials that
+    records every trial step size in ``calls``."""
+    real = rupture._mode_trial
+
+    def mode_trial(*args):
+        trial, margin = real(*args)
+
+        def counted(tau):
+            calls.append(tau)
+            return trial(tau)
+
+        return counted, margin
+
+    return mock.patch.object(rupture, "_mode_trial", mode_trial)
+
+
+def state_arrays(state):
+    if isinstance(state, CoupledState):
+        return state.h.values, state.zeta.values
+    return (state.values,)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(crossing_parameters, seeds, st.booleans())
+def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_step):
+    config, ops, pre, dt = crossing_case(params, seed)
+    stepped = advance(pre, dt, ops) if given_step else None
+    expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config, stepped)
+    calls = []
+    with counting_trials(calls):
+        elapsed, state = rupture.locate_crossing(pre, dt, ops, config, stepped=stepped)
+    assert elapsed == expected
+    assert len(calls) == expected_trials
+    assert state.time == expected_state.time
+    for got, want in zip(state_arrays(state), state_arrays(expected_state)):
+        assert np.array_equal(got, want)
