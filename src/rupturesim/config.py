@@ -33,12 +33,10 @@ class Numerics:
     def __post_init__(self) -> None:
         if self.grid_points < 4:
             raise DomainError("numerics.grid_points must be at least 4")
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise DomainError("numerics.dt must be positive and finite")
-        if not self.event_tol > 0.0:
-            raise DomainError("numerics.event_tol must be positive")
-        if not self.fp_tol > 0.0:
-            raise DomainError("numerics.fp_tol must be positive")
+        for name in ("dt", "event_tol", "fp_tol"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"numerics.{name} must be positive and finite")
         if self.max_ruptures < 1:
             raise DomainError("numerics.max_ruptures must be at least 1")
 
@@ -95,8 +93,8 @@ class ModelConfig:
             raise DomainError("alpha must be nonnegative and finite")
         if not self.eta_c > 0.0:
             raise DomainError("eta_c must be positive")
-        if not self.eta_a > self.eta_c:
-            raise DomainError("eta_a must exceed eta_c")
+        if not (self.eta_a > self.eta_c and math.isfinite(self.eta_a)):
+            raise DomainError("eta_a must be finite and exceed eta_c")
         if not math.isfinite(self.forcing_offset):
             raise DomainError("forcing_offset must be finite")
         for x in self.junctions + self.jump_strengths:

@@ -50,12 +50,11 @@ from .solver import (
     Operators,
     advance,
     assemble_operators,
-    coupled_trial,
     decoupled_transient,
-    decoupled_trial,
     jump_coupled,
     jump_decoupled,
     step_toward,
+    step_trial,
 )
 from .stationary import interval_index
 
@@ -63,9 +62,6 @@ _BRACKET_FLOOR = 1.0e-3
 # roundoff allowed in the closed-form lower bounds, relative to
 # _roundoff_scale
 _JUMP_TOL = 1.0e-12
-# roundoff allowed between a bisection trial taken in modes and the same step
-# taken by advance, relative to the trial's inputs (see _mode_trial)
-_TRIAL_GUARD = _JUMP_TOL
 
 
 @dataclass(frozen=True)
@@ -305,21 +301,6 @@ def _jump_to_bound(
     return jumped
 
 
-def _mode_trial(pre: Field | CoupledState, dt: float, ops: Operators):
-    """The mode-space trial of ``pre`` (:func:`decoupled_trial` or
-    :func:`coupled_trial`), and the margin by which its minimum may differ
-    from that of :func:`advance` by roundoff for steps up to ``dt``:
-    ``_TRIAL_GUARD`` times the largest magnitude among the transformed
-    inputs, the state and ``dt`` times the load."""
-    if isinstance(pre, CoupledState):
-        trial = coupled_trial(pre, ops)
-        inputs, load = (pre.h.values, pre.zeta.values), ops.height_load
-    else:
-        trial, inputs, load = decoupled_trial(pre, ops), (pre.values,), ops.load
-    scale = max(dt * max(load.max(), -load.min()), *(max(x.max(), -x.min()) for x in inputs))
-    return trial, _TRIAL_GUARD * float(scale)
-
-
 def locate_crossing(
     pre: Field | CoupledState,
     dt: float,
@@ -354,7 +335,7 @@ def locate_crossing(
     lo, hi, trial = 0.0, dt, None
     while abs(low_hi - eta_c) > value_tol and (hi - lo) >= _BRACKET_FLOOR * dt:
         if trial is None:
-            trial, margin = _mode_trial(pre, dt, ops)
+            trial, margin = step_trial(pre, dt, ops)
         mid = 0.5 * (lo + hi)
         low = trial(mid)
         # within roundoff of eta_c or of eta_c -/+ value_tol: let advance decide
@@ -507,6 +488,8 @@ def run_with_rupture(
             limit = min((t for t in (t_end, deadline) if t is not None), default=None)
             jumped = _jump_to_bound(state, dt, ops, threshold, limit)
             if jumped is not None:
+                if jumped.time == time:
+                    raise DomainError(f"steps of dt = {dt:g} no longer advance the time {time:g}")
                 state = jumped
                 continue
             may_jump = False

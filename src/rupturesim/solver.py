@@ -17,11 +17,12 @@ where each step is lower-triangular per mode: cached per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state it hands out
 returns to real space, where it passes the same backward-error check as a
-solve.  ``decoupled_trial`` and ``coupled_trial`` take one step of any size
-in rfft modes from one forward transform of a state, with the eigenvalues
-rounded as the solve rounds them, and return only its minimum thickness:
-the crossing bisection's trials, which are not checked and never handed
-out.  Both state kinds expose their layer thickness as ``eta``.
+solve.  ``step_trial`` takes one step of any size in rfft modes from one
+forward transform of a state of either kind, with the eigenvalues rounded
+as the solve rounds them, and returns only its minimum thickness and the
+roundoff margin about it: the crossing bisection's trials, which are not
+checked and never handed out.  Both state kinds expose their layer
+thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -362,6 +363,20 @@ def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Fiel
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
 
+def _coupled_step(h, z, load, inverse_h, inverse_z, tau, alpha):
+    """One backward-Euler step of the height/surface pair per rfft mode:
+    ``h' = a (h/tau - l)``, then ``zeta' = b (zeta/tau + alpha h')``, with
+    ``a`` and ``b`` the reciprocal eigenvalues of the height and the
+    thickness step matrices and ``l`` the height load.  It broadcasts, keeps
+    the float type of its inputs and leaves them unchanged, so the kernel's
+    tables, the state it hands out and the coupled trials take this step."""
+    h = h / tau
+    np.multiply(np.subtract(h, load, out=h), inverse_h, out=h)
+    z = z / tau
+    np.multiply(np.add(z, alpha * h, out=z), inverse_z, out=z)
+    return h, z
+
+
 # steps per chunk of jump_coupled: one batched inverse transform of this many
 # thickness rows spreads its overhead, and each further row adds to the
 # cached tables and the working set
@@ -398,8 +413,7 @@ def _coupled_tables(
     load = np.array([[0.0], [0.0], [1.0]], dtype=wide)
     rows = np.empty((3, _CHUNK, h.shape[1]))
     for j in range(_CHUNK):
-        h = inverse_h * (h / dt - load)
-        z = inverse_z * (z / dt + alpha * h)
+        h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, alpha)
         rows[:, j] = z - h
     ends = np.stack((h[1], h[2], z[0], z[1], z[2])).astype(np.float64)
     rows.flags.writeable = ends.flags.writeable = False
@@ -412,21 +426,19 @@ def jump_coupled(
     """Up to ``steps`` backward-Euler steps of the height/surface pair at
     once, stopping before the first whose thickness is at or below ``eta_c``.
 
-    Per rfft mode ``k`` the coupled step is lower-triangular:
-    ``h' = a_k (h/dt - l)`` and ``zeta' = b_k (zeta/dt + alpha h')``, with
-    ``a_k`` and ``b_k`` the reciprocal eigenvalues of the height and the
-    thickness step matrices and ``l`` the height load.  The whole gap runs
-    in mode space from one forward transform: per chunk of ``_CHUNK`` steps
-    the cached tables of :func:`_coupled_tables` give the thickness modes
-    after every step, one batched inverse transform gives their minima, and
-    the chunk-end coefficients move the chunk base on.  Only the last state
-    taken is transformed back, rebuilt by the step recursion from its chunk
-    base; its step is checked as :func:`solve_periodic_tridiagonal` checks a
-    solve, and its thickness minimum must equal the one tested for that
-    step.  Returns the number of steps taken, ``0`` (with ``state`` itself)
-    when the first step crosses.  A non-finite thickness raises
-    :class:`LinearSolveError`.  The time advances by repeated additions of
-    ``dt``, so it is bit-identical to stepping.
+    Per rfft mode the coupled step (:func:`_coupled_step`) is
+    lower-triangular, so the whole gap runs in mode space from one forward
+    transform: per chunk of ``_CHUNK`` steps the cached tables of
+    :func:`_coupled_tables` give the thickness modes after every step, one
+    batched inverse transform gives their minima, and the chunk-end
+    coefficients move the chunk base on.  Only the last state taken is
+    transformed back, rebuilt by that step from its chunk base; its step
+    is checked as :func:`solve_periodic_tridiagonal` checks a solve, and its
+    thickness minimum must equal the one tested for that step.  Returns the
+    number of steps taken, ``0`` (with ``state`` itself) when the first
+    step crosses.  A non-finite thickness raises :class:`LinearSolveError`.
+    The time advances by repeated additions of ``dt``, so it is
+    bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -435,8 +447,8 @@ def jump_coupled(
     diag_h, off_h = ops.height_matrix(dt)
     diag_z, off_z = ops.thickness_matrix(dt)
     rows, ends = _coupled_tables(n, dt, (diag_h, off_h), (diag_z, off_z), ops.alpha)
-    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values, ops.height_load)))
-    h, z, load = start.view(np.float64)
+    h, z = np.fft.rfft(np.stack((state.h.values, state.zeta.values))).view(np.float64)
+    load = ops.height_load_modes.view(np.float64)
     eta = np.empty((_CHUNK, n // 2 + 1), dtype=complex)
     eta_rows, product = eta.view(np.float64), np.empty((_CHUNK, h.size))
     loaded = rows[2] * load  # the load's part of every chunk
@@ -473,14 +485,10 @@ def jump_coupled(
     # rebuild steps taken - 1 and taken from the base of the chunk that
     # holds step taken - 1, by the step recursion
     origin, h, z = base if base[0] < taken else previous
-    inverse_h = _inverse_symbol(n, diag_h, off_h)
-    inverse_z = _inverse_symbol(n, diag_z, off_z)
-    scale_h, scale_z = inverse_h / dt, inverse_z / dt
-    shift, relax = inverse_h * load, ops.alpha * inverse_z
+    inverses = _inverse_symbol(n, diag_h, off_h), _inverse_symbol(n, diag_z, off_z)
     for _ in range(taken - origin):
         h_prev, z_prev = h, z
-        h = h_prev * scale_h - shift
-        z = z_prev * scale_z + h * relax
+        h, z = _coupled_step(h, z, load, *inverses, dt, ops.alpha)
     pairs = np.stack((h_prev, h, z_prev, z)).view(complex)
     h_prev, h_new, z_prev, z_new = np.fft.irfft(pairs, n)
     _check_solution(diag_h, off_h, h_new, h_prev / dt - ops.height_load)
@@ -503,69 +511,54 @@ def advance(state: Field | CoupledState, dt: float, ops: Operators):
     return step_decoupled(state, dt, ops)
 
 
-def decoupled_trial(state: Field, ops: Operators) -> Callable[[float], float]:
-    """The minimum thickness after one backward-Euler step of any size
-    ``tau`` from ``state``, as a function of ``tau``, taken in rfft modes.
+# roundoff allowed between the minima of step_trial and advance, relative to the inputs
+_TRIAL_GUARD = 1.0e-12
 
-    One step maps mode ``k`` to ``(eta_k/tau + l_k)/lambda_k``, with ``l``
-    the load and ``lambda_k = diag + off*(2 - s_k)`` the eigenvalue of the
-    step matrix.  That is ``(eta_k + tau*l_k)/(1 + tau*symbol_k)``, but
-    with ``lambda_k`` rounded as :func:`solve_periodic_tridiagonal` rounds
-    it: there it loses digits to the cancellation of ``diag`` against
-    ``2*off`` when ``sigma*tau/dx^2`` is large, and the trial must lose the
-    same ones to agree with the solve.  The forward transform of ``state``
-    is made here, once, so each call of the returned function costs a few
-    per-mode operations on the interleaved float view of the modes and one
-    inverse transform.  It makes no backward-error check: a state to hand
-    out is taken by :func:`advance`.
+
+def step_trial(
+    state: Field | CoupledState, dt: float, ops: Operators
+) -> tuple[Callable[[float], float], float]:
+    """The minimum thickness after one backward-Euler step of any size
+    ``tau`` up to ``dt`` from ``state``, as a function of ``tau``; and the
+    margin by which it may differ by roundoff from the minimum after the
+    same step taken by :func:`advance`: ``_TRIAL_GUARD`` times the largest
+    magnitude among the transformed inputs, the state and ``dt`` times the
+    load.
+
+    ``state`` is transformed here, once; each call then costs a few
+    per-mode operations and one inverse transform.  Per mode a decoupled
+    step is ``eta' = (eta/tau + l)/lambda`` and a coupled one is
+    :func:`_coupled_step`, with each eigenvalue ``lambda = diag + off*(2 -
+    s_k)`` formed as the solve forms it: it loses digits to cancellation
+    when ``sigma*tau/dx^2`` is large, and the trial must lose the same ones
+    to agree with the solve.  The step is not checked: a state to hand out
+    is taken by :func:`advance`.
     """
-    n = state.grid.n
-    eta = np.fft.rfft(state.values).view(np.float64)
-    load = ops.load_modes.view(np.float64)
-    coupling = _eigenvalue_coupling(n, ops.thickness_matrix(1.0)[1])
+    coupled = isinstance(state, CoupledState)
+    inputs = np.stack((state.h.values, state.zeta.values)) if coupled else state.values[None]
+    load = ops.height_load if coupled else ops.load
+    load_modes = (ops.height_load_modes if coupled else ops.load_modes).view(np.float64)
+    matrices = (ops.height_matrix, ops.thickness_matrix) if coupled else (ops.thickness_matrix,)
+    scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
+    n = ops.grid.n
+    start = np.fft.rfft(inputs).view(np.float64)
+    couplings = [_eigenvalue_coupling(n, matrix(1.0)[1]) for matrix in matrices]
     modes = np.empty(n // 2 + 1, dtype=complex)
-    parts, eigenvalues = modes.view(np.float64), np.empty(eta.size)
+    parts, eigenvalues = modes.view(np.float64), np.empty((len(matrices), 2 * modes.size))
 
     def minimum_after(tau: float) -> float:
-        np.add(coupling, ops.thickness_matrix(tau)[0], out=eigenvalues)
-        np.add(np.divide(eta, tau, out=parts), load, out=parts)
-        np.divide(parts, eigenvalues, out=parts)
+        for matrix, coupling, out in zip(matrices, couplings, eigenvalues):
+            np.add(coupling, matrix(tau)[0], out=out)
+        if coupled:
+            inverse_h, inverse_z = np.divide(1.0, eigenvalues, out=eigenvalues)
+            h, z = _coupled_step(*start, load_modes, inverse_h, inverse_z, tau, ops.alpha)
+            np.subtract(z, h, out=parts)
+        else:
+            np.add(np.divide(start[0], tau, out=parts), load_modes, out=parts)
+            np.divide(parts, eigenvalues[0], out=parts)
         return float(np.fft.irfft(modes, n).min())
 
-    return minimum_after
-
-
-def coupled_trial(state: CoupledState, ops: Operators) -> Callable[[float], float]:
-    """The minimum thickness after one backward-Euler step of any size
-    ``tau`` from ``state``, as a function of ``tau``, taken in rfft modes.
-
-    Per mode the step of :func:`step_coupled` is ``h' = (h/tau - l)/mu_k``
-    and then ``zeta' = (zeta/tau + alpha*h')/lambda_k``, with ``l`` the
-    height load and ``mu_k`` and ``lambda_k`` the eigenvalues of the height
-    and the thickness step matrices, rounded as in :func:`decoupled_trial`;
-    the thickness is ``zeta' - h'``.  The forward transform is made here,
-    once, and the step is not checked.
-    """
-    n = state.h.grid.n
-    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values)))
-    h, zeta = start.view(np.float64)
-    load = ops.height_load_modes.view(np.float64)
-    height = _eigenvalue_coupling(n, ops.height_matrix(1.0)[1])
-    thickness = _eigenvalue_coupling(n, ops.thickness_matrix(1.0)[1])
-    modes = np.empty(n // 2 + 1, dtype=complex)
-    parts, h_new, relax, eigenvalues = modes.view(np.float64), *np.empty((3, h.size))
-
-    def minimum_after(tau: float) -> float:
-        np.add(height, ops.height_matrix(tau)[0], out=eigenvalues)
-        np.subtract(np.divide(h, tau, out=h_new), load, out=h_new)
-        np.divide(h_new, eigenvalues, out=h_new)
-        np.add(thickness, ops.thickness_matrix(tau)[0], out=eigenvalues)
-        np.add(np.divide(zeta, tau, out=parts), np.multiply(h_new, ops.alpha, out=relax), out=parts)
-        np.divide(parts, eigenvalues, out=parts)
-        np.subtract(parts, h_new, out=parts)
-        return float(np.fft.irfft(modes, n).min())
-
-    return minimum_after
+    return minimum_after, _TRIAL_GUARD * float(scale)
 
 
 def _eigenvalue_coupling(n: int, off: float) -> np.ndarray:

@@ -277,6 +277,15 @@ def test_simulate_to_a_distant_end_time_finishes(tmp_path):
     assert child.returncode == 0, child.stderr
 
 
+def test_simulate_refuses_a_time_step_that_no_longer_advances_the_time(tmp_path):
+    # once t + dt == t the closed-form jumps leave the time where it is, so
+    # without this refusal the run looped for ever
+    args = ["simulate", "--preset", "ex1", "--set", "numerics.dt=1e-300", "--max-events", "1"]
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 2
+    assert "no longer advance the time" in child.stderr
+
+
 def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):
     out = tmp_path / "run"
     args = ["--preset", "ex2", "--set", "forcing_offset=2.94", "--max-events", "3"]
@@ -312,11 +321,16 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
         ["simulate", "--preset", "ex1", "--t-end", "0"],
         ["find-periodic", "--preset", "ex1", "--fp-tol", "-1"],
         ["verify", "--preset", "ex1", "--fp-tol", "-1"],
+        ["simulate", "--preset", "ex1", "--set", "eta_a=1e999", "--eta0", "const:0.03",
+         "--max-events", "2"],
+        ["find-periodic", "--preset", "ex1", "--set", "numerics.fp_tol=1e999"],
+        ["simulate", "--preset", "ex1", "--set", "numerics.event_tol=1e999"],
     ],
     ids=[
         "max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf",
         "max-events-negative", "max-events-0", "t-end-negative", "t-end-0",
         "find-periodic-fp-tol-negative", "verify-fp-tol-negative",
+        "eta-a-inf", "numerics-fp-tol-inf", "numerics-event-tol-inf",
     ],
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):

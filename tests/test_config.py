@@ -60,6 +60,14 @@ def test_reset_level_must_exceed_threshold():
         config_from_dict(minimal_scenario(eta_a=0.01, eta_c=0.01))
     with pytest.raises(DomainError):
         config_from_dict(minimal_scenario(eta_a=0.005, eta_c=0.01))
+    with pytest.raises(DomainError, match="eta_a must be finite"):
+        config_from_dict(minimal_scenario(eta_a=math.inf))
+
+
+@pytest.mark.parametrize("name", ["dt", "event_tol", "fp_tol"])
+def test_numerics_steps_and_tolerances_must_be_finite(name):
+    with pytest.raises(DomainError, match=f"numerics.{name}"):
+        Numerics(**{name: math.inf})
 
 
 def test_junctions_must_be_sorted_and_in_range():

@@ -166,7 +166,7 @@ def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, cou
     steps = counted_advances(monkeypatch)
     in_modes = run_events(config, 256, count)
     fast = len(steps)
-    monkeypatch.setattr(rupture, "_TRIAL_GUARD", math.inf)
+    monkeypatch.setattr(solver, "_TRIAL_GUARD", math.inf)
     by_advance = run_events(config, 256, count)
     assert len(steps) - fast > 2 * fast  # every trial went through advance
     assert len(in_modes) == len(by_advance) == count

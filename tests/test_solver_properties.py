@@ -427,20 +427,25 @@ def crossing_case(params, seed, bracket=True):
     st.integers(8, 2048),
     st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
     st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
     st.floats(1e-3, 1.0),
     seeds,
 )
-def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, fraction, seed):
-    # the guard margin around each decision is _TRIAL_GUARD times the scale;
-    # the trials keep a hundredfold inside it, also where sigma*dt/dx^2 is
-    # large and the step matrix's eigenvalues lose digits to cancellation
+def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, sigma1, tau, fraction, seed):
+    # the guard margin around each decision is solver._TRIAL_GUARD times the
+    # scale; the trials keep a hundredfold inside it, also where sigma*dt/dx^2
+    # is large and the step matrix's eigenvalues lose digits to cancellation.
+    # sigma1 and tau are drawn apart from sigma, so that the height's
+    # diffusivity sigma1/tau differs from the thickness's
     config, ops, pre, _ = crossing_case(
-        (kind, n, dt, 5.0, sigma, 1.0, 3.0, 0.5, 1e-6), seed, bracket=False
+        (kind, n, dt, 5.0, sigma, tau, 3.0, 0.5, 1e-6), seed, bracket=False
     )
-    trial, margin = rupture._mode_trial(pre, dt, ops)
-    tau = fraction * dt
-    stepped = float(np.min(advance(pre, tau, ops).eta.values))
-    assert abs(trial(tau) - stepped) <= 1e-2 * margin
+    ops = assemble_operators(ops.grid, replace(config, sigma1=sigma1))
+    trial, margin = solver.step_trial(pre, dt, ops)
+    step = fraction * dt
+    stepped = float(np.min(advance(pre, step, ops).eta.values))
+    assert abs(trial(step) - stepped) <= 1e-2 * margin
 
 
 def reference_crossing(pre, dt, ops, config, stepped):
@@ -464,7 +469,7 @@ def reference_crossing(pre, dt, ops, config, stepped):
 def counting_trials(calls):
     """A patch of the bisection's one seam to its mode-space trials that
     records every trial step size in ``calls``."""
-    real = rupture._mode_trial
+    real = rupture.step_trial
 
     def mode_trial(*args):
         trial, margin = real(*args)
@@ -475,7 +480,7 @@ def counting_trials(calls):
 
         return counted, margin
 
-    return mock.patch.object(rupture, "_mode_trial", mode_trial)
+    return mock.patch.object(rupture, "step_trial", mode_trial)
 
 
 def state_arrays(state):
