@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,31 +133,126 @@ def make_initial_field(spec: str | None, grid, config: ModelConfig) -> Field:
     return Field(grid, values, 0.0)
 
 
+_BLOCK = 4096  # rows rendered per write
+_FIELD = 40  # bytes per rendered value, laid out as in _tables
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+
+
+@functools.lru_cache(maxsize=None)
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Built on first use: 10**k for k = 0..21 (exact) with its high and low
+    parts; the ASCII words "0000".."9999", then "\\0\\0\\0d" at 10000 + d; and
+    per exponent and sign, a field without its digits (see _render)."""
+    p = np.array([float(10**k) for k in range(22)])
+    high = p * _SPLIT - (p * _SPLIT - p)
+    digits = np.arange(48, 58, dtype=np.uint8)
+    words = np.zeros((10010, 4), np.uint8)
+    words[:10000] = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), -1).reshape(-1, 4)
+    words[10000:, 3] = digits
+    layouts = np.zeros((21, 2, _FIELD), np.uint8)
+    layouts[:, 1, 0] = ord("-")
+    prefixes = b"0.000" b"0.00\0" b"0.0\0\0" b"0.\0\0\0"  # exponents -4 to -1
+    layouts[:4, :, 1:6] = np.frombuffer(prefixes, np.uint8).reshape(4, 1, 5)
+    layouts[np.arange(4, 20), :, 7 + 2 * np.arange(16)] = ord(".")
+    return np.stack([p, high, p - high]), words.view(np.uint32).ravel(), layouts.reshape(42, -1)
+
+
+def _digits17(a: np.ndarray, exponent: np.ndarray) -> np.ndarray:
+    """``a * 10**(16 - exponent)`` rounded half to even, exactly: ``prod + err``
+    with ``err`` from Dekker's error-free product.  For 17 digits, ``prod >=
+    2**53`` is an even integer, so rounding the small ``err`` rounds the sum."""
+    b, b_hi, b_lo = np.take(_tables()[0], 16 - exponent, axis=1, mode="clip")
+    prod = a * b
+    c = a * _SPLIT
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = a_lo * b_lo - (((prod - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+    return prod.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _render(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each value as a NUL-padded row of bytes, laid out
+    from its 17 exact digits in fixed notation (exponent -4 to 16); Python
+    formats the rest: zeros, non-finite values and scientific notation."""
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    # log10 may be one off and rounding may carry, putting n outside [1e16, 1e17)
+    # or the exponent at 17; no double is near enough below 10**k to pass wrongly
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    n = _digits17(a, exponent)
+    miss = np.flatnonzero((n < 10**16) | (n >= 10**17) | (exponent > 16))
+    if len(miss):
+        e = exponent[miss] + np.where(n[miss] < 10**16, -1, 1)
+        m = _digits17(a[miss], e)
+        ok = (m >= 10**16) & (m < 10**17) & (e >= -4) & (e <= 16)
+        exponent[miss], n[miss], fixed[miss] = np.where(ok, e, 0), np.where(ok, m, 10**16), ok
+    # indices of the words: the leading digit and four groups of 4 digits
+    heads = [n // 10**k for k in (16, 12, 8, 4)] + [n]  # the first 1, 5, 9, 13, 17 digits
+    quads = np.stack([heads[0] + 10000] + [lo - hi * 10**4 for hi, lo in zip(heads, heads[1:])])
+    # a field: sign, "0." and up to three zeros if exponent < 0, then 17 pairs of
+    # a digit and an optional point, as little-endian units to OR the digits into
+    _, words, layouts = _tables()
+    fields = np.take(layouts.view("<u2"), (exponent + 4) * 2 + (values < 0), axis=0)
+    fields |= np.ascontiguousarray(words[quads].T).view(np.uint8)
+    fields = fields.view(np.uint8)
+    # drop trailing zeros after the point, and the point if nothing follows
+    zero = np.flatnonzero(fields[:, -2] == ord("0"))
+    stripped = fields[zero]
+    last = 16 - np.argmax(stripped[:, -2:5:-2] != ord("0"), axis=1)
+    stripped *= np.arange(_FIELD) < 7 + 2 * np.maximum(last, exponent[zero])[:, None]
+    fields[zero] = stripped
+    rest = np.flatnonzero(~fixed)
+    if len(rest):
+        texts = b"".join((b"%.17g" % v).ljust(_FIELD, b"\0") for v in values[rest].tolist())
+        fields[rest] = np.frombuffer(texts, np.uint8).reshape(-1, _FIELD)
+    return fields
+
+
 @functools.lru_cache(maxsize=4)
-def _csv_template(x_bytes: bytes, value_name: str) -> str:
-    """The CSV text of one x column with a ``%.17g`` slot for each value,
-    built with one format; keyed on the column's bytes, so each grid and
-    column name gets its own."""
-    xs = np.frombuffer(x_bytes).tolist()
-    header = f"x,{value_name}\n".replace("%", "%%")
-    return header + "%.17g,%%.17g\n" * len(xs) % tuple(xs)
+def _x_column(x_bytes: bytes) -> np.ndarray:
+    """Each x at ``%.17g`` and a comma, less the byte columns NUL in every
+    row; keyed on the column's bytes, so each grid renders its x once."""
+    xs = np.frombuffer(x_bytes)
+    fields = np.vstack([_render(xs[i : i + _BLOCK]) for i in range(0, max(len(xs), 1), _BLOCK)])
+    column = np.hstack([fields[:, fields.any(axis=0)], np.full((len(xs), 1), ord(","), np.uint8)])
+    column.flags.writeable = False  # shared by every caller on this grid
+    return column
 
 
 def write_profile_csv(path: Path, xs: np.ndarray, values: np.ndarray, value_name: str = "value") -> None:
-    """Write ``%.17g`` rows into the grid's cached template, :func:`_csv_template`."""
+    """Write an ``x,<value_name>`` header and one ``x,value`` row per node,
+    each number byte for byte Python's ``"%.17g"``: rows of NUL-padded text
+    (:func:`_render`, :func:`_x_column`), written with the NULs deleted."""
     if len(values) != len(xs):
         raise ValueError(f"{len(values)} values for {len(xs)} x positions")
-    x_bytes = np.asarray(xs, dtype=np.float64).tobytes()
-    path.write_text(_csv_template(x_bytes, value_name) % tuple(values.tolist()))
+    x_column = _x_column(np.asarray(xs, dtype=np.float64).tobytes())
+    values = np.asarray(values, dtype=np.float64)
+    width = x_column.shape[1]
+    rows = np.empty((min(len(values), _BLOCK), width + _FIELD + 1), np.uint8)
+    rows[:, -1] = ord("\n")
+    with open(path, "wb") as handle:
+        handle.write(f"x,{value_name}\n".encode())
+        for start in range(0, len(values), _BLOCK):
+            block = rows[: min(_BLOCK, len(values) - start)]
+            block[:, :width] = x_column[start : start + len(block)]
+            block[:, width:-1] = _render(values[start : start + len(block)])
+            handle.write(block.tobytes().translate(None, b"\0"))
 
 
 def read_profile_csv(path: Path, grid) -> Field:
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            # an empty file is refused below, without numpy's notice
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if rows.ndim != 2 or rows.shape[0] != grid.n:
         raise DomainError(f"{path}: expected {grid.n} rows of x,value")
+    # %.17g round-trips, so a profile written on this grid has its x exactly
+    if not np.array_equal(rows[:, 0], grid.nodes):
+        raise DomainError(f"{path}: its x column is not this configuration's grid")
     return Field(grid, rows[:, 1].copy(), 0.0)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -37,6 +38,9 @@ class Numerics:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError(f"numerics.{name} must be positive and finite")
+        if self.dt < sys.float_info.min:
+            # a subnormal step overflows every count of steps taken from it
+            raise DomainError("numerics.dt must be at least the smallest normal float")
         if self.max_ruptures < 1:
             raise DomainError("numerics.max_ruptures must be at least 1")
 

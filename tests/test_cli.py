@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rupturesim
 from rupturesim import cli, rupture, solver
@@ -286,6 +287,26 @@ def test_simulate_refuses_a_time_step_that_no_longer_advances_the_time(tmp_path)
     assert "no longer advance the time" in child.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--preset", "ex1", "--set", "numerics.dt=5e-324", "--max-events", "1"],
+        ["simulate", "--preset", "ex1", "--set", "numerics.dt=1e-310", "--max-events", "1"],
+        ["simulate", "--preset", "ex1", "--set", "numerics.dt=2e-308", "--max-events", "1"],
+        ["simulate", "--preset", "ex2", "--set", "numerics.dt=5e-324", "--max-events", "1"],
+        ["simulate", "--preset", "ex3", "--set", "numerics.dt=1e-310", "--t-end", "1"],
+        ["find-periodic", "--preset", "ex1", "--set", "numerics.dt=5e-324"],
+        ["verify", "--preset", "ex1", "--set", "numerics.dt=5e-324"],
+    ],
+    ids=["ex1-5e-324", "ex1-1e-310", "ex1-2e-308", "ex2", "ex3", "find-periodic", "verify"],
+)
+def test_subnormal_time_step_is_a_config_error(tmp_path, args):
+    # the step counts overflowed to infinity and ended in a traceback
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("configuration error: numerics.dt")
+
+
 def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):
     out = tmp_path / "run"
     args = ["--preset", "ex2", "--set", "forcing_offset=2.94", "--max-events", "3"]
@@ -347,6 +368,29 @@ def test_malformed_fixed_profile_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_fixed_profile_from_another_grid_is_a_config_error(tmp_path, capsys):
+    # the profile has the right number of rows, but its x column belongs to
+    # omega = 1; this once ran the two-period check and exited 1
+    out = tmp_path / "orbit"
+    assert main(["find-periodic", "--preset", "ex1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    other = ["--set", "omega=1.5", "--set", "junctions=[0.15,0.9,1.35]"]
+    assert main(["verify", "--preset", "ex1", *other, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "fixed_profile.csv" in err
+
+
+def test_empty_fixed_profile_is_a_config_error_without_a_warning(tmp_path):
+    out = tmp_path / "orbit"
+    out.mkdir()
+    (out / "fixed_profile.csv").write_text("x,value\n")
+    child = run_child("-m", "rupturesim.cli", "verify", "--preset", "ex1", "--out", str(out),
+                      timeout=30)
+    assert child.returncode == 2
+    assert child.stderr.startswith("configuration error:")
+    assert "Warning" not in child.stderr
+
+
 @pytest.mark.parametrize(
     "data", [b"{bad", b"[1, 2]", b"\xff{"], ids=["malformed", "not-an-object", "not-utf-8"]
 )
@@ -402,6 +446,54 @@ def test_profile_csv_bytes_match_the_f_string_writer(tmp_path):
     assert path.read_bytes() == f_string_csv("x,s", zip(xs, values))
 
 
+def exact_ties(j):
+    """Odd integers over 2**j with 18 significant digits: the 18th is a 5,
+    so these are exact ties at the 17th, which round half to even."""
+    low = -(-(10**17 * 2**j) // 10**j)
+    high = min(10**18 * 2**j // 10**j, 2**53)
+    return st.integers(low, high - 1).map(lambda m: (m | 1) / 2**j)
+
+
+# any float64: drawn as a float (biased to edge cases), as a bit pattern or
+# as an exact tie
+any_float = (
+    st.floats()
+    | st.integers(0, 2**64 - 1).map(lambda bits: float(np.array(bits, np.uint64).view(np.float64)))
+    | st.integers(2, 21).flatmap(exact_ties)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(any_float, min_size=1, max_size=40))
+def test_profile_csv_is_the_f_string_rendering_of_any_float(tmp_path_factory, values):
+    path = tmp_path_factory.mktemp("csv") / "profile.csv"
+    xs = values[::-1]
+    write_profile_csv(path, np.array(xs), np.array(values))
+    assert path.read_bytes() == f_string_csv("x,value", zip(xs, values))
+
+
+def test_profile_csv_renders_rounding_and_notation_edges(tmp_path):
+    rng = np.random.default_rng(3)
+    # exact ties at the 17th digit, which round half to even
+    ties = list((rng.integers(2 * 10**15, 9 * 10**15 // 2, 2000) * 2 + 1) / 4.0)
+    # both neighbours of each power of ten, which covers both ends of the
+    # fixed notation, 1e-4 and 1e17
+    powers = []
+    for p in range(-5, 18):
+        below = above = float(f"1e{p}")
+        for _ in range(3):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, math.inf)
+            powers += [below, above]
+        powers.append(float(f"1e{p}"))
+    integers = list(rng.integers(10**16, 10**17, 2000).astype(float))
+    edges = [1e16, 1e17, 99999999999999984.0, 9.9999999999999995e-05, 9.99999999999999912e-05]
+    values = np.array(ties + powers + integers + edges)
+    values = np.concatenate([values, -values])
+    path = tmp_path / "profile.csv"
+    write_profile_csv(path, values, values[::-1])
+    assert path.read_bytes() == f_string_csv("x,value", zip(values, values[::-1]))
+
+
 def test_csv_templates_follow_the_x_column_and_the_name(tmp_path):
     # columns that differ in one value, in the sign of a zero or in length
     # must never share a cached template
@@ -429,11 +521,11 @@ def test_profile_csv_rejects_a_length_mismatch(tmp_path):
 
 
 def test_simulate_builds_the_csv_template_once(tmp_path):
-    # seven profiles on one grid: the x column is formatted for the first only
-    cli._csv_template.cache_clear()
+    # seven profiles on one grid: the x column is rendered for the first only
+    cli._x_column.cache_clear()
     args = ["simulate", "--preset", "ex1", "--set", "numerics.grid_points=256"]
     assert main(args + ["--max-events", "3", "--out", str(tmp_path / "run")]) == 0
-    info = cli._csv_template.cache_info()
+    info = cli._x_column.cache_info()
     assert (info.misses, info.hits) == (1, 6)
 
 
@@ -445,6 +537,9 @@ def test_cli_csvs_are_the_f_string_rendering_of_their_values(tmp_path):
         "ex1": ["simulate", *coarse_ex1, "--max-events", "3"],
         "ex3": ["simulate", "--preset", "ex3", "--max-events", "3"],
         "ex2": ["stationary", "--preset", "ex2"],
+        "orbit": ["find-periodic", "--preset", "ex1"],
+        "fine-ex1": ["simulate", "--preset", "ex1", "--set", "numerics.grid_points=8192",
+                     "--max-events", "1"],
     }
     checked = 0
     for name, args in runs.items():
@@ -456,5 +551,6 @@ def test_cli_csvs_are_the_f_string_rendering_of_their_values(tmp_path):
             rows = [tuple(float(cell) for cell in line.split(",")) for line in lines]
             assert path.read_bytes() == f_string_csv(header, rows), path.name
             checked += 1
-    # ex1: 3 pre, 3 post, final; ex3: 3 pre, 3 post, 3 post h, 3 finals
-    assert checked == 7 + 12 + 1
+    # ex1: 3 pre, 3 post, final; ex3: 3 pre, 3 post, 3 post h, 3 finals;
+    # orbit: fixed and post-fixed; fine ex1: pre, post, final
+    assert checked == 7 + 12 + 1 + 2 + 3

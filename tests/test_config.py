@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -68,6 +69,14 @@ def test_reset_level_must_exceed_threshold():
 def test_numerics_steps_and_tolerances_must_be_finite(name):
     with pytest.raises(DomainError, match=f"numerics.{name}"):
         Numerics(**{name: math.inf})
+
+
+@pytest.mark.parametrize("dt", [5e-324, 1e-310, 2e-308])
+def test_numerics_dt_must_be_a_normal_float(dt):
+    # a subnormal step made the step counts overflow to infinity
+    with pytest.raises(DomainError, match="numerics.dt"):
+        Numerics(dt=dt)
+    assert Numerics(dt=sys.float_info.min).dt == sys.float_info.min
 
 
 def test_junctions_must_be_sorted_and_in_range():
