@@ -398,6 +398,8 @@ def _cmd_verify(manifest: RunManifest, config: ModelConfig) -> int:
         if previous.get("command") == "find-periodic" and not previous.get("converged", False):
             print("verify: fixed-point search did not converge", file=sys.stderr)
             return 1
+    if config.mode == "coupled":
+        raise DomainError("verify needs decoupled mode: the fixed profile carries no height")
     grid = build_grid(config)
     fixed = read_profile_csv(out / "fixed_profile.csv", grid)
     tol = manifest.fp_tol if manifest.fp_tol is not None else 1.0e-5

@@ -202,8 +202,11 @@ def verify_periodic(config: ModelConfig, fixed_profile: Field, tol: float) -> bo
 
     Splices the fixed profile, runs two events, and accepts when the two
     inter-event gaps agree within two time steps and the two pre-rupture
-    profiles agree within ``tol`` in sup norm.
+    profiles agree within ``tol`` in sup norm.  Decoupled mode only: the
+    fixed profile carries no bubble-top height to start a coupled run from.
     """
+    if config.mode != "decoupled":
+        raise UnsupportedError("orbit verification is defined for decoupled mode only")
     profile = stationary.solve_stationary(config)
     index = distinguished_interval(profile, config)
     start = splice(fixed_profile, config, index)

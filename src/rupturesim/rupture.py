@@ -11,8 +11,9 @@ Which interval holds a node is decided by
 In decoupled mode the paper's rupture-time bounds run inside the event
 loop: each closed-form jump of a gap skips every step that either of two
 certificates proves free of rupture, the mean's decay sets a horizon by
-which the gap must end, and the discrete fixed point shows when it never
-can.  The certificates are the paper's constant subsolution, which weakens
+which the gap must end, and the positivity of the step about the discrete
+fixed point (without evaporation, about the zero-mean stationary shape)
+shows when it never can.  The certificates are the paper's constant subsolution, which weakens
 as the thickness nears the threshold, and a bound on how far the state can
 move per step, read off the Fourier modes of its transient, which ends
 each gap in a few jumps.  In coupled mode a gap runs in one call of the
@@ -211,54 +212,50 @@ def _roundoff_scale(state: Field, ops: Operators) -> float:
     return max(float(np.max(np.abs(state.values))), float(np.max(np.abs(ops.load))) / ops.alpha)
 
 
+def _room(limit: float | None, time: float, dt: float) -> int:
+    """Steps of ``dt`` that one jump or batch from ``time`` may take and
+    still end a full step before ``limit``, allowing for roundoff in the
+    time: ``int((limit - time)/dt) - 2``, capped at ``sys.maxsize``, which
+    is also the room without a limit."""
+    quotient = math.inf if limit is None else (limit - time) / dt
+    return sys.maxsize if quotient >= sys.maxsize else int(quotient) - 2
+
+
 def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> int | None:
     """Step count after which a decoupled run from ``state`` stays above
-    ``threshold`` for good, or ``None`` when the fixed point does not.
+    ``threshold`` for good, or ``None`` when this bound does not show it.
 
-    With ``x*`` the fixed point of the step and ``v = state - x*``, one step
-    maps ``v`` to ``P v`` with ``P`` nonnegative and of row sums
-    ``q = 1/(1 + alpha*dt)``, so after ``k`` steps every node is at least
-    ``min x* + min(min v, 0)*q**k``.  A state whose constant subsolution
-    never falls below ``threshold`` settles at once.
+    One step maps ``x`` to ``P x + dt P load``, with ``P = (I/dt + sigma K +
+    alpha I)^-1 / dt`` nonnegative and of row sums ``q = 1/(1 + alpha*dt)``.
+    About a base ``b`` that a step carries to itself or above, ``v = x - b``
+    goes to ``P v``, so after ``k`` steps every node is at least ``min b +
+    min(v)*q**k``.  With ``alpha > 0`` the base is the fixed point ``x*``,
+    and a state whose constant subsolution never falls below ``threshold``
+    settles at once.  With ``alpha = 0`` and ``mean(load) >= 0`` it is the
+    zero-mean shape ``s`` with rfft modes ``l_k/symbol_k``, which a step
+    lifts by ``dt*mean(load)``, and ``q = 1``, so the bound ``min s + min(x
+    - s)`` holds from the start or never.
     """
-    c0 = float(np.min(state.values))
-    if _safe_steps(c0, float(np.min(ops.load)), ops.alpha, dt, threshold) == sys.maxsize:
-        return 0
-    fixed = ops.fixed_point
-    margin = float(np.min(fixed)) - threshold - _JUMP_TOL * _roundoff_scale(state, ops)
+    values = state.values
+    if ops.alpha > 0.0:
+        c0, load_min = float(np.min(values)), float(np.min(ops.load))
+        if _safe_steps(c0, load_min, ops.alpha, dt, threshold) == sys.maxsize:
+            return 0
+        base, scale = ops.fixed_point, _roundoff_scale(state, ops)
+    elif float(np.mean(ops.load)) >= 0.0:
+        modes = np.zeros_like(ops.load_modes)
+        modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
+        base = np.fft.irfft(modes, ops.grid.n)
+        scale = max(float(np.max(np.abs(values))), float(np.max(np.abs(base))))
+    else:
+        return None
+    margin = float(np.min(base)) - threshold - _JUMP_TOL * scale
+    dip = -float(np.min(values - base))
+    if ops.alpha == 0.0:
+        return 0 if dip <= margin else None
     if not margin > 0.0:
         return None
-    dip = -float(np.min(state.values - fixed))
-    if dip <= margin:
-        return 0
-    return math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
-
-
-def _stays_above_without_evaporation(state: Field, ops: Operators, threshold: float) -> bool:
-    """Whether a decoupled run with ``alpha = 0`` and a nonnegative mean
-    load from ``state`` stays above ``threshold`` for good.
-
-    With ``alpha = 0`` a step adds ``dt*mean(load)`` to the mean, and every
-    other rfft mode of ``x - s`` decays by ``1/(1 + dt*symbol_k)``, where
-    ``s`` is the zero-mean shape with modes ``l_k/symbol_k``.  So with
-    ``mean(load) >= 0`` every later state is at least ``mean(x) + min(s) -
-    sum_{k>=1} w_k |v_k|``, with ``v`` the modes of ``x - s`` and ``w_k``
-    from :func:`_mode_weights`; the bound, less roundoff, must exceed
-    ``threshold``.
-    """
-    if not float(np.mean(ops.load)) >= 0.0:
-        return False
-    shape_modes = np.zeros_like(ops.load_modes)
-    shape_modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
-    shape = np.fft.irfft(shape_modes, ops.grid.n)
-    transient = np.abs(np.fft.rfft(state.values - shape)[1:])
-    floor = (
-        float(np.mean(state.values))
-        + float(np.min(shape))
-        - float(np.dot(transient, _mode_weights(ops.grid.n)[1:]))
-    )
-    scale = max(float(np.max(np.abs(state.values))), float(np.max(np.abs(shape))))
-    return floor - _JUMP_TOL * scale > threshold
+    return 0 if dip <= margin else math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
 
 
 def _jump_to_bound(
@@ -274,10 +271,11 @@ def _jump_to_bound(
     crossing bisection's value tolerance is in ``threshold``, so no
     jumped-over step could have located an event.  A jumped state that is
     not finite or falls below the larger of the two lower bounds beyond
-    roundoff raises :class:`LinearSolveError`.
+    roundoff raises :class:`LinearSolveError`; one that leaves the time
+    where it is, :class:`DomainError`.
     """
     c0 = float(np.min(state.values))
-    room = sys.maxsize if limit is None else int((limit - state.time) / dt) - 2
+    room = _room(limit, state.time, dt)
     if room < 1 or not c0 > threshold:
         return None
     load_min = float(np.min(ops.load))
@@ -298,6 +296,8 @@ def _jump_to_bound(
         raise LinearSolveError(
             f"jump of {steps} steps gave minimum {low:g} below the discrete lower bound {bound:g}"
         )
+    if jumped.time == state.time:
+        raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
     return jumped
 
 
@@ -424,19 +424,17 @@ def run_with_rupture(
     events are separated by less than one nominal time step, which signals
     that the step size is too coarse for the configured threshold gap.
 
-    In decoupled mode with ``alpha > 0`` each gap starts with closed-form
-    jumps over the steps the discrete lower bounds prove free of rupture
-    (:func:`_jump_to_bound`), then steps to the crossing; in coupled mode
-    each gap takes all its steps up to the one that crosses in one call of
-    :func:`jump_coupled`.  Either way
-    event times are those of plain stepping.
-    Each such gap must rupture within :func:`rupture_horizon`, else
-    :class:`HorizonError`.  Where that bound does not apply and no
-    ``t_end`` is given, a gap that passes the step count after which the
-    fixed point keeps it above the threshold for good can never rupture,
-    and is refused with :class:`DomainError`; so is a decoupled gap with
-    ``alpha = 0`` and a nonnegative mean load whose Fourier bound
-    (:func:`_stays_above_without_evaporation`) keeps it above the threshold.
+    Each gap first skips every step its state kind proves free of rupture:
+    in decoupled mode with ``alpha > 0`` by closed-form jumps
+    (:func:`_jump_to_bound`), in coupled mode by one call of
+    :func:`jump_coupled`, which takes all steps up to the one that
+    crosses.  Single steps then run to the crossing, so event times are
+    those of plain stepping.  A decoupled gap with ``alpha > 0`` must
+    rupture within :func:`rupture_horizon`, else :class:`HorizonError`.
+    Where that bound does not apply and no ``t_end`` is given, a decoupled
+    gap that passes the step count after which it stays above the
+    threshold for good (:func:`_settle_steps`) can never rupture, and is
+    refused with :class:`DomainError`.
     """
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
@@ -449,61 +447,52 @@ def run_with_rupture(
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
     coupled = config.mode == "coupled"
-    jumps = not coupled and config.alpha > 0.0
+    end = math.inf if t_end is None else t_end
 
-    def gap_deadline(start: Field | CoupledState) -> tuple[float | None, bool]:
-        """Time by which the gap from ``start`` ends, and whether a rupture
-        is due by then (else none can follow it)."""
-        if not jumps:
-            never = (
-                not coupled
-                and t_end is None
-                and _stays_above_without_evaporation(start, ops, threshold)
-            )
-            return (start.time if never else None), False
-        horizon = rupture_horizon(config, start)
+    def gap_deadline(start: Field | CoupledState) -> tuple[float, bool]:
+        """Time by which the gap from ``start`` ends (``inf`` if none), and
+        whether a rupture is due by then (else none can follow it)."""
+        horizon = rupture_horizon(config, start) if not coupled and config.alpha > 0.0 else None
         if horizon is not None:
             return start.time + horizon, True
-        settle = None if t_end is not None else _settle_steps(start, dt, ops, threshold)
-        return (None, False) if settle is None else (start.time + settle * dt, False)
+        settle = None if coupled or t_end is not None else _settle_steps(start, dt, ops, threshold)
+        return start.time + (math.inf if settle is None else settle * dt), False
+
+    def skip(state: Field | CoupledState, limit: float) -> Field | CoupledState:
+        """The state after every step from ``state`` that its kind proves
+        free of rupture, a full step or more before ``limit``."""
+        if coupled:
+            steps = _room(limit, state.time, dt)
+            return jump_coupled(state, steps, dt, ops, config.eta_c)[1] if steps >= 1 else state
+        while config.alpha > 0.0:
+            jumped = _jump_to_bound(state, dt, ops, threshold, limit)
+            if jumped is None:
+                break
+            state = jumped
+        return state
 
     events: list[RuptureEvent] = []
-    state, gap_starts = initial, True
-    while len(events) < cap:
-        time = state.time
-        if t_end is not None and t_end - time <= 0.0:
-            break
-        if gap_starts:
-            (deadline, due), may_jump, gap_starts = gap_deadline(state), jumps, False
-        if deadline is not None and time > deadline:
-            if due:
-                raise HorizonError(
-                    f"no rupture by t = {time:g}, past the closed-form horizon {deadline:g}"
+    state = initial
+    while len(events) < cap and state.time < end:
+        deadline, due = gap_deadline(state)
+        state = skip(state, min(end, deadline))
+        while (time := state.time) < end:
+            if time > deadline:
+                if due:
+                    raise HorizonError(
+                        f"no rupture by t = {time:g}, past the closed-form horizon {deadline:g}"
+                    )
+                raise DomainError(
+                    f"no rupture can occur after t = {deadline:g}: the thickness stays "
+                    "above the threshold for good; give an end time (--t-end)"
                 )
-            raise DomainError(
-                f"no rupture can occur after t = {deadline:g}: the thickness stays "
-                "above the threshold for good; give an end time (--t-end)"
-            )
-        if may_jump:
-            limit = min((t for t in (t_end, deadline) if t is not None), default=None)
-            jumped = _jump_to_bound(state, dt, ops, threshold, limit)
-            if jumped is not None:
-                if jumped.time == time:
-                    raise DomainError(f"steps of dt = {dt:g} no longer advance the time {time:g}")
-                state = jumped
-                continue
-            may_jump = False
-        elif coupled:
-            steps = sys.maxsize if t_end is None else int((t_end - time) / dt) - 2
-            if steps >= 1:
-                taken, state = jump_coupled(state, steps, dt, ops, config.eta_c)
-                if taken == steps:
-                    continue
-        step_dt = dt if t_end is None else step_toward(t_end - state.time, dt)
-        trial = advance(state, step_dt, ops)
-        if float(np.min(trial.eta.values)) > config.eta_c:
+            step_dt = step_toward(end - time, dt)
+            trial = advance(state, step_dt, ops)
+            if float(np.min(trial.eta.values)) <= config.eta_c:
+                break
             state = trial
-            continue
+        else:  # reached t_end
+            break
 
         _, at_rupture = locate_crossing(state, step_dt, ops, config, stepped=trial)
         pre_eta = at_rupture.eta
@@ -525,5 +514,5 @@ def run_with_rupture(
                 "the reset-threshold gap"
             )
         events.append(event)
-        state, gap_starts = post, True
+        state = post
     return events, state

@@ -179,6 +179,19 @@ def test_coupled_search_does_not_converge(tmp_path):
     assert main(["verify", "--preset", "ex3", "--out", str(out)]) == 1
 
 
+def test_verify_refuses_a_coupled_orbit(tmp_path, capsys):
+    # a converged coupled search writes a thickness profile without the
+    # height a coupled run starts from; verify handed it to that run and
+    # exited with an internal state-kind message
+    out = tmp_path / "coupled"
+    assert main(["find-periodic", "--preset", "ex3", "--fp-tol", "1", "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["converged"] is True
+    capsys.readouterr()
+    assert main(["verify", "--preset", "ex3", "--out", str(out)]) == 2
+    assert "verify needs decoupled mode" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
+
+
 def test_initial_condition_mini_language(tmp_path):
     out = tmp_path / "sine"
     code = main(
@@ -261,13 +274,16 @@ def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
 
 
 def test_simulate_refuses_a_run_without_evaporation_that_cannot_rupture(tmp_path):
-    # alpha = 0 with a zero mean load: the mean stays put and the transient
-    # cannot reach the threshold, so without an end time this ran forever
-    args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "eta_a=0.3",
-            "--max-events", "1"]
-    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
-    assert child.returncode == 2
-    assert "--t-end" in child.stderr
+    # alpha = 0 with a zero mean load: the mean stays put and the state stays
+    # above min s + min(x - s), with s the zero-mean shape, so without an end
+    # time these would run forever; at eta_a = 0.14 a Fourier bound on the
+    # transient about s is negative, and only this one refuses the run
+    for eta_a in ("0.3", "0.14"):
+        args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", f"eta_a={eta_a}",
+                "--max-events", "1", "--out", str(tmp_path / eta_a)]
+        child = run_child("-m", "rupturesim.cli", *args, timeout=30)
+        assert child.returncode == 2, child.stderr
+        assert "--t-end" in child.stderr
 
 
 def test_simulate_to_a_distant_end_time_finishes(tmp_path):
@@ -280,11 +296,14 @@ def test_simulate_to_a_distant_end_time_finishes(tmp_path):
 
 def test_simulate_refuses_a_time_step_that_no_longer_advances_the_time(tmp_path):
     # once t + dt == t the closed-form jumps leave the time where it is, so
-    # without this refusal the run looped for ever
-    args = ["simulate", "--preset", "ex1", "--set", "numerics.dt=1e-300", "--max-events", "1"]
-    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
-    assert child.returncode == 2
-    assert "no longer advance the time" in child.stderr
+    # without this refusal the run looped for ever; at the smallest normal
+    # dt the step count to the horizon overflowed and ended in a traceback
+    for dt in ("1e-300", "2.2250738585072014e-308"):
+        args = ["simulate", "--preset", "ex1", "--set", f"numerics.dt={dt}", "--max-events", "1",
+                "--out", str(tmp_path / dt)]
+        child = run_child("-m", "rupturesim.cli", *args, timeout=30)
+        assert child.returncode == 2, child.stderr
+        assert "no longer advance the time" in child.stderr
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,15 @@ def test_coupled_search_reports_non_convergence(ex3):
     assert all(d > 1e-6 for _, _, d in report.iterates)
 
 
+def test_verify_periodic_refuses_coupled_mode(ex3):
+    # the fixed profile is a thickness alone: no height to start a coupled
+    # run from, so the two-period check is not defined there
+    report = find_periodic(ex3, fp_tol=1.0, max_iter=3)
+    assert report.converged
+    with pytest.raises(UnsupportedError, match="decoupled mode only"):
+        verify_periodic(ex3, report.fixed_profile, 1.0)
+
+
 def test_gradient_probe_zero_data_zero_constants():
     from rupturesim.config import ModelConfig
 

@@ -243,6 +243,53 @@ def test_run_stays_above_the_threshold_after_the_settle_count(params, seed, dept
         assert np.min(values) >= threshold - JUMP_TOL * scale
 
 
+# n, dt, sigma, strengths, the mean load (nonnegative, down to where a
+# start on the bound stays within roundoff of it) and the start's kind
+evaporation_free_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.one_of(st.just(0.0), st.floats(-9.0, 0.5).map(lambda e: 10.0**e)),
+    st.sampled_from(("noise", "shape")),
+)
+
+
+def zero_mean_shape(ops):
+    """The zero-mean ``s`` with ``sigma K s = load - mean(load)``, by a dense
+    solve: adding the projector onto constants makes the system regular and
+    keeps the mean of its solution at 0."""
+    n = ops.grid.n
+    matrix = ops.sigma * dense(n, 2.0, -1.0) / ops.grid.dx**2 + 1.0 / n
+    return np.linalg.solve(matrix, ops.load - np.mean(ops.load))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(evaporation_free_parameters, seeds, st.floats(1e-6, 1.0))
+def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, depth):
+    # with alpha = 0 the step is nonnegative with row sums 1 and lifts the
+    # zero-mean shape s by dt*mean(load) >= 0, so no later state falls below
+    # min s + min(x - s); a start on s plus a constant sits on that bound
+    n, dt, sigma, strengths, mean_load, kind = params
+    ops = operators(n, sigma, 0.0, strengths, math.fsum(strengths) - mean_load)
+    shape = zero_mean_shape(ops)
+    noise = random_rhs(n, seed)
+    start = Field(ops.grid, noise if kind == "noise" else shape + noise[0])
+    bound = float(np.min(shape) + np.min(start.values - shape))
+    scale = max(np.max(np.abs(start.values)), np.max(np.abs(shape)))
+    gap = depth * (scale + 1.0)
+    assert rupture._settle_steps(start, dt, ops, bound + gap) is None
+    settle = rupture._settle_steps(start, dt, ops, bound - gap)
+    if np.mean(ops.load) < 0.0:
+        assert settle is None
+        return
+    assert settle == 0
+    state = start
+    for _ in range(200):
+        state = advance(state, dt, ops)
+        assert np.min(state.values) >= bound - JUMP_TOL * scale
+
+
 # n, dt, sigma, alpha, the load, the start's kind and sign, the certified
 # step count and where the threshold falls inside the next step's rate
 certificate_parameters = st.tuples(
