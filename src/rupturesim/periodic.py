@@ -12,6 +12,7 @@ interval holds a node comes from
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .config import ModelConfig, effective_parameters
 from .errors import ModelViolationError, UnsupportedError
-from .rupture import run_with_rupture, rupture_horizon
+from .rupture import node_intervals, run_with_rupture, rupture_horizon
 from .solver import (
     CoupledState,
     Field,
@@ -74,12 +75,15 @@ def distinguished_interval(profile: stationary.StationaryProfile, config: ModelC
     return int(np.argmin(mins))
 
 
+@functools.lru_cache(maxsize=8)
 def _open_interval(grid, config: ModelConfig, index: int) -> np.ndarray:
     """Node mask of the open interval ``(a_i, a_{i+1})`` (periodic wrap):
-    the half-open span without its left end, the only junction it holds."""
-    x = grid.nodes
-    inside = stationary.interval_index(config.junctions, x) == index
-    return inside & (x != config.junctions[index])
+    the half-open span without its left end, the only junction it holds;
+    built once per grid, configuration and interval, read-only."""
+    inside = node_intervals(grid, config.junctions) == index
+    mask = inside & (grid.nodes != config.junctions[index])
+    mask.flags.writeable = False
+    return mask
 
 
 def splice(xi: Field, config: ModelConfig, index: int) -> Field:
@@ -119,7 +123,11 @@ def sup_diff_outside(a: Field, b: Field, config: ModelConfig, index: int) -> flo
 
 
 def poincare_map(
-    xi: Field, config: ModelConfig, profile: stationary.StationaryProfile
+    xi: Field,
+    config: ModelConfig,
+    profile: stationary.StationaryProfile,
+    *,
+    index: int | None = None,
 ) -> tuple[Field, float]:
     """One application of the return map.
 
@@ -128,9 +136,12 @@ def poincare_map(
     elapsed rupture time.  Assumes the sign condition on the forcing (so a
     rupture is guaranteed); raises :class:`ModelViolationError` when the
     rupture touches any other interval, which indicates the localization
-    assumption does not hold for this configuration.
+    assumption does not hold for this configuration.  A caller that
+    iterates the map passes the :func:`distinguished_interval` of
+    ``profile`` as ``index``, which is then not decided again.
     """
-    index = distinguished_interval(profile, config)
+    if index is None:
+        index = distinguished_interval(profile, config)
     start = splice(xi, config, index)
     start.time = 0.0
 
@@ -181,7 +192,7 @@ def find_periodic(
             events, state = run_with_rupture(config, state, max_events=1)
             mapped, t_r = events[0].pre_profile, events[0].time - start
         else:
-            mapped, t_r = poincare_map(xi, config, profile)
+            mapped, t_r = poincare_map(xi, config, profile, index=index)
         sup_diff = sup_diff_outside(mapped, xi, config, index)
         iterates.append((m, t_r, sup_diff))
         xi = mapped

@@ -13,18 +13,21 @@ loop: each closed-form jump of a gap skips every step that either of two
 certificates proves free of rupture, the mean's decay sets a horizon by
 which the gap must end, and the positivity of the step about the discrete
 fixed point (without evaporation, about the zero-mean stationary shape)
-shows when it never can.  The certificates are the paper's constant subsolution, which weakens
-as the thickness nears the threshold, and a bound on how far the state can
-move per step, read off the Fourier modes of its transient, which ends
-each gap in a few jumps.  In coupled mode a gap runs in one call of the
-mode-space kernel, which tests the thickness after every step and checks
-the backward error of the state it hands out.  Either way the step that
-crosses is taken through ``advance`` and brackets the crossing.  The
-bisection takes its trial steps in Fourier modes from one transform of the
-state before the crossing, re-takes with ``advance`` any trial whose
-minimum lies within roundoff of a value it is compared with, and hands out
-the located step taken by ``advance``, so its decisions, times and states
-are those of plain stepping.
+shows when it never can.  The certificates are the paper's constant
+subsolution, which weakens as the thickness nears the threshold, and a
+bound on how far the state can move per step, read off the Fourier modes
+of its transient, which ends each gap in a few jumps.  Each jump hands the
+transient modes of its state to the next, so the jumps of a gap pay one
+forward transform between them, and one inverse transform each; the
+per-mode factors that would underflow are skipped.  In coupled mode a gap
+runs in one call of the mode-space kernel, which tests the thickness after
+every step and checks the backward error of the state it hands out.
+Either way the step that crosses is taken through ``advance`` and brackets
+the crossing.  The bisection takes its trial steps in Fourier modes from
+one transform of the state before the crossing, re-takes with ``advance``
+any trial whose minimum lies within roundoff of a value it is compared
+with, and hands out the located step taken by ``advance``, so its
+decisions, times and states are those of plain stepping.
 """
 from __future__ import annotations
 
@@ -184,14 +187,16 @@ def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
     return float(np.dot(np.abs(transient), _mode_weights(ops.grid.n) * growth / (1.0 + growth)))
 
 
+@functools.lru_cache(maxsize=8)
 def _mode_weights(n: int) -> np.ndarray:
     """Bound ``w_k`` on the size at any node of the inverse rfft term of a
     unit mode ``k``: ``1/n`` for mode 0 and (``n`` even) the Nyquist mode,
-    ``2/n`` otherwise."""
+    ``2/n`` otherwise; read-only."""
     weights = np.full(n // 2 + 1, 2.0 / n)
     weights[0] = 1.0 / n
     if n % 2 == 0:
         weights[-1] = 1.0 / n
+    weights.flags.writeable = False
     return weights
 
 
@@ -209,7 +214,7 @@ def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
 def _roundoff_scale(state: Field, ops: Operators) -> float:
     """The larger of the state and the a-priori bound ``max|load|/alpha`` on
     the fixed point, which scales the roundoff of the closed forms."""
-    return max(float(np.max(np.abs(state.values))), float(np.max(np.abs(ops.load))) / ops.alpha)
+    return max(float(np.max(np.abs(state.values))), ops.fixed_point_bound)
 
 
 def _room(limit: float | None, time: float, dt: float) -> int:
@@ -259,15 +264,21 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
 
 
 def _jump_to_bound(
-    state: Field, dt: float, ops: Operators, threshold: float, limit: float | None
-) -> Field | None:
+    state: Field,
+    dt: float,
+    ops: Operators,
+    threshold: float,
+    limit: float | None,
+    transient: np.ndarray | None = None,
+) -> tuple[Field, np.ndarray] | None:
     """Jump over every step that the constant subsolution
     (:func:`_safe_steps`) or the change rate (:func:`_change_rate`,
     :func:`_spectral_steps`) proves free of rupture, whichever covers more,
-    ending at least one full step before ``limit`` (if any); ``None`` when
-    no step is.
+    ending at least one full step before ``limit`` (if any); returns the
+    jumped state and its transient modes, or ``None`` when no step is free.
 
-    One ``rfft`` of the transient serves both the rate and the jump.  The
+    The transient modes of ``state`` serve both the rate and the jump: the
+    ``transient`` a previous jump handed out, else one ``rfft``.  The
     crossing bisection's value tolerance is in ``threshold``, so no
     jumped-over step could have located an event.  A jumped state that is
     not finite or falls below the larger of the two lower bounds beyond
@@ -279,7 +290,8 @@ def _jump_to_bound(
     if room < 1 or not c0 > threshold:
         return None
     load_min = float(np.min(ops.load))
-    transient = decoupled_transient(state, ops)
+    if transient is None:
+        transient = decoupled_transient(state, ops)
     rate = _change_rate(transient, dt, ops)
     steps = max(
         _safe_steps(c0, load_min, ops.alpha, dt, threshold),
@@ -288,7 +300,7 @@ def _jump_to_bound(
     steps = min(steps, room)
     if steps < 1:
         return None
-    jumped = jump_decoupled(state, steps, dt, ops, transient)
+    jumped, modes = jump_decoupled(state, steps, dt, ops, transient)
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
     low = float(np.min(jumped.values))
     scale = _roundoff_scale(state, ops)
@@ -298,7 +310,7 @@ def _jump_to_bound(
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
-    return jumped
+    return jumped, modes
 
 
 def locate_crossing(
@@ -364,6 +376,16 @@ def _shared_operators(grid: Grid, config: ModelConfig) -> Operators:
     return assemble_operators(grid, config)
 
 
+@functools.lru_cache(maxsize=8)
+def node_intervals(grid: Grid, junctions: tuple[float, ...]) -> np.ndarray:
+    """Index of the half-open junction interval holding each node of
+    ``grid``, from :func:`interval_index`, built once per grid and set of
+    junctions; read-only."""
+    table = interval_index(junctions, grid.nodes)
+    table.flags.writeable = False
+    return table
+
+
 def rupture_intervals(at_rupture: Field, config: ModelConfig) -> tuple[int, ...]:
     """Indices of every interval whose half-open span contains a node at or
     below ``eta_c + event_tol * eta_a``."""
@@ -371,7 +393,7 @@ def rupture_intervals(at_rupture: Field, config: ModelConfig) -> tuple[int, ...]
     nodes = np.nonzero(at_rupture.values <= threshold)[0]
     if nodes.size == 0:
         raise EmptyRuptureSetError("no node is at or below the rupture threshold")
-    indices = interval_index(config.junctions, at_rupture.grid.nodes[nodes])
+    indices = node_intervals(at_rupture.grid, config.junctions)[nodes]
     return tuple(sorted(set(int(i) for i in indices)))
 
 
@@ -379,7 +401,7 @@ def reset_mask(grid, config: ModelConfig, intervals) -> np.ndarray:
     """Node mask of the union of half-open spans ``[a_k, a_{k+1})``."""
     chosen = np.zeros(len(config.junctions), dtype=bool)
     chosen[list(intervals)] = True
-    return chosen[interval_index(config.junctions, grid.nodes)]
+    return chosen[node_intervals(grid, config.junctions)]
 
 
 def apply_reset(
@@ -464,11 +486,12 @@ def run_with_rupture(
         if coupled:
             steps = _room(limit, state.time, dt)
             return jump_coupled(state, steps, dt, ops, config.eta_c)[1] if steps >= 1 else state
+        transient = None  # each jump hands its modes to the next
         while config.alpha > 0.0:
-            jumped = _jump_to_bound(state, dt, ops, threshold, limit)
+            jumped = _jump_to_bound(state, dt, ops, threshold, limit, transient)
             if jumped is None:
                 break
-            state = jumped
+            state, transient = jumped
         return state
 
     events: list[RuptureEvent] = []

@@ -12,8 +12,11 @@ recent step matrices are cached too.  Every solve is checked for a backward
 error of about 1e-12.  The operator bundle :class:`Operators` owns the
 height and thickness step matrices and the decoupled symbol and fixed point,
 about which ``jump_decoupled`` applies many equal decoupled steps at once in
-closed form.  ``jump_coupled`` runs a whole coupled gap in rfft mode space,
-where each step is lower-triangular per mode: cached per-mode tables give
+closed form.  It hands out the transient modes of the state it makes with
+it, so a chain of jumps pays one forward transform and one inverse
+transform per jump, and it skips the per-mode factors that would underflow.
+``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
+step is lower-triangular per mode: cached per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state it hands out
 returns to real space, where it passes the same backward-error check as a
@@ -62,6 +65,10 @@ def build_grid(config: ModelConfig, n: int | None = None) -> Grid:
     if n < 4:
         raise DomainError("grid needs at least 4 nodes")
     dx = config.omega / n
+    dx2 = dx * dx
+    if not (dx2 > 0.0 and math.isfinite(dx2) and math.isfinite(1.0 / dx2)):
+        # the stiffness divides by dx**2, which would overflow or vanish
+        raise DomainError(f"grid spacing {dx:g} is too large or too small to square")
     return Grid(n=n, omega=config.omega, dx=dx, nodes=np.arange(n) * dx)
 
 
@@ -168,6 +175,12 @@ class Operators:
         symbol = self.alpha + self.sigma * (_second_difference_symbol(n) / (dx * dx))
         symbol.flags.writeable = False
         return symbol
+
+    @functools.cached_property
+    def fixed_point_bound(self) -> float:
+        """The a-priori bound ``max|load|/alpha`` on the fixed point.
+        Requires ``alpha > 0``."""
+        return float(np.max(np.abs(self.load))) / self.alpha
 
     @functools.cached_property
     def load_modes(self) -> np.ndarray:
@@ -298,24 +311,34 @@ def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
 
 def jump_decoupled(
     state: Field, steps: int, dt: float, ops: Operators, transient: np.ndarray | None = None
-) -> Field:
-    """``steps`` backward-Euler steps of the reduced thickness equation at once.
+) -> tuple[Field, np.ndarray]:
+    """``steps`` backward-Euler steps of the reduced thickness equation at
+    once; returns the jumped state and its transient modes.
 
     Exact in exact arithmetic: ``x_m = x* + P^m (x_0 - x*)``, where one step
     multiplies rfft mode ``k`` of ``x - x*`` by ``1 / (1 + dt*symbol_k)``.
     A caller that already holds :func:`decoupled_transient` of ``state``
-    passes it as ``transient``.  The time advances by ``steps`` repeated
-    additions of ``dt``, so it is bit-identical to stepping.  Requires
-    ``alpha > 0``.
+    passes it as ``transient``, such as the modes the jump before handed
+    out, which stand for that transform up to roundoff; the one inverse
+    transform is then the only one.  A factor of at most about
+    ``2**-1000`` is set to 0 without evaluating its power, where it would
+    mostly underflow or turn subnormal, which is slow: a mode that small
+    moves no node.  The time advances by ``steps`` repeated additions of
+    ``dt``, so it is bit-identical to stepping.  Requires ``alpha > 0``.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if transient is None:
         transient = decoupled_transient(state, ops)
     grid = state.grid
-    modes = transient * (1.0 + dt * ops.symbol) ** -steps
+    growth = dt * ops.symbol
+    # test growth, not 1 + growth: where 1 + growth rounds to 1, so does a
+    # bound on it for steps near sys.maxsize, and every mode would be dropped
+    kept = growth < math.expm1(1000.0 * math.log(2.0) / steps)
+    factors = np.power(1.0 + growth, -steps, out=np.zeros_like(growth), where=kept)
+    modes = transient * factors
     values = ops.fixed_point + np.fft.irfft(modes, grid.n)
-    return Field(grid, values, _time_after(state.time, steps, dt))
+    return Field(grid, values, _time_after(state.time, steps, dt)), modes
 
 
 def _time_after(time: float, steps: int, dt: float) -> float:

@@ -306,6 +306,15 @@ def test_simulate_refuses_a_time_step_that_no_longer_advances_the_time(tmp_path)
         assert "no longer advance the time" in child.stderr
 
 
+def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path):
+    # dx**2 overflowed in the first implicit step and ended in a traceback
+    args = ["simulate", "--preset", "ex1", "--set", "omega=1e300", "--max-events", "1"]
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 2, child.stderr
+    assert "Traceback" not in child.stderr
+    assert "grid spacing" in child.stderr
+
+
 @pytest.mark.parametrize(
     "args",
     [

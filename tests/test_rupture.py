@@ -608,53 +608,65 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
 
 def gap_case(config, n):
     """Operators, step size, threshold, and the state after the first jump
-    of a gap from the reset level, which the change rate carries on."""
+    of a gap from the reset level, which the change rate carries on, with
+    the transient modes that jump hands out."""
     grid = build_grid(config, n)
     ops = assemble_operators(grid, config)
     dt = config.numerics.dt
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
     start = constant_field(grid, config.eta_a)
-    return ops, dt, threshold, rupture._jump_to_bound(start, dt, ops, threshold, None)
+    return ops, dt, threshold, *rupture._jump_to_bound(start, dt, ops, threshold, None)
 
 
 def test_jump_below_the_change_rate_bound_is_refused(monkeypatch, ex1):
-    ops, dt, threshold, state = gap_case(ex1, 256)
+    ops, dt, threshold, state, modes = gap_case(ex1, 256)
     c0, load_min = float(np.min(state.values)), float(np.min(ops.load))
-    assert rupture._jump_to_bound(state, dt, ops, threshold, None) is not None
+    assert rupture._jump_to_bound(state, dt, ops, threshold, None, modes) is not None
 
     real = rupture.jump_decoupled
 
     def lowered(state, steps, *args):
         # still above the subsolution, but below the change-rate bound
-        jumped = real(state, steps, *args)
+        jumped, jumped_modes = real(state, steps, *args)
         floor = rupture._subsolution(c0, load_min, ops.alpha, dt, steps)
         assert floor < threshold  # the jump goes past the subsolution's steps
         jumped.values += 0.5 * (floor + threshold) - np.min(jumped.values)
-        return jumped
+        return jumped, jumped_modes
 
     monkeypatch.setattr(rupture, "jump_decoupled", lowered)
     with pytest.raises(LinearSolveError, match="below the discrete lower bound"):
-        rupture._jump_to_bound(state, dt, ops, threshold, None)
+        rupture._jump_to_bound(state, dt, ops, threshold, None, modes)
 
 
-def test_a_jump_pays_one_transform_pair(monkeypatch, ex1):
-    # the transient's modes serve both the change rate and the jump
-    ops, dt, threshold, state = gap_case(ex1, 256)
-    transforms = []
-    for name in ("rfft", "irfft"):
-        real = getattr(np.fft, name)
+@pytest.mark.parametrize("start", ["flat", "post-reset"])
+def test_a_gap_pays_one_forward_transform_for_its_jumps(monkeypatch, fft_calls, ex1, start):
+    # each jump hands its state's transient modes to the next, so the skip
+    # phase transforms forward once and back once per jump
+    grid = build_grid(ex1, 256)
+    flat = constant_field(grid, ex1.eta_a)
+    # this first run also fills the shared operators' lazily built modes
+    _, after = run_with_rupture(ex1, flat, max_events=1)
+    state = flat if start == "flat" else after
+    skip_calls, jumps = [], []
+    real = rupture._jump_to_bound
 
-        def counted(*args, real=real, name=name, **kwargs):
-            transforms.append(name)
-            return real(*args, **kwargs)
+    def jump_to_bound(*args):
+        before = len(fft_calls)
+        jumped = real(*args)
+        skip_calls.extend(fft_calls[before:])
+        if jumped is not None:
+            jumps.append(1)
+        return jumped
 
-        monkeypatch.setattr(np.fft, name, counted)
-    assert rupture._jump_to_bound(state, dt, ops, threshold, None) is not None
-    assert sorted(transforms) == ["irfft", "rfft"]
+    monkeypatch.setattr(rupture, "_jump_to_bound", jump_to_bound)
+    events, _ = run_with_rupture(ex1, state, max_events=1)
+    assert len(events) == 1 and len(jumps) >= 2
+    assert skip_calls.count("rfft") == 1
+    assert skip_calls.count("irfft") == len(jumps)
 
 
 def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
-    ops, dt, threshold, state = gap_case(ex1, 256)
+    ops, dt, threshold, state, _ = gap_case(ex1, 256)
     rate = rupture._change_rate(solver.decoupled_transient(state, ops), dt, ops)
     assert rate > 0.0
     for c0 in (threshold, threshold - 1e-3):

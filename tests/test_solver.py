@@ -53,6 +53,13 @@ def test_build_grid_rejects_tiny_grids():
         build_grid(plain_config(), 3)
 
 
+@pytest.mark.parametrize("omega", [1e300, 1e-154, 1e-160])
+def test_build_grid_rejects_a_spacing_whose_square_overflows_or_vanishes(omega):
+    # dx**2 overflows, or 1/dx**2 does (dx**2 subnormal or 0)
+    with pytest.raises(DomainError, match="grid spacing"):
+        build_grid(plain_config(omega=omega, junctions=(0.0,)), 1024)
+
+
 def test_build_grid_default_size(ex1):
     assert build_grid(ex1).n == 1024
 

@@ -2,6 +2,7 @@
 multi-step jumps over random admissible step parameters ``(n, dt, sigma,
 alpha)`` on the unit domain."""
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -31,16 +32,23 @@ step_parameters = st.tuples(
     st.floats(0.0, 100.0),
 )
 seeds = st.integers(0, 2**32 - 1)
-# positive evaporation, up to 50 steps, and a load of either sign
-jump_parameters = st.tuples(
-    st.integers(4, 512),
-    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
-    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
-    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
-    st.integers(1, 50),
-    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
-    st.floats(-3.0, 3.0),
-)
+
+
+def jump_parameters_up_to(max_steps):
+    """Positive evaporation, up to ``max_steps`` steps, and a load of either
+    sign."""
+    return st.tuples(
+        st.integers(4, 512),
+        st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+        st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.integers(1, max_steps),
+        st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+        st.floats(-3.0, 3.0),
+    )
+
+
+jump_parameters = jump_parameters_up_to(50)
 # n, dt, alpha, sigma1, tau, forcing offset, steps, and which gap between
 # the sorted thickness minima of the steps holds the floor
 coupled_parameters = st.tuples(
@@ -176,7 +184,7 @@ def test_jump_matches_repeated_steps(params, seed):
     stepped = start
     for _ in range(steps):
         stepped = step_decoupled(stepped, dt, ops)
-    jumped = jump_decoupled(start, steps, dt, ops)
+    jumped, _ = jump_decoupled(start, steps, dt, ops)
     assert np.max(np.abs(jumped.values - stepped.values)) <= JUMP_TOL * scale
     assert jumped.time == stepped.time  # repeated additions of dt, as stepping
 
@@ -194,7 +202,7 @@ def test_step_and_jump_obey_the_mean_decay_law(params, seed):
     expected = float(np.mean(start.values))
     for _ in range(steps):
         expected = mean_step(expected, dt, ops)
-    jumped = jump_decoupled(start, steps, dt, ops)
+    jumped, _ = jump_decoupled(start, steps, dt, ops)
     assert abs(np.mean(jumped.values) - expected) <= JUMP_TOL * scale
 
 
@@ -205,7 +213,7 @@ def test_jump_stays_above_the_constant_subsolution(params, seed):
     bound = rupture._subsolution(
         float(np.min(start.values)), float(np.min(ops.load)), ops.alpha, dt, steps
     )
-    jumped = jump_decoupled(start, steps, dt, ops)
+    jumped, _ = jump_decoupled(start, steps, dt, ops)
     assert np.min(jumped.values) >= bound - JUMP_TOL * scale
 
 
@@ -229,6 +237,43 @@ def exact_values(start, steps, dt, ops):
     fixed, symbol = ops.fixed_point, ops.symbol
     modes = np.fft.rfft(start.values - fixed) * (1.0 + dt * symbol) ** -float(steps)
     return fixed + np.fft.irfft(modes, ops.grid.n)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(jump_parameters_up_to(10**6), seeds)
+def test_jump_that_skips_underflowing_factors_equals_the_uncut_closed_form(params, seed):
+    ops, start, steps, dt, _ = jump_case(params, seed)
+    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    assert np.array_equal(jumped.values, exact_values(start, steps, dt, ops))
+
+
+@pytest.mark.parametrize("kind", ["flat", "noise"])
+def test_first_jump_of_a_fine_ex1_gap_equals_the_uncut_closed_form(ex1, kind):
+    # at n = 8192 the first jump of an ex1 gap takes 99 steps, over which
+    # most factors of the uncut closed form underflow or turn subnormal
+    ops = assemble_operators(build_grid(ex1, 8192), ex1)
+    dt, steps, n = 1e-4, 99, ops.grid.n
+    uncut = (1.0 + dt * ops.symbol) ** -float(steps)
+    assert np.count_nonzero(uncut < sys.float_info.min) > n // 3
+    values = np.full(n, ex1.eta_a) if kind == "flat" else random_rhs(n, 5)
+    start = Field(ops.grid, values)
+    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    assert np.array_equal(jumped.values, exact_values(start, steps, dt, ops))
+
+
+def test_jump_of_steps_too_small_to_move_the_state_keeps_every_mode():
+    # 1 + dt*symbol rounds to 1 in every mode, so every factor is 1 and the
+    # state does not move; a cut that tested 1 + dt*symbol against a power
+    # of 2 would drop every mode and land on the fixed point
+    ops = operators(64, 1.0, 1.0)
+    start = Field(ops.grid, random_rhs(64, 11))
+    dt, steps = 1e-300, sys.maxsize
+    jumped, modes = jump_decoupled(start, steps, dt, ops)
+    assert np.array_equal(modes, solver.decoupled_transient(start, ops))
+    assert np.array_equal(jumped.values, exact_values(start, steps, dt, ops))
+    scale = np.max(np.abs(start.values))
+    assert np.max(np.abs(jumped.values - start.values)) <= JUMP_TOL * scale
+    assert np.max(np.abs(start.values - ops.fixed_point)) > 0.1 * scale
 
 
 @PROPERTY_SETTINGS
