@@ -27,7 +27,14 @@ the crossing.  The bisection takes its trial steps in Fourier modes from
 one transform of the state before the crossing, re-takes with ``advance``
 any trial whose minimum lies within roundoff of a value it is compared
 with, and hands out the located step taken by ``advance``, so its
-decisions, times and states are those of plain stepping.
+decisions, times and states are those of plain stepping.  In decoupled
+mode the same transform gives the modes of ``load - A x``, from which two
+one-step bounds decide most trials without an inverse transform: how far
+any node can fall in a step, which shows that a short step does not
+cross, and the value after the step at the node where the full step is
+lowest, which shows that a long one crosses by more than the value
+tolerance.  Each bound allows for the roundoff of ``advance``, so it
+decides as plain stepping does.
 """
 from __future__ import annotations
 
@@ -35,6 +42,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,6 +60,8 @@ from .solver import (
     Field,
     Grid,
     Operators,
+    StepTrial,
+    _mode_weights,
     advance,
     assemble_operators,
     decoupled_transient,
@@ -115,7 +125,8 @@ def rupture_time_bounds(config: ModelConfig, eta0: Field) -> BoundsReport:
     inf0 = float(np.min(eta0.values))
     mean0 = float(np.mean(eta0.values))
 
-    ratio_low = (offset / alpha + inf0) / (offset / alpha + config.eta_c)
+    shifted_c = offset / alpha + config.eta_c
+    ratio_low = (offset / alpha + inf0) / shifted_c if shifted_c != 0.0 else math.nan
     t_lower = math.log(ratio_low) / alpha if ratio_low > 0.0 else math.nan
     ratio_up = mean0 / config.eta_c
     t_upper = math.log(ratio_up) / alpha if ratio_up > 0.0 else math.nan
@@ -183,21 +194,7 @@ def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
     So no node moves by more than ``j`` times the returned rate in ``j``
     steps.
     """
-    growth = dt * ops.symbol
-    return float(np.dot(np.abs(transient), _mode_weights(ops.grid.n) * growth / (1.0 + growth)))
-
-
-@functools.lru_cache(maxsize=8)
-def _mode_weights(n: int) -> np.ndarray:
-    """Bound ``w_k`` on the size at any node of the inverse rfft term of a
-    unit mode ``k``: ``1/n`` for mode 0 and (``n`` even) the Nyquist mode,
-    ``2/n`` otherwise; read-only."""
-    weights = np.full(n // 2 + 1, 2.0 / n)
-    weights[0] = 1.0 / n
-    if n % 2 == 0:
-        weights[-1] = 1.0 / n
-    weights.flags.writeable = False
-    return weights
+    return float(np.dot(np.abs(transient), ops.decoupled_factors(dt)[2]))
 
 
 def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
@@ -214,7 +211,8 @@ def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
 def _roundoff_scale(state: Field, ops: Operators) -> float:
     """The larger of the state and the a-priori bound ``max|load|/alpha`` on
     the fixed point, which scales the roundoff of the closed forms."""
-    return max(float(np.max(np.abs(state.values))), ops.fixed_point_bound)
+    values = state.values
+    return max(float(values.max()), -float(values.min()), ops.fixed_point_bound)
 
 
 def _room(limit: float | None, time: float, dt: float) -> int:
@@ -243,8 +241,7 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     """
     values = state.values
     if ops.alpha > 0.0:
-        c0, load_min = float(np.min(values)), float(np.min(ops.load))
-        if _safe_steps(c0, load_min, ops.alpha, dt, threshold) == sys.maxsize:
+        if _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold) == sys.maxsize:
             return 0
         base, scale = ops.fixed_point, _roundoff_scale(state, ops)
     elif float(np.mean(ops.load)) >= 0.0:
@@ -285,11 +282,12 @@ def _jump_to_bound(
     roundoff raises :class:`LinearSolveError`; one that leaves the time
     where it is, :class:`DomainError`.
     """
-    c0 = float(np.min(state.values))
+    values = state.values
+    c0 = float(values.min())
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > threshold:
         return None
-    load_min = float(np.min(ops.load))
+    load_min = ops.load_min
     if transient is None:
         transient = decoupled_transient(state, ops)
     rate = _change_rate(transient, dt, ops)
@@ -302,15 +300,62 @@ def _jump_to_bound(
         return None
     jumped, modes = jump_decoupled(state, steps, dt, ops, transient)
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
-    low = float(np.min(jumped.values))
-    scale = _roundoff_scale(state, ops)
-    if not np.isfinite(jumped.values).all() or low < bound - _JUMP_TOL * scale:
+    low, high = float(jumped.values.min()), float(jumped.values.max())
+    scale = max(float(values.max()), -c0, ops.fixed_point_bound)  # _roundoff_scale of state
+    # a nan shows in both extremes, an infinity in one of them
+    if not (low >= bound - _JUMP_TOL * scale and high < math.inf):
         raise LinearSolveError(
             f"jump of {steps} steps gave minimum {low:g} below the discrete lower bound {bound:g}"
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
     return jumped, modes
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_roots(n: int) -> np.ndarray:
+    """``exp(2 pi i m/n)`` for ``m = 0..n-1``; read-only."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
+
+
+def _step_bounds(
+    pre: Field, node: int, trial: StepTrial, ops: Operators, eta_c: float, floor: float
+) -> Callable[[float], float | None]:
+    """Decide a decoupled bisection trial from two one-step bounds, where
+    they can, without the trial's inverse transform.
+
+    A step of ``tau`` from ``pre`` moves rfft mode ``k`` by ``tau*v_k/(1 +
+    tau*symbol_k)``, with ``v`` the ``change`` modes of ``trial``, and the
+    divisor is at least 1 for ``alpha >= 0``.  With ``w_k`` from
+    :func:`_mode_weights`: (a) no node falls by more than ``tau*sum_k
+    w_k|v_k|``, and (b) the value at ``node`` is ``pre[node] + tau*sum_k
+    c_k/(1 + tau*symbol_k)`` with ``c_k = w_k Re(v_k e^{2 pi i k*node/n})``.
+    Both move by ``trial.change_margin``, which covers how far the step of
+    :func:`advance` may lie from them by roundoff.  The returned function of
+    ``tau`` gives the lower bound (a) when it is above ``eta_c``, so the
+    step does not cross; else the upper bound (b) on the minimum when it is
+    below ``floor``, so the step crosses by more than the value tolerance;
+    else ``None``.  Setting up costs a few per-mode operations, (a) none and
+    (b) one dot over the modes.
+    """
+    n, change, slack = ops.grid.n, trial.change, trial.change_margin
+    weights, symbol = _mode_weights(n), ops.symbol
+    lowest = float(pre.values.min()) - slack
+    drop = float(np.dot(weights, np.abs(change)))
+    phases = _unit_roots(n)[np.arange(n // 2 + 1) * node % n]
+    shares = weights * (change * phases).real
+    at_node = float(pre.values[node]) + slack
+
+    def decide(tau: float) -> float | None:
+        low = lowest - tau * drop
+        if low > eta_c:
+            return low
+        high = at_node + tau * float(np.dot(shares, 1.0 / (1.0 + tau * symbol)))
+        return high if high < floor else None
+
+    return decide
 
 
 def locate_crossing(
@@ -325,15 +370,20 @@ def locate_crossing(
 
     Bisects the trial step size until the minimum thickness is within
     ``event_tol * eta_a`` of the threshold or the bracket is below
-    ``1e-3 * dt``.  Each trial step is taken in rfft modes from one forward
-    transform of ``pre``; a trial whose minimum lies within roundoff of a
-    value the bisection compares it with is re-taken by :func:`advance`, so
-    every decision, and the located time, is that of re-stepping from
-    ``pre`` with :func:`advance`.  The state handed out is the step of the
-    located size taken by :func:`advance`.  A caller that already took the
-    step of ``dt`` from ``pre`` passes its result as ``stepped``, which is
-    then not taken again.  Returns the elapsed time and the state at the
-    located crossing (whose minimum is at or below the threshold).
+    ``1e-3 * dt``.  Each trial comes from one forward transform of ``pre``
+    (:func:`step_trial`).  A decoupled trial is first put to the two
+    one-step bounds of :func:`_step_bounds`, at the node where the step of
+    ``dt`` is lowest; only when neither decides is the step taken in rfft
+    modes.  A trial step whose minimum lies within roundoff of a value the
+    bisection compares it with is re-taken by :func:`advance`, so every
+    decision, and the located time, is that of re-stepping from ``pre``
+    with :func:`advance`.  The state handed out is the step of the located
+    size taken by :func:`advance`; its minimum must match the tested one,
+    or lie at or below the bound (b) that decided it.  A caller that
+    already took the step of ``dt`` from ``pre`` passes its result as
+    ``stepped``, which is then not taken again.  Returns the elapsed time
+    and the state at the located crossing (whose minimum is at or below
+    the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
@@ -344,24 +394,31 @@ def locate_crossing(
     if low_hi > eta_c:
         raise BracketError("no crossing within one step")
 
-    lo, hi, trial = 0.0, dt, None
+    lo, hi, trial, bounds, bounded = 0.0, dt, None, None, False
     while abs(low_hi - eta_c) > value_tol and (hi - lo) >= _BRACKET_FLOOR * dt:
         if trial is None:
-            trial, margin = step_trial(pre, dt, ops)
+            trial = step_trial(pre, dt, ops)
+            if trial.change is not None:
+                node = int(np.argmin(state_hi.values))
+                bounds = _step_bounds(pre, node, trial, ops, eta_c, eta_c - value_tol)
         mid = 0.5 * (lo + hi)
-        low = trial(mid)
-        # within roundoff of eta_c or of eta_c -/+ value_tol: let advance decide
-        gap = abs(low - eta_c)
-        if min(gap, abs(gap - value_tol)) <= margin:
-            low = float(np.min(advance(pre, mid, ops).eta.values))
+        low = bounds(mid) if bounds is not None else None
+        decided = low is not None
+        if not decided:
+            low = trial.minimum_after(mid)
+            # within roundoff of eta_c or of eta_c -/+ value_tol: let advance decide
+            gap = abs(low - eta_c)
+            if min(gap, abs(gap - value_tol)) <= trial.margin:
+                low = float(np.min(advance(pre, mid, ops).eta.values))
         if low <= eta_c:
-            hi, low_hi = mid, low
+            hi, low_hi, bounded = mid, low, decided
         else:
             lo = mid
     if hi != dt:
         state_hi = advance(pre, hi, ops)
         handed = float(np.min(state_hi.eta.values))
-        if not (handed <= eta_c and abs(handed - low_hi) <= margin):
+        gap = handed - low_hi
+        if not (handed <= eta_c and (gap if bounded else abs(gap)) <= trial.margin):
             raise LinearSolveError(
                 f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
             )

@@ -24,8 +24,10 @@ solve.  ``step_trial`` takes one step of any size in rfft modes from one
 forward transform of a state of either kind, with the eigenvalues rounded
 as the solve rounds them, and returns only its minimum thickness and the
 roundoff margin about it: the crossing bisection's trials, which are not
-checked and never handed out.  Both state kinds expose their layer
-thickness as ``eta``.
+checked and never handed out.  For a decoupled state the same transform
+also gives the modes of ``load - A x``, from which the bisection bounds a
+step without taking it.  Both state kinds expose their layer thickness as
+``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -170,11 +172,21 @@ class Operators:
     @functools.cached_property
     def symbol(self) -> np.ndarray:
         """Eigenvalue ``alpha + sigma*s_k/dx^2`` of ``alpha I + sigma K`` per
-        rfft mode (``s_k`` from :func:`_second_difference_symbol`)."""
-        n, dx = self.grid.n, self.grid.dx
-        symbol = self.alpha + self.sigma * (_second_difference_symbol(n) / (dx * dx))
-        symbol.flags.writeable = False
-        return symbol
+        rfft mode (``s_k`` from :func:`_second_difference_symbol`);
+        read-only."""
+        return _decoupled_symbol(self.grid.n, self.grid.dx, self.sigma, self.alpha)
+
+    def decoupled_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(g, 1 + g, w*g/(1 + g))`` per rfft mode, with ``g = dt*symbol``
+        and ``w`` from :func:`_mode_weights`: the growth and step divisor of a
+        decoupled step of ``dt`` and the weights of its change rate; read-only
+        and built once per step size."""
+        return _decoupled_factors(self.grid.n, self.grid.dx, self.sigma, self.alpha, dt)
+
+    @functools.cached_property
+    def load_min(self) -> float:
+        """``min(load)``, the constant load of the subsolution."""
+        return float(np.min(self.load))
 
     @functools.cached_property
     def fixed_point_bound(self) -> float:
@@ -250,6 +262,41 @@ def _second_difference_symbol(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
+def _decoupled_symbol(n: int, dx: float, sigma: float, alpha: float) -> np.ndarray:
+    """``alpha + sigma*s_k/dx^2`` per rfft mode; read-only."""
+    symbol = alpha + sigma * (_second_difference_symbol(n) / (dx * dx))
+    symbol.flags.writeable = False
+    return symbol
+
+
+@functools.lru_cache(maxsize=4)
+def _decoupled_factors(
+    n: int, dx: float, sigma: float, alpha: float, dt: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of :meth:`Operators.decoupled_factors`, kept per step
+    size because every jump and change rate of a run uses the same one."""
+    growth = dt * _decoupled_symbol(n, dx, sigma, alpha)
+    tables = growth, 1.0 + growth, _mode_weights(n) * growth / (1.0 + growth)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_weights(n: int) -> np.ndarray:
+    """Bound ``w_k`` on the size at any node of the inverse rfft term of a
+    unit mode ``k``: ``1/n`` for mode 0 and (``n`` even) the Nyquist mode,
+    ``2/n`` otherwise; read-only.  The term of mode ``k`` at node ``j`` is
+    ``w_k Re(m_k e^{2 pi i jk/n})`` exactly."""
+    weights = np.full(n // 2 + 1, 2.0 / n)
+    weights[0] = 1.0 / n
+    if n % 2 == 0:
+        weights[-1] = 1.0 / n
+    weights.flags.writeable = False
+    return weights
+
+
+@functools.lru_cache(maxsize=4)
 def _inverse_symbol(n: int, diag: float, off: float) -> np.ndarray:
     """``1/(diag + off*(2 - s_k))`` per rfft mode of the cyclic matrix, each
     value twice so that it scales the real and the imaginary part of its
@@ -290,7 +337,7 @@ def _check_solution(diag: float, off: float, x: np.ndarray, rhs: np.ndarray) -> 
     residual[:-1] += off * x[1:]
     residual[0] += off * x[-1]
     residual[-1] += off * x[0]
-    limit = _STEP_RESIDUAL_TOL * abs(diag) * np.abs(x).max()
+    limit = _STEP_RESIDUAL_TOL * abs(diag) * max(x.max(), -x.min())
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
         raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
@@ -331,11 +378,11 @@ def jump_decoupled(
     if transient is None:
         transient = decoupled_transient(state, ops)
     grid = state.grid
-    growth = dt * ops.symbol
+    growth, divisor, _ = ops.decoupled_factors(dt)
     # test growth, not 1 + growth: where 1 + growth rounds to 1, so does a
     # bound on it for steps near sys.maxsize, and every mode would be dropped
     kept = growth < math.expm1(1000.0 * math.log(2.0) / steps)
-    factors = np.power(1.0 + growth, -steps, out=np.zeros_like(growth), where=kept)
+    factors = np.power(divisor, -steps, out=np.zeros_like(growth), where=kept)
     modes = transient * factors
     values = ops.fixed_point + np.fft.irfft(modes, grid.n)
     return Field(grid, values, _time_after(state.time, steps, dt)), modes
@@ -538,15 +585,22 @@ def advance(state: Field | CoupledState, dt: float, ops: Operators):
 _TRIAL_GUARD = 1.0e-12
 
 
-def step_trial(
-    state: Field | CoupledState, dt: float, ops: Operators
-) -> tuple[Callable[[float], float], float]:
+class StepTrial(NamedTuple):
+    """The one-step trials :func:`step_trial` makes from one transform."""
+
+    minimum_after: Callable[[float], float]
+    margin: float
+    change: np.ndarray | None
+    change_margin: float
+
+
+def step_trial(state: Field | CoupledState, dt: float, ops: Operators) -> StepTrial:
     """The minimum thickness after one backward-Euler step of any size
-    ``tau`` up to ``dt`` from ``state``, as a function of ``tau``; and the
-    margin by which it may differ by roundoff from the minimum after the
-    same step taken by :func:`advance`: ``_TRIAL_GUARD`` times the largest
-    magnitude among the transformed inputs, the state and ``dt`` times the
-    load.
+    ``tau`` up to ``dt`` from ``state``, as a function ``minimum_after`` of
+    ``tau``; and the ``margin`` by which it may differ by roundoff from the
+    minimum after the same step taken by :func:`advance`: ``_TRIAL_GUARD``
+    times the largest magnitude among the transformed inputs, the state and
+    ``dt`` times the load.
 
     ``state`` is transformed here, once; each call then costs a few
     per-mode operations and one inverse transform.  Per mode a decoupled
@@ -556,6 +610,14 @@ def step_trial(
     when ``sigma*tau/dx^2`` is large, and the trial must lose the same ones
     to agree with the solve.  The step is not checked: a state to hand out
     is taken by :func:`advance`.
+
+    For a decoupled ``state`` the same transform also gives ``change``, the
+    rfft modes ``v = l - symbol*x`` of ``load - (alpha I + sigma K) x``: a
+    step of ``tau`` moves mode ``k`` by ``tau*v_k/(1 + tau*symbol_k)``
+    exactly, free of that cancellation, so a value formed from ``change``
+    may differ from :func:`advance` by the cancellation's roundoff too,
+    which grows with ``4*sigma*tau/dx^2``; ``change_margin`` is ``margin``
+    times ``1 + 4*sigma*dt/dx^2``.  A coupled ``state`` has no ``change``.
     """
     coupled = isinstance(state, CoupledState)
     inputs = np.stack((state.h.values, state.zeta.values)) if coupled else state.values[None]
@@ -581,7 +643,12 @@ def step_trial(
             np.divide(parts, eigenvalues[0], out=parts)
         return float(np.fft.irfft(modes, n).min())
 
-    return minimum_after, _TRIAL_GUARD * float(scale)
+    margin = _TRIAL_GUARD * float(scale)
+    if coupled:
+        return StepTrial(minimum_after, margin, None, margin)
+    change = ops.load_modes - ops.symbol * start[0].view(complex)
+    stiffness = 4.0 * ops.sigma * dt / (ops.grid.dx * ops.grid.dx)
+    return StepTrial(minimum_after, margin, change, margin * (1.0 + stiffness))
 
 
 def _eigenvalue_coupling(n: int, off: float) -> np.ndarray:

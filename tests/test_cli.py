@@ -318,6 +318,24 @@ def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path
 @pytest.mark.parametrize(
     "args",
     [
+        ["bounds", "--preset", "ex1", "--set", "forcing_offset=-3e-14"],
+        ["simulate", "--preset", "ex1", "--set", "forcing_offset=-3e-14", "--max-events", "1"],
+        ["find-periodic", "--preset", "ex1", "--set", "forcing_offset=-3e-14"],
+        ["simulate", "--preset", "ex2", "--set", "forcing_offset=-0.18", "--max-events", "1"],
+    ],
+    ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2"],
+)
+def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args):
+    # offset/alpha + eta_c == 0 made the rupture-time lower bound divide by
+    # zero, which ended in a ZeroDivisionError traceback and exit 1
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
+    assert child.returncode in (0, 1, 2, 3), child.stderr
+    assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["simulate", "--preset", "ex1", "--set", "numerics.dt=5e-324", "--max-events", "1"],
         ["simulate", "--preset", "ex1", "--set", "numerics.dt=1e-310", "--max-events", "1"],
         ["simulate", "--preset", "ex1", "--set", "numerics.dt=2e-308", "--max-events", "1"],

@@ -79,6 +79,16 @@ def test_bounds_require_evaporation():
         rupture_time_bounds(cfg, constant_field(grid, 1.0))
 
 
+def test_lower_bound_is_nan_where_the_shifted_threshold_vanishes():
+    # offset/alpha + eta_c == 0 divided by zero and raised ZeroDivisionError
+    cfg = decay_config(forcing_offset=-0.01, eta_c=0.01)
+    grid = build_grid(cfg, 32)
+    report = rupture_time_bounds(cfg, constant_field(grid, 0.03))
+    assert math.isnan(report.t_lower)
+    assert report.t_upper == pytest.approx(math.log(3.0), rel=1e-12)
+    assert not report.lower_applicable
+
+
 def test_bounds_applicability_flags():
     cfg = decay_config(forcing_offset=-1.0)
     grid = build_grid(cfg, 32)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rupturesim import rupture, solver
 from rupturesim.config import ModelConfig, Numerics
@@ -455,21 +455,25 @@ def test_time_after_equals_repeated_addition(time, dt, steps, half):
     assert solver._time_after(time, steps, dt) == expected
 
 
-# kind, n, dt, alpha, sigma, tau, forcing offset, where the threshold falls
-# between the minima after the step and before it (None: on the minimum after
-# half the step, the first trial, so that a decision is a tie), and the event
-# tolerance
-crossing_parameters = st.tuples(
-    st.sampled_from(("decoupled", "coupled")),
-    st.integers(8, 512),
-    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
-    st.floats(0.0, 60.0),
-    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
-    st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
-    st.floats(0.0, 30.0),
-    st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-    st.floats(-9.0, -2.0).map(lambda e: 10.0**e),
-)
+def crossing_parameters_over(kinds, max_n, alphas):
+    """kind, n, dt, alpha, sigma, tau, forcing offset, where the threshold
+    falls between the minima after the step and before it (None: on the
+    minimum after half the step, the first trial, so that a decision is a
+    tie), and the event tolerance."""
+    return st.tuples(
+        st.sampled_from(kinds),
+        st.integers(8, max_n),
+        st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+        alphas,
+        st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(-0.5, 0.5).map(lambda e: 10.0**e),
+        st.floats(0.0, 30.0),
+        st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.floats(-9.0, -2.0).map(lambda e: 10.0**e),
+    )
+
+
+crossing_parameters = crossing_parameters_over(("decoupled", "coupled"), 512, st.floats(0.0, 60.0))
 
 
 def crossing_case(params, seed, bracket=True):
@@ -534,10 +538,50 @@ def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, sigma1, tau, fra
         (kind, n, dt, 5.0, sigma, tau, 3.0, 0.5, 1e-6), seed, bracket=False
     )
     ops = assemble_operators(ops.grid, replace(config, sigma1=sigma1))
-    trial, margin = solver.step_trial(pre, dt, ops)
+    trial = solver.step_trial(pre, dt, ops)
     step = fraction * dt
     stepped = float(np.min(advance(pre, step, ops).eta.values))
-    assert abs(trial(step) - stepped) <= 1e-2 * margin
+    assert abs(trial.minimum_after(step) - stepped) <= 1e-2 * trial.margin
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    crossing_parameters_over(
+        ("decoupled",), 8192, st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+    ),
+    seeds,
+    st.floats(1e-3, 1.0),
+    st.booleans(),
+)
+# sigma*dt/dx^2 so large that advance's minimum lies about six trial margins
+# above the cancellation-free step, which a bound without the stiffness part
+# of its allowance would take for a crossing
+@example(("decoupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.75, True)
+def test_step_bounds_decide_only_as_advance_does(params, seed, fraction, tie_floor):
+    # the threshold (or, with tie_floor, the threshold less the value
+    # tolerance) is put on the minimum after a step of fraction*dt, and (b)
+    # is taken at the node of that minimum, where a bound that lost its
+    # roundoff allowance would decide wrongly about half the time; the other
+    # step sizes are the bisection's first trials
+    config, ops, pre, dt = crossing_case(params, seed, bracket=False)
+    value_tol = config.numerics.event_tol * config.eta_a
+
+    def minimum(tau):
+        return float(np.min(advance(pre, tau, ops).values))
+
+    steps = [fraction * dt] + [k * dt / 8 for k in range(1, 9)]
+    tied_step = advance(pre, steps[0], ops).values
+    tied, node = float(np.min(tied_step)), int(np.argmin(tied_step))
+    eta_c, floor = (tied + value_tol, tied) if tie_floor else (tied, tied - value_tol)
+    decide = rupture._step_bounds(pre, node, solver.step_trial(pre, dt, ops), ops, eta_c, floor)
+    for tau in steps:
+        bound, low = decide(tau), minimum(tau)
+        if bound is None:
+            continue
+        if bound > eta_c:  # (a): the step does not cross
+            assert eta_c < bound <= low
+        else:  # (b): the step crosses by more than the value tolerance
+            assert low <= bound < floor
 
 
 def reference_crossing(pre, dt, ops, config, stepped):
@@ -559,20 +603,33 @@ def reference_crossing(pre, dt, ops, config, stepped):
 
 
 def counting_trials(calls):
-    """A patch of the bisection's one seam to its mode-space trials that
-    records every trial step size in ``calls``."""
-    real = rupture.step_trial
+    """Patches of the bisection's two decision seams, its mode-space trials
+    and its one-step bounds, that record in ``calls`` each full trial as
+    ``("trial", tau)`` and each decision a bound makes as ``("bound",
+    tau)``."""
+    real_trial, real_bounds = rupture.step_trial, rupture._step_bounds
 
-    def mode_trial(*args):
-        trial, margin = real(*args)
+    def step_trial(*args):
+        trial = real_trial(*args)
 
         def counted(tau):
-            calls.append(tau)
-            return trial(tau)
+            calls.append(("trial", tau))
+            return trial.minimum_after(tau)
 
-        return counted, margin
+        return trial._replace(minimum_after=counted)
 
-    return mock.patch.object(rupture, "step_trial", mode_trial)
+    def step_bounds(*args):
+        decide = real_bounds(*args)
+
+        def counted(tau):
+            bound = decide(tau)
+            if bound is not None:
+                calls.append(("bound", tau))
+            return bound
+
+        return counted
+
+    return mock.patch.multiple(rupture, step_trial=step_trial, _step_bounds=step_bounds)
 
 
 def state_arrays(state):
@@ -591,7 +648,36 @@ def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_ste
     with counting_trials(calls):
         elapsed, state = rupture.locate_crossing(pre, dt, ops, config, stepped=stepped)
     assert elapsed == expected
+    # each trial of plain stepping is decided once, by a bound or a full trial
     assert len(calls) == expected_trials
     assert state.time == expected_state.time
     for got, want in zip(state_arrays(state), state_arrays(expected_state)):
         assert np.array_equal(got, want)
+
+
+def test_bounds_decide_most_trials_of_a_fine_grid(ex1):
+    # the first three events of ex1 at n = 8192 take about 30 full trials
+    # without the one-step bounds
+    calls = []
+    grid = build_grid(ex1, 8192)
+    with counting_trials(calls):
+        events, _ = rupture.run_with_rupture(ex1, Field(grid, np.full(8192, ex1.eta_a)), max_events=3)
+    assert len(events) == 3
+    assert sum(kind == "trial" for kind, _ in calls) <= 12
+
+
+def test_coupled_crossings_take_every_trial_of_the_plain_bisection(ex3):
+    calls, expected = [], []
+    real_locate = rupture.locate_crossing
+
+    def locate_crossing(pre, dt, ops, config, *, stepped):
+        expected.append(reference_crossing(pre, dt, ops, config, stepped)[2])
+        return real_locate(pre, dt, ops, config, stepped=stepped)
+
+    grid = build_grid(ex3)
+    start = CoupledState.from_thickness(Field(grid, np.full(grid.n, ex3.eta_a)))
+    with counting_trials(calls), mock.patch.object(rupture, "locate_crossing", locate_crossing):
+        events, _ = rupture.run_with_rupture(ex3, start, max_events=5)
+    assert len(events) == 5
+    assert calls == [("trial", tau) for _, tau in calls]
+    assert len(calls) == sum(expected) > 0
