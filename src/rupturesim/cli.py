@@ -256,8 +256,22 @@ def read_profile_csv(path: Path, grid) -> Field:
     return Field(grid, rows[:, 1].copy(), 0.0)
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it replaced by ``None``, which
+    JSON writes as ``null``: JSON has no NaN or infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    """Write ``payload`` as strict JSON: an undefined value, such as a bound
+    whose logarithm is undefined, becomes ``null``."""
+    path.write_text(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n")
 
 
 def _write_manifest(manifest: RunManifest, config: ModelConfig) -> None:

@@ -22,19 +22,16 @@ forward transform between them, and one inverse transform each; the
 per-mode factors that would underflow are skipped.  In coupled mode a gap
 runs in one call of the mode-space kernel, which tests the thickness after
 every step and checks the backward error of the state it hands out.
-Either way the step that crosses is taken through ``advance`` and brackets
-the crossing.  The bisection takes its trial steps in Fourier modes from
-one transform of the state before the crossing, re-takes with ``advance``
-any trial whose minimum lies within roundoff of a value it is compared
-with, and hands out the located step taken by ``advance``, so its
-decisions, times and states are those of plain stepping.  In decoupled
-mode the same transform gives the modes of ``load - A x``, from which two
-one-step bounds decide most trials without an inverse transform: how far
-any node can fall in a step, which shows that a short step does not
-cross, and the value after the step at the node where the full step is
-lowest, which shows that a long one crosses by more than the value
-tolerance.  Each bound allows for the roundoff of ``advance``, so it
-decides as plain stepping does.
+Either way the gap hands the Fourier modes of the state it reaches to the
+crossing search, which decides every step from them, the step that
+brackets the crossing first: most by bounds on how far the step moves
+each mode, the rest by the step taken in modes, and one within roundoff
+of a value it is compared with by ``advance``.  The bounds exclude every
+node that cannot fall to the threshold within a step, and sum a few live
+modes at the rest.  Each allows for the roundoff of ``advance``, so every
+decision, time and state is that of stepping with ``advance`` from those
+modes.  A step returns to real space only where it does not cross, and
+at the located crossing, through ``advance`` from the modes.
 """
 from __future__ import annotations
 
@@ -320,42 +317,113 @@ def _unit_roots(n: int) -> np.ndarray:
     return roots
 
 
-def _step_bounds(
-    pre: Field, node: int, trial: StepTrial, ops: Operators, eta_c: float, floor: float
-) -> Callable[[float], float | None]:
-    """Decide a decoupled bisection trial from two one-step bounds, where
-    they can, without the trial's inverse transform.
+# entries per grid node of the candidate-node matrix of _step_bounds, above
+# which the matrix costs more to build than the full trials it would spare
+_NODE_BUDGET = 4
 
-    A step of ``tau`` from ``pre`` moves rfft mode ``k`` by ``tau*v_k/(1 +
-    tau*symbol_k)``, with ``v`` the ``change`` modes of ``trial``, and the
-    divisor is at least 1 for ``alpha >= 0``.  With ``w_k`` from
-    :func:`_mode_weights`: (a) no node falls by more than ``tau*sum_k
-    w_k|v_k|``, and (b) the value at ``node`` is ``pre[node] + tau*sum_k
-    c_k/(1 + tau*symbol_k)`` with ``c_k = w_k Re(v_k e^{2 pi i k*node/n})``.
-    Both move by ``trial.change_margin``, which covers how far the step of
-    :func:`advance` may lie from them by roundoff.  The returned function of
-    ``tau`` gives the lower bound (a) when it is above ``eta_c``, so the
-    step does not cross; else the upper bound (b) on the minimum when it is
-    below ``floor``, so the step crosses by more than the value tolerance;
-    else ``None``.  Setting up costs a few per-mode operations, (a) none and
-    (b) one dot over the modes.
+
+def _step_bounds(
+    pre: Field | CoupledState, trial: StepTrial, dt: float, eta_c: float, floor: float
+) -> Callable[[float], float | None]:
+    """Decide a bisection trial of either state kind from bounds on the
+    step, where they can, without the trial's inverse transform.
+
+    A step of ``tau <= dt`` from ``pre`` moves rfft mode ``k`` of the
+    thickness by ``tau*q_k(tau)`` (``trial.change``), with ``|q_k| <=
+    trial.peak[k]``, so with ``w_k`` from :func:`_mode_weights` no node falls
+    by more than ``tau*drop``, ``drop = sum_k w_k peak_k``.  Only nodes with
+    ``eta_0 - slack - dt*drop <= eta_c`` can cross, where the slack
+    ``trial.change_margin`` covers how far the step of :func:`advance` may
+    lie from the exact one by roundoff.  At those candidate nodes the value
+    after the step is ``eta_0 + tau*sum_k w_k Re(q_k e^{2 pi i jk/n})``,
+    summed over the shortest prefix of ``K`` modes whose tail ``dt*sum_{k >=
+    K} w_k peak_k`` is at most the slack; the tail is added to the slack.
+
+    The returned function of ``tau`` gives a lower bound on the minimum
+    above ``eta_c``, so the step does not cross, or an upper bound below
+    ``floor``, so it crosses by more than the value tolerance; else
+    ``None``.  Without candidate nodes, no node can cross.  Where the
+    candidate set and ``K`` make a matrix of more than ``_NODE_BUDGET*n``
+    entries, only the bound on the drop decides.
     """
-    n, change, slack = ops.grid.n, trial.change, trial.change_margin
-    weights, symbol = _mode_weights(n), ops.symbol
-    lowest = float(pre.values.min()) - slack
-    drop = float(np.dot(weights, np.abs(change)))
-    phases = _unit_roots(n)[np.arange(n // 2 + 1) * node % n]
-    shares = weights * (change * phases).real
-    at_node = float(pre.values[node]) + slack
+    values = pre.eta.values
+    n = values.size
+    weights = _mode_weights(n)
+    rates = weights * trial.peak
+    drop = float(np.sum(rates))
+    slack = trial.change_margin
+    lowest = float(values.min()) - slack
+    matrix = None
+    if lowest - dt * drop <= eta_c:  # else the drop decides every step
+        nodes = np.flatnonzero(values - slack - dt * drop <= eta_c)
+        # tails[k]: the largest change per unit step of the modes from k on,
+        # which does not grow with k
+        tails = np.cumsum(rates[::-1])[::-1]
+        count = int(np.count_nonzero(dt * tails > slack))
+        if 0 < nodes.size * count <= _NODE_BUDGET * n:
+            slack += dt * float(tails[count]) if count < tails.size else 0.0
+            phases = _unit_roots(n)[np.outer(nodes, np.arange(count)) % n]
+            # [w cos, -w sin] per mode, against [Re q, Im q] of the change
+            matrix = (weights[:count] * phases.conj()).view(np.float64)
+            start = values[nodes]
 
     def decide(tau: float) -> float | None:
         low = lowest - tau * drop
-        if low > eta_c:
-            return low
-        high = at_node + tau * float(np.dot(shares, 1.0 / (1.0 + tau * symbol)))
-        return high if high < floor else None
+        if low > eta_c or matrix is None:
+            return low if low > eta_c else None
+        least = float(np.min(start + tau * (matrix @ trial.change(tau, count).view(np.float64))))
+        if least - slack > eta_c:
+            return least - slack
+        return least + slack if least + slack < floor else None
 
     return decide
+
+
+class _Trials:
+    """The bisection's decisions about steps of up to ``dt`` from ``pre``,
+    from one :func:`step_trial`, starting with the step of ``dt`` itself.
+
+    :meth:`decide` puts a step first to the bounds of :func:`_step_bounds`;
+    only when they do not decide is it taken in rfft modes, and a step
+    whose minimum lies within roundoff of a value the bisection compares it
+    with is re-taken by :meth:`step`.  So every decision is that of
+    stepping from ``pre`` with :meth:`step`, the checked :func:`advance`
+    from the trial's modes.  ``at_dt`` is the decision about the step of
+    ``dt``.
+    """
+
+    def __init__(
+        self,
+        pre: Field | CoupledState,
+        dt: float,
+        ops: Operators,
+        config: ModelConfig,
+        modes: np.ndarray | None = None,
+    ) -> None:
+        self.pre, self.ops = pre, ops
+        self.eta_c = config.eta_c
+        self.value_tol = config.numerics.event_tol * config.eta_a
+        self.trial = step_trial(pre, dt, ops, modes)
+        self.bounds = _step_bounds(pre, self.trial, dt, self.eta_c, self.eta_c - self.value_tol)
+        self.at_dt = self.decide(dt)
+
+    def step(self, tau: float) -> Field | CoupledState:
+        """The state after the checked step of ``tau`` from ``pre``."""
+        return advance(self.pre, tau, self.ops, self.trial.modes)
+
+    def decide(self, tau: float) -> tuple[float, bool]:
+        """The minimum thickness after a step of ``tau``, or a bound on it
+        that lies on the same side of every value the bisection compares it
+        with, and whether it is such a bound."""
+        low = self.bounds(tau)
+        if low is not None:
+            return low, True
+        low = self.trial.minimum_after(tau)
+        # within roundoff of eta_c or of eta_c -/+ value_tol: let the step decide
+        gap = abs(low - self.eta_c)
+        if min(gap, abs(gap - self.value_tol)) <= self.trial.margin:
+            low = float(np.min(self.step(tau).eta.values))
+        return low, False
 
 
 def locate_crossing(
@@ -364,64 +432,50 @@ def locate_crossing(
     ops: Operators,
     config: ModelConfig,
     *,
-    stepped: Field | CoupledState | None = None,
+    trials: _Trials | None = None,
 ) -> tuple[float, Field | CoupledState]:
     """Localize the threshold crossing bracketed by one step from ``pre``.
 
     Bisects the trial step size until the minimum thickness is within
     ``event_tol * eta_a`` of the threshold or the bracket is below
-    ``1e-3 * dt``.  Each trial comes from one forward transform of ``pre``
-    (:func:`step_trial`).  A decoupled trial is first put to the two
-    one-step bounds of :func:`_step_bounds`, at the node where the step of
-    ``dt`` is lowest; only when neither decides is the step taken in rfft
-    modes.  A trial step whose minimum lies within roundoff of a value the
-    bisection compares it with is re-taken by :func:`advance`, so every
-    decision, and the located time, is that of re-stepping from ``pre``
-    with :func:`advance`.  The state handed out is the step of the located
-    size taken by :func:`advance`; its minimum must match the tested one,
-    or lie at or below the bound (b) that decided it.  A caller that
-    already took the step of ``dt`` from ``pre`` passes its result as
-    ``stepped``, which is then not taken again.  Returns the elapsed time
-    and the state at the located crossing (whose minimum is at or below
-    the threshold).
+    ``1e-3 * dt``.  Every decision, the step of ``dt`` included, comes from
+    one :class:`_Trials`: most from bounds, the rest from steps in rfft
+    modes, and any within roundoff of a compared value from the checked
+    step, so each decision and the located time are those of re-stepping
+    from ``pre`` with :func:`advance`.  Only the located step returns to
+    real space, taken by :func:`advance` from the trial's modes; its
+    minimum must match the tested one, or lie at or below the bound that
+    decided it.  A caller that holds the rfft modes of ``pre``, or has
+    already made the decision about the step of ``dt``, passes its
+    :class:`_Trials` as ``trials``; with its modes, ``pre`` is not
+    transformed at all.  Returns the elapsed time and the state at the
+    located crossing (whose minimum is at or below the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
     if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
-    state_hi = advance(pre, dt, ops) if stepped is None else stepped
-    low_hi = float(np.min(state_hi.eta.values))
+    if trials is None:
+        trials = _Trials(pre, dt, ops, config)
+    low_hi, bounded = trials.at_dt
     if low_hi > eta_c:
         raise BracketError("no crossing within one step")
 
-    lo, hi, trial, bounds, bounded = 0.0, dt, None, None, False
+    lo, hi = 0.0, dt
     while abs(low_hi - eta_c) > value_tol and (hi - lo) >= _BRACKET_FLOOR * dt:
-        if trial is None:
-            trial = step_trial(pre, dt, ops)
-            if trial.change is not None:
-                node = int(np.argmin(state_hi.values))
-                bounds = _step_bounds(pre, node, trial, ops, eta_c, eta_c - value_tol)
         mid = 0.5 * (lo + hi)
-        low = bounds(mid) if bounds is not None else None
-        decided = low is not None
-        if not decided:
-            low = trial.minimum_after(mid)
-            # within roundoff of eta_c or of eta_c -/+ value_tol: let advance decide
-            gap = abs(low - eta_c)
-            if min(gap, abs(gap - value_tol)) <= trial.margin:
-                low = float(np.min(advance(pre, mid, ops).eta.values))
+        low, decided = trials.decide(mid)
         if low <= eta_c:
             hi, low_hi, bounded = mid, low, decided
         else:
             lo = mid
-    if hi != dt:
-        state_hi = advance(pre, hi, ops)
-        handed = float(np.min(state_hi.eta.values))
-        gap = handed - low_hi
-        if not (handed <= eta_c and (gap if bounded else abs(gap)) <= trial.margin):
-            raise LinearSolveError(
-                f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
-            )
+    state_hi = trials.step(hi)
+    handed = float(np.min(state_hi.eta.values))
+    gap = handed - low_hi
+    if not (handed <= eta_c and (gap if bounded else abs(gap)) <= trials.trial.margin):
+        raise LinearSolveError(
+            f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
+        )
     return hi, state_hi
 
 
@@ -507,8 +561,12 @@ def run_with_rupture(
     in decoupled mode with ``alpha > 0`` by closed-form jumps
     (:func:`_jump_to_bound`), in coupled mode by one call of
     :func:`jump_coupled`, which takes all steps up to the one that
-    crosses.  Single steps then run to the crossing, so event times are
-    those of plain stepping.  A decoupled gap with ``alpha > 0`` must
+    crosses; either hands out the modes of the state it reaches.  Single
+    steps then run to the crossing, each decided first by a
+    :class:`_Trials` from the state's modes and taken by :func:`advance`
+    only when it does not cross; the one that crosses hands its
+    :class:`_Trials` to :func:`locate_crossing`.  So event times are those
+    of plain stepping.  A decoupled gap with ``alpha > 0`` must
     rupture within :func:`rupture_horizon`, else :class:`HorizonError`.
     Where that bound does not apply and no ``t_end`` is given, a decoupled
     gap that passes the step count after which it stays above the
@@ -537,25 +595,38 @@ def run_with_rupture(
         settle = None if coupled or t_end is not None else _settle_steps(start, dt, ops, threshold)
         return start.time + (math.inf if settle is None else settle * dt), False
 
-    def skip(state: Field | CoupledState, limit: float) -> Field | CoupledState:
+    def skip(
+        state: Field | CoupledState, limit: float
+    ) -> tuple[Field | CoupledState, np.ndarray | None]:
         """The state after every step from ``state`` that its kind proves
-        free of rupture, a full step or more before ``limit``."""
+        free of rupture, a full step or more before ``limit``, and its rfft
+        modes where the skip formed them (else ``None``)."""
         if coupled:
             steps = _room(limit, state.time, dt)
-            return jump_coupled(state, steps, dt, ops, config.eta_c)[1] if steps >= 1 else state
+            if steps < 1:
+                return state, None
+            return jump_coupled(state, steps, dt, ops, config.eta_c)[1:]
         transient = None  # each jump hands its modes to the next
         while config.alpha > 0.0:
             jumped = _jump_to_bound(state, dt, ops, threshold, limit, transient)
             if jumped is None:
                 break
             state, transient = jumped
-        return state
+        # without evaporation the constant subsolution, which falls by
+        # -dt*min(load) per step, certifies single steps
+        while (
+            config.alpha == 0.0
+            and _room(limit, state.time, dt) >= 1
+            and float(state.values.min()) + dt * ops.load_min >= threshold
+        ):
+            state = advance(state, dt, ops)
+        return state, None if transient is None else transient + ops.fixed_point_modes
 
     events: list[RuptureEvent] = []
     state = initial
     while len(events) < cap and state.time < end:
         deadline, due = gap_deadline(state)
-        state = skip(state, min(end, deadline))
+        state, modes = skip(state, min(end, deadline))
         while (time := state.time) < end:
             if time > deadline:
                 if due:
@@ -567,14 +638,14 @@ def run_with_rupture(
                     "above the threshold for good; give an end time (--t-end)"
                 )
             step_dt = step_toward(end - time, dt)
-            trial = advance(state, step_dt, ops)
-            if float(np.min(trial.eta.values)) <= config.eta_c:
+            trials = _Trials(state, step_dt, ops, config, modes)
+            if trials.at_dt[0] <= config.eta_c:
                 break
-            state = trial
+            state, modes = trials.step(step_dt), None
         else:  # reached t_end
             break
 
-        _, at_rupture = locate_crossing(state, step_dt, ops, config, stepped=trial)
+        _, at_rupture = locate_crossing(state, step_dt, ops, config, trials=trials)
         pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]

@@ -20,14 +20,17 @@ step is lower-triangular per mode: cached per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state it hands out
 returns to real space, where it passes the same backward-error check as a
-solve.  ``step_trial`` takes one step of any size in rfft modes from one
-forward transform of a state of either kind, with the eigenvalues rounded
-as the solve rounds them, and returns only its minimum thickness and the
-roundoff margin about it: the crossing bisection's trials, which are not
-checked and never handed out.  For a decoupled state the same transform
-also gives the modes of ``load - A x``, from which the bisection bounds a
-step without taking it.  Both state kinds expose their layer thickness as
-``eta``.
+solve; it hands out that state's modes too.  A caller that holds a state's
+modes passes them to ``advance``, whose solves then take their right
+sides' modes without a forward transform and keep their checks.
+``step_trial`` takes one step of any size in rfft modes from the modes of
+a state of either kind (one forward transform when none are given), with
+the eigenvalues rounded as the solve rounds them, and returns only its
+minimum thickness and the roundoff margin about it: the crossing
+bisection's trials, which are not checked and never handed out.  It also
+gives how far a step moves each mode of the thickness, from which the
+bisection bounds a step without taking it.  Both state kinds expose their
+layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -209,14 +212,22 @@ class Operators:
         return modes
 
     @functools.cached_property
-    def fixed_point(self) -> np.ndarray:
-        """Fixed point of every decoupled step, ``(alpha I + sigma K) x* =
-        load``, solved mode by mode, so mode 0 gives ``mean(x*) =
-        mean(load)/alpha``; read-only.  Requires ``alpha > 0``, which makes it
-        unique."""
+    def fixed_point_modes(self) -> np.ndarray:
+        """rfft modes ``load_modes/symbol`` of the fixed point of every
+        decoupled step, ``(alpha I + sigma K) x* = load``, so mode 0 gives
+        ``mean(x*) = mean(load)/alpha``; read-only.  Requires ``alpha > 0``,
+        which makes it unique."""
         if not self.alpha > 0.0:
             raise UnsupportedError("the decoupled fixed point requires alpha > 0")
-        fixed = np.fft.irfft(self.load_modes / self.symbol, self.grid.n)
+        modes = self.load_modes / self.symbol
+        modes.flags.writeable = False
+        return modes
+
+    @functools.cached_property
+    def fixed_point(self) -> np.ndarray:
+        """The fixed point ``x*`` of :attr:`fixed_point_modes` at the nodes;
+        read-only."""
+        fixed = np.fft.irfft(self.fixed_point_modes, self.grid.n)
         fixed.flags.writeable = False
         return fixed
 
@@ -308,19 +319,24 @@ def _inverse_symbol(n: int, diag: float, off: float) -> np.ndarray:
     return inverse
 
 
-def solve_periodic_tridiagonal(diag: float, off: float, rhs: np.ndarray) -> np.ndarray:
+def solve_periodic_tridiagonal(
+    diag: float, off: float, rhs: np.ndarray, modes: np.ndarray | None = None
+) -> np.ndarray:
     """Solve the cyclic tridiagonal system with constant diagonals.
 
     The matrix is circulant, so mode ``k`` of the solution is mode ``k`` of
-    ``rhs`` divided by the eigenvalue ``diag + off*(2 - s_k)``.  Every
-    solution is checked against the original system: a residual above
-    ``1e-12 * |diag| * ||x||`` (a backward error of about ``1e-12``,
-    independent of the grid size) raises :class:`LinearSolveError`; it
-    cannot occur for the diagonally dominant step matrices in exact
-    arithmetic.
+    ``rhs`` divided by the eigenvalue ``diag + off*(2 - s_k)``.  A caller
+    that holds the rfft modes of ``rhs`` passes them as ``modes``, which
+    are then scaled in place into the solution's modes instead of
+    transforming ``rhs``.  Every solution is checked against the original
+    system: a residual above ``1e-12 * |diag| * ||x||`` (a backward error of
+    about ``1e-12``, independent of the grid size) raises
+    :class:`LinearSolveError`; it cannot occur for the diagonally dominant
+    step matrices in exact arithmetic.
     """
     n = rhs.shape[0]
-    modes = np.fft.rfft(rhs)
+    if modes is None:
+        modes = np.fft.rfft(rhs)
     parts = modes.view(np.float64)
     parts *= _inverse_symbol(n, diag, off)
     x = np.fft.irfft(modes, n)
@@ -343,11 +359,19 @@ def _check_solution(diag: float, off: float, x: np.ndarray, rhs: np.ndarray) -> 
         raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
 
 
-def step_decoupled(state: Field, dt: float, ops: Operators) -> Field:
-    """One backward-Euler step of the reduced thickness equation."""
+def step_decoupled(
+    state: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
+) -> Field:
+    """One backward-Euler step of the reduced thickness equation; ``modes``,
+    if given, are the rfft modes of ``state``, from which the right side's
+    modes are formed without a transform."""
     diag, off = ops.thickness_matrix(dt)
     rhs = state.values / dt + ops.load
-    return Field(state.grid, solve_periodic_tridiagonal(diag, off, rhs), state.time + dt)
+    if modes is not None:
+        parts = modes.view(np.float64) / dt
+        parts += ops.load_modes.view(np.float64)
+        modes = parts.view(complex)
+    return Field(state.grid, solve_periodic_tridiagonal(diag, off, rhs, modes), state.time + dt)
 
 
 def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
@@ -417,18 +441,31 @@ def _time_after(time: float, steps: int, dt: float) -> float:
     return time
 
 
-def step_coupled(h: Field, zeta: Field, dt: float, ops: Operators) -> tuple[Field, Field]:
+def step_coupled(
+    h: Field, zeta: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
+) -> tuple[Field, Field]:
     """One backward-Euler step of the height/surface pair.
 
     The height equation is autonomous and is advanced first; the surface
     equation then uses the fresh height in its relaxation term, so the
     splitting introduces no error into the height and only a first-order
-    term into the surface.
+    term into the surface.  ``modes``, if given, are the rfft modes of ``h``
+    and ``zeta`` as two rows, from which both right sides' modes are formed
+    as :func:`_coupled_step` forms them, without a transform.
     """
     diag_h, off_h = ops.height_matrix(dt)
     diag_z, off_z = ops.thickness_matrix(dt)
-    h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.height_load)
-    z_new = solve_periodic_tridiagonal(diag_z, off_z, zeta.values / dt + ops.alpha * h_new)
+    h_modes = z_modes = None
+    if modes is not None:
+        h_parts, z_parts = modes.view(np.float64) / dt
+        h_parts -= ops.height_load_modes.view(np.float64)
+        h_modes, z_modes = h_parts.view(complex), z_parts.view(complex)
+    h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.height_load, h_modes)
+    if modes is not None:  # h_modes now holds the new height's modes
+        z_parts += ops.alpha * h_parts
+    z_new = solve_periodic_tridiagonal(
+        diag_z, off_z, zeta.values / dt + ops.alpha * h_new, z_modes
+    )
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
@@ -492,7 +529,7 @@ def _coupled_tables(
 
 def jump_coupled(
     state: CoupledState, steps: int, dt: float, ops: Operators, eta_c: float
-) -> tuple[int, CoupledState]:
+) -> tuple[int, CoupledState, np.ndarray]:
     """Up to ``steps`` backward-Euler steps of the height/surface pair at
     once, stopping before the first whose thickness is at or below ``eta_c``.
 
@@ -505,8 +542,10 @@ def jump_coupled(
     transformed back, rebuilt by that step from its chunk base; its step
     is checked as :func:`solve_periodic_tridiagonal` checks a solve, and its
     thickness minimum must equal the one tested for that step.  Returns the
-    number of steps taken, ``0`` (with ``state`` itself) when the first
-    step crosses.  A non-finite thickness raises :class:`LinearSolveError`.
+    number of steps taken (``0``, with ``state`` itself, when the first step
+    crosses), the state, and the rfft modes of its ``h`` and ``zeta`` as two
+    rows, those it was transformed back from.  A non-finite thickness raises
+    :class:`LinearSolveError`.
     The time advances by repeated additions of ``dt``, so it is
     bit-identical to stepping.
     """
@@ -550,7 +589,7 @@ def jump_coupled(
         h, z = ends[0] * h + ends[1] * load, ends[2] * z + ends[3] * h + ends[4] * load
         previous, base = base, (done, h, z)
     if taken == 0:
-        return 0, state
+        return 0, state, np.stack((h, z)).view(complex)
 
     # rebuild steps taken - 1 and taken from the base of the chunk that
     # holds step taken - 1, by the step recursion
@@ -570,15 +609,21 @@ def jump_coupled(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
     time = _time_after(state.time, taken, dt)
-    return taken, CoupledState(Field(grid, h_new, time), Field(grid, z_new, time))
+    state = CoupledState(Field(grid, h_new, time), Field(grid, z_new, time))
+    return taken, state, np.stack((h, z)).view(complex)
 
 
-def advance(state: Field | CoupledState, dt: float, ops: Operators):
-    """Single step of whichever system the state belongs to."""
+def advance(
+    state: Field | CoupledState, dt: float, ops: Operators, modes: np.ndarray | None = None
+):
+    """Single checked step of whichever system the state belongs to;
+    ``modes``, if given, are the state's rfft modes (for a coupled state,
+    those of ``h`` and ``zeta`` as two rows), which spare the step its
+    forward transforms."""
     if isinstance(state, CoupledState):
-        h, zeta = step_coupled(state.h, state.zeta, dt, ops)
+        h, zeta = step_coupled(state.h, state.zeta, dt, ops, modes)
         return CoupledState(h, zeta)
-    return step_decoupled(state, dt, ops)
+    return step_decoupled(state, dt, ops, modes)
 
 
 # roundoff allowed between the minima of step_trial and advance, relative to the inputs
@@ -586,15 +631,20 @@ _TRIAL_GUARD = 1.0e-12
 
 
 class StepTrial(NamedTuple):
-    """The one-step trials :func:`step_trial` makes from one transform."""
+    """The one-step trials :func:`step_trial` makes from one transform, and
+    what bounds them without an inverse transform."""
 
     minimum_after: Callable[[float], float]
     margin: float
-    change: np.ndarray | None
+    modes: np.ndarray
+    change: Callable[[float, int], np.ndarray]
+    peak: np.ndarray
     change_margin: float
 
 
-def step_trial(state: Field | CoupledState, dt: float, ops: Operators) -> StepTrial:
+def step_trial(
+    state: Field | CoupledState, dt: float, ops: Operators, modes: np.ndarray | None = None
+) -> StepTrial:
     """The minimum thickness after one backward-Euler step of any size
     ``tau`` up to ``dt`` from ``state``, as a function ``minimum_after`` of
     ``tau``; and the ``margin`` by which it may differ by roundoff from the
@@ -602,22 +652,36 @@ def step_trial(state: Field | CoupledState, dt: float, ops: Operators) -> StepTr
     times the largest magnitude among the transformed inputs, the state and
     ``dt`` times the load.
 
-    ``state`` is transformed here, once; each call then costs a few
-    per-mode operations and one inverse transform.  Per mode a decoupled
-    step is ``eta' = (eta/tau + l)/lambda`` and a coupled one is
-    :func:`_coupled_step`, with each eigenvalue ``lambda = diag + off*(2 -
-    s_k)`` formed as the solve forms it: it loses digits to cancellation
-    when ``sigma*tau/dx^2`` is large, and the trial must lose the same ones
-    to agree with the solve.  The step is not checked: a state to hand out
-    is taken by :func:`advance`.
+    ``modes`` are the state's rfft modes as :func:`advance` takes them; only
+    when they are not given is ``state`` transformed here, once, and either
+    way the trial hands them out as ``modes``.  Each call of
+    ``minimum_after`` then costs a few per-mode operations and one inverse
+    transform.  Per mode a decoupled step is ``eta' = (eta/tau +
+    l)/lambda`` and a coupled one is :func:`_coupled_step`, with each
+    eigenvalue ``lambda = diag + off*(2 - s_k)`` formed as the solve forms
+    it: it loses digits to cancellation when ``sigma*tau/dx^2`` is large,
+    and the trial must lose the same ones to agree with the solve.  The
+    step is not checked: a state to hand out is taken by :func:`advance`.
 
-    For a decoupled ``state`` the same transform also gives ``change``, the
-    rfft modes ``v = l - symbol*x`` of ``load - (alpha I + sigma K) x``: a
-    step of ``tau`` moves mode ``k`` by ``tau*v_k/(1 + tau*symbol_k)``
-    exactly, free of that cancellation, so a value formed from ``change``
-    may differ from :func:`advance` by the cancellation's roundoff too,
-    which grows with ``4*sigma*tau/dx^2``; ``change_margin`` is ``margin``
-    times ``1 + 4*sigma*dt/dx^2``.  A coupled ``state`` has no ``change``.
+    A step of ``tau`` moves rfft mode ``k`` of the thickness by exactly
+    ``tau*q_k(tau)``, free of that cancellation, and ``change(tau, count)``
+    gives ``q_k(tau)`` for the first ``count`` modes.  With ``mu`` the
+    decoupled symbol ``sigma*lambda_k + alpha`` (``lambda_k = s_k/dx^2``):
+
+    - decoupled, ``q = v/(1 + tau*mu)``, with ``v = l - mu*x`` the modes of
+      ``load - (alpha I + sigma K) x``;
+    - coupled, ``q = (p - u*r)/(1 + tau*mu)``, with ``p = alpha*h -
+      mu*zeta``, ``u = -(l + nu*h)``, ``r = (1 + tau*sigma*lambda_k)/(1 +
+      tau*nu)``, ``nu = sigma_h*lambda_k`` and ``l`` the height load.
+
+    ``peak`` bounds ``|q_k|`` for every ``tau >= 0``: ``|v|``, or ``|p| +
+    |u|``, since no divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 +
+    tau*nu)``, whatever the ratio of ``sigma`` to ``sigma_h``.  A value formed
+    from ``change`` may differ from :func:`advance` by the cancellation's
+    roundoff, which grows with ``4*sigma*dt/dx^2``; ``change_margin`` is
+    ``margin`` times ``1 + 4*sigma*dt/dx^2``, with the larger of ``sigma``
+    and ``sigma_h`` for a coupled state, where that allowance is measured,
+    not proven.
     """
     coupled = isinstance(state, CoupledState)
     inputs = np.stack((state.h.values, state.zeta.values)) if coupled else state.values[None]
@@ -626,12 +690,16 @@ def step_trial(state: Field | CoupledState, dt: float, ops: Operators) -> StepTr
     matrices = (ops.height_matrix, ops.thickness_matrix) if coupled else (ops.thickness_matrix,)
     scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
     n = ops.grid.n
-    start = np.fft.rfft(inputs).view(np.float64)
-    couplings = [_eigenvalue_coupling(n, matrix(1.0)[1]) for matrix in matrices]
-    modes = np.empty(n // 2 + 1, dtype=complex)
-    parts, eigenvalues = modes.view(np.float64), np.empty((len(matrices), 2 * modes.size))
+    if modes is None:
+        modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
+    start = modes.reshape(len(inputs), -1).view(np.float64)
+    couplings = []  # built by the first trial: bounds decide most crossings
+    out_modes = np.empty(n // 2 + 1, dtype=complex)
+    parts, eigenvalues = out_modes.view(np.float64), np.empty((len(matrices), 2 * out_modes.size))
 
     def minimum_after(tau: float) -> float:
+        if not couplings:
+            couplings.extend(_eigenvalue_coupling(n, matrix(1.0)[1]) for matrix in matrices)
         for matrix, coupling, out in zip(matrices, couplings, eigenvalues):
             np.add(coupling, matrix(tau)[0], out=out)
         if coupled:
@@ -641,14 +709,32 @@ def step_trial(state: Field | CoupledState, dt: float, ops: Operators) -> StepTr
         else:
             np.add(np.divide(start[0], tau, out=parts), load_modes, out=parts)
             np.divide(parts, eigenvalues[0], out=parts)
-        return float(np.fft.irfft(modes, n).min())
+        return float(np.fft.irfft(out_modes, n).min())
+
+    symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
+    if coupled:
+        h, z = modes
+        curvature = _second_difference_symbol(n) / dx2
+        nu, diffusion = ops.sigma_h * curvature, ops.sigma * curvature
+        p = ops.alpha * h - symbol * z
+        u = -(ops.height_load_modes + nu * h)
+        peak = np.abs(p) + np.abs(u)
+        stiffness = max(ops.sigma, ops.sigma_h)
+
+        def change(tau: float, count: int) -> np.ndarray:
+            ratio = (1.0 + tau * diffusion[:count]) / (1.0 + tau * nu[:count])
+            return (p[:count] - u[:count] * ratio) / (1.0 + tau * symbol[:count])
+
+    else:
+        v = ops.load_modes - symbol * modes
+        peak, stiffness = np.abs(v), ops.sigma
+
+        def change(tau: float, count: int) -> np.ndarray:
+            return v[:count] / (1.0 + tau * symbol[:count])
 
     margin = _TRIAL_GUARD * float(scale)
-    if coupled:
-        return StepTrial(minimum_after, margin, None, margin)
-    change = ops.load_modes - ops.symbol * start[0].view(complex)
-    stiffness = 4.0 * ops.sigma * dt / (ops.grid.dx * ops.grid.dx)
-    return StepTrial(minimum_after, margin, change, margin * (1.0 + stiffness))
+    change_margin = margin * (1.0 + 4.0 * stiffness * dt / dx2)
+    return StepTrial(minimum_after, margin, modes, change, peak, change_margin)
 
 
 def _eigenvalue_coupling(n: int, off: float) -> np.ndarray:

@@ -33,6 +33,21 @@ def test_bounds_command_closed_forms(tmp_path):
     assert report["lower_applicable"] and report["upper_applicable"]
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_an_undefined_bound_is_written_as_strict_json(tmp_path):
+    # offset/alpha + eta_c == 0 leaves the lower bound undefined; it used to
+    # reach report.json as the bare token NaN, which no strict parser reads
+    out = tmp_path / "bounds"
+    args = ["bounds", "--preset", "ex1", "--set", "forcing_offset=-3e-14", "--out", str(out)]
+    assert main(args) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse_constant)
+    assert report["t_lower"] is None and not report["lower_applicable"]
+    assert math.isfinite(report["t_upper"])
+
+
 def test_stationary_command_dumps_the_profile(tmp_path):
     out = tmp_path / "stat"
     assert main(["stationary", "--preset", "ex1", "--out", str(out)]) == 0

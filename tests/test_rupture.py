@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rupturesim.config import ModelConfig, Numerics
 from rupturesim.cli import preset_config
@@ -30,6 +31,7 @@ from rupturesim.solver import (
     assemble_operators,
     build_grid,
     constant_field,
+    step_toward,
 )
 
 
@@ -142,19 +144,22 @@ def test_tighter_event_tolerance_lands_closer():
     assert gaps[1] < gaps[0]
 
 
-def test_crossing_reuses_the_step_it_is_given(monkeypatch):
+def test_crossing_reuses_the_step_it_is_given(fft_calls):
+    # the rfft modes of the state before the crossing, when given, spare the
+    # crossing its one forward transform
     cfg = decay_config(eta_c=0.01, eta_a=0.02)
     grid = build_grid(cfg, 16)
     ops = assemble_operators(grid, cfg)
     dt = 1e-3
     pre = constant_field(grid, 0.010005)  # one step falls below eta_c
-    steps = counted_advances(monkeypatch)
+    locate_crossing(pre, dt, ops, cfg)  # fills the operators' lazily built modes
+    fft_calls.clear()
     elapsed, located = locate_crossing(pre, dt, ops, cfg)
-    retaken = len(steps)
-    stepped = advance(pre, dt, ops)
-    steps.clear()
-    reused = locate_crossing(pre, dt, ops, cfg, stepped=stepped)
-    assert len(steps) == retaken - 1
+    transformed = fft_calls.count("rfft")
+    modes = np.fft.rfft(pre.values)
+    fft_calls.clear()
+    reused = locate_crossing(pre, dt, ops, cfg, trials=rupture._Trials(pre, dt, ops, cfg, modes))
+    assert fft_calls.count("rfft") == transformed - 1 == 0
     assert reused[0] == elapsed
     assert np.array_equal(reused[1].values, located.values)
 
@@ -190,21 +195,23 @@ def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, cou
 
 @pytest.mark.parametrize("preset, count", [("ex1", 11), ("ex3", 5)])
 def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
-    # the bisection's trials run in modes; advance takes only the state
-    # handed out, and no trial falls back to advance
+    # the bisection's decisions, the step that brackets the crossing
+    # included, come from bounds and trials in modes; advance takes only the
+    # state handed out, and no trial falls back to advance
     config = preset_config(preset)
     steps = counted_advances(monkeypatch)
     real = rupture.locate_crossing
     located = []
 
-    def locate_crossing(pre, dt, ops, config, *, stepped):
+    def locate_crossing(pre, dt, ops, config, *, trials):
         before = len(steps)
-        elapsed, state = real(pre, dt, ops, config, stepped=stepped)
+        elapsed, state = real(pre, dt, ops, config, trials=trials)
         given = len(steps) - before
         before = len(steps)
-        again = real(pre, dt, ops, config)
-        assert given == (elapsed != dt)
-        assert len(steps) - before == given + 1
+        retried = rupture._Trials(pre, dt, ops, config, trials.trial.modes)
+        again = real(pre, dt, ops, config, trials=retried)
+        assert given == 1
+        assert len(steps) - before == given
         assert again[0] == elapsed and np.array_equal(again[1].eta.values, state.eta.values)
         located.append(elapsed)
         return elapsed, state
@@ -214,6 +221,36 @@ def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
     assert len(events) == len(located) == count
 
 
+@pytest.mark.parametrize("preset", ["ex1", "ex3"])
+def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft_calls, preset):
+    # the skip hands the modes of the state it reaches to the decision about
+    # the step that brackets the crossing, to the bisection and to the
+    # located step, so none of them transforms that state forward
+    config = preset_config(preset)
+    run_events(config, 256, 1)  # fills the shared operators' lazily built modes
+    real_trials, real_locate = rupture._Trials, rupture.locate_crossing
+    carried, forward = [], []
+
+    def trials(pre, dt, ops, config, modes=None):
+        before = len(fft_calls)
+        made = real_trials(pre, dt, ops, config, modes)
+        made.forward, made.carried = fft_calls[before:].count("rfft"), modes is not None
+        return made
+
+    def locate_crossing(pre, dt, ops, config, *, trials):
+        before = len(fft_calls)
+        located = real_locate(pre, dt, ops, config, trials=trials)
+        carried.append(trials.carried)
+        forward.append(trials.forward + fft_calls[before:].count("rfft"))
+        return located
+
+    monkeypatch.setattr(rupture, "_Trials", trials)
+    monkeypatch.setattr(rupture, "locate_crossing", locate_crossing)
+    events = run_events(config, 256, 3)
+    assert len(events) == 3 and carried == [True] * 3
+    assert forward == [0] * 3
+
+
 def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
     cfg = decay_config(eta_c=0.01, eta_a=0.02)
     grid = build_grid(cfg, 16)
@@ -221,14 +258,13 @@ def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
     pre = constant_field(grid, 0.0105)
     real = rupture.advance
 
-    def raised(state, dt, ops):
-        stepped = real(state, dt, ops)
+    def raised(state, dt, ops, modes=None):
+        stepped = real(state, dt, ops, modes)
         return Field(stepped.grid, stepped.values + 1e-3, stepped.time)
 
-    stepped = real(pre, 1e-1, ops)
     monkeypatch.setattr(rupture, "advance", raised)
     with pytest.raises(LinearSolveError):
-        locate_crossing(pre, 1e-1, ops, cfg, stepped=stepped)
+        locate_crossing(pre, 1e-1, ops, cfg)
 
 
 def test_crossing_requires_a_bracket():
@@ -744,18 +780,20 @@ def test_non_finite_initial_state_is_refused(ex1, ex3, bad):
         run_with_rupture(ex3, CoupledState.from_thickness(eta0), max_events=1)
 
 
-def stepped_events(config, state, count):
-    """Event times and reset intervals of a plain stepping loop: one
-    ``advance`` per step, the crossing located in the step that crosses."""
+def stepped_events(config, state, count, t_end=math.inf):
+    """Event times and reset intervals of a plain stepping loop up to
+    ``t_end``: one ``advance`` per step, the last one shortened to land on
+    ``t_end``, the crossing located in the step that crosses."""
     ops = assemble_operators(state.eta.grid, config)
     dt = config.numerics.dt
     events = []
-    while len(events) < count:
-        trial = advance(state, dt, ops)
+    while len(events) < count and state.time < t_end:
+        step_dt = step_toward(t_end - state.time, dt)
+        trial = advance(state, step_dt, ops)
         if np.min(trial.eta.values) > config.eta_c:
             state = trial
             continue
-        _, at_rupture = locate_crossing(state, dt, ops, config)
+        _, at_rupture = locate_crossing(state, step_dt, ops, config)
         intervals = rupture_intervals(at_rupture.eta, config)
         events.append((at_rupture.time, intervals))
         state = apply_reset(at_rupture, intervals, config)
@@ -775,6 +813,73 @@ def test_batched_coupled_run_equals_plain_stepping(monkeypatch, ex3):
     # one bracketing step and at most eleven bisection steps per event, where
     # plain stepping takes over a hundred steps for the first gap alone
     assert len(steps) <= 5 * 12
+
+
+# reduction case, junctions and their strengths, the forcing offset above
+# the mass-conserving one, alpha > 0, sigma1, sigma2, tau, eta_c, eta_a, n,
+# dt, and the start's wave number and amplitude
+admissible_runs = st.tuples(
+    st.sampled_from(("case_i", "case_ii")),
+    st.lists(st.floats(0.0, 0.95), min_size=1, max_size=4, unique=True),
+    st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4),
+    st.floats(0.0, 0.5),
+    st.one_of(st.floats(0.2, 5.0), st.floats(5.0, 80.0)),
+    st.floats(0.1, 3.0),
+    st.floats(0.1, 3.0),
+    st.floats(0.5, 2.0),
+    st.floats(-14.0, -2.5).map(lambda e: 10.0**e),
+    st.floats(0.02, 0.05),
+    st.integers(64, 1024),
+    st.floats(-4.3, -3.3).map(lambda e: 10.0**e),
+    st.integers(1, 4),
+    st.floats(0.0, 0.3),
+)
+
+
+def admissible_run(mode, evaporation, params):
+    """A random admissible configuration of the given mode, with evaporation
+    or without, and a start on its grid."""
+    (case, junctions, strengths, excess, alpha, sigma1, sigma2, tau,
+     eta_c, eta_a, n, dt, wave, amplitude) = params
+    alpha = alpha if evaporation else 0.0
+    junctions = sorted(junctions)
+    strengths = strengths[: len(junctions)]
+    config = ModelConfig(
+        omega=1.0,
+        junctions=junctions,
+        jump_strengths=strengths,
+        forcing_offset=math.fsum(strengths) * (1.0 + excess),
+        sigma1=sigma1,
+        sigma2=sigma2,
+        tau=tau,
+        alpha=alpha,
+        eta_c=eta_c,
+        eta_a=eta_a,
+        d=0.1,
+        mode=mode,
+        reduction_case=case,
+        numerics=Numerics(dt=dt),
+    )
+    grid = build_grid(config, n)
+    start = Field(grid, eta_a * (1.0 + amplitude * np.sin(2.0 * np.pi * wave * grid.nodes)))
+    return config, CoupledState.from_thickness(start) if mode == "coupled" else start
+
+
+@pytest.mark.parametrize("mode", ["decoupled", "coupled"])
+@pytest.mark.parametrize("evaporation", [True, False])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(params=admissible_runs)
+def test_run_equals_plain_stepping_on_random_configurations(mode, evaporation, params):
+    # jumps, the coupled kernel, the carried modes and the bounds change no
+    # event time or reset interval of plain stepping
+    config, start = admissible_run(mode, evaporation, params)
+    t_end = 0.05
+    try:
+        events, _ = run_with_rupture(config, start, max_events=4, t_end=t_end)
+    except StagnationError:  # a time step too coarse for the threshold gap
+        assume(False)
+    expected = stepped_events(config, start, 4, t_end)
+    assert [(e.time, e.reset_intervals) for e in events] == expected
 
 
 def test_a_coupled_gap_is_one_kernel_call_with_one_check_per_equation(monkeypatch, ex3):

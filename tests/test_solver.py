@@ -230,8 +230,9 @@ def test_coupled_batch_guards(ex3, monkeypatch):
     monkeypatch.setattr(solver, "_STEP_RESIDUAL_TOL", -1.0)
     with pytest.raises(LinearSolveError):
         solver.jump_coupled(start, 4, 1e-4, ops, ex3.eta_c)
-    taken, same = solver.jump_coupled(start, 4, 1e-4, ops, 1.0)  # the first step crosses
+    taken, same, modes = solver.jump_coupled(start, 4, 1e-4, ops, 1.0)  # the first step crosses
     assert taken == 0 and same is start
+    assert np.array_equal(modes, np.fft.rfft(np.stack((start.h.values, start.zeta.values))))
     monkeypatch.undo()
     start.zeta.values[7] = np.nan
     with pytest.raises(LinearSolveError):
@@ -247,7 +248,7 @@ def test_coupled_batch_peak_memory(ex3):
     solver.jump_coupled(start, 16, dt, ops, ex3.eta_c)  # fill the caches
     tracemalloc.start()
     try:
-        taken, _ = solver.jump_coupled(start, 16, dt, ops, ex3.eta_c)
+        taken, _, _ = solver.jump_coupled(start, 16, dt, ops, ex3.eta_c)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,7 +263,7 @@ def test_coupled_gap_peak_memory_does_not_grow_with_its_length(ex3):
     solver.jump_coupled(start, 16, dt, ops, floor)  # fill the caches
     tracemalloc.start()
     try:
-        taken, _ = solver.jump_coupled(start, 4096, dt, ops, floor)
+        taken, _, _ = solver.jump_coupled(start, 4096, dt, ops, floor)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -283,8 +284,11 @@ def test_coupled_gap_equals_stepping_across_chunk_boundaries(ex3, budget, crossi
     lows = [float(np.min(state.eta.values)) for state in states]
     assert all(np.diff(lows) < 0.0)  # the flat start thins at every step
     floor = ex3.eta_c if crossing is None else 0.5 * (lows[crossing - 1] + lows[crossing])
-    taken, jumped = solver.jump_coupled(states[0], budget, dt, ops, floor)
+    taken, jumped, modes = solver.jump_coupled(states[0], budget, dt, ops, floor)
     assert taken == (budget if crossing is None else crossing - 1)
+    # the modes handed out are those the state was transformed back from
+    back = np.fft.irfft(modes, grid.n)
+    assert np.array_equal(back, np.stack((jumped.h.values, jumped.zeta.values)))
     stepped = states[taken]
     assert jumped.time == stepped.time
     scale = max(np.max(np.abs(stepped.h.values)), np.max(np.abs(stepped.zeta.values)))

@@ -429,7 +429,7 @@ def test_coupled_batch_matches_repeated_steps(params, seed):
     assume(min(abs(low - floor) for low in lows) > 1e-10 * (1.0 + max(map(abs, lows))))
     expected = next((i for i, low in enumerate(lows) if low <= floor), steps)
 
-    taken, batched = solver.jump_coupled(start, steps, dt, ops, floor)
+    taken, batched, _ = solver.jump_coupled(start, steps, dt, ops, floor)
     assert taken == expected
     stepped = states[taken]
     assert batched.time == stepped.time  # repeated additions of dt, as stepping
@@ -544,56 +544,126 @@ def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, sigma1, tau, fra
     assert abs(trial.minimum_after(step) - stepped) <= 1e-2 * trial.margin
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+def state_modes(state):
+    """The rfft modes of a state as the event loop carries them: one row,
+    or the rows of ``h`` and ``zeta``."""
+    if isinstance(state, CoupledState):
+        return np.fft.rfft(np.stack((state.h.values, state.zeta.values)))
+    return np.fft.rfft(state.values)
+
+
+def bounded_case(params, seed, smoothing, reset):
+    """A :func:`crossing_case` start carried ``smoothing`` steps of ``100*dt``
+    toward its kind's equilibrium, which leaves a few live modes of the
+    change, as in the event loop near a crossing; then, with ``reset``,
+    reset on the interval ``[0.1, 0.6)`` as a rupture resets it, which
+    makes many modes live again."""
+    config, ops, pre, dt = crossing_case(params, seed, bracket=False)
+    for _ in range(smoothing):
+        pre = advance(pre, 100.0 * dt, ops)
+    if reset:  # as apply_reset resets, to a level above the whole state
+        level = float(np.max(pre.eta.values)) + 0.01
+        mask = rupture.reset_mask(ops.grid, config, (0,))
+        if isinstance(pre, CoupledState):
+            h, zeta = pre.h.values.copy(), pre.zeta.values.copy()
+            h[mask] -= config.d
+            zeta[mask] = h[mask] + level
+            pre = CoupledState(Field(ops.grid, h), Field(ops.grid, zeta))
+        else:
+            values = pre.values.copy()
+            values[mask] = level
+            pre = Field(ops.grid, values)
+    return config, ops, pre, dt
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     crossing_parameters_over(
-        ("decoupled",), 8192, st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+        ("decoupled", "coupled"), 8192, st.one_of(st.just(0.0), st.floats(0.0, 60.0))
     ),
     seeds,
     st.floats(1e-3, 1.0),
+    st.booleans(),
+    st.integers(0, 3),
     st.booleans(),
 )
 # sigma*dt/dx^2 so large that advance's minimum lies about six trial margins
 # above the cancellation-free step, which a bound without the stiffness part
 # of its allowance would take for a crossing
-@example(("decoupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.75, True)
-def test_step_bounds_decide_only_as_advance_does(params, seed, fraction, tie_floor):
+@example(("decoupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.75, True, 0, False)
+# the same, carried near equilibrium, where four modes at about 950 nodes
+# decide: advance lies 4.7 trial margins below the exact step at 0.6*dt and
+# 5.9 above it at 0.75*dt (coupled: 5.1 and 6.4)
+@example(("decoupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.6, False, 2, False)
+@example(("decoupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.75, True, 2, False)
+@example(("coupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.6, False, 3, False)
+@example(("coupled", 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6), 0, 0.75, True, 3, False)
+# coupled states with the height's diffusivity below and above the
+# thickness's, near the equilibrium and just after a reset
+@example(("coupled", 1024, 1e-4, 1.0, 1.0, 3.0, 3.0, None, 1e-6), 1, 0.6, False, 2, False)
+@example(("coupled", 1024, 1e-4, 0.0, 1.0, 0.35, 3.0, None, 1e-6), 2, 0.6, True, 2, False)
+@example(("coupled", 8192, 1e-4, 5.0, 1.0, 3.0, 3.0, None, 1e-6), 3, 0.4, False, 1, True)
+@example(("decoupled", 8192, 1e-4, 5.0, 1.0, 1.0, 3.0, None, 1e-6), 4, 0.4, True, 1, True)
+def test_step_bounds_decide_only_as_advance_does(
+    params, seed, fraction, tie_floor, smoothing, reset
+):
     # the threshold (or, with tie_floor, the threshold less the value
-    # tolerance) is put on the minimum after a step of fraction*dt, and (b)
-    # is taken at the node of that minimum, where a bound that lost its
-    # roundoff allowance would decide wrongly about half the time; the other
-    # step sizes are the bisection's first trials
-    config, ops, pre, dt = crossing_case(params, seed, bracket=False)
+    # tolerance) is put on the minimum after a step of fraction*dt, where a
+    # bound that lost any part of its roundoff allowance would decide
+    # wrongly about half the time; the other step sizes are the bisection's
+    # first trials.  The decisions must be those of advance from the modes
+    # the bounds were formed from
+    config, ops, pre, dt = bounded_case(params, seed, smoothing, reset)
     value_tol = config.numerics.event_tol * config.eta_a
+    trial = solver.step_trial(pre, dt, ops)
 
     def minimum(tau):
-        return float(np.min(advance(pre, tau, ops).values))
+        return float(np.min(advance(pre, tau, ops, trial.modes).eta.values))
 
     steps = [fraction * dt] + [k * dt / 8 for k in range(1, 9)]
-    tied_step = advance(pre, steps[0], ops).values
-    tied, node = float(np.min(tied_step)), int(np.argmin(tied_step))
+    tied = minimum(steps[0])
     eta_c, floor = (tied + value_tol, tied) if tie_floor else (tied, tied - value_tol)
-    decide = rupture._step_bounds(pre, node, solver.step_trial(pre, dt, ops), ops, eta_c, floor)
+    decide = rupture._step_bounds(pre, trial, dt, eta_c, floor)
     for tau in steps:
         bound, low = decide(tau), minimum(tau)
         if bound is None:
             continue
-        if bound > eta_c:  # (a): the step does not cross
+        if bound > eta_c:  # the step does not cross
             assert eta_c < bound <= low
-        else:  # (b): the step crosses by more than the value tolerance
+        else:  # the step crosses by more than the value tolerance
             assert low <= bound < floor
 
 
-def reference_crossing(pre, dt, ops, config, stepped):
+@pytest.mark.parametrize("kind, smoothing", [("decoupled", 2), ("coupled", 3)])
+def test_step_bounds_of_a_stiff_state_near_equilibrium_decide_most_steps(kind, smoothing):
+    # 4*sigma*dt/dx^2 is about 2.7e5 here, and the roundoff in the high modes
+    # of the change reaches the bare trial margin: a slack without the
+    # stiffness part of its allowance would leave every mode live, the
+    # candidate matrix over its budget, and no crossing decided by a bound
+    params = (kind, 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6)
+    config, ops, pre, dt = bounded_case(params, 0, smoothing, False)
+    value_tol = config.numerics.event_tol * config.eta_a
+    trial = solver.step_trial(pre, dt, ops)
+    tied = float(np.min(advance(pre, 0.6 * dt, ops, trial.modes).eta.values))
+    decide = rupture._step_bounds(pre, trial, dt, tied, tied - value_tol)
+    decided = [decide(k * dt / 8) for k in range(1, 9)]
+    assert sum(bound is not None for bound in decided) >= 6
+    assert any(bound is not None and bound < tied for bound in decided)
+
+
+def reference_crossing(pre, dt, ops, config, modes=None):
     """The bisection of plain stepping: every trial re-steps from ``pre``
-    with ``advance``; returns the time, the state and the trial count."""
+    with ``advance`` from the rfft modes of ``pre`` (``modes``, else its
+    own), as the crossing's located step is taken; returns the time, the
+    state and the trial count."""
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
-    state_hi = advance(pre, dt, ops) if stepped is None else stepped
+    modes = state_modes(pre) if modes is None else modes
+    state_hi = advance(pre, dt, ops, modes)
     lo, hi, trials = 0.0, dt, 0
     while abs(float(np.min(state_hi.eta.values)) - eta_c) > value_tol and (hi - lo) >= 1e-3 * dt:
         mid = 0.5 * (lo + hi)
-        trial = advance(pre, mid, ops)
+        trial = advance(pre, mid, ops, modes)
         trials += 1
         if float(np.min(trial.eta.values)) <= eta_c:
             hi, state_hi = mid, trial
@@ -604,9 +674,8 @@ def reference_crossing(pre, dt, ops, config, stepped):
 
 def counting_trials(calls):
     """Patches of the bisection's two decision seams, its mode-space trials
-    and its one-step bounds, that record in ``calls`` each full trial as
-    ``("trial", tau)`` and each decision a bound makes as ``("bound",
-    tau)``."""
+    and its bounds, that record in ``calls`` each full trial as ``("trial",
+    tau)`` and each decision a bound makes as ``("bound", tau)``."""
     real_trial, real_bounds = rupture.step_trial, rupture._step_bounds
 
     def step_trial(*args):
@@ -640,16 +709,17 @@ def state_arrays(state):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(crossing_parameters, seeds, st.booleans())
-def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_step):
+def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_modes):
     config, ops, pre, dt = crossing_case(params, seed)
-    stepped = advance(pre, dt, ops) if given_step else None
-    expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config, stepped)
+    expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config)
     calls = []
     with counting_trials(calls):
-        elapsed, state = rupture.locate_crossing(pre, dt, ops, config, stepped=stepped)
+        trials = rupture._Trials(pre, dt, ops, config, state_modes(pre)) if given_modes else None
+        elapsed, state = rupture.locate_crossing(pre, dt, ops, config, trials=trials)
     assert elapsed == expected
-    # each trial of plain stepping is decided once, by a bound or a full trial
-    assert len(calls) == expected_trials
+    # the step of dt and each trial of plain stepping are decided once, by a
+    # bound or a full trial
+    assert len(calls) == expected_trials + 1
     assert state.time == expected_state.time
     for got, want in zip(state_arrays(state), state_arrays(expected_state)):
         assert np.array_equal(got, want)
@@ -657,7 +727,7 @@ def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_ste
 
 def test_bounds_decide_most_trials_of_a_fine_grid(ex1):
     # the first three events of ex1 at n = 8192 take about 30 full trials
-    # without the one-step bounds
+    # without the bounds
     calls = []
     grid = build_grid(ex1, 8192)
     with counting_trials(calls):
@@ -667,17 +737,23 @@ def test_bounds_decide_most_trials_of_a_fine_grid(ex1):
 
 
 def test_coupled_crossings_take_every_trial_of_the_plain_bisection(ex3):
-    calls, expected = [], []
+    # the bisection of each coupled crossing decides as many trials as the
+    # plain bisection takes, and bounds decide most of them
+    calls, expected, decided = [], [], []
     real_locate = rupture.locate_crossing
 
-    def locate_crossing(pre, dt, ops, config, *, stepped):
-        expected.append(reference_crossing(pre, dt, ops, config, stepped)[2])
-        return real_locate(pre, dt, ops, config, stepped=stepped)
+    def locate_crossing(pre, dt, ops, config, *, trials):
+        expected.append(reference_crossing(pre, dt, ops, config, trials.trial.modes)[2])
+        before = len(calls)
+        try:
+            return real_locate(pre, dt, ops, config, trials=trials)
+        finally:
+            decided.append(len(calls) - before)
 
     grid = build_grid(ex3)
     start = CoupledState.from_thickness(Field(grid, np.full(grid.n, ex3.eta_a)))
     with counting_trials(calls), mock.patch.object(rupture, "locate_crossing", locate_crossing):
         events, _ = rupture.run_with_rupture(ex3, start, max_events=5)
     assert len(events) == 5
-    assert calls == [("trial", tau) for _, tau in calls]
-    assert len(calls) == sum(expected) > 0
+    assert decided == expected and sum(expected) > 0
+    assert sum(kind == "trial" for kind, _ in calls) <= len(calls) // 4
