@@ -25,13 +25,13 @@ every step and checks the backward error of the state it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
 crossing search, which decides every step from them, the step that
 brackets the crossing first: most by bounds on how far the step moves
-each mode, the rest by the step taken in modes, and one within roundoff
-of a value it is compared with by ``advance``.  The bounds exclude every
-node that cannot fall to the threshold within a step, and sum a few live
-modes at the rest.  Each allows for the roundoff of ``advance``, so every
-decision, time and state is that of stepping with ``advance`` from those
-modes.  A step returns to real space only where it does not cross, and
-at the located crossing, through ``advance`` from the modes.
+each mode, the rest by the step taken in modes with the arithmetic of
+``advance``, which gives its minimum bit for bit.  The bounds exclude
+every node that cannot fall to the threshold within a step, and sum a few
+live modes at the rest; each allows for the roundoff of ``advance``.  So
+every decision, time and state is that of stepping with ``advance`` from
+those modes.  A step returns to real space only where it does not cross,
+and at the located crossing, through ``advance`` from the modes.
 """
 from __future__ import annotations
 
@@ -384,12 +384,10 @@ class _Trials:
     from one :func:`step_trial`, starting with the step of ``dt`` itself.
 
     :meth:`decide` puts a step first to the bounds of :func:`_step_bounds`;
-    only when they do not decide is it taken in rfft modes, and a step
-    whose minimum lies within roundoff of a value the bisection compares it
-    with is re-taken by :meth:`step`.  So every decision is that of
-    stepping from ``pre`` with :meth:`step`, the checked :func:`advance`
-    from the trial's modes.  ``at_dt`` is the decision about the step of
-    ``dt``.
+    only when they do not decide is it taken in rfft modes, which gives the
+    minimum after :meth:`step`, the checked :func:`advance` from the trial's
+    modes, bit for bit.  So every decision is that of stepping from ``pre``
+    with :meth:`step`.  ``at_dt`` is the decision about the step of ``dt``.
     """
 
     def __init__(
@@ -401,10 +399,9 @@ class _Trials:
         modes: np.ndarray | None = None,
     ) -> None:
         self.pre, self.ops = pre, ops
-        self.eta_c = config.eta_c
-        self.value_tol = config.numerics.event_tol * config.eta_a
         self.trial = step_trial(pre, dt, ops, modes)
-        self.bounds = _step_bounds(pre, self.trial, dt, self.eta_c, self.eta_c - self.value_tol)
+        floor = config.eta_c - config.numerics.event_tol * config.eta_a
+        self.bounds = _step_bounds(pre, self.trial, dt, config.eta_c, floor)
         self.at_dt = self.decide(dt)
 
     def step(self, tau: float) -> Field | CoupledState:
@@ -418,12 +415,7 @@ class _Trials:
         low = self.bounds(tau)
         if low is not None:
             return low, True
-        low = self.trial.minimum_after(tau)
-        # within roundoff of eta_c or of eta_c -/+ value_tol: let the step decide
-        gap = abs(low - self.eta_c)
-        if min(gap, abs(gap - self.value_tol)) <= self.trial.margin:
-            low = float(np.min(self.step(tau).eta.values))
-        return low, False
+        return self.trial.minimum_after(tau), False
 
 
 def locate_crossing(
@@ -440,11 +432,10 @@ def locate_crossing(
     ``event_tol * eta_a`` of the threshold or the bracket is below
     ``1e-3 * dt``.  Every decision, the step of ``dt`` included, comes from
     one :class:`_Trials`: most from bounds, the rest from steps in rfft
-    modes, and any within roundoff of a compared value from the checked
-    step, so each decision and the located time are those of re-stepping
+    modes, so each decision and the located time are those of re-stepping
     from ``pre`` with :func:`advance`.  Only the located step returns to
     real space, taken by :func:`advance` from the trial's modes; its
-    minimum must match the tested one, or lie at or below the bound that
+    minimum must equal the tested one, or lie at or below the bound that
     decided it.  A caller that holds the rfft modes of ``pre``, or has
     already made the decision about the step of ``dt``, passes its
     :class:`_Trials` as ``trials``; with its modes, ``pre`` is not
@@ -471,8 +462,7 @@ def locate_crossing(
             lo = mid
     state_hi = trials.step(hi)
     handed = float(np.min(state_hi.eta.values))
-    gap = handed - low_hi
-    if not (handed <= eta_c and (gap if bounded else abs(gap)) <= trials.trial.margin):
+    if not (handed <= low_hi if bounded else handed == low_hi):
         raise LinearSolveError(
             f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
         )
@@ -553,7 +543,8 @@ def run_with_rupture(
 
     Stops after ``max_events`` events or at ``t_end``, whichever comes
     first; ``numerics.max_ruptures`` caps the event count when
-    ``max_events`` is not given.  Raises :class:`StagnationError` when two
+    ``max_events`` is not given.  A non-finite ``t_end`` raises
+    :class:`ValueError`.  Raises :class:`StagnationError` when two
     events are separated by less than one nominal time step, which signals
     that the step size is too coarse for the configured threshold gap.
 
@@ -575,6 +566,8 @@ def run_with_rupture(
     """
     if isinstance(initial, CoupledState) != (config.mode == "coupled"):
         raise DomainError("state kind does not match config mode")
+    if t_end is not None and not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     eta0 = initial.eta
     if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")

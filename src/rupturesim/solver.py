@@ -18,19 +18,20 @@ transform per jump, and it skips the per-mode factors that would underflow.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
 step is lower-triangular per mode: cached per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
-transform per chunk gives their minima, and only the state it hands out
-returns to real space, where it passes the same backward-error check as a
-solve; it hands out that state's modes too.  A caller that holds a state's
-modes passes them to ``advance``, whose solves then take their right
-sides' modes without a forward transform and keep their checks.
-``step_trial`` takes one step of any size in rfft modes from the modes of
-a state of either kind (one forward transform when none are given), with
-the eigenvalues rounded as the solve rounds them, and returns only its
-minimum thickness and the roundoff margin about it: the crossing
-bisection's trials, which are not checked and never handed out.  It also
-gives how far a step moves each mode of the thickness, from which the
-bisection bounds a step without taking it.  Both state kinds expose their
-layer thickness as ``eta``.
+transform per chunk gives their minima, and only the state before the last
+step taken returns to real space, from which ``advance`` takes and checks
+that step; it hands out the modes of the state it reaches too.  Each step
+forms its right sides' modes from the state's modes: a caller that holds
+them passes them to ``advance``, whose solves then take no forward
+transform and keep their checks, and without them the step transforms the
+state once.  ``step_trial`` takes one step of any size in rfft modes from
+the modes of a state of either kind (one forward transform when none are
+given), with the arithmetic of those solves, and returns only its minimum
+thickness, bit for bit that of ``advance`` from the same modes: the
+crossing bisection's trials, which are not checked and never handed out.
+It also gives how far a step moves each mode of the thickness, from which
+the bisection bounds a step without taking it.  Both state kinds expose
+their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -362,16 +363,18 @@ def _check_solution(diag: float, off: float, x: np.ndarray, rhs: np.ndarray) -> 
 def step_decoupled(
     state: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
 ) -> Field:
-    """One backward-Euler step of the reduced thickness equation; ``modes``,
-    if given, are the rfft modes of ``state``, from which the right side's
-    modes are formed without a transform."""
+    """One backward-Euler step of the reduced thickness equation.  The right
+    side's modes are formed from the rfft modes of ``state``: ``modes`` if
+    given, else one transform of ``state``."""
     diag, off = ops.thickness_matrix(dt)
+    if modes is None:
+        modes = np.fft.rfft(state.values)
+    parts = modes.view(np.float64) / dt
+    parts += ops.load_modes.view(np.float64)
     rhs = state.values / dt + ops.load
-    if modes is not None:
-        parts = modes.view(np.float64) / dt
-        parts += ops.load_modes.view(np.float64)
-        modes = parts.view(complex)
-    return Field(state.grid, solve_periodic_tridiagonal(diag, off, rhs, modes), state.time + dt)
+    return Field(
+        state.grid, solve_periodic_tridiagonal(diag, off, rhs, parts.view(complex)), state.time + dt
+    )
 
 
 def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
@@ -449,22 +452,22 @@ def step_coupled(
     The height equation is autonomous and is advanced first; the surface
     equation then uses the fresh height in its relaxation term, so the
     splitting introduces no error into the height and only a first-order
-    term into the surface.  ``modes``, if given, are the rfft modes of ``h``
-    and ``zeta`` as two rows, from which both right sides' modes are formed
-    as :func:`_coupled_step` forms them, without a transform.
+    term into the surface.  Both right sides' modes are formed as
+    :func:`_coupled_step` forms them, from the rfft modes of ``h`` and
+    ``zeta`` as two rows: ``modes`` if given, else one transform of both.
     """
     diag_h, off_h = ops.height_matrix(dt)
     diag_z, off_z = ops.thickness_matrix(dt)
-    h_modes = z_modes = None
-    if modes is not None:
-        h_parts, z_parts = modes.view(np.float64) / dt
-        h_parts -= ops.height_load_modes.view(np.float64)
-        h_modes, z_modes = h_parts.view(complex), z_parts.view(complex)
-    h_new = solve_periodic_tridiagonal(diag_h, off_h, h.values / dt - ops.height_load, h_modes)
-    if modes is not None:  # h_modes now holds the new height's modes
-        z_parts += ops.alpha * h_parts
+    if modes is None:
+        modes = np.fft.rfft(np.stack((h.values, zeta.values)))
+    h_parts, z_parts = modes.view(np.float64) / dt
+    h_parts -= ops.height_load_modes.view(np.float64)
+    h_new = solve_periodic_tridiagonal(
+        diag_h, off_h, h.values / dt - ops.height_load, h_parts.view(complex)
+    )
+    z_parts += ops.alpha * h_parts  # h_parts now hold the new height's modes
     z_new = solve_periodic_tridiagonal(
-        diag_z, off_z, zeta.values / dt + ops.alpha * h_new, z_modes
+        diag_z, off_z, zeta.values / dt + ops.alpha * h_new, z_parts.view(complex)
     )
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
@@ -538,13 +541,14 @@ def jump_coupled(
     transform: per chunk of ``_CHUNK`` steps the cached tables of
     :func:`_coupled_tables` give the thickness modes after every step, one
     batched inverse transform gives their minima, and the chunk-end
-    coefficients move the chunk base on.  Only the last state taken is
-    transformed back, rebuilt by that step from its chunk base; its step
-    is checked as :func:`solve_periodic_tridiagonal` checks a solve, and its
-    thickness minimum must equal the one tested for that step.  Returns the
-    number of steps taken (``0``, with ``state`` itself, when the first step
-    crosses), the state, and the rfft modes of its ``h`` and ``zeta`` as two
-    rows, those it was transformed back from.  A non-finite thickness raises
+    coefficients move the chunk base on.  The modes of the state before the
+    last step taken are rebuilt from their chunk base by the step recursion
+    and transformed back, and :func:`advance` takes and checks the last step
+    from them; the minimum thickness of the state it hands out must match
+    the one tested for that step up to roundoff.  Returns the number of
+    steps taken (``0``, with ``state`` itself, when the first step crosses),
+    the state, and the rfft modes of its ``h`` and ``zeta`` as two rows,
+    those its solves transformed back.  A non-finite thickness raises
     :class:`LinearSolveError`.
     The time advances by repeated additions of ``dt``, so it is
     bit-identical to stepping.
@@ -592,24 +596,24 @@ def jump_coupled(
         return 0, state, np.stack((h, z)).view(complex)
 
     # rebuild steps taken - 1 and taken from the base of the chunk that
-    # holds step taken - 1, by the step recursion
+    # holds step taken - 1, by the step recursion; advance takes step taken
+    # again from the modes of step taken - 1, with the same arithmetic
     origin, h, z = base if base[0] < taken else previous
     inverses = _inverse_symbol(n, diag_h, off_h), _inverse_symbol(n, diag_z, off_z)
     for _ in range(taken - origin):
         h_prev, z_prev = h, z
         h, z = _coupled_step(h, z, load, *inverses, dt, ops.alpha)
-    pairs = np.stack((h_prev, h, z_prev, z)).view(complex)
-    h_prev, h_new, z_prev, z_new = np.fft.irfft(pairs, n)
-    _check_solution(diag_h, off_h, h_new, h_prev / dt - ops.height_load)
-    _check_solution(diag_z, off_z, z_new, z_prev / dt + ops.alpha * h_new)
-    handed = float(np.min(z_new - h_new))
-    scale = max(float(np.abs(h_new).max()), float(np.abs(z_new).max()))
+    modes = np.stack((h_prev, z_prev)).view(complex)
+    h_prev, z_prev = np.fft.irfft(modes, n)
+    time = _time_after(state.time, taken - 1, dt)
+    before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
+    state = advance(before, dt, ops, modes)
+    handed = float(np.min(state.eta.values))
+    scale = max(float(np.abs(state.h.values).max()), float(np.abs(state.zeta.values).max()))
     if not abs(handed - low) <= _STEP_RESIDUAL_TOL * scale:
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
-    time = _time_after(state.time, taken, dt)
-    state = CoupledState(Field(grid, h_new, time), Field(grid, z_new, time))
     return taken, state, np.stack((h, z)).view(complex)
 
 
@@ -626,7 +630,9 @@ def advance(
     return step_decoupled(state, dt, ops, modes)
 
 
-# roundoff allowed between the minima of step_trial and advance, relative to the inputs
+# roundoff allowed between a value formed from StepTrial.change and the step
+# of advance, relative to the inputs, before the stiffness factor of
+# StepTrial.change_margin
 _TRIAL_GUARD = 1.0e-12
 
 
@@ -635,7 +641,6 @@ class StepTrial(NamedTuple):
     what bounds them without an inverse transform."""
 
     minimum_after: Callable[[float], float]
-    margin: float
     modes: np.ndarray
     change: Callable[[float, int], np.ndarray]
     peak: np.ndarray
@@ -647,26 +652,24 @@ def step_trial(
 ) -> StepTrial:
     """The minimum thickness after one backward-Euler step of any size
     ``tau`` up to ``dt`` from ``state``, as a function ``minimum_after`` of
-    ``tau``; and the ``margin`` by which it may differ by roundoff from the
-    minimum after the same step taken by :func:`advance`: ``_TRIAL_GUARD``
-    times the largest magnitude among the transformed inputs, the state and
-    ``dt`` times the load.
+    ``tau``: bit for bit the minimum after the same step taken by
+    :func:`advance` from the same modes.
 
     ``modes`` are the state's rfft modes as :func:`advance` takes them; only
     when they are not given is ``state`` transformed here, once, and either
     way the trial hands them out as ``modes``.  Each call of
-    ``minimum_after`` then costs a few per-mode operations and one inverse
-    transform.  Per mode a decoupled step is ``eta' = (eta/tau +
-    l)/lambda`` and a coupled one is :func:`_coupled_step`, with each
-    eigenvalue ``lambda = diag + off*(2 - s_k)`` formed as the solve forms
-    it: it loses digits to cancellation when ``sigma*tau/dx^2`` is large,
-    and the trial must lose the same ones to agree with the solve.  The
-    step is not checked: a state to hand out is taken by :func:`advance`.
+    ``minimum_after`` then takes the step per mode with the arithmetic of
+    the solves of :func:`advance`, scaling by the reciprocal eigenvalues of
+    :func:`_inverse_symbol` (a coupled step is :func:`_coupled_step`), and
+    one inverse transform; a coupled trial inverts the ``h`` and ``zeta``
+    rows and takes the minimum of their difference, as
+    :attr:`CoupledState.eta` does.  The step is not checked: a state to hand
+    out is taken by :func:`advance`.
 
     A step of ``tau`` moves rfft mode ``k`` of the thickness by exactly
-    ``tau*q_k(tau)``, free of that cancellation, and ``change(tau, count)``
-    gives ``q_k(tau)`` for the first ``count`` modes.  With ``mu`` the
-    decoupled symbol ``sigma*lambda_k + alpha`` (``lambda_k = s_k/dx^2``):
+    ``tau*q_k(tau)``, and ``change(tau, count)`` gives ``q_k(tau)`` for the
+    first ``count`` modes.  With ``mu`` the decoupled symbol
+    ``sigma*lambda_k + alpha`` (``lambda_k = s_k/dx^2``):
 
     - decoupled, ``q = v/(1 + tau*mu)``, with ``v = l - mu*x`` the modes of
       ``load - (alpha I + sigma K) x``;
@@ -677,39 +680,34 @@ def step_trial(
     ``peak`` bounds ``|q_k|`` for every ``tau >= 0``: ``|v|``, or ``|p| +
     |u|``, since no divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 +
     tau*nu)``, whatever the ratio of ``sigma`` to ``sigma_h``.  A value formed
-    from ``change`` may differ from :func:`advance` by the cancellation's
-    roundoff, which grows with ``4*sigma*dt/dx^2``; ``change_margin`` is
-    ``margin`` times ``1 + 4*sigma*dt/dx^2``, with the larger of ``sigma``
-    and ``sigma_h`` for a coupled state, where that allowance is measured,
-    not proven.
+    from ``change`` is free of the cancellation by which the step matrix's
+    eigenvalues ``diag + off*(2 - s_k)`` lose digits when
+    ``sigma*tau/dx^2`` is large, so it may differ from :func:`advance` by
+    that roundoff, which grows with ``4*sigma*dt/dx^2``.  ``change_margin``
+    allows for it: ``_TRIAL_GUARD`` times the largest magnitude among the
+    transformed inputs, the state and ``dt`` times the load, times ``1 +
+    4*sigma*dt/dx^2``, with the larger of ``sigma`` and ``sigma_h`` for a
+    coupled state, where that allowance is measured, not proven.
     """
     coupled = isinstance(state, CoupledState)
     inputs = np.stack((state.h.values, state.zeta.values)) if coupled else state.values[None]
     load = ops.height_load if coupled else ops.load
     load_modes = (ops.height_load_modes if coupled else ops.load_modes).view(np.float64)
-    matrices = (ops.height_matrix, ops.thickness_matrix) if coupled else (ops.thickness_matrix,)
     scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
     n = ops.grid.n
     if modes is None:
         modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
     start = modes.reshape(len(inputs), -1).view(np.float64)
-    couplings = []  # built by the first trial: bounds decide most crossings
-    out_modes = np.empty(n // 2 + 1, dtype=complex)
-    parts, eigenvalues = out_modes.view(np.float64), np.empty((len(matrices), 2 * out_modes.size))
 
     def minimum_after(tau: float) -> float:
-        if not couplings:
-            couplings.extend(_eigenvalue_coupling(n, matrix(1.0)[1]) for matrix in matrices)
-        for matrix, coupling, out in zip(matrices, couplings, eigenvalues):
-            np.add(coupling, matrix(tau)[0], out=out)
-        if coupled:
-            inverse_h, inverse_z = np.divide(1.0, eigenvalues, out=eigenvalues)
-            h, z = _coupled_step(*start, load_modes, inverse_h, inverse_z, tau, ops.alpha)
-            np.subtract(z, h, out=parts)
-        else:
-            np.add(np.divide(start[0], tau, out=parts), load_modes, out=parts)
-            np.divide(parts, eigenvalues[0], out=parts)
-        return float(np.fft.irfft(out_modes, n).min())
+        inverse = _inverse_symbol(n, *ops.thickness_matrix(tau))
+        if not coupled:
+            parts = (start[0] / tau + load_modes) * inverse
+            return float(np.fft.irfft(parts.view(complex), n).min())
+        inverse_h = _inverse_symbol(n, *ops.height_matrix(tau))
+        rows = _coupled_step(*start, load_modes, inverse_h, inverse, tau, ops.alpha)
+        h, zeta = np.fft.irfft(np.stack(rows).view(complex), n)
+        return float(np.min(zeta - h))
 
     symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
     if coupled:
@@ -732,19 +730,8 @@ def step_trial(
         def change(tau: float, count: int) -> np.ndarray:
             return v[:count] / (1.0 + tau * symbol[:count])
 
-    margin = _TRIAL_GUARD * float(scale)
-    change_margin = margin * (1.0 + 4.0 * stiffness * dt / dx2)
-    return StepTrial(minimum_after, margin, modes, change, peak, change_margin)
-
-
-def _eigenvalue_coupling(n: int, off: float) -> np.ndarray:
-    """``off*(2 - s_k)`` per rfft mode, each value twice, in the interleaved
-    float layout of :func:`_inverse_symbol`.  Adding a step matrix's
-    ``diag`` gives its eigenvalues, rounded as that function rounds them.
-    Not cached: at n = 8192 a cached copy raised the peak RSS of a
-    ``simulate`` run by about 0.15 MiB, and it costs microseconds per
-    crossing."""
-    return np.repeat(off * (2.0 - _second_difference_symbol(n)), 2)
+    change_margin = _TRIAL_GUARD * float(scale) * (1.0 + 4.0 * stiffness * dt / dx2)
+    return StepTrial(minimum_after, modes, change, peak, change_margin)
 
 
 def step_toward(remaining: float, dt: float) -> float:
@@ -758,6 +745,8 @@ def evolve(state: Field | CoupledState, t_end: float, dt: float, ops: Operators)
     """Step to ``t_end`` with steps of ``dt``, shortening the last step to
     land exactly; performs no rupture checks."""
     time = state.time
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
     if t_end < time:
         raise ValueError("t_end precedes the current state time")
     while time < t_end:

@@ -175,13 +175,25 @@ def run_events(config, n, count):
 
 @pytest.mark.parametrize("preset, count", [("ex1", 4), ("ex3", 3)])
 def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, count):
-    # an infinite guard margin re-takes every bisection trial by advance,
-    # as plain stepping does; the mode-space trials must change nothing
+    # with bounds that decide nothing and trials taken by advance from the
+    # trial's modes, every decision is that of plain stepping; the bounds
+    # and the mode-space trials must change nothing
     config = preset_config(preset)
     steps = counted_advances(monkeypatch)
     in_modes = run_events(config, 256, count)
     fast = len(steps)
-    monkeypatch.setattr(solver, "_TRIAL_GUARD", math.inf)
+    real_trial = rupture.step_trial
+
+    def step_trial(pre, dt, ops, modes=None):
+        trial = real_trial(pre, dt, ops, modes)
+
+        def minimum_after(tau):
+            return float(np.min(rupture.advance(pre, tau, ops, trial.modes).eta.values))
+
+        return trial._replace(minimum_after=minimum_after)
+
+    monkeypatch.setattr(rupture, "step_trial", step_trial)
+    monkeypatch.setattr(rupture, "_step_bounds", lambda *args: lambda tau: None)
     by_advance = run_events(config, 256, count)
     assert len(steps) - fast > 2 * fast  # every trial went through advance
     assert len(in_modes) == len(by_advance) == count
@@ -778,6 +790,16 @@ def test_non_finite_initial_state_is_refused(ex1, ex3, bad):
         run_with_rupture(ex1, eta0, max_events=1)
     with pytest.raises(DomainError):
         run_with_rupture(ex3, CoupledState.from_thickness(eta0), max_events=1)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_non_finite_end_time_is_refused(t_end):
+    # nan used to return no events at time 0, and inf to jump to t = 1.1e12
+    # before the clock stopped advancing
+    config = preset_config("ex1", overrides=(("forcing_offset", 2.0),))
+    start = constant_field(build_grid(config, 256), config.eta_a)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        run_with_rupture(config, start, t_end=t_end)
 
 
 def stepped_events(config, state, count, t_end=math.inf):

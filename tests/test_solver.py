@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -319,6 +320,16 @@ def test_evolve_to_current_time_is_identity():
     out = evolve(state, 0.0, 1e-2, ops)
     assert out.time == 0.0
     assert np.array_equal(out.values, state.values)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf])
+def test_evolve_refuses_a_non_finite_end_time(t_end):
+    # inf stepped forever, and nan returned the state stamped with time nan
+    cfg = plain_config()
+    grid = build_grid(cfg, 32)
+    ops = assemble_operators(grid, cfg)
+    with pytest.raises(ValueError, match="t_end must be finite"):
+        evolve(constant_field(grid, 1.0), t_end, 1e-2, ops)
 
 
 def test_evolve_composes():
