@@ -108,6 +108,16 @@ class ModelConfig:
             raise DomainError(f"mode must be one of {MODES}")
         if self.reduction_case not in REDUCTION_CASES:
             raise DomainError(f"reduction_case must be one of {REDUCTION_CASES}")
+        _, strengths, offset = effective_parameters(self)
+        try:  # validate, the stationary solve and the bounds take these sums
+            sums = math.fsum(self.jump_strengths), math.fsum(strengths)
+        except (OverflowError, ValueError):  # an overflow, or inf - inf
+            sums = (math.inf,)
+        if not all(math.isfinite(x) for x in (*sums, offset)):
+            raise DomainError(
+                "jump_strengths must have a finite sum, also as scaled by the "
+                "reduction, and the scaled forcing_offset must be finite"
+            )
 
 
 @dataclass(frozen=True)

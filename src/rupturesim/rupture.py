@@ -23,15 +23,12 @@ per-mode factors that would underflow are skipped.  In coupled mode a gap
 runs in one call of the mode-space kernel, which tests the thickness after
 every step and checks the backward error of the state it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
-crossing search, which decides every step from them, the step that
-brackets the crossing first: most by bounds on how far the step moves
-each mode, the rest by the step taken in modes with the arithmetic of
-``advance``, which gives its minimum bit for bit.  The bounds exclude
-every node that cannot fall to the threshold within a step, and sum a few
-live modes at the rest; each allows for the roundoff of ``advance``.  So
-every decision, time and state is that of stepping with ``advance`` from
-those modes.  A step returns to real space only where it does not cross,
-and at the located crossing, through ``advance`` from the modes.
+crossing search, which decides every step from them with one
+:class:`rupturesim.solver.StepProbe` per state, the step that brackets the
+crossing first; this module keeps only the bisection over its decisions.
+So every decision, time and state is that of stepping with ``advance``
+from those modes.  A step returns to real space only where it does not
+cross, and at the located crossing, through the probe's checked step.
 """
 from __future__ import annotations
 
@@ -39,7 +36,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -57,15 +53,13 @@ from .solver import (
     Field,
     Grid,
     Operators,
-    StepTrial,
-    _mode_weights,
+    StepProbe,
     advance,
     assemble_operators,
     decoupled_transient,
     jump_coupled,
     jump_decoupled,
     step_toward,
-    step_trial,
 )
 from .stationary import interval_index
 
@@ -186,8 +180,8 @@ def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
     With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``,
     ``x_j - x_0 = irfft((f^j - 1) * transient)``.  Each term of that inverse
     transform is at most ``w_k |transient_k| (1 - f_k^j)`` at every node,
-    with ``w_k`` from :func:`_mode_weights`, and ``1 - f^j <= j (1 - f)``
-    for ``0 <= f <= 1``.
+    with ``w_k`` from :func:`solver._mode_weights`, and ``1 - f^j <= j (1 -
+    f)`` for ``0 <= f <= 1``.
     So no node moves by more than ``j`` times the returned rate in ``j``
     steps.
     """
@@ -309,145 +303,36 @@ def _jump_to_bound(
     return jumped, modes
 
 
-@functools.lru_cache(maxsize=2)
-def _unit_roots(n: int) -> np.ndarray:
-    """``exp(2 pi i m/n)`` for ``m = 0..n-1``; read-only."""
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.flags.writeable = False
-    return roots
-
-
-# entries per grid node of the candidate-node matrix of _step_bounds, above
-# which the matrix costs more to build than the full trials it would spare
-_NODE_BUDGET = 4
-
-
-def _step_bounds(
-    pre: Field | CoupledState, trial: StepTrial, dt: float, eta_c: float, floor: float
-) -> Callable[[float], float | None]:
-    """Decide a bisection trial of either state kind from bounds on the
-    step, where they can, without the trial's inverse transform.
-
-    A step of ``tau <= dt`` from ``pre`` moves rfft mode ``k`` of the
-    thickness by ``tau*q_k(tau)`` (``trial.change``), with ``|q_k| <=
-    trial.peak[k]``, so with ``w_k`` from :func:`_mode_weights` no node falls
-    by more than ``tau*drop``, ``drop = sum_k w_k peak_k``.  Only nodes with
-    ``eta_0 - slack - dt*drop <= eta_c`` can cross, where the slack
-    ``trial.change_margin`` covers how far the step of :func:`advance` may
-    lie from the exact one by roundoff.  At those candidate nodes the value
-    after the step is ``eta_0 + tau*sum_k w_k Re(q_k e^{2 pi i jk/n})``,
-    summed over the shortest prefix of ``K`` modes whose tail ``dt*sum_{k >=
-    K} w_k peak_k`` is at most the slack; the tail is added to the slack.
-
-    The returned function of ``tau`` gives a lower bound on the minimum
-    above ``eta_c``, so the step does not cross, or an upper bound below
-    ``floor``, so it crosses by more than the value tolerance; else
-    ``None``.  Without candidate nodes, no node can cross.  Where the
-    candidate set and ``K`` make a matrix of more than ``_NODE_BUDGET*n``
-    entries, only the bound on the drop decides.
-    """
-    values = pre.eta.values
-    n = values.size
-    weights = _mode_weights(n)
-    rates = weights * trial.peak
-    drop = float(np.sum(rates))
-    slack = trial.change_margin
-    lowest = float(values.min()) - slack
-    matrix = None
-    if lowest - dt * drop <= eta_c:  # else the drop decides every step
-        nodes = np.flatnonzero(values - slack - dt * drop <= eta_c)
-        # tails[k]: the largest change per unit step of the modes from k on,
-        # which does not grow with k
-        tails = np.cumsum(rates[::-1])[::-1]
-        count = int(np.count_nonzero(dt * tails > slack))
-        if 0 < nodes.size * count <= _NODE_BUDGET * n:
-            slack += dt * float(tails[count]) if count < tails.size else 0.0
-            phases = _unit_roots(n)[np.outer(nodes, np.arange(count)) % n]
-            # [w cos, -w sin] per mode, against [Re q, Im q] of the change
-            matrix = (weights[:count] * phases.conj()).view(np.float64)
-            start = values[nodes]
-
-    def decide(tau: float) -> float | None:
-        low = lowest - tau * drop
-        if low > eta_c or matrix is None:
-            return low if low > eta_c else None
-        least = float(np.min(start + tau * (matrix @ trial.change(tau, count).view(np.float64))))
-        if least - slack > eta_c:
-            return least - slack
-        return least + slack if least + slack < floor else None
-
-    return decide
-
-
-class _Trials:
-    """The bisection's decisions about steps of up to ``dt`` from ``pre``,
-    from one :func:`step_trial`, starting with the step of ``dt`` itself.
-
-    :meth:`decide` puts a step first to the bounds of :func:`_step_bounds`;
-    only when they do not decide is it taken in rfft modes, which gives the
-    minimum after :meth:`step`, the checked :func:`advance` from the trial's
-    modes, bit for bit.  So every decision is that of stepping from ``pre``
-    with :meth:`step`.  ``at_dt`` is the decision about the step of ``dt``.
-    """
-
-    def __init__(
-        self,
-        pre: Field | CoupledState,
-        dt: float,
-        ops: Operators,
-        config: ModelConfig,
-        modes: np.ndarray | None = None,
-    ) -> None:
-        self.pre, self.ops = pre, ops
-        self.trial = step_trial(pre, dt, ops, modes)
-        floor = config.eta_c - config.numerics.event_tol * config.eta_a
-        self.bounds = _step_bounds(pre, self.trial, dt, config.eta_c, floor)
-        self.at_dt = self.decide(dt)
-
-    def step(self, tau: float) -> Field | CoupledState:
-        """The state after the checked step of ``tau`` from ``pre``."""
-        return advance(self.pre, tau, self.ops, self.trial.modes)
-
-    def decide(self, tau: float) -> tuple[float, bool]:
-        """The minimum thickness after a step of ``tau``, or a bound on it
-        that lies on the same side of every value the bisection compares it
-        with, and whether it is such a bound."""
-        low = self.bounds(tau)
-        if low is not None:
-            return low, True
-        return self.trial.minimum_after(tau), False
-
-
 def locate_crossing(
     pre: Field | CoupledState,
     dt: float,
     ops: Operators,
     config: ModelConfig,
     *,
-    trials: _Trials | None = None,
+    trials: StepProbe | None = None,
 ) -> tuple[float, Field | CoupledState]:
     """Localize the threshold crossing bracketed by one step from ``pre``.
 
     Bisects the trial step size until the minimum thickness is within
     ``event_tol * eta_a`` of the threshold or the bracket is below
     ``1e-3 * dt``.  Every decision, the step of ``dt`` included, comes from
-    one :class:`_Trials`: most from bounds, the rest from steps in rfft
-    modes, so each decision and the located time are those of re-stepping
-    from ``pre`` with :func:`advance`.  Only the located step returns to
-    real space, taken by :func:`advance` from the trial's modes; its
-    minimum must equal the tested one, or lie at or below the bound that
-    decided it.  A caller that holds the rfft modes of ``pre``, or has
-    already made the decision about the step of ``dt``, passes its
-    :class:`_Trials` as ``trials``; with its modes, ``pre`` is not
-    transformed at all.  Returns the elapsed time and the state at the
-    located crossing (whose minimum is at or below the threshold).
+    one :class:`StepProbe`: most from its bounds, the rest from steps in
+    rfft modes, so each decision and the located time are those of
+    re-stepping from ``pre`` with :func:`advance`.  Only the located step
+    returns to real space, taken by the probe's checked step; its minimum
+    must equal the tested one, or lie at or below the bound that decided
+    it.  A caller that holds the rfft modes of ``pre``, or has already made
+    the decision about the step of ``dt``, passes its probe as ``trials``;
+    with its modes, ``pre`` is not transformed at all.  Returns the elapsed
+    time and the state at the located crossing (whose minimum is at or
+    below the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
     if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
     if trials is None:
-        trials = _Trials(pre, dt, ops, config)
+        trials = StepProbe(pre, dt, ops, eta_c, eta_c - value_tol)
     low_hi, bounded = trials.at_dt
     if low_hi > eta_c:
         raise BracketError("no crossing within one step")
@@ -554,11 +439,11 @@ def run_with_rupture(
     :func:`jump_coupled`, which takes all steps up to the one that
     crosses; either hands out the modes of the state it reaches.  Single
     steps then run to the crossing, each decided first by a
-    :class:`_Trials` from the state's modes and taken by :func:`advance`
-    only when it does not cross; the one that crosses hands its
-    :class:`_Trials` to :func:`locate_crossing`.  So event times are those
-    of plain stepping.  A decoupled gap with ``alpha > 0`` must
-    rupture within :func:`rupture_horizon`, else :class:`HorizonError`.
+    :class:`StepProbe` from the state's modes and taken by its checked step
+    only when it does not cross; the one that crosses hands its probe to
+    :func:`locate_crossing`.  So event times are those of plain stepping.
+    A decoupled gap with ``alpha > 0`` must rupture within
+    :func:`rupture_horizon`, else :class:`HorizonError`.
     Where that bound does not apply and no ``t_end`` is given, a decoupled
     gap that passes the step count after which it stays above the
     threshold for good (:func:`_settle_steps`) can never rupture, and is
@@ -575,7 +460,8 @@ def run_with_rupture(
     ops = _shared_operators(eta0.grid, config)
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
-    threshold = config.eta_c + config.numerics.event_tol * config.eta_a
+    value_tol = config.numerics.event_tol * config.eta_a
+    threshold, floor = config.eta_c + value_tol, config.eta_c - value_tol
     coupled = config.mode == "coupled"
     end = math.inf if t_end is None else t_end
 
@@ -631,14 +517,14 @@ def run_with_rupture(
                     "above the threshold for good; give an end time (--t-end)"
                 )
             step_dt = step_toward(end - time, dt)
-            trials = _Trials(state, step_dt, ops, config, modes)
-            if trials.at_dt[0] <= config.eta_c:
+            probe = StepProbe(state, step_dt, ops, config.eta_c, floor, modes)
+            if probe.at_dt[0] <= config.eta_c:
                 break
-            state, modes = trials.step(step_dt), None
+            state, modes = probe.step(step_dt), None
         else:  # reached t_end
             break
 
-        _, at_rupture = locate_crossing(state, step_dt, ops, config, trials=trials)
+        _, at_rupture = locate_crossing(state, step_dt, ops, config, trials=probe)
         pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]

@@ -24,14 +24,15 @@ that step; it hands out the modes of the state it reaches too.  Each step
 forms its right sides' modes from the state's modes: a caller that holds
 them passes them to ``advance``, whose solves then take no forward
 transform and keep their checks, and without them the step transforms the
-state once.  ``step_trial`` takes one step of any size in rfft modes from
-the modes of a state of either kind (one forward transform when none are
-given), with the arithmetic of those solves, and returns only its minimum
-thickness, bit for bit that of ``advance`` from the same modes: the
-crossing bisection's trials, which are not checked and never handed out.
-It also gives how far a step moves each mode of the thickness, from which
-the bisection bounds a step without taking it.  Both state kinds expose
-their layer thickness as ``eta``.
+state once.  ``StepProbe`` owns what one step of any size from a state
+of either kind does, from the state's modes (one forward transform when
+none are given): it takes the step in rfft modes with the arithmetic of
+those solves, so its minimum thickness is bit for bit that of ``advance``
+from the same modes; it bounds a step from how far it moves each mode of
+the thickness, with a slack for the roundoff of ``advance``, without
+taking it; and it takes the checked step that hands a state out.  These
+are the crossing bisection's decisions.  Both state kinds expose their
+layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -630,108 +630,177 @@ def advance(
     return step_decoupled(state, dt, ops, modes)
 
 
-# roundoff allowed between a value formed from StepTrial.change and the step
-# of advance, relative to the inputs, before the stiffness factor of
-# StepTrial.change_margin
+# roundoff allowed between a value formed from StepProbe.change and the step
+# of advance, relative to the inputs, before the stiffness factor of the
+# probe's slack
 _TRIAL_GUARD = 1.0e-12
+# entries per grid node of the probe's candidate-node matrix, above which the
+# matrix costs more to build than the full trials it would spare
+_NODE_BUDGET = 4
 
 
-class StepTrial(NamedTuple):
-    """The one-step trials :func:`step_trial` makes from one transform, and
-    what bounds them without an inverse transform."""
-
-    minimum_after: Callable[[float], float]
-    modes: np.ndarray
-    change: Callable[[float, int], np.ndarray]
-    peak: np.ndarray
-    change_margin: float
+@functools.lru_cache(maxsize=2)
+def _unit_roots(n: int) -> np.ndarray:
+    """``exp(2 pi i m/n)`` for ``m = 0..n-1``; read-only."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
 
 
-def step_trial(
-    state: Field | CoupledState, dt: float, ops: Operators, modes: np.ndarray | None = None
-) -> StepTrial:
-    """The minimum thickness after one backward-Euler step of any size
-    ``tau`` up to ``dt`` from ``state``, as a function ``minimum_after`` of
-    ``tau``: bit for bit the minimum after the same step taken by
-    :func:`advance` from the same modes.
+class StepProbe:
+    """What one backward-Euler step of any size ``tau`` up to ``dt`` from
+    ``pre`` does: the crossing bisection's decisions about such steps
+    against the threshold ``eta_c`` and ``floor``, the threshold less the
+    value tolerance, starting with ``at_dt``, the decision about the step of
+    ``dt``; and :meth:`step`, the checked :func:`advance` from ``modes``,
+    the only step that hands a state out.
 
-    ``modes`` are the state's rfft modes as :func:`advance` takes them; only
-    when they are not given is ``state`` transformed here, once, and either
-    way the trial hands them out as ``modes``.  Each call of
-    ``minimum_after`` then takes the step per mode with the arithmetic of
-    the solves of :func:`advance`, scaling by the reciprocal eigenvalues of
-    :func:`_inverse_symbol` (a coupled step is :func:`_coupled_step`), and
-    one inverse transform; a coupled trial inverts the ``h`` and ``zeta``
-    rows and takes the minimum of their difference, as
-    :attr:`CoupledState.eta` does.  The step is not checked: a state to hand
-    out is taken by :func:`advance`.
+    ``modes`` are the state's rfft modes as :func:`advance` takes them (for
+    a coupled state, those of ``h`` and ``zeta`` as two rows); only when
+    none are given is ``pre`` transformed here, once.  :meth:`minimum_after`
+    takes the step per mode with the arithmetic of the solves of
+    :func:`advance` (reciprocal eigenvalues from :func:`_inverse_symbol`, a
+    coupled step by :func:`_coupled_step`, whose ``h`` and ``zeta`` rows are
+    inverted before their difference is taken, as :attr:`CoupledState.eta`
+    takes it), so its minimum is bit for bit that of :meth:`step`.
 
     A step of ``tau`` moves rfft mode ``k`` of the thickness by exactly
-    ``tau*q_k(tau)``, and ``change(tau, count)`` gives ``q_k(tau)`` for the
-    first ``count`` modes.  With ``mu`` the decoupled symbol
-    ``sigma*lambda_k + alpha`` (``lambda_k = s_k/dx^2``):
+    ``tau*q_k(tau)``, and :meth:`change` gives ``q_k(tau)`` for the first
+    ``count`` modes.  With ``mu`` the decoupled symbol ``sigma*lambda_k +
+    alpha`` (``lambda_k = s_k/dx^2``), ``q = (p - u*r)/(1 + tau*mu)``:
 
-    - decoupled, ``q = v/(1 + tau*mu)``, with ``v = l - mu*x`` the modes of
-      ``load - (alpha I + sigma K) x``;
-    - coupled, ``q = (p - u*r)/(1 + tau*mu)``, with ``p = alpha*h -
-      mu*zeta``, ``u = -(l + nu*h)``, ``r = (1 + tau*sigma*lambda_k)/(1 +
-      tau*nu)``, ``nu = sigma_h*lambda_k`` and ``l`` the height load.
+    - decoupled, ``u = 0`` and ``p = l - mu*x``, the modes of ``load -
+      (alpha I + sigma K) x``;
+    - coupled, ``p = alpha*h - mu*zeta``, ``u = -(l + nu*h)``, ``r = (1 +
+      tau*sigma*lambda_k)/(1 + tau*nu)``, ``nu = sigma_h*lambda_k`` and
+      ``l`` the height load.
 
-    ``peak`` bounds ``|q_k|`` for every ``tau >= 0``: ``|v|``, or ``|p| +
-    |u|``, since no divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 +
-    tau*nu)``, whatever the ratio of ``sigma`` to ``sigma_h``.  A value formed
-    from ``change`` is free of the cancellation by which the step matrix's
-    eigenvalues ``diag + off*(2 - s_k)`` lose digits when
-    ``sigma*tau/dx^2`` is large, so it may differ from :func:`advance` by
-    that roundoff, which grows with ``4*sigma*dt/dx^2``.  ``change_margin``
-    allows for it: ``_TRIAL_GUARD`` times the largest magnitude among the
-    transformed inputs, the state and ``dt`` times the load, times ``1 +
-    4*sigma*dt/dx^2``, with the larger of ``sigma`` and ``sigma_h`` for a
-    coupled state, where that allowance is measured, not proven.
+    ``peak = |p| + |u|`` bounds ``|q_k|`` for every ``tau >= 0``, since no
+    divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 + tau*nu)``, whatever
+    the ratio of ``sigma`` to ``sigma_h``.  A value formed from
+    :meth:`change` is free of the cancellation by which the step matrix's
+    eigenvalues ``diag + off*(2 - s_k)`` lose digits when ``sigma*tau/dx^2``
+    is large, so it may differ from :func:`advance` by that roundoff.  The
+    slack allows for it: ``_TRIAL_GUARD`` times the largest magnitude among
+    the state and ``dt`` times the load, times ``1 + 4*sigma*dt/dx^2``, with
+    the larger of ``sigma`` and ``sigma_h`` for a coupled state, where that
+    allowance is measured, not proven.
+
+    :meth:`bound` decides a step without its inverse transform where it
+    can.  With ``w_k`` from :func:`_mode_weights` no node falls by more than
+    ``tau*drop``, ``drop = sum_k w_k peak_k``, so only nodes with ``eta_0 -
+    slack - dt*drop <= eta_c`` can cross.  At those candidate nodes the
+    value after the step is ``eta_0 + tau*sum_k w_k Re(q_k e^{2 pi i
+    jk/n})``, summed over the shortest prefix of ``K`` modes whose tail
+    ``dt*sum_{k >= K} w_k peak_k`` is at most the slack; the tail is added
+    to the slack.  Where the candidate set and ``K`` make a matrix of more
+    than ``_NODE_BUDGET*n`` entries, only the bound on the drop decides.
     """
-    coupled = isinstance(state, CoupledState)
-    inputs = np.stack((state.h.values, state.zeta.values)) if coupled else state.values[None]
-    load = ops.height_load if coupled else ops.load
-    load_modes = (ops.height_load_modes if coupled else ops.load_modes).view(np.float64)
-    scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
-    n = ops.grid.n
-    if modes is None:
-        modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
-    start = modes.reshape(len(inputs), -1).view(np.float64)
 
-    def minimum_after(tau: float) -> float:
+    def __init__(
+        self,
+        pre: Field | CoupledState,
+        dt: float,
+        ops: Operators,
+        eta_c: float,
+        floor: float,
+        modes: np.ndarray | None = None,
+    ) -> None:
+        coupled = isinstance(pre, CoupledState)
+        inputs = np.stack((pre.h.values, pre.zeta.values)) if coupled else pre.values[None]
+        load = ops.height_load if coupled else ops.load
+        scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
+        n = ops.grid.n
+        if modes is None:
+            modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
+        self.pre, self.ops, self.modes = pre, ops, modes
+        self._rows = modes.reshape(len(inputs), -1).view(np.float64)
+        self._load_modes = (ops.height_load_modes if coupled else ops.load_modes).view(np.float64)
+
+        symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
+        if coupled:
+            h, z = modes
+            curvature = _second_difference_symbol(n) / dx2
+            self._nu, self._diffusion = ops.sigma_h * curvature, ops.sigma * curvature
+            self._p = ops.alpha * h - symbol * z
+            self._u = -(ops.height_load_modes + self._nu * h)
+            peak = np.abs(self._p) + np.abs(self._u)
+            stiffness = max(ops.sigma, ops.sigma_h)
+        else:
+            self._p, self._u = ops.load_modes - symbol * modes, None
+            peak, stiffness = np.abs(self._p), ops.sigma
+        slack = _TRIAL_GUARD * float(scale) * (1.0 + 4.0 * stiffness * dt / dx2)
+
+        self.eta_c, self.floor = eta_c, floor
+        values = pre.eta.values
+        weights = _mode_weights(n)
+        rates = weights * peak
+        self._drop = drop = float(np.sum(rates))
+        self._lowest = float(values.min()) - slack
+        self._matrix = None
+        if self._lowest - dt * drop <= eta_c:  # else the drop decides every step
+            nodes = np.flatnonzero(values - slack - dt * drop <= eta_c)
+            # tails[k]: the largest change per unit step of the modes from k on,
+            # which does not grow with k
+            tails = np.cumsum(rates[::-1])[::-1]
+            count = int(np.count_nonzero(dt * tails > slack))
+            if 0 < nodes.size * count <= _NODE_BUDGET * n:
+                slack += dt * float(tails[count]) if count < tails.size else 0.0
+                phases = _unit_roots(n)[np.outer(nodes, np.arange(count)) % n]
+                # [w cos, -w sin] per mode, against [Re q, Im q] of the change
+                self._matrix = (weights[:count] * phases.conj()).view(np.float64)
+                self._candidates, self._count = values[nodes], count
+        self._slack = slack
+        self.at_dt = self.decide(dt)
+
+    def minimum_after(self, tau: float) -> float:
+        """The minimum thickness after the step of ``tau``, unchecked."""
+        ops, n = self.ops, self.ops.grid.n
         inverse = _inverse_symbol(n, *ops.thickness_matrix(tau))
-        if not coupled:
-            parts = (start[0] / tau + load_modes) * inverse
+        if self._u is None:
+            parts = (self._rows[0] / tau + self._load_modes) * inverse
             return float(np.fft.irfft(parts.view(complex), n).min())
         inverse_h = _inverse_symbol(n, *ops.height_matrix(tau))
-        rows = _coupled_step(*start, load_modes, inverse_h, inverse, tau, ops.alpha)
+        rows = _coupled_step(*self._rows, self._load_modes, inverse_h, inverse, tau, ops.alpha)
         h, zeta = np.fft.irfft(np.stack(rows).view(complex), n)
         return float(np.min(zeta - h))
 
-    symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
-    if coupled:
-        h, z = modes
-        curvature = _second_difference_symbol(n) / dx2
-        nu, diffusion = ops.sigma_h * curvature, ops.sigma * curvature
-        p = ops.alpha * h - symbol * z
-        u = -(ops.height_load_modes + nu * h)
-        peak = np.abs(p) + np.abs(u)
-        stiffness = max(ops.sigma, ops.sigma_h)
+    def change(self, tau: float, count: int) -> np.ndarray:
+        """``q_k(tau)`` for the first ``count`` modes of the thickness."""
+        q = self._p[:count]
+        if self._u is not None:
+            ratio = (1.0 + tau * self._diffusion[:count]) / (1.0 + tau * self._nu[:count])
+            q = q - self._u[:count] * ratio
+        return q / (1.0 + tau * self.ops.symbol[:count])
 
-        def change(tau: float, count: int) -> np.ndarray:
-            ratio = (1.0 + tau * diffusion[:count]) / (1.0 + tau * nu[:count])
-            return (p[:count] - u[:count] * ratio) / (1.0 + tau * symbol[:count])
+    def bound(self, tau: float) -> float | None:
+        """A lower bound on the minimum after the step of ``tau`` above
+        ``eta_c``, so the step does not cross, or an upper bound below
+        ``floor``, so it crosses by more than the value tolerance; else
+        ``None``.  Without candidate nodes, no node can cross."""
+        eta_c, slack = self.eta_c, self._slack
+        low = self._lowest - tau * self._drop
+        if low > eta_c or self._matrix is None:
+            return low if low > eta_c else None
+        change = self.change(tau, self._count).view(np.float64)
+        least = float(np.min(self._candidates + tau * (self._matrix @ change)))
+        if least - slack > eta_c:
+            return least - slack
+        return least + slack if least + slack < self.floor else None
 
-    else:
-        v = ops.load_modes - symbol * modes
-        peak, stiffness = np.abs(v), ops.sigma
+    def decide(self, tau: float) -> tuple[float, bool]:
+        """The minimum thickness after a step of ``tau``, or a bound on it
+        that lies on the same side of every value the bisection compares it
+        with, and whether it is such a bound: :meth:`bound` first, else
+        :meth:`minimum_after`."""
+        low = self.bound(tau)
+        if low is not None:
+            return low, True
+        return self.minimum_after(tau), False
 
-        def change(tau: float, count: int) -> np.ndarray:
-            return v[:count] / (1.0 + tau * symbol[:count])
-
-    change_margin = _TRIAL_GUARD * float(scale) * (1.0 + 4.0 * stiffness * dt / dx2)
-    return StepTrial(minimum_after, modes, change, peak, change_margin)
+    def step(self, tau: float) -> Field | CoupledState:
+        """The state after the checked step of ``tau`` from ``pre``."""
+        return advance(self.pre, tau, self.ops, self.modes)
 
 
 def step_toward(remaining: float, dt: float) -> float:

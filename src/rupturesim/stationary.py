@@ -53,8 +53,7 @@ class StationaryProfile:
         return len(self.junctions)
 
     def interval_lengths(self) -> np.ndarray:
-        ends = np.append(self.junctions[1:], self.junctions[0] + self.omega)
-        return ends - self.junctions
+        return interval_lengths(self.junctions, self.omega)
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
     lam = math.sqrt(alpha / sigma)
     junctions = np.asarray(config.junctions, dtype=float)
     k = len(junctions)
-    lengths = np.append(junctions[1:], junctions[0] + config.omega) - junctions
+    lengths = interval_lengths(junctions, config.omega)
 
     matrix = np.zeros((2 * k, 2 * k))
     rhs = np.zeros(2 * k)
@@ -148,7 +147,7 @@ def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
 
     junctions = np.asarray(config.junctions, dtype=float)
     k = len(junctions)
-    lengths = np.append(junctions[1:], junctions[0] + config.omega) - junctions
+    lengths = interval_lengths(junctions, config.omega)
     lead = offset_a / (2.0 * sigma)
 
     # slope_j = t + dslope_j and value_j = base_j + t*(a_j - a_0); the
@@ -182,6 +181,12 @@ def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
         alpha_zero=True,
         quad_lead=lead,
     )
+
+
+def interval_lengths(junctions: np.ndarray, omega: float) -> np.ndarray:
+    """Length ``a_{k+1} - a_k`` of each junction interval, the last one
+    wrapping to ``a_0 + omega``."""
+    return np.append(junctions[1:], junctions[0] + omega) - junctions
 
 
 def interval_index(junctions, positions) -> np.ndarray:

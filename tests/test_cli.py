@@ -337,12 +337,15 @@ def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path
         ["simulate", "--preset", "ex1", "--set", "forcing_offset=-3e-14", "--max-events", "1"],
         ["find-periodic", "--preset", "ex1", "--set", "forcing_offset=-3e-14"],
         ["simulate", "--preset", "ex2", "--set", "forcing_offset=-0.18", "--max-events", "1"],
+        ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e308,1e308,1e308]",
+         "--max-events", "1"],
     ],
-    ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2"],
+    ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2", "strength-sum-overflows"],
 )
 def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args):
     # offset/alpha + eta_c == 0 made the rupture-time lower bound divide by
-    # zero, which ended in a ZeroDivisionError traceback and exit 1
+    # zero, which ended in a ZeroDivisionError traceback and exit 1; jump
+    # strengths whose sum overflows ended in an OverflowError from validate
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
     assert child.returncode in (0, 1, 2, 3), child.stderr
     assert "Traceback" not in child.stderr
@@ -407,12 +410,21 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
          "--max-events", "2"],
         ["find-periodic", "--preset", "ex1", "--set", "numerics.fp_tol=1e999"],
         ["simulate", "--preset", "ex1", "--set", "numerics.event_tol=1e999"],
+        *(
+            [command, "--preset", "ex1", "--set", "jump_strengths=[1e308,1e308,1e308]"]
+            for command in ("simulate", "find-periodic", "verify", "bounds", "stationary")
+        ),
+        ["bounds", "--preset", "ex1", "--set", "jump_strengths=[1e308,-1e308,0]",
+         "--set", "tau=0.1"],
     ],
     ids=[
         "max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf",
         "max-events-negative", "max-events-0", "t-end-negative", "t-end-0",
         "find-periodic-fp-tol-negative", "verify-fp-tol-negative",
         "eta-a-inf", "numerics-fp-tol-inf", "numerics-event-tol-inf",
+        "simulate-strength-sum-inf", "find-periodic-strength-sum-inf",
+        "verify-strength-sum-inf", "bounds-strength-sum-inf", "stationary-strength-sum-inf",
+        "scaled-strengths-inf",
     ],
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):

@@ -157,8 +157,10 @@ def test_crossing_reuses_the_step_it_is_given(fft_calls):
     elapsed, located = locate_crossing(pre, dt, ops, cfg)
     transformed = fft_calls.count("rfft")
     modes = np.fft.rfft(pre.values)
+    floor = cfg.eta_c - cfg.numerics.event_tol * cfg.eta_a
     fft_calls.clear()
-    reused = locate_crossing(pre, dt, ops, cfg, trials=rupture._Trials(pre, dt, ops, cfg, modes))
+    probe = solver.StepProbe(pre, dt, ops, cfg.eta_c, floor, modes)
+    reused = locate_crossing(pre, dt, ops, cfg, trials=probe)
     assert fft_calls.count("rfft") == transformed - 1 == 0
     assert reused[0] == elapsed
     assert np.array_equal(reused[1].values, located.values)
@@ -182,18 +184,12 @@ def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, cou
     steps = counted_advances(monkeypatch)
     in_modes = run_events(config, 256, count)
     fast = len(steps)
-    real_trial = rupture.step_trial
 
-    def step_trial(pre, dt, ops, modes=None):
-        trial = real_trial(pre, dt, ops, modes)
+    def minimum_after(self, tau):
+        return float(np.min(solver.advance(self.pre, tau, self.ops, self.modes).eta.values))
 
-        def minimum_after(tau):
-            return float(np.min(rupture.advance(pre, tau, ops, trial.modes).eta.values))
-
-        return trial._replace(minimum_after=minimum_after)
-
-    monkeypatch.setattr(rupture, "step_trial", step_trial)
-    monkeypatch.setattr(rupture, "_step_bounds", lambda *args: lambda tau: None)
+    monkeypatch.setattr(solver.StepProbe, "minimum_after", minimum_after)
+    monkeypatch.setattr(solver.StepProbe, "bound", lambda self, tau: None)
     by_advance = run_events(config, 256, count)
     assert len(steps) - fast > 2 * fast  # every trial went through advance
     assert len(in_modes) == len(by_advance) == count
@@ -220,7 +216,7 @@ def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
         elapsed, state = real(pre, dt, ops, config, trials=trials)
         given = len(steps) - before
         before = len(steps)
-        retried = rupture._Trials(pre, dt, ops, config, trials.trial.modes)
+        retried = solver.StepProbe(pre, dt, ops, trials.eta_c, trials.floor, trials.modes)
         again = real(pre, dt, ops, config, trials=retried)
         assert given == 1
         assert len(steps) - before == given
@@ -240,12 +236,12 @@ def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft
     # located step, so none of them transforms that state forward
     config = preset_config(preset)
     run_events(config, 256, 1)  # fills the shared operators' lazily built modes
-    real_trials, real_locate = rupture._Trials, rupture.locate_crossing
+    real_probe, real_locate = rupture.StepProbe, rupture.locate_crossing
     carried, forward = [], []
 
-    def trials(pre, dt, ops, config, modes=None):
+    def probe(pre, dt, ops, eta_c, floor, modes=None):
         before = len(fft_calls)
-        made = real_trials(pre, dt, ops, config, modes)
+        made = real_probe(pre, dt, ops, eta_c, floor, modes)
         made.forward, made.carried = fft_calls[before:].count("rfft"), modes is not None
         return made
 
@@ -256,7 +252,7 @@ def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft
         forward.append(trials.forward + fft_calls[before:].count("rfft"))
         return located
 
-    monkeypatch.setattr(rupture, "_Trials", trials)
+    monkeypatch.setattr(rupture, "StepProbe", probe)
     monkeypatch.setattr(rupture, "locate_crossing", locate_crossing)
     events = run_events(config, 256, 3)
     assert len(events) == 3 and carried == [True] * 3
@@ -268,13 +264,13 @@ def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
     grid = build_grid(cfg, 16)
     ops = assemble_operators(grid, cfg)
     pre = constant_field(grid, 0.0105)
-    real = rupture.advance
+    real = solver.advance
 
     def raised(state, dt, ops, modes=None):
         stepped = real(state, dt, ops, modes)
         return Field(stepped.grid, stepped.values + 1e-3, stepped.time)
 
-    monkeypatch.setattr(rupture, "advance", raised)
+    monkeypatch.setattr(solver, "advance", raised)  # the probe's checked step
     with pytest.raises(LinearSolveError):
         locate_crossing(pre, 1e-1, ops, cfg)
 
@@ -454,15 +450,17 @@ def test_state_kind_must_match_mode(ex1, ex3):
 
 
 def counted_advances(monkeypatch):
-    """Count the single steps ``run_with_rupture`` takes."""
+    """Count the single steps ``run_with_rupture`` takes, whether it calls
+    ``advance`` itself or through the solver, as a probe's step does."""
     calls = []
-    real = rupture.advance
+    real = solver.advance
 
     def advance(*args):
         calls.append(1)
         return real(*args)
 
     monkeypatch.setattr(rupture, "advance", advance)
+    monkeypatch.setattr(solver, "advance", advance)
     return calls
 
 
@@ -572,7 +570,7 @@ def test_run_without_evaporation_that_cannot_rupture_is_refused(monkeypatch):
     # about s is -0.016.  A regression fails on the count of steps instead
     # of hanging the suite
     moves = []
-    real = rupture.advance
+    real = solver.advance
 
     def counted(*args):
         moves.append(1)
@@ -580,6 +578,7 @@ def test_run_without_evaporation_that_cannot_rupture_is_refused(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rupture, "advance", counted)
+    monkeypatch.setattr(solver, "advance", counted)  # the probe's checked step
     for eta_a in (0.3, 0.14):
         cfg = preset_config("ex1", overrides=(("alpha", 0.0), ("eta_a", eta_a)))
         grid = build_grid(cfg, 64)
@@ -629,7 +628,7 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
     # and 4 loop steps each
     jumps, loop_steps, locating = [], [], []
     real_jump, real_advance, real_locate = (
-        rupture._jump_to_bound, rupture.advance, rupture.locate_crossing
+        rupture._jump_to_bound, solver.advance, rupture.locate_crossing
     )
 
     def jump_to_bound(*args):
@@ -656,6 +655,7 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
         ("locate_crossing", locate_crossing),
     ):
         monkeypatch.setattr(rupture, name, patched)
+    monkeypatch.setattr(solver, "advance", advance)  # the probe's checked step
     grid = build_grid(ex1, 1024)
     events, _ = run_with_rupture(ex1, constant_field(grid, ex1.eta_a), max_events=11)
     assert len(events) == 11

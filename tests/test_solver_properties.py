@@ -543,6 +543,13 @@ def step_case(kind, n, dt, sigma, sigma1, tau, seed):
     return assemble_operators(ops.grid, replace(config, sigma1=sigma1)), pre
 
 
+def config_probe(pre, dt, ops, config, modes=None):
+    """The step probe the bisection makes against ``config``'s threshold
+    and value tolerance."""
+    floor = config.eta_c - config.numerics.event_tol * config.eta_a
+    return solver.StepProbe(pre, dt, ops, config.eta_c, floor, modes)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(*step_cases)
 def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, sigma1, tau, fraction, seed):
@@ -550,7 +557,7 @@ def test_trial_in_modes_agrees_with_advance(kind, n, dt, sigma, sigma1, tau, fra
     # sigma*dt/dx^2 is large and the step matrix's eigenvalues lose digits to
     # cancellation, so its minimum is that of advance bit for bit
     ops, pre = step_case(kind, n, dt, sigma, sigma1, tau, seed)
-    trial = solver.step_trial(pre, dt, ops)
+    trial = solver.StepProbe(pre, dt, ops, -math.inf, -math.inf)  # no threshold
     step = fraction * dt
     assert trial.minimum_after(step) == float(np.min(advance(pre, step, ops).eta.values))
 
@@ -647,15 +654,15 @@ def test_step_bounds_decide_only_as_advance_does(
     # the bounds were formed from
     config, ops, pre, dt = bounded_case(params, seed, smoothing, reset)
     value_tol = config.numerics.event_tol * config.eta_a
-    trial = solver.step_trial(pre, dt, ops)
+    modes = state_modes(pre)
 
     def minimum(tau):
-        return float(np.min(advance(pre, tau, ops, trial.modes).eta.values))
+        return float(np.min(advance(pre, tau, ops, modes).eta.values))
 
     steps = [fraction * dt] + [k * dt / 8 for k in range(1, 9)]
     tied = minimum(steps[0])
     eta_c, floor = (tied + value_tol, tied) if tie_floor else (tied, tied - value_tol)
-    decide = rupture._step_bounds(pre, trial, dt, eta_c, floor)
+    decide = solver.StepProbe(pre, dt, ops, eta_c, floor, modes).bound
     for tau in steps:
         bound, low = decide(tau), minimum(tau)
         if bound is None:
@@ -675,9 +682,9 @@ def test_step_bounds_of_a_stiff_state_near_equilibrium_decide_most_steps(kind, s
     params = (kind, 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6)
     config, ops, pre, dt = bounded_case(params, 0, smoothing, False)
     value_tol = config.numerics.event_tol * config.eta_a
-    trial = solver.step_trial(pre, dt, ops)
-    tied = float(np.min(advance(pre, 0.6 * dt, ops, trial.modes).eta.values))
-    decide = rupture._step_bounds(pre, trial, dt, tied, tied - value_tol)
+    modes = state_modes(pre)
+    tied = float(np.min(advance(pre, 0.6 * dt, ops, modes).eta.values))
+    decide = solver.StepProbe(pre, dt, ops, tied, tied - value_tol, modes).bound
     decided = [decide(k * dt / 8) for k in range(1, 9)]
     assert sum(bound is not None for bound in decided) >= 6
     assert any(bound is not None and bound < tied for bound in decided)
@@ -705,32 +712,23 @@ def reference_crossing(pre, dt, ops, config, modes=None):
 
 
 def counting_trials(calls):
-    """Patches of the bisection's two decision seams, its mode-space trials
-    and its bounds, that record in ``calls`` each full trial as ``("trial",
-    tau)`` and each decision a bound makes as ``("bound", tau)``."""
-    real_trial, real_bounds = rupture.step_trial, rupture._step_bounds
+    """Patches of the bisection's two decision seams, the probe's
+    mode-space trials and its bounds, that record in ``calls`` each full
+    trial as ``("trial", tau)`` and each decision a bound makes as
+    ``("bound", tau)``."""
+    real_trial, real_bound = solver.StepProbe.minimum_after, solver.StepProbe.bound
 
-    def step_trial(*args):
-        trial = real_trial(*args)
+    def minimum_after(self, tau):
+        calls.append(("trial", tau))
+        return real_trial(self, tau)
 
-        def counted(tau):
-            calls.append(("trial", tau))
-            return trial.minimum_after(tau)
+    def bound(self, tau):
+        low = real_bound(self, tau)
+        if low is not None:
+            calls.append(("bound", tau))
+        return low
 
-        return trial._replace(minimum_after=counted)
-
-    def step_bounds(*args):
-        decide = real_bounds(*args)
-
-        def counted(tau):
-            bound = decide(tau)
-            if bound is not None:
-                calls.append(("bound", tau))
-            return bound
-
-        return counted
-
-    return mock.patch.multiple(rupture, step_trial=step_trial, _step_bounds=step_bounds)
+    return mock.patch.multiple(solver.StepProbe, minimum_after=minimum_after, bound=bound)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -740,7 +738,7 @@ def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_mod
     expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config)
     calls = []
     with counting_trials(calls):
-        trials = rupture._Trials(pre, dt, ops, config, state_modes(pre)) if given_modes else None
+        trials = config_probe(pre, dt, ops, config, state_modes(pre)) if given_modes else None
         elapsed, state = rupture.locate_crossing(pre, dt, ops, config, trials=trials)
     assert elapsed == expected
     # the step of dt and each trial of plain stepping are decided once, by a
@@ -769,7 +767,7 @@ def test_coupled_crossings_take_every_trial_of_the_plain_bisection(ex3):
     real_locate = rupture.locate_crossing
 
     def locate_crossing(pre, dt, ops, config, *, trials):
-        expected.append(reference_crossing(pre, dt, ops, config, trials.trial.modes)[2])
+        expected.append(reference_crossing(pre, dt, ops, config, trials.modes)[2])
         before = len(calls)
         try:
             return real_locate(pre, dt, ops, config, trials=trials)
