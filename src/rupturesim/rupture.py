@@ -309,7 +309,7 @@ def locate_crossing(
     ops: Operators,
     config: ModelConfig,
     *,
-    trials: StepProbe | None = None,
+    probe: StepProbe | None = None,
 ) -> tuple[float, Field | CoupledState]:
     """Localize the threshold crossing bracketed by one step from ``pre``.
 
@@ -322,7 +322,7 @@ def locate_crossing(
     returns to real space, taken by the probe's checked step; its minimum
     must equal the tested one, or lie at or below the bound that decided
     it.  A caller that holds the rfft modes of ``pre``, or has already made
-    the decision about the step of ``dt``, passes its probe as ``trials``;
+    the decision about the step of ``dt``, passes its probe as ``probe``;
     with its modes, ``pre`` is not transformed at all.  Returns the elapsed
     time and the state at the located crossing (whose minimum is at or
     below the threshold).
@@ -331,21 +331,21 @@ def locate_crossing(
     value_tol = config.numerics.event_tol * config.eta_a
     if float(np.min(pre.eta.values)) <= eta_c:
         raise BracketError("state is already at or below the threshold")
-    if trials is None:
-        trials = StepProbe(pre, dt, ops, eta_c, eta_c - value_tol)
-    low_hi, bounded = trials.at_dt
+    if probe is None:
+        probe = StepProbe(pre, dt, ops, eta_c, eta_c - value_tol)
+    low_hi, bounded = probe.at_dt
     if low_hi > eta_c:
         raise BracketError("no crossing within one step")
 
     lo, hi = 0.0, dt
     while abs(low_hi - eta_c) > value_tol and (hi - lo) >= _BRACKET_FLOOR * dt:
         mid = 0.5 * (lo + hi)
-        low, decided = trials.decide(mid)
+        low, decided = probe.decide(mid)
         if low <= eta_c:
             hi, low_hi, bounded = mid, low, decided
         else:
             lo = mid
-    state_hi = trials.step(hi)
+    state_hi = probe.step(hi)
     handed = float(np.min(state_hi.eta.values))
     if not (handed <= low_hi if bounded else handed == low_hi):
         raise LinearSolveError(
@@ -524,7 +524,7 @@ def run_with_rupture(
         else:  # reached t_end
             break
 
-        _, at_rupture = locate_crossing(state, step_dt, ops, config, trials=probe)
+        _, at_rupture = locate_crossing(state, step_dt, ops, config, probe=probe)
         pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
         nodes = np.nonzero(pre_eta.values <= threshold)[0]

@@ -160,7 +160,7 @@ def test_crossing_reuses_the_step_it_is_given(fft_calls):
     floor = cfg.eta_c - cfg.numerics.event_tol * cfg.eta_a
     fft_calls.clear()
     probe = solver.StepProbe(pre, dt, ops, cfg.eta_c, floor, modes)
-    reused = locate_crossing(pre, dt, ops, cfg, trials=probe)
+    reused = locate_crossing(pre, dt, ops, cfg, probe=probe)
     assert fft_calls.count("rfft") == transformed - 1 == 0
     assert reused[0] == elapsed
     assert np.array_equal(reused[1].values, located.values)
@@ -211,13 +211,13 @@ def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
     real = rupture.locate_crossing
     located = []
 
-    def locate_crossing(pre, dt, ops, config, *, trials):
+    def locate_crossing(pre, dt, ops, config, *, probe):
         before = len(steps)
-        elapsed, state = real(pre, dt, ops, config, trials=trials)
+        elapsed, state = real(pre, dt, ops, config, probe=probe)
         given = len(steps) - before
         before = len(steps)
-        retried = solver.StepProbe(pre, dt, ops, trials.eta_c, trials.floor, trials.modes)
-        again = real(pre, dt, ops, config, trials=retried)
+        retried = solver.StepProbe(pre, dt, ops, probe.eta_c, probe.floor, probe.modes)
+        again = real(pre, dt, ops, config, probe=retried)
         assert given == 1
         assert len(steps) - before == given
         assert again[0] == elapsed and np.array_equal(again[1].eta.values, state.eta.values)
@@ -245,11 +245,11 @@ def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft
         made.forward, made.carried = fft_calls[before:].count("rfft"), modes is not None
         return made
 
-    def locate_crossing(pre, dt, ops, config, *, trials):
+    def locate_crossing(pre, dt, ops, config, *, probe):
         before = len(fft_calls)
-        located = real_locate(pre, dt, ops, config, trials=trials)
-        carried.append(trials.carried)
-        forward.append(trials.forward + fft_calls[before:].count("rfft"))
+        located = real_locate(pre, dt, ops, config, probe=probe)
+        carried.append(probe.carried)
+        forward.append(probe.forward + fft_calls[before:].count("rfft"))
         return located
 
     monkeypatch.setattr(rupture, "StepProbe", probe)
@@ -542,15 +542,15 @@ def test_run_that_cannot_rupture_is_refused(monkeypatch):
     # without t_end would never end; a regression fails on the count of
     # steps and jumps instead of hanging the suite
     moves = []
-    for name in ("advance", "jump_decoupled"):
-        real = getattr(rupture, name)
+    for module, name in ((rupture, "advance"), (solver, "advance"), (rupture, "jump_decoupled")):
+        real = getattr(module, name)
 
         def counted(*args, real=real):
             moves.append(1)
             assert len(moves) < 1_000, "the run was not refused"
             return real(*args)
 
-        monkeypatch.setattr(rupture, name, counted)
+        monkeypatch.setattr(module, name, counted)  # solver's: the probe's checked step
     cfg = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
     grid = build_grid(cfg, 64)
     with pytest.raises(DomainError, match="t-end"):
@@ -745,15 +745,15 @@ def test_start_at_the_fixed_point_jumps_once_and_lands_on_t_end(monkeypatch, wob
     rng = np.random.default_rng(3)
     at_rest = Field(grid, ops.fixed_point * (1.0 + wobble * rng.standard_normal(grid.n)))
     moves = []
-    for name in ("advance", "jump_decoupled"):
-        real = getattr(rupture, name)
+    for module, name in ((rupture, "advance"), (solver, "advance"), (rupture, "jump_decoupled")):
+        real = getattr(module, name)
 
         def counted(*args, real=real, name=name):
             moves.append(name)
             assert len(moves) < 100, "the run loops"
             return real(*args)
 
-        monkeypatch.setattr(rupture, name, counted)
+        monkeypatch.setattr(module, name, counted)  # solver's: the probe's checked step
     events, final = run_with_rupture(cfg, at_rest, t_end=1.0)
     assert events == [] and final.time == 1.0
     assert moves.count("jump_decoupled") == 1 and moves.count("advance") <= 3

@@ -738,8 +738,8 @@ def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_mod
     expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config)
     calls = []
     with counting_trials(calls):
-        trials = config_probe(pre, dt, ops, config, state_modes(pre)) if given_modes else None
-        elapsed, state = rupture.locate_crossing(pre, dt, ops, config, trials=trials)
+        probe = config_probe(pre, dt, ops, config, state_modes(pre)) if given_modes else None
+        elapsed, state = rupture.locate_crossing(pre, dt, ops, config, probe=probe)
     assert elapsed == expected
     # the step of dt and each trial of plain stepping are decided once, by a
     # bound or a full trial
@@ -766,11 +766,11 @@ def test_coupled_crossings_take_every_trial_of_the_plain_bisection(ex3):
     calls, expected, decided = [], [], []
     real_locate = rupture.locate_crossing
 
-    def locate_crossing(pre, dt, ops, config, *, trials):
-        expected.append(reference_crossing(pre, dt, ops, config, trials.modes)[2])
+    def locate_crossing(pre, dt, ops, config, *, probe):
+        expected.append(reference_crossing(pre, dt, ops, config, probe.modes)[2])
         before = len(calls)
         try:
-            return real_locate(pre, dt, ops, config, trials=trials)
+            return real_locate(pre, dt, ops, config, probe=probe)
         finally:
             decided.append(len(calls) - before)
 
