@@ -273,8 +273,7 @@ def _jump_to_bound(
     roundoff raises :class:`LinearSolveError`; one that leaves the time
     where it is, :class:`DomainError`.
     """
-    values = state.values
-    c0 = float(values.min())
+    c0 = float(state.values.min())
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > threshold:
         return None
@@ -292,7 +291,7 @@ def _jump_to_bound(
     jumped, modes = jump_decoupled(state, steps, dt, ops, transient)
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
     low, high = float(jumped.values.min()), float(jumped.values.max())
-    scale = max(float(values.max()), -c0, ops.fixed_point_bound)  # _roundoff_scale of state
+    scale = _roundoff_scale(state, ops)
     # a nan shows in both extremes, an infinity in one of them
     if not (low >= bound - _JUMP_TOL * scale and high < math.inf):
         raise LinearSolveError(
@@ -352,14 +351,6 @@ def locate_crossing(
             f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
         )
     return hi, state_hi
-
-
-@functools.lru_cache(maxsize=8)
-def _shared_operators(grid: Grid, config: ModelConfig) -> Operators:
-    """The operator bundle of one grid and configuration, built once and
-    shared by every run on them, such as the return maps of an orbit search;
-    its arrays are read-only."""
-    return assemble_operators(grid, config)
 
 
 @functools.lru_cache(maxsize=8)
@@ -457,7 +448,7 @@ def run_with_rupture(
     if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")
 
-    ops = _shared_operators(eta0.grid, config)
+    ops = assemble_operators(eta0.grid, config)
     dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     value_tol = config.numerics.event_tol * config.eta_a

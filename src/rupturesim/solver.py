@@ -9,14 +9,16 @@ step matrix is circulant, so it is inverted by dividing each rfft mode by
 its eigenvalue; the eigenvalues of the second difference come from one
 cached table per grid size, and the reciprocal eigenvalues of the few most
 recent step matrices are cached too.  Every solve is checked for a backward
-error of about 1e-12.  The operator bundle :class:`Operators` owns the
-height and thickness step matrices and the decoupled symbol and fixed point,
-about which ``jump_decoupled`` applies many equal decoupled steps at once in
-closed form.  It hands out the transient modes of the state it makes with
-it, so a chain of jumps pays one forward transform and one inverse
-transform per jump, and it skips the per-mode factors that would underflow.
+error of about 1e-12.  The operator bundle :class:`Operators`, one per grid
+and configuration, owns every table built from them and a step size: the
+step matrices, the coupled chunk tables, and the decoupled symbol, factors
+and fixed point, about which ``jump_decoupled`` applies many equal
+decoupled steps at once in closed form.  It hands out the transient modes
+of the state it makes with it, so a chain of jumps pays one forward
+transform and one inverse transform per jump, and it skips the per-mode
+factors that would underflow.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
-step is lower-triangular per mode: cached per-mode tables give
+step is lower-triangular per mode: the bundle's per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state before the last
 step taken returns to real space, from which ``advance`` takes and checks
@@ -131,9 +133,10 @@ class CoupledState:
         return cls(h0, Field(eta.grid, h0.values + eta.values, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operators:
-    """Grid operators and load vectors shared by all steps of one run.
+    """Grid operators and load vectors shared by all runs on one grid and
+    configuration; :func:`assemble_operators` builds each bundle once.
 
     ``load`` is the nodal forcing of the reduced thickness equation
     (delta parts split by hat-function weights, divided by the lumped
@@ -142,8 +145,9 @@ class Operators:
     ``tau``, the forcing of the height equation.  The stiffness action is
     the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
     The bundle owns the height and thickness step matrices, the decoupled
-    symbol and fixed point, and the rfft modes of both loads; all but the
-    matrices fill lazily and deterministically.
+    symbol and fixed point, the rfft modes of both loads, and per step size
+    the decoupled factors and the coupled chunk tables, cached on the
+    bundle's identity; all but the matrices fill lazily and deterministically.
     Every array it holds is read-only, so one bundle can serve many runs.
     """
 
@@ -178,14 +182,53 @@ class Operators:
         """Eigenvalue ``alpha + sigma*s_k/dx^2`` of ``alpha I + sigma K`` per
         rfft mode (``s_k`` from :func:`_second_difference_symbol`);
         read-only."""
-        return _decoupled_symbol(self.grid.n, self.grid.dx, self.sigma, self.alpha)
+        dx = self.grid.dx
+        symbol = self.alpha + self.sigma * (_second_difference_symbol(self.grid.n) / (dx * dx))
+        symbol.flags.writeable = False
+        return symbol
 
+    @functools.lru_cache(maxsize=4)
     def decoupled_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(g, 1 + g, w*g/(1 + g))`` per rfft mode, with ``g = dt*symbol``
         and ``w`` from :func:`_mode_weights`: the growth and step divisor of a
         decoupled step of ``dt`` and the weights of its change rate; read-only
         and built once per step size."""
-        return _decoupled_factors(self.grid.n, self.grid.dx, self.sigma, self.alpha, dt)
+        growth = dt * self.symbol
+        tables = growth, 1.0 + growth, _mode_weights(self.grid.n) * growth / (1.0 + growth)
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    @functools.lru_cache(maxsize=4)
+    def coupled_tables(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-mode coefficients of ``_CHUNK`` coupled steps of ``dt``, in the
+        interleaved float layout of :func:`_inverse_symbol`; read-only and
+        built once per step size.
+
+        ``rows[0..2, j]`` give the thickness after ``j + 1`` steps as
+        ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]*l`` in terms of the start
+        modes; ``ends`` gives the height after the whole chunk as
+        ``ends[0]*h + ends[1]*l`` and the surface as ``ends[2]*zeta +
+        ends[3]*h + ends[4]*l``.  They come from the step recursion
+        :func:`_coupled_step` itself, run on unit inputs in float64, and not
+        from a closed form in powers of the two step factors, which divides
+        by their difference where they meet.
+        """
+        n = self.grid.n
+        inverse_h = _inverse_symbol(n, *self.height_matrix(dt))
+        inverse_z = _inverse_symbol(n, *self.thickness_matrix(dt))
+        # unit inputs (zeta, h, l) = e_0, e_1, e_2, one per row
+        h = np.zeros((3, inverse_h.size))
+        z = np.zeros_like(h)
+        h[1] = z[0] = 1.0
+        load = np.array([[0.0], [0.0], [1.0]])
+        rows = np.empty((3, _CHUNK, h.shape[1]))
+        for j in range(_CHUNK):
+            h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, self.alpha)
+            rows[:, j] = z - h
+        ends = np.stack((h[1], h[2], z[0], z[1], z[2]))
+        rows.flags.writeable = ends.flags.writeable = False
+        return rows, ends
 
     @functools.cached_property
     def load_min(self) -> float:
@@ -246,12 +289,19 @@ def _load_vector(
     return weights / grid.dx - offset
 
 
+@functools.lru_cache(maxsize=8)
 def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
+    """The operator bundle of one grid and configuration, built once and
+    shared by every run on them, such as the return maps of an orbit search;
+    a load that is not finite raises :class:`DomainError`."""
     sigma_eff, strengths_eff, offset_eff = effective_parameters(config)
-    load = _load_vector(grid, config.junctions, strengths_eff, offset_eff)
-    height_load = _load_vector(
-        grid, config.junctions, config.jump_strengths, config.forcing_offset
-    ) / config.tau
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = _load_vector(grid, config.junctions, strengths_eff, offset_eff)
+        height_load = _load_vector(
+            grid, config.junctions, config.jump_strengths, config.forcing_offset
+        ) / config.tau
+    if not (np.isfinite(load).all() and np.isfinite(height_load).all()):
+        raise DomainError(f"the nodal load is not finite on the grid of spacing {grid.dx:g}")
     load.flags.writeable = height_load.flags.writeable = False
     return Operators(
         grid=grid,
@@ -271,27 +321,6 @@ def _second_difference_symbol(n: int) -> np.ndarray:
     table = 4.0 * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
     table.flags.writeable = False
     return table
-
-
-@functools.lru_cache(maxsize=4)
-def _decoupled_symbol(n: int, dx: float, sigma: float, alpha: float) -> np.ndarray:
-    """``alpha + sigma*s_k/dx^2`` per rfft mode; read-only."""
-    symbol = alpha + sigma * (_second_difference_symbol(n) / (dx * dx))
-    symbol.flags.writeable = False
-    return symbol
-
-
-@functools.lru_cache(maxsize=4)
-def _decoupled_factors(
-    n: int, dx: float, sigma: float, alpha: float, dt: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of :meth:`Operators.decoupled_factors`, kept per step
-    size because every jump and change rate of a run uses the same one."""
-    growth = dt * _decoupled_symbol(n, dx, sigma, alpha)
-    tables = growth, 1.0 + growth, _mode_weights(n) * growth / (1.0 + growth)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 @functools.lru_cache(maxsize=8)
@@ -493,43 +522,6 @@ def _coupled_step(h, z, load, inverse_h, inverse_z, tau, alpha):
 _CHUNK = 16
 
 
-@functools.lru_cache(maxsize=4)
-def _coupled_tables(
-    n: int, dt: float, height: tuple[float, float], thickness: tuple[float, float], alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode coefficients of ``_CHUNK`` coupled steps, in the interleaved
-    float layout of :func:`_inverse_symbol`; read-only.
-
-    ``rows[0..2, j]`` give the thickness after ``j + 1`` steps as
-    ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]*l`` in terms of the start
-    modes; ``ends`` gives the height after the whole chunk as
-    ``ends[0]*h + ends[1]*l`` and the surface as ``ends[2]*zeta +
-    ends[3]*h + ends[4]*l``.  They come from the step recursion itself, run
-    on unit inputs, and not from a closed form in powers of the two step
-    factors, which divides by their difference where they meet.  The
-    recursion runs in ``np.longdouble`` (extended precision where the
-    platform has it) and each coefficient is rounded once: every chunk of a
-    gap reuses them, so a coefficient a few ulps off would move the state by
-    that much again per chunk.
-    """
-    wide = np.longdouble
-    inverse_h = _inverse_symbol(n, *height).astype(wide)
-    inverse_z = _inverse_symbol(n, *thickness).astype(wide)
-    dt, alpha = wide(dt), wide(alpha)
-    # unit inputs (zeta, h, l) = e_0, e_1, e_2, one per row
-    h = np.zeros((3, inverse_h.size), dtype=wide)
-    z = np.zeros_like(h)
-    h[1] = z[0] = 1.0
-    load = np.array([[0.0], [0.0], [1.0]], dtype=wide)
-    rows = np.empty((3, _CHUNK, h.shape[1]))
-    for j in range(_CHUNK):
-        h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, alpha)
-        rows[:, j] = z - h
-    ends = np.stack((h[1], h[2], z[0], z[1], z[2])).astype(np.float64)
-    rows.flags.writeable = ends.flags.writeable = False
-    return rows, ends
-
-
 def jump_coupled(
     state: CoupledState, steps: int, dt: float, ops: Operators, eta_c: float
 ) -> tuple[int, CoupledState, np.ndarray]:
@@ -538,10 +530,11 @@ def jump_coupled(
 
     Per rfft mode the coupled step (:func:`_coupled_step`) is
     lower-triangular, so the whole gap runs in mode space from one forward
-    transform: per chunk of ``_CHUNK`` steps the cached tables of
-    :func:`_coupled_tables` give the thickness modes after every step, one
-    batched inverse transform gives their minima, and the chunk-end
-    coefficients move the chunk base on.  The modes of the state before the
+    transform: per chunk of ``_CHUNK`` steps the bundle's tables
+    (:meth:`Operators.coupled_tables`, built by the same step in float64)
+    give the thickness modes after every step, one batched inverse transform
+    gives their minima, and the chunk-end coefficients move the chunk base
+    on.  The modes of the state before the
     last step taken are rebuilt from their chunk base by the step recursion
     and transformed back, and :func:`advance` takes and checks the last step
     from them; the minimum thickness of the state it hands out must match
@@ -557,9 +550,7 @@ def jump_coupled(
         raise ValueError("steps must be at least 1")
     grid = state.h.grid
     n = grid.n
-    diag_h, off_h = ops.height_matrix(dt)
-    diag_z, off_z = ops.thickness_matrix(dt)
-    rows, ends = _coupled_tables(n, dt, (diag_h, off_h), (diag_z, off_z), ops.alpha)
+    rows, ends = ops.coupled_tables(dt)
     h, z = np.fft.rfft(np.stack((state.h.values, state.zeta.values))).view(np.float64)
     load = ops.height_load_modes.view(np.float64)
     eta = np.empty((_CHUNK, n // 2 + 1), dtype=complex)
@@ -599,10 +590,11 @@ def jump_coupled(
     # holds step taken - 1, by the step recursion; advance takes step taken
     # again from the modes of step taken - 1, with the same arithmetic
     origin, h, z = base if base[0] < taken else previous
-    inverses = _inverse_symbol(n, diag_h, off_h), _inverse_symbol(n, diag_z, off_z)
+    inverse_h = _inverse_symbol(n, *ops.height_matrix(dt))
+    inverse_z = _inverse_symbol(n, *ops.thickness_matrix(dt))
     for _ in range(taken - origin):
         h_prev, z_prev = h, z
-        h, z = _coupled_step(h, z, load, *inverses, dt, ops.alpha)
+        h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, ops.alpha)
     modes = np.stack((h_prev, z_prev)).view(complex)
     h_prev, z_prev = np.fft.irfft(modes, n)
     time = _time_after(state.time, taken - 1, dt)

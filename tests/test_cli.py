@@ -84,8 +84,17 @@ def test_simulate_is_byte_reproducible(tmp_path):
                 "--set", "numerics.grid_points=256"],
     }
     for name, args in runs.items():
-        # the first run fills the coupled step tables, the second reuses them
-        solver._coupled_tables.cache_clear()
+        # the first run fills every table cache, the second reuses them
+        for cache in (
+            solver.assemble_operators,
+            solver.Operators.decoupled_factors,
+            solver.Operators.coupled_tables,
+            solver._inverse_symbol,
+            solver._second_difference_symbol,
+            solver._mode_weights,
+            solver._unit_roots,
+        ):
+            cache.cache_clear()
         out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
@@ -339,16 +348,22 @@ def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path
         ["simulate", "--preset", "ex2", "--set", "forcing_offset=-0.18", "--max-events", "1"],
         ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e308,1e308,1e308]",
          "--max-events", "1"],
+        ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e306,1e306,1e306]",
+         "--set", "forcing_offset=3e306", "--max-events", "1"],
     ],
-    ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2", "strength-sum-overflows"],
+    ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2", "strength-sum-overflows",
+         "load-not-finite"],
 )
 def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args):
     # offset/alpha + eta_c == 0 made the rupture-time lower bound divide by
     # zero, which ended in a ZeroDivisionError traceback and exit 1; jump
-    # strengths whose sum overflows ended in an OverflowError from validate
+    # strengths whose sum overflows ended in an OverflowError from validate;
+    # a load that overflows once divided by the grid spacing warned and
+    # ended in a jump of minimum nan, exit 3
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
     assert child.returncode in (0, 1, 2, 3), child.stderr
     assert "Traceback" not in child.stderr
+    assert "Warning" not in child.stderr
 
 
 @pytest.mark.parametrize(
@@ -416,6 +431,8 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
         ),
         ["bounds", "--preset", "ex1", "--set", "jump_strengths=[1e308,-1e308,0]",
          "--set", "tau=0.1"],
+        ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e306,1e306,1e306]",
+         "--set", "forcing_offset=3e306", "--max-events", "1"],
     ],
     ids=[
         "max-iter-0", "t-end-nan", "eta0-nan", "eta0-inf", "fp-tol-inf",
@@ -424,7 +441,7 @@ def test_simulate_past_the_horizon_is_a_numerical_failure(tmp_path, monkeypatch)
         "eta-a-inf", "numerics-fp-tol-inf", "numerics-event-tol-inf",
         "simulate-strength-sum-inf", "find-periodic-strength-sum-inf",
         "verify-strength-sum-inf", "bounds-strength-sum-inf", "stationary-strength-sum-inf",
-        "scaled-strengths-inf",
+        "scaled-strengths-inf", "load-inf",
     ],
 )
 def test_out_of_range_inputs_are_config_errors(tmp_path, capsys, args):

@@ -99,18 +99,15 @@ def test_find_periodic_converges(ex1, ex1_converged):
     assert report.period == pytest.approx(0.02097, abs=2e-4)
 
 
-def test_orbit_search_builds_its_operators_once(monkeypatch, ex1, ex1_converged):
-    builds = []
-
-    def counted(grid, config):
-        builds.append(grid.n)
-        return solver.assemble_operators(grid, config)
-
-    rupture._shared_operators.cache_clear()
-    monkeypatch.setattr(rupture, "assemble_operators", counted)
+def test_orbit_search_builds_its_operators_once(ex1, ex1_converged):
+    solver.assemble_operators.cache_clear()
     report = find_periodic(ex1, fp_tol=1e-6, max_iter=45)
+    builds = solver.assemble_operators.cache_info().misses
     assert report.iterates == ex1_converged.iterates
-    assert len(report.iterates) > 30 and builds == [ex1.numerics.grid_points]
+    assert len(report.iterates) > 30 and builds == 1
+    # the one bundle built is that of the configured grid
+    solver.assemble_operators(build_grid(ex1), ex1)
+    assert solver.assemble_operators.cache_info().misses == 1
 
 
 def test_find_periodic_reaches_the_same_fixed_point_from_a_sine_start(ex1, ex1_converged):

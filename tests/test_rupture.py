@@ -958,12 +958,15 @@ def test_shared_operators_follow_the_config_and_the_grid(ex1):
 
     fresh = []
     for case in cases:
-        rupture._shared_operators.cache_clear()
+        solver.assemble_operators.cache_clear()
         fresh.append(event_times(*case))
     assert len({tuple(times) for times in fresh}) == len(cases)
     for _ in range(2):
         for case, times in zip(cases, fresh):
             assert event_times(*case) == times
+    # an equal grid and an equal config share one bundle
+    ops = assemble_operators(build_grid(ex1, 256), ex1)
+    assert assemble_operators(build_grid(ex1, 256), replace(ex1)) is ops
 
 
 def test_a_config_built_from_lists_can_key_the_shared_operators():
@@ -976,9 +979,11 @@ def test_a_config_built_from_lists_can_key_the_shared_operators():
 
 def test_shared_operators_are_read_only(ex1, ex3):
     for config in (ex1, ex3):
-        ops = rupture._shared_operators(build_grid(config, 64), config)
+        ops = assemble_operators(build_grid(config, 64), config)
+        dt = config.numerics.dt
         arrays = (ops.load, ops.height_load, ops.symbol, ops.fixed_point,
-                  ops.load_modes, ops.height_load_modes)
+                  ops.load_modes, ops.height_load_modes,
+                  *ops.decoupled_factors(dt), *ops.coupled_tables(dt))
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0

@@ -301,15 +301,36 @@ def test_coupled_gap_hands_out_the_minimum_it_tested(ex3, monkeypatch):
     grid = build_grid(ex3, 64)
     ops = assemble_operators(grid, ex3)
     start = CoupledState.from_thickness(constant_field(grid, ex3.eta_a))
-    tables = solver._coupled_tables
+    tables = solver.Operators.coupled_tables
 
-    def skewed(*key):
-        rows, ends = tables(*key)
+    def skewed(self, dt):
+        rows, ends = tables(self, dt)
         return rows * (1.0 + 1e-9), ends
 
-    monkeypatch.setattr(solver, "_coupled_tables", skewed)
+    monkeypatch.setattr(solver.Operators, "coupled_tables", skewed)
     with pytest.raises(LinearSolveError, match="tested"):
         solver.jump_coupled(start, 20, ex3.numerics.dt, ops, ex3.eta_c)
+
+
+def test_coupled_tables_are_the_float64_step_recursion(ex3):
+    # each chunk of a gap reuses these coefficients: they are the coupled
+    # step itself on unit inputs, in the float64 arithmetic of every other
+    # step, whatever extended precision the platform offers
+    grid = build_grid(ex3, 64)
+    ops = assemble_operators(grid, ex3)
+    dt = ex3.numerics.dt
+    rows, ends = ops.coupled_tables(dt)
+    inverse_h = solver._inverse_symbol(grid.n, *ops.height_matrix(dt))
+    inverse_z = solver._inverse_symbol(grid.n, *ops.thickness_matrix(dt))
+    one, zero = np.ones(inverse_h.size), np.zeros(inverse_h.size)
+    chunk_ends = []
+    for row, (z, h, load) in enumerate([(one, zero, zero), (zero, one, zero), (zero, zero, one)]):
+        for j in range(solver._CHUNK):
+            h, z = solver._coupled_step(h, z, load, inverse_h, inverse_z, dt, ops.alpha)
+            assert np.array_equal(rows[row, j], z - h)
+        chunk_ends.append((h, z))
+    (_, z_of_z), (h_of_h, z_of_h), (h_of_l, z_of_l) = chunk_ends
+    assert np.array_equal(ends, np.stack((h_of_h, h_of_l, z_of_z, z_of_h, z_of_l)))
 
 
 def test_evolve_to_current_time_is_identity():
