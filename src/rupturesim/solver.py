@@ -162,20 +162,18 @@ class Operators:
         return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / self.grid.dx**2
 
     def height_matrix(self, dt: float) -> tuple[float, float]:
-        """``(diag, off)`` of the cyclic matrix of one backward-Euler step of
-        the height, ``I/dt + sigma_h K``."""
+        """``(shift, stiffness)`` of the cyclic matrix of one backward-Euler
+        step of the height, ``I/dt + sigma_h K``."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        dx2 = self.grid.dx**2
-        return 1.0 / dt + 2.0 * self.sigma_h / dx2, -self.sigma_h / dx2
+        return 1.0 / dt, self.sigma_h / self.grid.dx**2
 
     def thickness_matrix(self, dt: float) -> tuple[float, float]:
-        """``(diag, off)`` of the cyclic matrix of one backward-Euler step of
-        the thickness, ``I/dt + sigma K + alpha I``."""
+        """``(shift, stiffness)`` of the cyclic matrix of one backward-Euler
+        step of the thickness, ``I/dt + sigma K + alpha I``."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        dx2 = self.grid.dx**2
-        return 1.0 / dt + 2.0 * self.sigma / dx2 + self.alpha, -self.sigma / dx2
+        return 1.0 / dt + self.alpha, self.sigma / self.grid.dx**2
 
     @functools.cached_property
     def symbol(self) -> np.ndarray:
@@ -338,51 +336,55 @@ def _mode_weights(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _inverse_symbol(n: int, diag: float, off: float) -> np.ndarray:
-    """``1/(diag + off*(2 - s_k))`` per rfft mode of the cyclic matrix, each
+def _inverse_symbol(n: int, shift: float, stiffness: float) -> np.ndarray:
+    """``1/(shift + stiffness*s_k)`` per rfft mode of the cyclic matrix, each
     value twice so that it scales the real and the imaginary part of its
     mode in the interleaved float view; read-only.  Kept per matrix because
     a run of equal steps reuses it, and a real product costs far less than
     evaluating the eigenvalues and a complex division on every solve."""
-    inverse = np.repeat(1.0 / (diag + off * (2.0 - _second_difference_symbol(n))), 2)
+    inverse = np.repeat(1.0 / (shift + stiffness * _second_difference_symbol(n)), 2)
     inverse.flags.writeable = False
     return inverse
 
 
 def solve_periodic_tridiagonal(
-    diag: float, off: float, rhs: np.ndarray, modes: np.ndarray | None = None
+    shift: float, stiffness: float, rhs: np.ndarray, modes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Solve the cyclic tridiagonal system with constant diagonals.
+    """Solve the cyclic tridiagonal system ``shift*I + stiffness*(-1, 2, -1)``.
 
     The matrix is circulant, so mode ``k`` of the solution is mode ``k`` of
-    ``rhs`` divided by the eigenvalue ``diag + off*(2 - s_k)``.  A caller
-    that holds the rfft modes of ``rhs`` passes them as ``modes``, which
-    are then scaled in place into the solution's modes instead of
-    transforming ``rhs``.  Every solution is checked against the original
-    system: a residual above ``1e-12 * |diag| * ||x||`` (a backward error of
-    about ``1e-12``, independent of the grid size) raises
-    :class:`LinearSolveError`; it cannot occur for the diagonally dominant
-    step matrices in exact arithmetic.
+    ``rhs`` divided by the eigenvalue ``shift + stiffness*s_k``; for the
+    step matrices both terms are nonnegative, so their sum cancels no
+    digits.  A caller that holds the rfft modes of ``rhs`` passes them as
+    ``modes``, which are then scaled in place into the solution's modes
+    instead of transforming ``rhs``.  Every solution is checked against the
+    original system: a residual above ``1e-12 * |diag| * ||x||``, with
+    ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
+    independent of the grid size) raises :class:`LinearSolveError`; it
+    cannot occur for the diagonally dominant step matrices in exact
+    arithmetic.
     """
     n = rhs.shape[0]
     if modes is None:
         modes = np.fft.rfft(rhs)
     parts = modes.view(np.float64)
-    parts *= _inverse_symbol(n, diag, off)
+    parts *= _inverse_symbol(n, shift, stiffness)
     x = np.fft.irfft(modes, n)
-    _check_solution(diag, off, x, rhs)
+    _check_solution(shift, stiffness, x, rhs)
     return x
 
 
-def _check_solution(diag: float, off: float, x: np.ndarray, rhs: np.ndarray) -> None:
+def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray) -> None:
     """Raise :class:`LinearSolveError` unless ``x`` solves the cyclic system
-    with constant diagonals ``(diag, off)`` and right side ``rhs`` to a
-    residual of at most ``1e-12 * |diag| * max|x|``."""
+    ``shift*I + stiffness*(-1, 2, -1)`` with right side ``rhs`` to a
+    residual of at most ``1e-12 * |diag| * max|x|``, ``diag = shift +
+    2*stiffness``."""
+    diag = shift + 2.0 * stiffness
     residual = diag * x - rhs
-    residual[1:] += off * x[:-1]
-    residual[:-1] += off * x[1:]
-    residual[0] += off * x[-1]
-    residual[-1] += off * x[0]
+    residual[1:] -= stiffness * x[:-1]
+    residual[:-1] -= stiffness * x[1:]
+    residual[0] -= stiffness * x[-1]
+    residual[-1] -= stiffness * x[0]
     limit = _STEP_RESIDUAL_TOL * abs(diag) * max(x.max(), -x.min())
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
@@ -395,15 +397,14 @@ def step_decoupled(
     """One backward-Euler step of the reduced thickness equation.  The right
     side's modes are formed from the rfft modes of ``state``: ``modes`` if
     given, else one transform of ``state``."""
-    diag, off = ops.thickness_matrix(dt)
+    shift, stiffness = ops.thickness_matrix(dt)
     if modes is None:
         modes = np.fft.rfft(state.values)
     parts = modes.view(np.float64) / dt
     parts += ops.load_modes.view(np.float64)
     rhs = state.values / dt + ops.load
-    return Field(
-        state.grid, solve_periodic_tridiagonal(diag, off, rhs, parts.view(complex)), state.time + dt
-    )
+    values = solve_periodic_tridiagonal(shift, stiffness, rhs, parts.view(complex))
+    return Field(state.grid, values, state.time + dt)
 
 
 def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
@@ -485,18 +486,16 @@ def step_coupled(
     :func:`_coupled_step` forms them, from the rfft modes of ``h`` and
     ``zeta`` as two rows: ``modes`` if given, else one transform of both.
     """
-    diag_h, off_h = ops.height_matrix(dt)
-    diag_z, off_z = ops.thickness_matrix(dt)
     if modes is None:
         modes = np.fft.rfft(np.stack((h.values, zeta.values)))
     h_parts, z_parts = modes.view(np.float64) / dt
     h_parts -= ops.height_load_modes.view(np.float64)
     h_new = solve_periodic_tridiagonal(
-        diag_h, off_h, h.values / dt - ops.height_load, h_parts.view(complex)
+        *ops.height_matrix(dt), h.values / dt - ops.height_load, h_parts.view(complex)
     )
     z_parts += ops.alpha * h_parts  # h_parts now hold the new height's modes
     z_new = solve_periodic_tridiagonal(
-        diag_z, off_z, zeta.values / dt + ops.alpha * h_new, z_parts.view(complex)
+        *ops.thickness_matrix(dt), zeta.values / dt + ops.alpha * h_new, z_parts.view(complex)
     )
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
@@ -670,13 +669,13 @@ class StepProbe:
     ``peak = |p| + |u|`` bounds ``|q_k|`` for every ``tau >= 0``, since no
     divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 + tau*nu)``, whatever
     the ratio of ``sigma`` to ``sigma_h``.  A value formed from
-    :meth:`change` is free of the cancellation by which the step matrix's
-    eigenvalues ``diag + off*(2 - s_k)`` lose digits when ``sigma*tau/dx^2``
-    is large, so it may differ from :func:`advance` by that roundoff.  The
-    slack allows for it: ``_TRIAL_GUARD`` times the largest magnitude among
-    the state and ``dt`` times the load, times ``1 + 4*sigma*dt/dx^2``, with
-    the larger of ``sigma`` and ``sigma_h`` for a coupled state, where that
-    allowance is measured, not proven.
+    :meth:`change` takes the step by other arithmetic than :func:`advance`,
+    so it may differ from it by roundoff.  The slack allows for it:
+    ``_TRIAL_GUARD`` times the largest magnitude among the state and ``dt``
+    times the load, times ``1 + 4*sigma*dt/dx^2``, with the larger of
+    ``sigma`` and ``sigma_h`` for a coupled state.  That allowance is
+    measured, not proven; the stiffness factor is for the high modes of the
+    change, whose terms ``mu*x`` are the largest.
 
     :meth:`bound` decides a step without its inverse transform where it
     can.  With ``w_k`` from :func:`_mode_weights` no node falls by more than

@@ -2,11 +2,14 @@
 
 Off the junctions the stationary profile solves
 ``sigma * s'' - alpha * s = A`` and is therefore a constant plus a pair of
-exponentials ``exp(+-lam*(x - a_k))`` on each junction interval, with
-``lam = sqrt(alpha/sigma)``.  At each junction the derivative drops by
-``c_k/sigma``.  Coefficients are parameterized locally per interval so the
-largest exponent is ``lam`` times the interval length, which keeps the
-linear system well conditioned even for stiff evaporation rates.
+exponentials on each junction interval, with ``lam = sqrt(alpha/sigma)``.
+At each junction the derivative drops by ``c_k/sigma``.  Each interval's
+pair is scaled to its own length ``L``: one exponential decays from the
+right end and one from the left, ``exp(-lam*(L - u))`` and ``exp(-lam*u)``
+with ``u`` the distance from the left end, so neither exceeds 1 on the
+interval and no entry of the linear system exceeds ``max(1, lam)``,
+however stiff the evaporation.  One per-interval evaluator gives the
+value, slope and curvature of either family to every query.
 
 For ``alpha = 0`` the profile is piecewise quadratic, exists only when the
 offset is the mass-conserving choice, and is normalized here to zero mean
@@ -15,7 +18,7 @@ offset is the mass-conserving choice, and is normalized here to zero mean
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,16 +32,19 @@ _RESIDUAL_TOL = 1.0e-8
 class StationaryProfile:
     """Piecewise closed form of the stationary profile.
 
-    For ``alpha > 0`` row ``k`` of ``coeffs`` holds the exponential pair
+    ``lengths[k]`` is the length ``L_k`` of the k-th interval.  For
+    ``alpha > 0`` row ``k`` of ``coeffs`` holds the exponential pair
     ``(p_k, q_k)`` so that on the k-th interval
-    ``s(x) = offset + p_k*exp(lam*u) + q_k*exp(-lam*u)`` with
-    ``u = x - a_k``.  For the degenerate ``alpha = 0`` branch
-    (``alpha_zero`` set) row ``k`` holds ``(slope_k, value_k)`` of
+    ``s(x) = offset + p_k*exp(-lam*(L_k - u)) + q_k*exp(-lam*u)`` with
+    ``u = x - a_k``; neither exponential exceeds 1 on the interval.  For
+    the degenerate ``alpha = 0`` branch (``alpha_zero`` set) row ``k``
+    holds ``(slope_k, value_k)`` of
     ``s(x) = quad_lead*u**2 + slope_k*u + value_k`` instead.
     """
 
     omega: float
     junctions: np.ndarray
+    lengths: np.ndarray
     sigma: float
     alpha: float
     forcing_offset: float
@@ -51,9 +57,6 @@ class StationaryProfile:
     @property
     def num_intervals(self) -> int:
         return len(self.junctions)
-
-    def interval_lengths(self) -> np.ndarray:
-        return interval_lengths(self.junctions, self.omega)
 
 
 @dataclass(frozen=True)
@@ -83,30 +86,10 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
     if config.alpha <= 0.0:
         raise UnsupportedError("alpha must be positive; use solve_stationary_alpha0")
     sigma, strengths, offset_a = effective_parameters(config)
-    alpha = config.alpha
-    lam = math.sqrt(alpha / sigma)
+    lam = math.sqrt(config.alpha / sigma)
     junctions = np.asarray(config.junctions, dtype=float)
-    k = len(junctions)
     lengths = interval_lengths(junctions, config.omega)
-
-    matrix = np.zeros((2 * k, 2 * k))
-    rhs = np.zeros(2 * k)
-    for j in range(k):
-        m = (j + 1) % k
-        grow = math.exp(lam * lengths[j])
-        decay = math.exp(-lam * lengths[j])
-        # continuity of s at the right end of interval j
-        matrix[2 * j, 2 * j] += grow
-        matrix[2 * j, 2 * j + 1] += decay
-        matrix[2 * j, 2 * m] -= 1.0
-        matrix[2 * j, 2 * m + 1] -= 1.0
-        # derivative jump -c_m/sigma across that junction
-        matrix[2 * j + 1, 2 * m] += lam
-        matrix[2 * j + 1, 2 * m + 1] -= lam
-        matrix[2 * j + 1, 2 * j] -= lam * grow
-        matrix[2 * j + 1, 2 * j + 1] += lam * decay
-        rhs[2 * j + 1] = -strengths[m] / sigma
-
+    matrix, rhs = _jump_system(lam, lengths, strengths, sigma)
     try:
         solution = np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
@@ -118,13 +101,33 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
     return StationaryProfile(
         omega=config.omega,
         junctions=junctions,
+        lengths=lengths,
         sigma=sigma,
-        alpha=alpha,
+        alpha=config.alpha,
         forcing_offset=offset_a,
         lam=lam,
-        offset=-offset_a / alpha,
-        coeffs=solution.reshape(k, 2),
+        offset=-offset_a / config.alpha,
+        coeffs=solution.reshape(-1, 2),
     )
+
+
+def _jump_system(lam, lengths, strengths, sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Matrix and right side of the conditions on ``(p_0, q_0, p_1, ...)``:
+    row ``2j`` is continuity at the right end of interval ``j``, row
+    ``2j + 1`` the slope jump ``-c_m/sigma`` there, ``m = j + 1`` mod the
+    interval count.  Every entry is at most ``max(1, lam)`` in size."""
+    k = len(lengths)
+    decay = np.exp(-lam * lengths)
+    matrix = np.zeros((2 * k, 2 * k))
+    rhs = np.zeros(2 * k)
+    for j in range(k):
+        m = (j + 1) % k
+        matrix[2 * j, 2 * j : 2 * j + 2] += (1.0, decay[j])
+        matrix[2 * j, 2 * m : 2 * m + 2] -= (decay[m], 1.0)
+        matrix[2 * j + 1, 2 * m : 2 * m + 2] += (lam * decay[m], -lam)
+        matrix[2 * j + 1, 2 * j : 2 * j + 2] -= (lam, -lam * decay[j])
+        rhs[2 * j + 1] = -strengths[m] / sigma
+    return matrix, rhs
 
 
 def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
@@ -163,15 +166,10 @@ def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
     slope = dslope + t
     value = base + t * (junctions - junctions[0])
 
-    mean = (
-        float(np.sum(lead * lengths**3 / 3.0 + slope * lengths**2 / 2.0 + value * lengths))
-        / config.omega
-    )
-    value = value - mean
-
-    return StationaryProfile(
+    profile = StationaryProfile(
         omega=config.omega,
         junctions=junctions,
+        lengths=lengths,
         sigma=sigma,
         alpha=0.0,
         forcing_offset=offset_a,
@@ -181,6 +179,7 @@ def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
         alpha_zero=True,
         quad_lead=lead,
     )
+    return replace(profile, coeffs=np.column_stack([slope, value - profile_mean(profile)]))
 
 
 def interval_lengths(junctions: np.ndarray, omega: float) -> np.ndarray:
@@ -205,49 +204,37 @@ def _locate(profile: StationaryProfile, x: np.ndarray) -> tuple[np.ndarray, np.n
     return idx, u
 
 
+def _pieces(profile: StationaryProfile, idx, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Value, slope and curvature of the closed form of interval ``idx`` at
+    local coordinate ``u``; broadcasts over both."""
+    first, second = profile.coeffs[idx, 0], profile.coeffs[idx, 1]
+    if profile.alpha_zero:
+        lead = profile.quad_lead
+        curvature = np.full(np.shape(u), 2.0 * lead)
+        return lead * u**2 + first * u + second, 2.0 * lead * u + first, curvature
+    lam = profile.lam
+    grow = first * np.exp(-lam * (profile.lengths[idx] - u))
+    decay = second * np.exp(-lam * u)
+    pair = grow + decay
+    return profile.offset + pair, lam * (grow - decay), lam * lam * pair
+
+
 def eval_stationary(profile: StationaryProfile, x) -> np.ndarray | float:
     """Evaluate the profile at scalar or array positions."""
-    idx, u = _locate(profile, x)
-    if profile.alpha_zero:
-        slope = profile.coeffs[idx, 0]
-        value = profile.coeffs[idx, 1]
-        out = profile.quad_lead * u**2 + slope * u + value
-    else:
-        p = profile.coeffs[idx, 0]
-        q = profile.coeffs[idx, 1]
-        out = profile.offset + p * np.exp(profile.lam * u) + q * np.exp(-profile.lam * u)
+    out, _, _ = _pieces(profile, *_locate(profile, x))
     return out if out.ndim else float(out)
 
 
 def junction_slope_jump(profile: StationaryProfile, k: int) -> float:
     """Derivative jump ``s'(a_k+0) - s'(a_k-0)`` from the closed forms."""
     left = (k - 1) % profile.num_intervals
-    length = profile.interval_lengths()[left]
-    if profile.alpha_zero:
-        right_slope = profile.coeffs[k, 0]
-        left_slope = 2.0 * profile.quad_lead * length + profile.coeffs[left, 0]
-        return float(right_slope - left_slope)
-    lam = profile.lam
-    p_r, q_r = profile.coeffs[k]
-    p_l, q_l = profile.coeffs[left]
-    right_slope = lam * (p_r - q_r)
-    left_slope = lam * (p_l * math.exp(lam * length) - q_l * math.exp(-lam * length))
-    return float(right_slope - left_slope)
+    _, slopes, _ = _pieces(profile, np.array([k, left]), np.array([0.0, profile.lengths[left]]))
+    return float(slopes[0] - slopes[1])
 
 
 def ode_residual(profile: StationaryProfile, x) -> np.ndarray | float:
     """``sigma*s'' - alpha*s - A`` evaluated from the closed forms."""
-    idx, u = _locate(profile, x)
-    if profile.alpha_zero:
-        second = np.full_like(u, 2.0 * profile.quad_lead)
-        s = eval_stationary(profile, x)
-    else:
-        lam = profile.lam
-        p = profile.coeffs[idx, 0]
-        q = profile.coeffs[idx, 1]
-        pair = p * np.exp(lam * u) + q * np.exp(-lam * u)
-        second = lam * lam * pair
-        s = profile.offset + pair
+    s, _, second = _pieces(profile, *_locate(profile, x))
     out = profile.sigma * second - profile.alpha * s - profile.forcing_offset
     return out if np.ndim(out) else float(out)
 
@@ -255,54 +242,34 @@ def ode_residual(profile: StationaryProfile, x) -> np.ndarray | float:
 def interval_extrema(profile: StationaryProfile) -> list[tuple[float, float]]:
     """Exact ``(min, max)`` of the profile on the closure of each interval.
 
-    Uses the endpoints plus the single interior critical point of the
-    exponential pair (or quadratic vertex) when it falls inside, so the
+    Uses the endpoints plus the single interior turning point, where the
+    slope vanishes, when it falls inside: ``u* = L/2 + log(q/p)/(2*lam)``
+    of an exponential pair with ``p*q > 0``, or the quadratic's vertex.  The
     result does not depend on any sampling grid.
     """
-    lengths = profile.interval_lengths()
-    out = []
-    for k in range(profile.num_intervals):
-        length = lengths[k]
+    lengths = profile.lengths
+    first, second = profile.coeffs.T
+    with np.errstate(divide="ignore", invalid="ignore"):
         if profile.alpha_zero:
-            lead = profile.quad_lead
-            slope, value = profile.coeffs[k]
-            candidates = [value, lead * length**2 + slope * length + value]
-            if lead != 0.0:
-                u_star = -slope / (2.0 * lead)
-                if 0.0 < u_star < length:
-                    candidates.append(lead * u_star**2 + slope * u_star + value)
+            turn = -first / (2.0 * profile.quad_lead)
         else:
-            lam = profile.lam
-            p, q = profile.coeffs[k]
-            grow = math.exp(lam * length)
-            candidates = [
-                profile.offset + p + q,
-                profile.offset + p * grow + q / grow,
-            ]
-            if p * q > 0.0:
-                u_star = math.log(q / p) / (2.0 * lam)
-                if 0.0 < u_star < length:
-                    pair = math.copysign(2.0 * math.sqrt(p * q), p)
-                    candidates.append(profile.offset + pair)
-        out.append((float(min(candidates)), float(max(candidates))))
-    return out
+            turn = lengths / 2.0 + np.log(second / first) / (2.0 * profile.lam)
+    # a turning point outside the open interval is replaced by its left end
+    turn = np.where((0.0 < turn) & (turn < lengths), turn, 0.0)
+    u = np.stack((np.zeros_like(lengths), lengths, turn))
+    values, _, _ = _pieces(profile, np.arange(profile.num_intervals), u)
+    return [(float(lo), float(hi)) for lo, hi in zip(values.min(axis=0), values.max(axis=0))]
 
 
 def profile_mean(profile: StationaryProfile) -> float:
     """Exact mean of the profile over one period."""
-    lengths = profile.interval_lengths()
+    lengths = profile.lengths
+    first, second = profile.coeffs.T
     if profile.alpha_zero:
-        slope = profile.coeffs[:, 0]
-        value = profile.coeffs[:, 1]
-        total = np.sum(
-            profile.quad_lead * lengths**3 / 3.0 + slope * lengths**2 / 2.0 + value * lengths
-        )
+        lead = profile.quad_lead
+        total = np.sum(lead * lengths**3 / 3.0 + first * lengths**2 / 2.0 + second * lengths)
         return float(total / profile.omega)
-    lam = profile.lam
-    p = profile.coeffs[:, 0]
-    q = profile.coeffs[:, 1]
-    grow = np.exp(lam * lengths)
-    total = np.sum(p * (grow - 1.0) / lam + q * (1.0 - 1.0 / grow) / lam)
+    total = np.sum((first + second) * -np.expm1(-profile.lam * lengths)) / profile.lam
     return float(profile.offset + total / profile.omega)
 
 

@@ -350,18 +350,27 @@ def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path
          "--max-events", "1"],
         ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e306,1e306,1e306]",
          "--set", "forcing_offset=3e306", "--max-events", "1"],
+        ["stationary", "--preset", "ex1", "--set", "alpha=3e6"],
+        ["find-periodic", "--preset", "ex1", "--set", "alpha=3e6"],
+        ["simulate", "--preset", "ex1", "--set", "sigma2=1e15", "--t-end", "1"],
+        ["simulate", "--preset", "ex1", "--set", "sigma2=1e300", "--t-end", "1"],
     ],
     ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2", "strength-sum-overflows",
-         "load-not-finite"],
+         "load-not-finite", "stationary-stiff-evaporation", "find-periodic-stiff-evaporation",
+         "sigma2-1e15", "sigma2-1e300"],
 )
 def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args):
     # offset/alpha + eta_c == 0 made the rupture-time lower bound divide by
     # zero, which ended in a ZeroDivisionError traceback and exit 1; jump
     # strengths whose sum overflows ended in an OverflowError from validate;
     # a load that overflows once divided by the grid spacing warned and
-    # ended in a jump of minimum nan, exit 3
+    # ended in a jump of minimum nan, exit 3; the stationary profile's
+    # exp(lam*L) overflowed from alpha of about 3e6 on; and step-matrix
+    # eigenvalues formed as diag + off*(2 - s_k) cancelled to roundoff or
+    # nan for a large sigma2, exit 3
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
     assert child.returncode in (0, 1, 2, 3), child.stderr
+    assert child.returncode != 1 or child.stderr.startswith("model violation:"), child.stderr
     assert "Traceback" not in child.stderr
     assert "Warning" not in child.stderr
 

@@ -99,7 +99,8 @@ def test_cyclic_solve_against_dense_oracle():
             matrix[i, (i + 1) % n] = off
             matrix[i, (i - 1) % n] = off
         rhs = rng.standard_normal(n)
-        got = solve_periodic_tridiagonal(diag, off, rhs)
+        # the same matrix as shift*I + stiffness*(-1, 2, -1)
+        got = solve_periodic_tridiagonal(diag + 2.0 * off, -off, rhs)
         expected = np.linalg.solve(matrix, rhs)
         assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
@@ -109,11 +110,24 @@ def test_cyclic_solve_check_is_grid_independent(n):
     # the ex1 step matrix at dt = 1e-4; the backward error of an exact solve
     # stays near roundoff however stiff the fine grid makes the matrix
     dx2 = (1.0 / n) ** 2
-    diag = 1.0e4 + 2.0 / dx2 + 1.0
-    off = -1.0 / dx2
     rhs = np.random.default_rng(n).uniform(size=n)
-    x = solve_periodic_tridiagonal(diag, off, rhs)
+    x = solve_periodic_tridiagonal(1.0e4 + 1.0, 1.0 / dx2, rhs)
     assert np.all(np.isfinite(x))
+
+
+def test_stiff_step_matches_the_mode_division(ex1):
+    # the eigenvalues were formed as diag + off*(2 - s_k), which cancels
+    # 2*sigma/dx^2 and cost this step 3.6e-14 of the scale; formed as
+    # shift + stiffness*s_k they add two nonnegative terms
+    cfg = replace(ex1, sigma2=100.0)
+    grid = build_grid(cfg, 8192)
+    ops = assemble_operators(grid, cfg)
+    dt = cfg.numerics.dt
+    x = np.random.default_rng(7).uniform(0.0, 0.05, grid.n)
+    out = step_decoupled(Field(grid, x, 0.0), dt, ops).values
+    exact = np.fft.irfft((np.fft.rfft(x) + dt * ops.load_modes) / (1.0 + dt * ops.symbol), grid.n)
+    scale = max(np.max(np.abs(x)), dt * np.max(np.abs(ops.load)))
+    assert np.max(np.abs(out - exact)) <= 1e-15 * scale
 
 
 def test_implicit_step_fixed_point(ex1):
@@ -121,9 +135,7 @@ def test_implicit_step_fixed_point(ex1):
     ops = assemble_operators(grid, ex1)
     dx2 = grid.dx**2
     # discrete steady state of the same operator
-    steady = solve_periodic_tridiagonal(
-        2.0 * ops.sigma / dx2 + ops.alpha, -ops.sigma / dx2, ops.load
-    )
+    steady = solve_periodic_tridiagonal(ops.alpha, ops.sigma / dx2, ops.load)
     state = Field(grid, steady, 0.0)
     out = step_decoupled(state, 0.05, ops)
     assert np.max(np.abs(out.values - steady)) < 1e-12
@@ -208,7 +220,8 @@ def test_height_mass_is_conserved(ex3):
 def test_height_matrix_is_the_height_step(ex3):
     grid = build_grid(ex3, 64)
     ops = assemble_operators(grid, ex3)
-    diag, off = ops.height_matrix(1e-3)
+    shift, stiffness = ops.height_matrix(1e-3)
+    diag, off = shift + 2.0 * stiffness, -stiffness
     assert diag == 1e3 + 2.0 * ops.sigma_h / grid.dx**2
     assert off == -ops.sigma_h / grid.dx**2
     with pytest.raises(ValueError):
@@ -502,6 +515,7 @@ def test_system_matrix_is_strictly_diagonally_dominant(ex1):
     grid = build_grid(ex1, 128)
     ops = assemble_operators(grid, ex1)
     dt = 1e-4
-    diag, off = ops.thickness_matrix(dt)
+    shift, stiffness = ops.thickness_matrix(dt)
+    diag, off = shift + 2.0 * stiffness, -stiffness
     assert diag > 0.0 and off <= 0.0
     assert diag - 2.0 * abs(off) == pytest.approx(1.0 / dt + ops.alpha, rel=1e-12)

@@ -67,16 +67,17 @@ JUMP_TOL = 1e-12
 
 
 def step_matrix(n, dt, sigma, alpha):
-    dx2 = (1.0 / n) ** 2
-    return 1.0 / dt + 2.0 * sigma / dx2 + alpha, -sigma / dx2
+    """``(shift, stiffness)`` of the step matrix ``shift*I + stiffness*(-1,
+    2, -1)``."""
+    return 1.0 / dt + alpha, sigma / (1.0 / n) ** 2
 
 
-def dense(n, diag, off):
+def dense(n, shift, stiffness):
     matrix = np.zeros((n, n))
     i = np.arange(n)
-    matrix[i, i] = diag
-    matrix[i, (i + 1) % n] += off
-    matrix[i, (i - 1) % n] += off
+    matrix[i, i] = shift + 2.0 * stiffness
+    matrix[i, (i + 1) % n] -= stiffness
+    matrix[i, (i - 1) % n] -= stiffness
     return matrix
 
 
@@ -89,10 +90,10 @@ def random_rhs(n, seed):
 @given(step_parameters, seeds)
 def test_cached_solve_matches_dense_solve(params, seed):
     n = params[0]
-    diag, off = step_matrix(*params)
+    shift, stiffness = step_matrix(*params)
     rhs = random_rhs(n, seed)
-    got = solve_periodic_tridiagonal(diag, off, rhs)
-    expected = np.linalg.solve(dense(n, diag, off), rhs)
+    got = solve_periodic_tridiagonal(shift, stiffness, rhs)
+    expected = np.linalg.solve(dense(n, shift, stiffness), rhs)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -105,13 +106,13 @@ def clear_solve_caches():
 @given(step_parameters, seeds)
 def test_repeat_solve_is_bit_identical_cold_or_warm(params, seed):
     n = params[0]
-    diag, off = step_matrix(*params)
+    shift, stiffness = step_matrix(*params)
     rhs = random_rhs(n, seed)
     clear_solve_caches()
-    cold = solve_periodic_tridiagonal(diag, off, rhs)
-    warm = solve_periodic_tridiagonal(diag, off, rhs)
+    cold = solve_periodic_tridiagonal(shift, stiffness, rhs)
+    warm = solve_periodic_tridiagonal(shift, stiffness, rhs)
     clear_solve_caches()
-    cold_again = solve_periodic_tridiagonal(diag, off, rhs)
+    cold_again = solve_periodic_tridiagonal(shift, stiffness, rhs)
     assert np.array_equal(cold, warm)
     assert np.array_equal(cold, cold_again)
 
@@ -309,7 +310,7 @@ def zero_mean_shape(ops):
     solve: adding the projector onto constants makes the system regular and
     keeps the mean of its solution at 0."""
     n = ops.grid.n
-    matrix = ops.sigma * dense(n, 2.0, -1.0) / ops.grid.dx**2 + 1.0 / n
+    matrix = ops.sigma * dense(n, 0.0, 1.0) / ops.grid.dx**2 + 1.0 / n
     return np.linalg.solve(matrix, ops.load - np.mean(ops.load))
 
 

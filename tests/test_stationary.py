@@ -1,4 +1,4 @@
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,25 +148,9 @@ def test_derivative_jumps_match_strengths(preset, request):
 def test_uniqueness_under_permuted_assembly(ex1):
     # permuting the equations of the linear system must not change the answer
     profile = stationary.solve_stationary(ex1)
-    sigma, strengths, offset_a = effective_parameters(ex1)
-    lam = profile.lam
-    junctions = profile.junctions
-    k = len(junctions)
-    lengths = profile.interval_lengths()
-    matrix = np.zeros((2 * k, 2 * k))
-    rhs = np.zeros(2 * k)
-    for j in range(k):
-        m = (j + 1) % k
-        grow, decay = math.exp(lam * lengths[j]), math.exp(-lam * lengths[j])
-        matrix[2 * j, 2 * j] += grow
-        matrix[2 * j, 2 * j + 1] += decay
-        matrix[2 * j, 2 * m] -= 1.0
-        matrix[2 * j, 2 * m + 1] -= 1.0
-        matrix[2 * j + 1, 2 * m] += lam
-        matrix[2 * j + 1, 2 * m + 1] -= lam
-        matrix[2 * j + 1, 2 * j] -= lam * grow
-        matrix[2 * j + 1, 2 * j + 1] += lam * decay
-        rhs[2 * j + 1] = -strengths[m] / sigma
+    sigma, strengths, _ = effective_parameters(ex1)
+    matrix, rhs = stationary._jump_system(profile.lam, profile.lengths, strengths, sigma)
+    k = len(profile.junctions)
     rng = np.random.default_rng(11)
     perm = rng.permutation(2 * k)
     permuted = np.linalg.solve(matrix[perm], rhs[perm]).reshape(k, 2)
@@ -282,3 +266,59 @@ def test_interval_extrema_match_dense_sampling(ex2):
         values = stationary.eval_stationary(profile, xs % ex2.omega)
         assert lo == pytest.approx(float(np.min(values)), abs=1e-8)
         assert hi == pytest.approx(float(np.max(values)), abs=1e-8)
+
+
+def graded_mean(profile, nodes=20):
+    """Mean of the closed form by composite Gauss-Legendre quadrature in each
+    interval's own coordinate, on panels that double in width away from
+    either end from well inside the boundary layer of width ``1/lam``, so
+    that any evaporation rate is resolved.  The right half of an interval
+    is the left half of the mirrored pair ``(q, p)``, which keeps the
+    distance to the right end exact."""
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    mirrored = replace(profile, coeffs=profile.coeffs[:, ::-1])
+    total = 0.0
+    for k, length in enumerate(profile.lengths):
+        half = length / 2.0
+        first = min(half, 1.0 / profile.lam) / 16.0
+        edges = [0.0] + [first * 2.0**i for i in range(int(np.log2(half / first)) + 1)] + [half]
+        for lo, hi in zip(edges, edges[1:]):
+            u = lo + (hi - lo) * (points + 1.0) / 2.0
+            for half_profile in (profile, mirrored):
+                value, _, _ = stationary._pieces(half_profile, k, u)
+                total += (hi - lo) / 2.0 * float(np.dot(weights, value))
+    return total / profile.omega
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 1e4, 3e6, 1e12, 1e300])
+def test_closed_form_under_stiff_evaporation(ex1, alpha):
+    # the unscaled pair exp(+-lam*u) overflowed once lam*L > 709.78, from
+    # alpha of about 3e6 on; every tolerance scales with the size of the
+    # terms it compares, so no rate can trip it by mistake
+    cfg = replace(ex1, alpha=alpha)
+    sigma, strengths, offset_a = effective_parameters(cfg)
+    profile = stationary.solve_stationary(cfg)
+    coeffs = float(np.max(np.abs(profile.coeffs)))
+    values = coeffs + abs(profile.offset)
+
+    xs = np.random.default_rng(3).uniform(0.0, cfg.omega, 1000)
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(cfg.junctions)[None, :]), axis=1) > 1e-6]
+    residual = np.max(np.abs(stationary.ode_residual(profile, xs)))
+    assert residual <= 1e-12 * (sigma * profile.lam**2 * coeffs + abs(offset_a))
+
+    for k, c in enumerate(strengths):
+        jump = stationary.junction_slope_jump(profile, k)
+        assert abs(jump + c / sigma) <= 1e-12 * (profile.lam * coeffs + max(strengths) / sigma)
+
+    # sampling misses an interior minimum by at most about
+    # values*(lam*h)**2*exp(-lam*L/2)/4 <= 1.4e-9*values at this spacing
+    ends = list(cfg.junctions) + [cfg.junctions[0] + cfg.omega]
+    for k, (lo, hi) in enumerate(stationary.interval_extrema(profile)):
+        xs = np.linspace(ends[k], ends[k + 1], 20001)
+        sampled = stationary.eval_stationary(profile, xs % cfg.omega)
+        assert lo == pytest.approx(float(np.min(sampled)), abs=1e-8 * values)
+        assert hi == pytest.approx(float(np.max(sampled)), abs=1e-8 * values)
+
+    scale = abs(profile.offset) + coeffs * min(1.0, 1.0 / profile.lam)
+    expected = graded_mean(profile)
+    assert stationary.profile_mean(profile) == pytest.approx(expected, abs=1e-12 * scale)
