@@ -127,7 +127,6 @@ class ValidationReport:
     condition_C_holds: bool
     integral_f: float
     mass_conserving: bool
-    messages: tuple[str, ...]
 
 
 def effective_parameters(config: ModelConfig) -> tuple[float, tuple[float, ...], float]:
@@ -160,25 +159,8 @@ def validate(config: ModelConfig) -> ValidationReport:
     integral_f = total - config.forcing_offset * config.omega
     scale = max(abs(config.forcing_offset), abs(target))
     mass = abs(config.forcing_offset - target) <= 1.0e-12 * scale or scale == 0.0
-
-    messages = []
-    if not nonneg:
-        messages.append("some jump strengths are negative")
-    if config.forcing_offset < target:
-        messages.append(
-            "forcing offset is below the mean jump strength; "
-            "the forcing integral is positive"
-        )
-    if condition_c:
-        messages.append("sign condition on the forcing holds")
-    messages.append(f"integral of forcing over one period = {integral_f:.17g}")
-    if mass:
-        messages.append("offset is the mass-conserving choice")
     return ValidationReport(
-        condition_C_holds=condition_c,
-        integral_f=integral_f,
-        mass_conserving=mass,
-        messages=tuple(messages),
+        condition_C_holds=condition_c, integral_f=integral_f, mass_conserving=mass
     )
 
 

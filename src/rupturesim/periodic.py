@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ModelConfig, effective_parameters
 from .errors import ModelViolationError, UnsupportedError
-from .rupture import node_intervals, run_with_rupture, rupture_horizon
+from .rupture import node_intervals, run_with_rupture
 from .solver import (
     CoupledState,
     Field,
@@ -134,7 +134,9 @@ def poincare_map(
     Splices the reset level into the distinguished interval, evolves to the
     located rupture, and returns the pre-rupture profile together with the
     elapsed rupture time.  Assumes the sign condition on the forcing (so a
-    rupture is guaranteed); raises :class:`ModelViolationError` when the
+    rupture is guaranteed); a rupture that does not come by the
+    closed-form horizon of :func:`run_with_rupture` raises its
+    :class:`HorizonError`.  Raises :class:`ModelViolationError` when the
     rupture touches any other interval, which indicates the localization
     assumption does not hold for this configuration.  A caller that
     iterates the map passes the :func:`distinguished_interval` of
@@ -145,11 +147,7 @@ def poincare_map(
     start = splice(xi, config, index)
     start.time = 0.0
 
-    events, _ = run_with_rupture(
-        config, start, max_events=1, t_end=rupture_horizon(config, start)
-    )
-    if not events:
-        raise ModelViolationError("no rupture located within the predicted horizon")
+    events, _ = run_with_rupture(config, start, max_events=1)
     event = events[0]
     if event.reset_intervals != (index,):
         raise ModelViolationError(

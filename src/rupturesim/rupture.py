@@ -9,19 +9,20 @@ mode the bubble-top height drops by the collapse depth on the same nodes.
 Which interval holds a node is decided by
 :func:`rupturesim.stationary.interval_index` alone.
 In decoupled mode the paper's rupture-time bounds run inside the event
-loop: each closed-form jump of a gap skips every step that either of two
-certificates proves free of rupture, the mean's decay sets a horizon by
-which the gap must end, and the positivity of the step about the discrete
-fixed point (without evaporation, about the zero-mean stationary shape)
-shows when it never can.  The certificates are the paper's constant
-subsolution, which weakens as the thickness nears the threshold, and a
-bound on how far the state can move per step, read off the Fourier modes
-of its transient, which ends each gap in a few jumps.  Each jump hands the
-transient modes of its state to the next, so the jumps of a gap pay one
-forward transform between them, and one inverse transform each; the
-per-mode factors that would underflow are skipped.  In coupled mode a gap
-runs in one call of the mode-space kernel, which tests the thickness after
-every step and checks the backward error of the state it hands out.
+loop, with or without evaporation: each closed-form jump of a gap skips
+every step that either of two certificates proves free of rupture, the
+mean's decay sets a horizon by which the gap must end, and the positivity
+of the step about the discrete fixed point (without evaporation, about the
+zero-mean stationary shape) shows when it never can.  The certificates are
+the paper's constant subsolution, which weakens as the thickness nears the
+threshold, and a bound on how far the state can move per step, read off
+the Fourier modes of its drive ``load - (alpha I + sigma K) x``, which ends
+each gap in a few jumps.  Each jump hands the rfft modes of its state to
+the next, so the jumps of a gap pay one forward transform between them,
+and one inverse transform each; the per-mode factors that would underflow
+are skipped.  In coupled mode a gap runs in one call of the mode-space
+kernel, which tests the thickness after every step and checks the backward
+error of the state it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
 crossing search, which decides every step from them with one
 :class:`rupturesim.solver.StepProbe` per state, the step that brackets the
@@ -54,9 +55,7 @@ from .solver import (
     Grid,
     Operators,
     StepProbe,
-    advance,
     assemble_operators,
-    decoupled_transient,
     jump_coupled,
     jump_decoupled,
     step_toward,
@@ -95,7 +94,6 @@ class RuptureEvent:
     """
 
     time: float
-    rupture_nodes: np.ndarray
     reset_intervals: tuple[int, ...]
     pre_profile: Field
     post_profile: Field
@@ -152,9 +150,12 @@ def rupture_horizon(config: ModelConfig, eta0: Field) -> float | None:
 
 def _subsolution(c0: float, load_min: float, alpha: float, dt: float, steps: int) -> float:
     """``c_steps`` of the constant sequence ``c_{k+1} = (c_k/dt + load_min) /
-    (1/dt + alpha)``, in closed form.  Backward Euler is an M-matrix step
-    that maps constants to constants, so a state whose minimum is ``c0``
-    stays at or above ``c_k`` after ``k`` steps, for any sign of the load."""
+    (1/dt + alpha)``, in closed form, ``c0 + steps*dt*load_min`` without
+    evaporation.  Backward Euler is an M-matrix step that maps constants to
+    constants, so a state whose minimum is ``c0`` stays at or above ``c_k``
+    after ``k`` steps, for any sign of the load."""
+    if alpha == 0.0:
+        return c0 + steps * (dt * load_min)
     c_inf = load_min / alpha
     return c_inf + (c0 - c_inf) * (1.0 + alpha * dt) ** -steps
 
@@ -164,28 +165,35 @@ def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: 
     ``c0`` (``sys.maxsize`` when it never falls below ``threshold``)."""
     if c0 < threshold:
         return 0
-    c_inf = load_min / alpha
-    if c_inf >= threshold:
-        return sys.maxsize
-    steps = int(math.log((c0 - c_inf) / (threshold - c_inf)) / math.log1p(alpha * dt))
+    if alpha == 0.0:  # c_k falls by -dt*load_min per step
+        if load_min >= 0.0:
+            return sys.maxsize
+        steps = _spectral_steps(c0, -(dt * load_min), threshold)
+    else:
+        c_inf = load_min / alpha
+        if c_inf >= threshold:
+            return sys.maxsize
+        steps = int(math.log((c0 - c_inf) / (threshold - c_inf)) / math.log1p(alpha * dt))
     while steps > 0 and _subsolution(c0, load_min, alpha, dt, steps) < threshold:
         steps -= 1
     return steps
 
 
-def _change_rate(transient: np.ndarray, dt: float, ops: Operators) -> float:
-    """Bound on how far one decoupled step can move any node, from the rfft
-    modes ``transient`` of ``x - x*``.
+def _change_rate(drive: np.ndarray, dt: float, ops: Operators) -> float:
+    """Bound ``dt*sum_k w_k |v_k|/(1 + dt*symbol_k)`` on how far one
+    decoupled step can move any node, from the rfft modes ``v`` of the drive
+    ``load - (alpha I + sigma K) x``, with ``w_k`` from
+    :func:`solver._mode_weights`.
 
-    With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``,
-    ``x_j - x_0 = irfft((f^j - 1) * transient)``.  Each term of that inverse
-    transform is at most ``w_k |transient_k| (1 - f_k^j)`` at every node,
-    with ``w_k`` from :func:`solver._mode_weights`, and ``1 - f^j <= j (1 -
-    f)`` for ``0 <= f <= 1``.
-    So no node moves by more than ``j`` times the returned rate in ``j``
-    steps.
+    With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``, ``j``
+    steps move mode ``k`` of ``x`` by ``v_k (1 - f_k^j)/symbol_k``, and
+    ``1 - f^j <= j (1 - f)`` for ``0 <= f <= 1``, where ``(1 -
+    f_k)/symbol_k = dt f_k``; a mode of symbol 0 moves by ``j*dt*v_k``.  Each
+    term of the inverse transform is at most ``w_k`` times its mode's move
+    at every node, so no node moves by more than ``j`` times the returned
+    rate in ``j`` steps.
     """
-    return float(np.dot(np.abs(transient), ops.decoupled_factors(dt)[2]))
+    return float(np.dot(np.abs(drive), ops.decoupled_factors(dt)[2]))
 
 
 def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
@@ -196,14 +204,18 @@ def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
         return 0
     if not rate > 0.0:
         return sys.maxsize
-    return min(math.floor((c0 - threshold) / rate), sys.maxsize)
+    quotient = (c0 - threshold) / rate
+    return sys.maxsize if quotient >= sys.maxsize else math.floor(quotient)
 
 
 def _roundoff_scale(state: Field, ops: Operators) -> float:
-    """The larger of the state and the a-priori bound ``max|load|/alpha`` on
-    the fixed point, which scales the roundoff of the closed forms."""
+    """The larger of the state and, with evaporation, the a-priori bound
+    ``max|load|/alpha`` on the fixed point and on every later state, which
+    scales the roundoff of the closed forms.  Without evaporation no such
+    bound exists, and the caller of a jump adds the jumped state."""
     values = state.values
-    return max(float(values.max()), -float(values.min()), ops.fixed_point_bound)
+    bound = ops.fixed_point_bound if ops.alpha > 0.0 else 0.0
+    return max(float(values.max()), -float(values.min()), bound)
 
 
 def _room(limit: float | None, time: float, dt: float) -> int:
@@ -257,30 +269,32 @@ def _jump_to_bound(
     ops: Operators,
     threshold: float,
     limit: float | None,
-    transient: np.ndarray | None = None,
+    modes: np.ndarray | None = None,
 ) -> tuple[Field, np.ndarray] | None:
     """Jump over every step that the constant subsolution
     (:func:`_safe_steps`) or the change rate (:func:`_change_rate`,
     :func:`_spectral_steps`) proves free of rupture, whichever covers more,
     ending at least one full step before ``limit`` (if any); returns the
-    jumped state and its transient modes, or ``None`` when no step is free.
+    jumped state and its rfft modes, or ``None`` when no step is free.
 
-    The transient modes of ``state`` serve both the rate and the jump: the
-    ``transient`` a previous jump handed out, else one ``rfft``.  The
-    crossing bisection's value tolerance is in ``threshold``, so no
-    jumped-over step could have located an event.  A jumped state that is
-    not finite or falls below the larger of the two lower bounds beyond
-    roundoff raises :class:`LinearSolveError`; one that leaves the time
-    where it is, :class:`DomainError`.
+    The drive formed once from the rfft modes of ``state`` serves both the
+    rate and the jump: from the ``modes`` a previous jump handed out, else
+    from one ``rfft``.  The crossing bisection's value tolerance is in
+    ``threshold``, so no jumped-over step could have located an event.  A
+    jumped state that is not finite or falls below the larger of the two
+    lower bounds beyond roundoff, on the scale of the start and the jumped
+    state, raises :class:`LinearSolveError`; one that leaves the time where
+    it is, :class:`DomainError`.
     """
     c0 = float(state.values.min())
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > threshold:
         return None
     load_min = ops.load_min
-    if transient is None:
-        transient = decoupled_transient(state, ops)
-    rate = _change_rate(transient, dt, ops)
+    if modes is None:
+        modes = np.fft.rfft(state.values)
+    drive = ops.load_modes - ops.symbol * modes
+    rate = _change_rate(drive, dt, ops)
     steps = max(
         _safe_steps(c0, load_min, ops.alpha, dt, threshold),
         _spectral_steps(c0, rate, threshold),
@@ -288,12 +302,12 @@ def _jump_to_bound(
     steps = min(steps, room)
     if steps < 1:
         return None
-    jumped, modes = jump_decoupled(state, steps, dt, ops, transient)
+    jumped, modes = jump_decoupled(state, steps, dt, ops, modes, drive)
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
     low, high = float(jumped.values.min()), float(jumped.values.max())
-    scale = _roundoff_scale(state, ops)
+    scale = max(_roundoff_scale(state, ops), high, -low)
     # a nan shows in both extremes, an infinity in one of them
-    if not (low >= bound - _JUMP_TOL * scale and high < math.inf):
+    if not (low >= bound - _JUMP_TOL * scale and -math.inf < low and high < math.inf):
         raise LinearSolveError(
             f"jump of {steps} steps gave minimum {low:g} below the discrete lower bound {bound:g}"
         )
@@ -317,14 +331,14 @@ def locate_crossing(
     ``1e-3 * dt``.  Every decision, the step of ``dt`` included, comes from
     one :class:`StepProbe`: most from its bounds, the rest from steps in
     rfft modes, so each decision and the located time are those of
-    re-stepping from ``pre`` with :func:`advance`.  Only the located step
-    returns to real space, taken by the probe's checked step; its minimum
-    must equal the tested one, or lie at or below the bound that decided
-    it.  A caller that holds the rfft modes of ``pre``, or has already made
-    the decision about the step of ``dt``, passes its probe as ``probe``;
-    with its modes, ``pre`` is not transformed at all.  Returns the elapsed
-    time and the state at the located crossing (whose minimum is at or
-    below the threshold).
+    re-stepping from ``pre`` with :func:`rupturesim.solver.advance`.  Only
+    the located step returns to real space, taken by the probe's checked
+    step; its minimum must equal the tested one, or lie at or below the
+    bound that decided it.  A caller that holds the rfft modes of ``pre``,
+    or has already made the decision about the step of ``dt``, passes its
+    probe as ``probe``; with its modes, ``pre`` is not transformed at all.
+    Returns the elapsed time and the state at the located crossing (whose
+    minimum is at or below the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
@@ -425,7 +439,7 @@ def run_with_rupture(
     that the step size is too coarse for the configured threshold gap.
 
     Each gap first skips every step its state kind proves free of rupture:
-    in decoupled mode with ``alpha > 0`` by closed-form jumps
+    in decoupled mode by closed-form jumps
     (:func:`_jump_to_bound`), in coupled mode by one call of
     :func:`jump_coupled`, which takes all steps up to the one that
     crosses; either hands out the modes of the state it reaches.  Single
@@ -476,21 +490,10 @@ def run_with_rupture(
             if steps < 1:
                 return state, None
             return jump_coupled(state, steps, dt, ops, config.eta_c)[1:]
-        transient = None  # each jump hands its modes to the next
-        while config.alpha > 0.0:
-            jumped = _jump_to_bound(state, dt, ops, threshold, limit, transient)
-            if jumped is None:
-                break
-            state, transient = jumped
-        # without evaporation the constant subsolution, which falls by
-        # -dt*min(load) per step, certifies single steps
-        while (
-            config.alpha == 0.0
-            and _room(limit, state.time, dt) >= 1
-            and float(state.values.min()) + dt * ops.load_min >= threshold
-        ):
-            state = advance(state, dt, ops)
-        return state, None if transient is None else transient + ops.fixed_point_modes
+        modes = None  # each jump hands its state's modes to the next
+        while (jumped := _jump_to_bound(state, dt, ops, threshold, limit, modes)) is not None:
+            state, modes = jumped
+        return state, modes
 
     events: list[RuptureEvent] = []
     state = initial
@@ -518,11 +521,9 @@ def run_with_rupture(
         _, at_rupture = locate_crossing(state, step_dt, ops, config, probe=probe)
         pre_eta = at_rupture.eta
         intervals = rupture_intervals(pre_eta, config)
-        nodes = np.nonzero(pre_eta.values <= threshold)[0]
         post = apply_reset(at_rupture, intervals, config)
         event = RuptureEvent(
             time=pre_eta.time,
-            rupture_nodes=nodes,
             reset_intervals=intervals,
             pre_profile=pre_eta.copy(),
             post_profile=post.eta.copy(),

@@ -12,11 +12,12 @@ recent step matrices are cached too.  Every solve is checked for a backward
 error of about 1e-12.  The operator bundle :class:`Operators`, one per grid
 and configuration, owns every table built from them and a step size: the
 step matrices, the coupled chunk tables, and the decoupled symbol, factors
-and fixed point, about which ``jump_decoupled`` applies many equal
-decoupled steps at once in closed form.  It hands out the transient modes
-of the state it makes with it, so a chain of jumps pays one forward
-transform and one inverse transform per jump, and it skips the per-mode
-factors that would underflow.
+and fixed point.  ``jump_decoupled`` applies many equal decoupled steps at
+once in closed form, for every ``alpha >= 0``: they move each rfft mode in
+proportion to the drive, the modes of ``load - (alpha I + sigma K) x``.  It
+hands out the rfft modes of the state it makes, so a chain of jumps pays
+one forward transform and one inverse transform per jump, and it skips the
+per-mode factors that would underflow.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
 step is lower-triangular per mode: the bundle's per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
@@ -158,9 +159,6 @@ class Operators:
     height_load: np.ndarray
     sigma_h: float
 
-    def stiffness_matvec(self, v: np.ndarray) -> np.ndarray:
-        return (2.0 * v - np.roll(v, 1) - np.roll(v, -1)) / self.grid.dx**2
-
     def height_matrix(self, dt: float) -> tuple[float, float]:
         """``(shift, stiffness)`` of the cyclic matrix of one backward-Euler
         step of the height, ``I/dt + sigma_h K``."""
@@ -187,12 +185,13 @@ class Operators:
 
     @functools.lru_cache(maxsize=4)
     def decoupled_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(g, 1 + g, w*g/(1 + g))`` per rfft mode, with ``g = dt*symbol``
-        and ``w`` from :func:`_mode_weights`: the growth and step divisor of a
-        decoupled step of ``dt`` and the weights of its change rate; read-only
-        and built once per step size."""
+        """``(g, 1 + g, dt*w/(1 + g))`` per rfft mode, with ``g =
+        dt*symbol`` and ``w`` from :func:`_mode_weights`: the growth and step
+        divisor of a decoupled step of ``dt`` and the weights of its change
+        rate, which scale the drive; read-only and built once per step
+        size."""
         growth = dt * self.symbol
-        tables = growth, 1.0 + growth, _mode_weights(self.grid.n) * growth / (1.0 + growth)
+        tables = growth, 1.0 + growth, dt * _mode_weights(self.grid.n) / (1.0 + growth)
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -254,22 +253,14 @@ class Operators:
         return modes
 
     @functools.cached_property
-    def fixed_point_modes(self) -> np.ndarray:
-        """rfft modes ``load_modes/symbol`` of the fixed point of every
-        decoupled step, ``(alpha I + sigma K) x* = load``, so mode 0 gives
-        ``mean(x*) = mean(load)/alpha``; read-only.  Requires ``alpha > 0``,
-        which makes it unique."""
+    def fixed_point(self) -> np.ndarray:
+        """The fixed point ``x*`` of every decoupled step, ``(alpha I + sigma
+        K) x* = load``, at the nodes, from its rfft modes ``load_modes/symbol``,
+        so ``mean(x*) = mean(load)/alpha``; read-only.  Requires ``alpha >
+        0``, which makes it unique."""
         if not self.alpha > 0.0:
             raise UnsupportedError("the decoupled fixed point requires alpha > 0")
-        modes = self.load_modes / self.symbol
-        modes.flags.writeable = False
-        return modes
-
-    @functools.cached_property
-    def fixed_point(self) -> np.ndarray:
-        """The fixed point ``x*`` of :attr:`fixed_point_modes` at the nodes;
-        read-only."""
-        fixed = np.fft.irfft(self.fixed_point_modes, self.grid.n)
+        fixed = np.fft.irfft(self.load_modes / self.symbol, self.grid.n)
         fixed.flags.writeable = False
         return fixed
 
@@ -407,42 +398,49 @@ def step_decoupled(
     return Field(state.grid, values, state.time + dt)
 
 
-def decoupled_transient(state: Field, ops: Operators) -> np.ndarray:
-    """rfft modes of ``state - x*``, the part of a decoupled state that its
-    steps decay.  Requires ``alpha > 0``."""
-    return np.fft.rfft(state.values - ops.fixed_point)
-
-
 def jump_decoupled(
-    state: Field, steps: int, dt: float, ops: Operators, transient: np.ndarray | None = None
+    state: Field,
+    steps: int,
+    dt: float,
+    ops: Operators,
+    modes: np.ndarray | None = None,
+    drive: np.ndarray | None = None,
 ) -> tuple[Field, np.ndarray]:
     """``steps`` backward-Euler steps of the reduced thickness equation at
-    once; returns the jumped state and its transient modes.
+    once, for any ``alpha >= 0``; returns the jumped state and its rfft
+    modes.
 
-    Exact in exact arithmetic: ``x_m = x* + P^m (x_0 - x*)``, where one step
-    multiplies rfft mode ``k`` of ``x - x*`` by ``1 / (1 + dt*symbol_k)``.
-    A caller that already holds :func:`decoupled_transient` of ``state``
-    passes it as ``transient``, such as the modes the jump before handed
-    out, which stand for that transform up to roundoff; the one inverse
-    transform is then the only one.  A factor of at most about
-    ``2**-1000`` is set to 0 without evaluating its power, where it would
-    mostly underflow or turn subnormal, which is slow: a mode that small
-    moves no node.  The time advances by ``steps`` repeated additions of
-    ``dt``, so it is bit-identical to stepping.  Requires ``alpha > 0``.
+    Exact in exact arithmetic.  The drive ``v``, the rfft modes of ``load -
+    (alpha I + sigma K) x``, sets how far a step moves each mode: one step
+    moves mode ``k`` of ``x`` by ``dt*v_k/(1 + g_k)``, ``g_k =
+    dt*symbol_k``, and multiplies ``v_k`` by ``F_k = 1/(1 + g_k)``, so
+    ``m`` steps move it by ``v_k (1 - F_k^m)/symbol_k``, and by ``m*dt*v_k``
+    where ``symbol_k = 0`` (mode 0 without evaporation).  A caller that
+    holds the rfft modes of ``state`` passes them as ``modes``, such as
+    those the jump before handed out, which stand for that transform up to
+    roundoff, and the drive formed from them as ``drive``; the one inverse
+    transform is then the only one.  A power ``F_k^m`` of at most about
+    ``2**-1000`` is set to 0 without evaluating it, where it would mostly
+    underflow or turn subnormal, which is slow: ``1 - F_k^m`` rounds to 1
+    either way.  The time advances by ``steps`` repeated additions of
+    ``dt``, so it is bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if transient is None:
-        transient = decoupled_transient(state, ops)
-    grid = state.grid
+    grid, symbol = state.grid, ops.symbol
+    if modes is None:
+        modes = np.fft.rfft(state.values)
+    if drive is None:
+        drive = ops.load_modes - symbol * modes
     growth, divisor, _ = ops.decoupled_factors(dt)
     # test growth, not 1 + growth: where 1 + growth rounds to 1, so does a
     # bound on it for steps near sys.maxsize, and every mode would be dropped
     kept = growth < math.expm1(1000.0 * math.log(2.0) / steps)
     factors = np.power(divisor, -steps, out=np.zeros_like(growth), where=kept)
-    modes = transient * factors
-    values = ops.fixed_point + np.fft.irfft(modes, grid.n)
-    return Field(grid, values, _time_after(state.time, steps, dt)), modes
+    reach = np.full_like(symbol, steps * dt)  # where symbol_k = 0
+    np.divide(1.0 - factors, symbol, out=reach, where=symbol > 0.0)
+    modes = modes + reach * drive
+    return Field(grid, np.fft.irfft(modes, grid.n), _time_after(state.time, steps, dt)), modes
 
 
 def _time_after(time: float, steps: int, dt: float) -> float:
@@ -661,7 +659,7 @@ class StepProbe:
     alpha`` (``lambda_k = s_k/dx^2``), ``q = (p - u*r)/(1 + tau*mu)``:
 
     - decoupled, ``u = 0`` and ``p = l - mu*x``, the modes of ``load -
-      (alpha I + sigma K) x``;
+      (alpha I + sigma K) x``, the drive of :func:`jump_decoupled`;
     - coupled, ``p = alpha*h - mu*zeta``, ``u = -(l + nu*h)``, ``r = (1 +
       tau*sigma*lambda_k)/(1 + tau*nu)``, ``nu = sigma_h*lambda_k`` and
       ``l`` the height load.

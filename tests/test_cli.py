@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rupturesim
-from rupturesim import cli, rupture, solver
+from rupturesim import cli, rupture, solver, stationary
 from rupturesim.cli import PRESETS, main, preset_config, write_profile_csv
 
 
@@ -57,6 +57,18 @@ def test_stationary_command_dumps_the_profile(tmp_path):
     report = read_json(out / "report.json")
     assert report["rupture_interval_index"] == 0
     assert report["condition_S_holds"] is False
+
+
+def test_stationary_command_without_evaporation_refuses_only_the_localization_check(tmp_path):
+    out = tmp_path / "stat"
+    assert main(["stationary", "--preset", "ex1", "--set", "alpha=0", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "stationary.csv", delimiter=",", skiprows=1)
+    cfg = preset_config("ex1", overrides=(("alpha", 0.0),))
+    profile = stationary.solve_stationary_alpha0(cfg)
+    assert np.array_equal(rows[:, 1], stationary.eval_stationary(profile, rows[:, 0]))
+    report = read_json(out / "report.json")
+    assert report["condition_S_holds"] is None
+    assert report["note"] == "localization check refused for the alpha = 0 profile family"
 
 
 def test_simulate_emits_events_and_profiles(tmp_path):
@@ -340,26 +352,34 @@ def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, timeout",
     [
-        ["bounds", "--preset", "ex1", "--set", "forcing_offset=-3e-14"],
-        ["simulate", "--preset", "ex1", "--set", "forcing_offset=-3e-14", "--max-events", "1"],
-        ["find-periodic", "--preset", "ex1", "--set", "forcing_offset=-3e-14"],
-        ["simulate", "--preset", "ex2", "--set", "forcing_offset=-0.18", "--max-events", "1"],
-        ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e308,1e308,1e308]",
-         "--max-events", "1"],
-        ["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e306,1e306,1e306]",
-         "--set", "forcing_offset=3e306", "--max-events", "1"],
-        ["stationary", "--preset", "ex1", "--set", "alpha=3e6"],
-        ["find-periodic", "--preset", "ex1", "--set", "alpha=3e6"],
-        ["simulate", "--preset", "ex1", "--set", "sigma2=1e15", "--t-end", "1"],
-        ["simulate", "--preset", "ex1", "--set", "sigma2=1e300", "--t-end", "1"],
+        (["bounds", "--preset", "ex1", "--set", "forcing_offset=-3e-14"], 60),
+        (["simulate", "--preset", "ex1", "--set", "forcing_offset=-3e-14",
+          "--max-events", "1"], 60),
+        (["find-periodic", "--preset", "ex1", "--set", "forcing_offset=-3e-14"], 60),
+        (["simulate", "--preset", "ex2", "--set", "forcing_offset=-0.18", "--max-events", "1"], 60),
+        (["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e308,1e308,1e308]",
+          "--max-events", "1"], 60),
+        (["simulate", "--preset", "ex1", "--set", "jump_strengths=[1e306,1e306,1e306]",
+          "--set", "forcing_offset=3e306", "--max-events", "1"], 60),
+        (["stationary", "--preset", "ex1", "--set", "alpha=3e6"], 60),
+        (["find-periodic", "--preset", "ex1", "--set", "alpha=3e6"], 60),
+        (["simulate", "--preset", "ex1", "--set", "sigma2=1e15", "--t-end", "1"], 60),
+        (["simulate", "--preset", "ex1", "--set", "sigma2=1e300", "--t-end", "1"], 60),
+        (["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "eta_a=0.3",
+          "--t-end", "1"], 20),
+        (["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "eta_a=0.3",
+          "--t-end", "100"], 20),
+        (["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "forcing_offset=0",
+          "--max-events", "1"], 20),
     ],
     ids=["bounds", "simulate-ex1", "find-periodic", "simulate-ex2", "strength-sum-overflows",
          "load-not-finite", "stationary-stiff-evaporation", "find-periodic-stiff-evaporation",
-         "sigma2-1e15", "sigma2-1e300"],
+         "sigma2-1e15", "sigma2-1e300", "no-evaporation-t-end-1", "no-evaporation-t-end-100",
+         "no-evaporation-rising-mean"],
 )
-def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args):
+def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, args, timeout):
     # offset/alpha + eta_c == 0 made the rupture-time lower bound divide by
     # zero, which ended in a ZeroDivisionError traceback and exit 1; jump
     # strengths whose sum overflows ended in an OverflowError from validate;
@@ -367,8 +387,11 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
     # ended in a jump of minimum nan, exit 3; the stationary profile's
     # exp(lam*L) overflowed from alpha of about 3e6 on; and step-matrix
     # eigenvalues formed as diag + off*(2 - s_k) cancelled to roundoff or
-    # nan for a large sigma2, exit 3
-    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=60)
+    # nan for a large sigma2, exit 3; and a gap without evaporation took
+    # every step singly, a million of them up to t = 100, and forever under
+    # a positive mean load
+    out = str(tmp_path / "run")
+    child = run_child("-m", "rupturesim.cli", *args, "--out", out, timeout=timeout)
     assert child.returncode in (0, 1, 2, 3), child.stderr
     assert child.returncode != 1 or child.stderr.startswith("model violation:"), child.stderr
     assert "Traceback" not in child.stderr

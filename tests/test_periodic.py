@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from rupturesim.cli import preset_config
-from rupturesim.errors import ModelViolationError, UnsupportedError
+from rupturesim.cli import main, preset_config
+from rupturesim.errors import HorizonError, ModelViolationError, UnsupportedError
 from rupturesim import periodic, rupture, solver, stationary
 from rupturesim.periodic import (
     default_invariant_band,
@@ -64,10 +64,19 @@ def test_map_is_a_fixed_point_after_convergence(ex1, ex1_profile, ex1_converged)
     assert periodic.sup_diff_outside(twice, mapped, ex1, 0) <= 1e-6
 
 
-def test_map_without_rupture_by_the_horizon_is_a_model_violation(ex1, ex1_profile, monkeypatch):
-    monkeypatch.setattr(periodic, "rupture_horizon", lambda config, eta0: 5 * config.numerics.dt)
-    with pytest.raises(ModelViolationError, match="horizon"):
-        poincare_map(constant_field(build_grid(ex1, 128), ex1.eta_a), ex1, ex1_profile)
+def test_a_map_past_the_horizon_raises_the_horizon_error(monkeypatch, tmp_path, ex1, ex1_profile):
+    # the map bounded its gap by this horizon itself, and a rupture past it
+    # ended in a model violation, exit 1; the event loop's own bound on the
+    # same gap raises HorizonError, exit 3
+    def short(config, eta0):
+        return 1e-3
+
+    monkeypatch.setattr(rupture, "rupture_horizon", short)
+    monkeypatch.setattr(periodic, "rupture_horizon", short, raising=False)
+    xi = constant_field(build_grid(ex1), ex1.eta_a)
+    with pytest.raises(HorizonError):
+        poincare_map(xi, ex1, ex1_profile)
+    assert main(["find-periodic", "--preset", "ex1", "--out", str(tmp_path / "run")]) == 3
 
 
 def test_map_under_a_positive_forcing_integral_is_not_refused():

@@ -449,6 +449,14 @@ def test_state_kind_must_match_mode(ex1, ex3):
         run_with_rupture(ex3, constant_field(grid, 1.0), max_events=1)
 
 
+def patch_advance(monkeypatch, advance):
+    """Put ``advance`` in place of every single step: the solver's, which a
+    probe's checked step takes, and one the event loop would take itself,
+    which it does not import today (hence ``raising=False``)."""
+    monkeypatch.setattr(rupture, "advance", advance, raising=False)
+    monkeypatch.setattr(solver, "advance", advance)
+
+
 def counted_advances(monkeypatch):
     """Count the single steps ``run_with_rupture`` takes, whether it calls
     ``advance`` itself or through the solver, as a probe's step does."""
@@ -459,8 +467,7 @@ def counted_advances(monkeypatch):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(rupture, "advance", advance)
-    monkeypatch.setattr(solver, "advance", advance)
+    patch_advance(monkeypatch, advance)
     return calls
 
 
@@ -542,15 +549,17 @@ def test_run_that_cannot_rupture_is_refused(monkeypatch):
     # without t_end would never end; a regression fails on the count of
     # steps and jumps instead of hanging the suite
     moves = []
-    for module, name in ((rupture, "advance"), (solver, "advance"), (rupture, "jump_decoupled")):
-        real = getattr(module, name)
 
-        def counted(*args, real=real):
+    def counted(real):
+        def move(*args):
             moves.append(1)
             assert len(moves) < 1_000, "the run was not refused"
             return real(*args)
 
-        monkeypatch.setattr(module, name, counted)  # solver's: the probe's checked step
+        return move
+
+    patch_advance(monkeypatch, counted(solver.advance))
+    monkeypatch.setattr(rupture, "jump_decoupled", counted(rupture.jump_decoupled))
     cfg = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
     grid = build_grid(cfg, 64)
     with pytest.raises(DomainError, match="t-end"):
@@ -577,8 +586,7 @@ def test_run_without_evaporation_that_cannot_rupture_is_refused(monkeypatch):
         assert len(moves) < 1_000, "the run was not refused"
         return real(*args)
 
-    monkeypatch.setattr(rupture, "advance", counted)
-    monkeypatch.setattr(solver, "advance", counted)  # the probe's checked step
+    patch_advance(monkeypatch, counted)
     for eta_a in (0.3, 0.14):
         cfg = preset_config("ex1", overrides=(("alpha", 0.0), ("eta_a", eta_a)))
         grid = build_grid(cfg, 64)
@@ -649,19 +657,69 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
         finally:
             locating.pop()
 
-    for name, patched in (
-        ("_jump_to_bound", jump_to_bound),
-        ("advance", advance),
-        ("locate_crossing", locate_crossing),
-    ):
+    for name, patched in (("_jump_to_bound", jump_to_bound), ("locate_crossing", locate_crossing)):
         monkeypatch.setattr(rupture, name, patched)
-    monkeypatch.setattr(solver, "advance", advance)  # the probe's checked step
+    patch_advance(monkeypatch, advance)
     grid = build_grid(ex1, 1024)
     events, _ = run_with_rupture(ex1, constant_field(grid, ex1.eta_a), max_events=11)
     assert len(events) == 11
     assert len(jumps) <= 6 * len(events)
     # the one loop step per event is the step that crosses
     assert len(loop_steps) <= len(events)
+
+
+def test_a_gap_without_evaporation_jumps_and_steps_only_to_cross(monkeypatch):
+    # without evaporation the skip took every step before the crossing
+    # singly, about 80 per gap here; it now jumps as with evaporation, and
+    # every single step is a probe's
+    cfg = preset_config("ex1", overrides=(("alpha", 0.0), ("forcing_offset", 4.0)))
+    start = constant_field(build_grid(cfg, 1024), cfg.eta_a)
+    jumps, probed, unprobed, probing = [], [], [], []
+    real_jump, real_advance, real_step = (
+        rupture.jump_decoupled, solver.advance, solver.StepProbe.step
+    )
+
+    def jump_decoupled(*args):
+        jumps.append(1)
+        return real_jump(*args)
+
+    def advance(*args):
+        (probed if probing else unprobed).append(1)
+        return real_advance(*args)
+
+    def step(self, tau):
+        probing.append(1)
+        try:
+            return real_step(self, tau)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(rupture, "jump_decoupled", jump_decoupled)
+    monkeypatch.setattr(solver.StepProbe, "step", step)
+    patch_advance(monkeypatch, advance)
+    events, _ = run_with_rupture(cfg, start, max_events=5)
+    assert len(events) == 5 and len(jumps) >= len(events)
+    assert unprobed == []
+    # the located step of each event, and at most one step that does not cross
+    taken = len(probed)
+    assert taken <= 2 * len(events)
+    jumps_after = plain_stepping(monkeypatch)
+    stepped, _ = run_with_rupture(cfg, start, max_events=5)
+    assert jumps_after == [] and len(probed) - taken > 50 * len(events)
+    assert [e.time for e in events] == [e.time for e in stepped]
+    assert [e.reset_intervals for e in events] == [e.reset_intervals for e in stepped]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_a_jump_that_leaves_the_time_where_it_is_is_refused(alpha):
+    # at t = 1e20 an addition of dt = 1e-4 rounds back to t
+    cfg = preset_config("ex1", overrides=(("alpha", alpha),))
+    grid = build_grid(cfg, 64)
+    ops = assemble_operators(grid, cfg)
+    threshold = cfg.eta_c + cfg.numerics.event_tol * cfg.eta_a
+    late = constant_field(grid, cfg.eta_a, 1e20)
+    with pytest.raises(DomainError, match="no longer advance the time"):
+        rupture._jump_to_bound(late, 1e-4, ops, threshold, None)
 
 
 def gap_case(config, n):
@@ -725,7 +783,8 @@ def test_a_gap_pays_one_forward_transform_for_its_jumps(monkeypatch, fft_calls, 
 
 def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
     ops, dt, threshold, state, _ = gap_case(ex1, 256)
-    rate = rupture._change_rate(solver.decoupled_transient(state, ops), dt, ops)
+    drive = ops.load_modes - ops.symbol * np.fft.rfft(state.values)
+    rate = rupture._change_rate(drive, dt, ops)
     assert rate > 0.0
     for c0 in (threshold, threshold - 1e-3):
         assert rupture._spectral_steps(c0, rate, threshold) == 0
@@ -733,6 +792,14 @@ def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
         at = Field(state.grid, state.values - np.min(state.values) + c0, state.time)
         assert rupture._jump_to_bound(at, dt, ops, threshold, None) is None
     assert rupture._spectral_steps(threshold + 1e-3, 0.0, threshold) == sys.maxsize
+
+
+def test_a_rate_too_small_to_divide_by_certifies_every_step():
+    # (c0 - threshold)/rate overflows to inf, whose floor raised
+    # OverflowError; without evaporation the subsolution's fall per step,
+    # -dt*min(load), is such a rate
+    assert rupture._spectral_steps(1e10, 1e-304, 1e-3) == sys.maxsize
+    assert rupture._safe_steps(1e10, -1e-300, 0.0, 1e-4, 1e-3) == sys.maxsize
 
 
 @pytest.mark.parametrize("wobble", [0.0, 1e-15])
@@ -745,15 +812,17 @@ def test_start_at_the_fixed_point_jumps_once_and_lands_on_t_end(monkeypatch, wob
     rng = np.random.default_rng(3)
     at_rest = Field(grid, ops.fixed_point * (1.0 + wobble * rng.standard_normal(grid.n)))
     moves = []
-    for module, name in ((rupture, "advance"), (solver, "advance"), (rupture, "jump_decoupled")):
-        real = getattr(module, name)
 
-        def counted(*args, real=real, name=name):
+    def counted(real, name):
+        def move(*args):
             moves.append(name)
             assert len(moves) < 100, "the run loops"
             return real(*args)
 
-        monkeypatch.setattr(module, name, counted)  # solver's: the probe's checked step
+        return move
+
+    patch_advance(monkeypatch, counted(solver.advance, "advance"))
+    monkeypatch.setattr(rupture, "jump_decoupled", counted(rupture.jump_decoupled, "jump_decoupled"))
     events, final = run_with_rupture(cfg, at_rest, t_end=1.0)
     assert events == [] and final.time == 1.0
     assert moves.count("jump_decoupled") == 1 and moves.count("advance") <= 3

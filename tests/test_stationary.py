@@ -108,6 +108,41 @@ def test_quadratic_branch_zero_forcing():
     assert np.max(np.abs(stationary.eval_stationary(profile, xs))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "junctions, strengths",
+    [((0.1, 0.6, 0.9), (1.0, 1.0, 1.0)), ((0.1, 0.3, 0.9), (0.5, 1.0, 1.5))],
+    ids=["ex1", "uneven"],
+)
+def test_quadratic_branch_with_several_junctions(ex1, junctions, strengths):
+    # offset 3 is the mass-conserving choice for both strength sets
+    cfg = replace(ex1, alpha=0.0, junctions=junctions, jump_strengths=strengths)
+    sigma, scaled, offset = effective_parameters(cfg)
+    profile = stationary.solve_stationary_alpha0(cfg)
+    k = len(junctions)
+    for j, c in enumerate(scaled):
+        assert stationary.junction_slope_jump(profile, j) == pytest.approx(-c / sigma, abs=1e-13)
+    # continuous at every junction: the start of interval j is the end of j - 1
+    left = (np.arange(k) - 1) % k
+    ends, _, _ = stationary._pieces(profile, left, profile.lengths[left])
+    starts, _, _ = stationary._pieces(profile, np.arange(k), np.zeros(k))
+    assert np.max(np.abs(starts - ends)) <= 1e-14
+    xs = np.random.default_rng(5).uniform(0.0, cfg.omega, 1000)
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(junctions)[None, :]), axis=1) > 1e-6]
+    assert np.max(np.abs(stationary.ode_residual(profile, xs))) <= 1e-12 * (1.0 + abs(offset))
+    assert stationary.profile_mean(profile) == pytest.approx(0.0, abs=1e-14)
+    bounds = list(junctions) + [junctions[0] + cfg.omega]
+    interior = 0
+    for j, (lo, hi) in enumerate(stationary.interval_extrema(profile)):
+        xs = np.linspace(bounds[j], bounds[j + 1], 20001) % cfg.omega
+        values = stationary.eval_stationary(profile, xs)
+        # exact extrema bound every sample, and sampling finds them to 1e-8
+        assert lo <= np.min(values) + 1e-14 and np.max(values) <= hi + 1e-14
+        assert lo == pytest.approx(float(np.min(values)), abs=1e-8)
+        assert hi == pytest.approx(float(np.max(values)), abs=1e-8)
+        interior += lo < min(values[0], values[-1]) - 1e-6  # the parabola's vertex
+    assert interior >= 1
+
+
 def test_branch_routing():
     with pytest.raises(UnsupportedError):
         stationary.solve_stationary(single_junction_config(alpha=0.0))
