@@ -231,23 +231,28 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     """Step count after which a decoupled run from ``state`` stays above
     ``threshold`` for good, or ``None`` when this bound does not show it.
 
-    One step maps ``x`` to ``P x + dt P load``, with ``P = (I/dt + sigma K +
-    alpha I)^-1 / dt`` nonnegative and of row sums ``q = 1/(1 + alpha*dt)``.
-    About a base ``b`` that a step carries to itself or above, ``v = x - b``
-    goes to ``P v``, so after ``k`` steps every node is at least ``min b +
-    min(v)*q**k``.  With ``alpha > 0`` the base is the fixed point ``x*``,
-    and a state whose constant subsolution never falls below ``threshold``
-    settles at once.  With ``alpha = 0`` and ``mean(load) >= 0`` it is the
-    zero-mean shape ``s`` with rfft modes ``l_k/symbol_k``, which a step
-    lifts by ``dt*mean(load)``, and ``q = 1``, so the bound ``min s + min(x
-    - s)`` holds from the start or never.
+    A state whose constant subsolution never falls below ``threshold``
+    settles at once.  Else, one step maps ``x`` to ``P x + dt P load``, with
+    ``P = (I/dt + sigma K + alpha I)^-1 / dt`` nonnegative and of row sums
+    ``q = 1/(1 + alpha*dt)``.  About a base ``b`` that a step carries to
+    itself or above, ``v = x - b`` goes to ``P v``, so after ``k`` steps
+    every node is at least ``min b + min(v)*q**k``.  With ``alpha > 0`` the
+    base is the fixed point ``x*``.  With ``alpha = 0`` and ``mean(load) >=
+    0`` it is the zero-mean shape ``s`` with rfft modes ``l_k/symbol_k``,
+    which a step lifts by ``dt*mean(load)``, and ``q = 1``, so after ``k``
+    steps every node is at least ``min s + min(x - s) + k*dt*mean(load)``;
+    the count takes the roundoff off ``mean(load)``, so a mean within it of
+    0 lifts nothing, and the bound holds from the start or never.
     """
     values = state.values
+    safe = _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold)
+    # at alpha = 0 the count also saturates for a subsolution that falls slowly
+    if safe == sys.maxsize and (ops.alpha > 0.0 or ops.load_min >= 0.0):
+        return 0
+    mean = float(np.mean(ops.load))
     if ops.alpha > 0.0:
-        if _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold) == sys.maxsize:
-            return 0
         base, scale = ops.fixed_point, _roundoff_scale(state, ops)
-    elif float(np.mean(ops.load)) >= 0.0:
+    elif mean >= 0.0:
         modes = np.zeros_like(ops.load_modes)
         modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
         base = np.fft.irfft(modes, ops.grid.n)
@@ -257,7 +262,11 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     margin = float(np.min(base)) - threshold - _JUMP_TOL * scale
     dip = -float(np.min(values - base))
     if ops.alpha == 0.0:
-        return 0 if dip <= margin else None
+        if dip <= margin:
+            return 0
+        lift = dt * (mean - _JUMP_TOL * float(np.max(np.abs(ops.load))))
+        quotient = (dip - margin) / lift if lift > 0.0 else math.inf
+        return math.ceil(quotient) if quotient < sys.maxsize else None
     if not margin > 0.0:
         return None
     return 0 if dip <= margin else math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))

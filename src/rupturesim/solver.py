@@ -23,14 +23,15 @@ step is lower-triangular per mode: the bundle's per-mode tables give
 the thickness after each step of a 16-step chunk, one batched inverse
 transform per chunk gives their minima, and only the state before the last
 step taken returns to real space, from which ``advance`` takes and checks
-that step; it hands out the modes of the state it reaches too.  Each step
-forms its right sides' modes from the state's modes: a caller that holds
-them passes them to ``advance``, whose solves then take no forward
-transform and keep their checks, and without them the step transforms the
-state once.  ``StepProbe`` owns what one step of any size from a state
-of either kind does, from the state's modes (one forward transform when
-none are given): it takes the step in rfft modes with the arithmetic of
-those solves, so its minimum thickness is bit for bit that of ``advance``
+that step; it hands out the modes of the state it reaches too.  One
+per-mode step, ``_step_modes``, serves both state kinds: the checked
+steps' solves only transform its modes back and check them, and the
+probe's trials, the coupled tables and the coupled rebuild take it too, so
+all of them agree bit for bit.  A caller that holds a state's modes passes
+them to ``advance``, which then takes no forward transform.  ``StepProbe``
+owns what one step of any size from a state of either kind does, from the
+state's modes (one forward transform when none are given): its minimum
+thickness is bit for bit that of ``advance``
 from the same modes; it bounds a step from how far it moves each mode of
 the thickness, with a slack for the roundoff of ``advance``, without
 taking it; and it takes the checked step that hands a state out.  These
@@ -203,27 +204,27 @@ class Operators:
         built once per step size.
 
         ``rows[0..2, j]`` give the thickness after ``j + 1`` steps as
-        ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]*l`` in terms of the start
+        ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]`` in terms of the start
         modes; ``ends`` gives the height after the whole chunk as
-        ``ends[0]*h + ends[1]*l`` and the surface as ``ends[2]*zeta +
-        ends[3]*h + ends[4]*l``.  They come from the step recursion
-        :func:`_coupled_step` itself, run on unit inputs in float64, and not
-        from a closed form in powers of the two step factors, which divides
-        by their difference where they meet.
+        ``ends[0]*h + ends[1]`` and the surface as ``ends[2]*zeta +
+        ends[3]*h + ends[4]``.  They come from the step :func:`_step_modes`
+        itself, run on unit inputs in float64, and not from a closed form in
+        powers of the two step factors, which divides by their difference
+        where they meet; the load's columns ``rows[2]``, ``ends[1]`` and
+        ``ends[4]`` are then multiplied by the height load's modes.
         """
-        n = self.grid.n
-        inverse_h = _inverse_symbol(n, *self.height_matrix(dt))
-        inverse_z = _inverse_symbol(n, *self.thickness_matrix(dt))
-        # unit inputs (zeta, h, l) = e_0, e_1, e_2, one per row
-        h = np.zeros((3, inverse_h.size))
-        z = np.zeros_like(h)
-        h[1] = z[0] = 1.0
-        load = np.array([[0.0], [0.0], [1.0]])
-        rows = np.empty((3, _CHUNK, h.shape[1]))
+        # unit inputs: row 0 starts from zeta = 1, row 1 from h = 1, and
+        # row 2 from zero with a unit load
+        pair = np.zeros((2, 3, 2 * (self.grid.n // 2 + 1)))
+        pair[0, 1] = pair[1, 0] = 1.0
+        unit = np.array([[0.0], [0.0], [1.0]])
+        rows = np.empty((3, _CHUNK, pair.shape[2]))
         for j in range(_CHUNK):
-            h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, self.alpha)
-            rows[:, j] = z - h
-        ends = np.stack((h[1], h[2], z[0], z[1], z[2]))
+            pair = _step_modes(pair, dt, self, unit)
+            rows[:, j] = pair[1] - pair[0]
+        (h, z), load = pair, self.height_load_modes.view(np.float64)
+        rows[2] *= load
+        ends = np.stack((h[1], h[2] * load, z[0], z[1], z[2] * load))
         rows.flags.writeable = ends.flags.writeable = False
         return rows, ends
 
@@ -346,9 +347,9 @@ def solve_periodic_tridiagonal(
     The matrix is circulant, so mode ``k`` of the solution is mode ``k`` of
     ``rhs`` divided by the eigenvalue ``shift + stiffness*s_k``; for the
     step matrices both terms are nonnegative, so their sum cancels no
-    digits.  A caller that holds the rfft modes of ``rhs`` passes them as
-    ``modes``, which are then scaled in place into the solution's modes
-    instead of transforming ``rhs``.  Every solution is checked against the
+    digits.  A step that has already formed the solution's modes per mode
+    (:func:`_step_modes`) passes them as ``modes``; the solve then only
+    transforms them back.  Every solution is checked against the
     original system: a residual above ``1e-12 * |diag| * ||x||``, with
     ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
     independent of the grid size) raises :class:`LinearSolveError`; it
@@ -358,8 +359,8 @@ def solve_periodic_tridiagonal(
     n = rhs.shape[0]
     if modes is None:
         modes = np.fft.rfft(rhs)
-    parts = modes.view(np.float64)
-    parts *= _inverse_symbol(n, shift, stiffness)
+        parts = modes.view(np.float64)
+        parts *= _inverse_symbol(n, shift, stiffness)
     x = np.fft.irfft(modes, n)
     _check_solution(shift, stiffness, x, rhs)
     return x
@@ -385,16 +386,14 @@ def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarr
 def step_decoupled(
     state: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
 ) -> Field:
-    """One backward-Euler step of the reduced thickness equation.  The right
-    side's modes are formed from the rfft modes of ``state``: ``modes`` if
-    given, else one transform of ``state``."""
-    shift, stiffness = ops.thickness_matrix(dt)
+    """One backward-Euler step of the reduced thickness equation.  The new
+    modes come from :func:`_step_modes`, applied to the rfft modes of
+    ``state``: ``modes`` if given, else one transform of ``state``."""
     if modes is None:
         modes = np.fft.rfft(state.values)
-    parts = modes.view(np.float64) / dt
-    parts += ops.load_modes.view(np.float64)
+    (parts,) = _step_modes(modes.reshape(1, -1).view(np.float64), dt, ops)
     rhs = state.values / dt + ops.load
-    values = solve_periodic_tridiagonal(shift, stiffness, rhs, parts.view(complex))
+    values = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, parts.view(complex))
     return Field(state.grid, values, state.time + dt)
 
 
@@ -480,37 +479,41 @@ def step_coupled(
     The height equation is autonomous and is advanced first; the surface
     equation then uses the fresh height in its relaxation term, so the
     splitting introduces no error into the height and only a first-order
-    term into the surface.  Both right sides' modes are formed as
-    :func:`_coupled_step` forms them, from the rfft modes of ``h`` and
-    ``zeta`` as two rows: ``modes`` if given, else one transform of both.
+    term into the surface.  The new modes of both come from
+    :func:`_step_modes`, applied to the rfft modes of ``h`` and ``zeta`` as
+    two rows: ``modes`` if given, else one transform of both.
     """
     if modes is None:
         modes = np.fft.rfft(np.stack((h.values, zeta.values)))
-    h_parts, z_parts = modes.view(np.float64) / dt
-    h_parts -= ops.height_load_modes.view(np.float64)
-    h_new = solve_periodic_tridiagonal(
-        *ops.height_matrix(dt), h.values / dt - ops.height_load, h_parts.view(complex)
-    )
-    z_parts += ops.alpha * h_parts  # h_parts now hold the new height's modes
-    z_new = solve_periodic_tridiagonal(
-        *ops.thickness_matrix(dt), zeta.values / dt + ops.alpha * h_new, z_parts.view(complex)
-    )
+    h_parts, z_parts = _step_modes(modes.view(np.float64), dt, ops).view(complex)
+    rhs = h.values / dt - ops.height_load
+    h_new = solve_periodic_tridiagonal(*ops.height_matrix(dt), rhs, h_parts)
+    rhs = zeta.values / dt + ops.alpha * h_new
+    z_new = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, z_parts)
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
 
-def _coupled_step(h, z, load, inverse_h, inverse_z, tau, alpha):
-    """One backward-Euler step of the height/surface pair per rfft mode:
-    ``h' = a (h/tau - l)``, then ``zeta' = b (zeta/tau + alpha h')``, with
-    ``a`` and ``b`` the reciprocal eigenvalues of the height and the
-    thickness step matrices and ``l`` the height load.  It broadcasts, keeps
-    the float type of its inputs and leaves them unchanged, so the kernel's
-    tables, the state it hands out and the coupled trials take this step."""
-    h = h / tau
-    np.multiply(np.subtract(h, load, out=h), inverse_h, out=h)
-    z = z / tau
-    np.multiply(np.add(z, alpha * h, out=z), inverse_z, out=z)
-    return h, z
+def _step_modes(
+    rows: np.ndarray, tau: float, ops: Operators, load: np.ndarray | None = None
+) -> np.ndarray:
+    """One backward-Euler step of ``tau`` per rfft mode, in the interleaved
+    float layout of :func:`_inverse_symbol`, as a fresh array: of one
+    thickness row ``x``, ``x' = b (x/tau + l)``, or of the height/surface
+    pair ``(h, zeta)``, ``h' = a (h/tau - l)``, then ``zeta' = b (zeta/tau +
+    alpha h')``, with ``a`` and ``b`` the reciprocal eigenvalues of the
+    height and the thickness step matrices and ``l`` the bundle's load of
+    the state's kind, or ``load``, which broadcasts against the rows."""
+    out = np.divide(rows, tau)
+    if len(out) == 1:
+        out += ops.load_modes.view(np.float64) if load is None else load
+    else:
+        h, z = out
+        h -= ops.height_load_modes.view(np.float64) if load is None else load
+        h *= _inverse_symbol(ops.grid.n, *ops.height_matrix(tau))
+        z += ops.alpha * h
+    out[-1] *= _inverse_symbol(ops.grid.n, *ops.thickness_matrix(tau))
+    return out
 
 
 # steps per chunk of jump_coupled: one batched inverse transform of this many
@@ -525,14 +528,14 @@ def jump_coupled(
     """Up to ``steps`` backward-Euler steps of the height/surface pair at
     once, stopping before the first whose thickness is at or below ``eta_c``.
 
-    Per rfft mode the coupled step (:func:`_coupled_step`) is
+    Per rfft mode the coupled step (:func:`_step_modes`) is
     lower-triangular, so the whole gap runs in mode space from one forward
     transform: per chunk of ``_CHUNK`` steps the bundle's tables
     (:meth:`Operators.coupled_tables`, built by the same step in float64)
     give the thickness modes after every step, one batched inverse transform
     gives their minima, and the chunk-end coefficients move the chunk base
     on.  The modes of the state before the
-    last step taken are rebuilt from their chunk base by the step recursion
+    last step taken are rebuilt from their chunk base by the same step
     and transformed back, and :func:`advance` takes and checks the last step
     from them; the minimum thickness of the state it hands out must match
     the one tested for that step up to roundoff.  Returns the number of
@@ -549,10 +552,8 @@ def jump_coupled(
     n = grid.n
     rows, ends = ops.coupled_tables(dt)
     h, z = np.fft.rfft(np.stack((state.h.values, state.zeta.values))).view(np.float64)
-    load = ops.height_load_modes.view(np.float64)
     eta = np.empty((_CHUNK, n // 2 + 1), dtype=complex)
     eta_rows, product = eta.view(np.float64), np.empty((_CHUNK, h.size))
-    loaded = rows[2] * load  # the load's part of every chunk
     # base and previous: (step, h, zeta) modes at the start of this chunk and
     # of the one before; low: the tested thickness minimum after step done
     done, low = 0, math.nan
@@ -562,7 +563,7 @@ def jump_coupled(
         out, tmp = eta_rows[:count], product[:count]
         np.multiply(rows[0, :count], z, out=out)
         out += np.multiply(rows[1, :count], h, out=tmp)
-        out += loaded[:count]
+        out += rows[2, :count]
         lows = np.fft.irfft(eta[:count], n).min(axis=1)
         if not np.isfinite(lows).all():
             raise LinearSolveError("coupled step gave a non-finite thickness")
@@ -578,21 +579,19 @@ def jump_coupled(
         if done == steps:
             taken = done
             break
-        h, z = ends[0] * h + ends[1] * load, ends[2] * z + ends[3] * h + ends[4] * load
+        h, z = ends[0] * h + ends[1], ends[2] * z + ends[3] * h + ends[4]
         previous, base = base, (done, h, z)
     if taken == 0:
         return 0, state, np.stack((h, z)).view(complex)
 
     # rebuild steps taken - 1 and taken from the base of the chunk that
-    # holds step taken - 1, by the step recursion; advance takes step taken
-    # again from the modes of step taken - 1, with the same arithmetic
+    # holds step taken - 1, by the same step; advance takes step taken
+    # again from the modes of step taken - 1
     origin, h, z = base if base[0] < taken else previous
-    inverse_h = _inverse_symbol(n, *ops.height_matrix(dt))
-    inverse_z = _inverse_symbol(n, *ops.thickness_matrix(dt))
+    pair = np.stack((h, z))
     for _ in range(taken - origin):
-        h_prev, z_prev = h, z
-        h, z = _coupled_step(h, z, load, inverse_h, inverse_z, dt, ops.alpha)
-    modes = np.stack((h_prev, z_prev)).view(complex)
+        pair_prev, pair = pair, _step_modes(pair, dt, ops)
+    modes = pair_prev.view(complex)
     h_prev, z_prev = np.fft.irfft(modes, n)
     time = _time_after(state.time, taken - 1, dt)
     before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
@@ -603,7 +602,7 @@ def jump_coupled(
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
-    return taken, state, np.stack((h, z)).view(complex)
+    return taken, state, pair.view(complex)
 
 
 def advance(
@@ -647,11 +646,9 @@ class StepProbe:
     ``modes`` are the state's rfft modes as :func:`advance` takes them (for
     a coupled state, those of ``h`` and ``zeta`` as two rows); only when
     none are given is ``pre`` transformed here, once.  :meth:`minimum_after`
-    takes the step per mode with the arithmetic of the solves of
-    :func:`advance` (reciprocal eigenvalues from :func:`_inverse_symbol`, a
-    coupled step by :func:`_coupled_step`, whose ``h`` and ``zeta`` rows are
-    inverted before their difference is taken, as :attr:`CoupledState.eta`
-    takes it), so its minimum is bit for bit that of :meth:`step`.
+    takes the step by :func:`_step_modes` and inverts a coupled step's ``h``
+    and ``zeta`` rows before their difference, as :attr:`CoupledState.eta`
+    takes it, so its minimum is bit for bit that of :meth:`step`.
 
     A step of ``tau`` moves rfft mode ``k`` of the thickness by exactly
     ``tau*q_k(tau)``, and :meth:`change` gives ``q_k(tau)`` for the first
@@ -704,7 +701,6 @@ class StepProbe:
             modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
         self.pre, self.ops, self.modes = pre, ops, modes
         self._rows = modes.reshape(len(inputs), -1).view(np.float64)
-        self._load_modes = (ops.height_load_modes if coupled else ops.load_modes).view(np.float64)
 
         symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
         if coupled:
@@ -744,15 +740,9 @@ class StepProbe:
 
     def minimum_after(self, tau: float) -> float:
         """The minimum thickness after the step of ``tau``, unchecked."""
-        ops, n = self.ops, self.ops.grid.n
-        inverse = _inverse_symbol(n, *ops.thickness_matrix(tau))
-        if self._u is None:
-            parts = (self._rows[0] / tau + self._load_modes) * inverse
-            return float(np.fft.irfft(parts.view(complex), n).min())
-        inverse_h = _inverse_symbol(n, *ops.height_matrix(tau))
-        rows = _coupled_step(*self._rows, self._load_modes, inverse_h, inverse, tau, ops.alpha)
-        h, zeta = np.fft.irfft(np.stack(rows).view(complex), n)
-        return float(np.min(zeta - h))
+        rows = _step_modes(self._rows, tau, self.ops).view(complex)
+        values = np.fft.irfft(rows, self.ops.grid.n)
+        return float(np.min(values[1] - values[0]) if len(values) == 2 else values[0].min())
 
     def change(self, tau: float, count: int) -> np.ndarray:
         """``q_k(tau)`` for the first ``count`` modes of the thickness."""

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -313,13 +314,25 @@ def test_simulate_refuses_a_run_without_evaporation_that_cannot_rupture(tmp_path
     # alpha = 0 with a zero mean load: the mean stays put and the state stays
     # above min s + min(x - s), with s the zero-mean shape, so without an end
     # time these would run forever; at eta_a = 0.14 a Fourier bound on the
-    # transient about s is negative, and only this one refuses the run
-    for eta_a in ("0.3", "0.14"):
-        args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", f"eta_a={eta_a}",
-                "--max-events", "1", "--out", str(tmp_path / eta_a)]
+    # transient about s is negative, and only this one refuses the run.
+    # Under a positive mean load every step lifts that bound by
+    # dt*mean(load), so the state clears the threshold for good after a
+    # counted number of steps; without that count the forcing_offset runs
+    # jumped the clock to t = 1.1e12 and ended on steps that no longer
+    # advanced it.  A mean load that rises more slowly still ruptures first
+    for override in ("eta_a=0.3", "eta_a=0.14", "forcing_offset=0", "forcing_offset=1"):
+        args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", override,
+                "--max-events", "1", "--out", str(tmp_path / override)]
         child = run_child("-m", "rupturesim.cli", *args, timeout=30)
         assert child.returncode == 2, child.stderr
         assert "--t-end" in child.stderr
+        assert "Traceback" not in child.stderr
+    out = tmp_path / "rupturing"
+    args = ["simulate", "--preset", "ex1", "--set", "alpha=0", "--set", "forcing_offset=2.9",
+            "--max-events", "1", "--out", str(out)]
+    child = run_child("-m", "rupturesim.cli", *args, timeout=30)
+    assert child.returncode == 0, child.stderr
+    assert len((out / "events.jsonl").read_text().splitlines()) == 1
 
 
 def test_simulate_to_a_distant_end_time_finishes(tmp_path):
@@ -396,6 +409,39 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
     assert child.returncode != 1 or child.stderr.startswith("model violation:"), child.stderr
     assert "Traceback" not in child.stderr
     assert "Warning" not in child.stderr
+
+
+# one --set override per run: an edge value on a model parameter, or a
+# grid too small for the junctions to sit on distinct nodes.  find-periodic,
+# verify, runs without --t-end and numerics.dt overrides are left out: they
+# hold the rows of ROADMAP item D that still hang (coupled runs that cannot
+# rupture, eta_a = 1e300 searches, a clock that stops in a coupled gap) or
+# take minutes (sigma2 = 1e12 and above without an end time)
+fuzzed_overrides = st.one_of(
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(("sigma1", "sigma2", "tau", "alpha", "eta_c", "eta_a",
+                         "forcing_offset", "omega")),
+        st.sampled_from(("1e-300", "1e300", "-0.0", "1e-12", "1e12")),
+    ),
+    st.sampled_from((4, 5, 7)).map("numerics.grid_points={}".format),
+)
+fuzzed_commands = st.sampled_from((["bounds"], ["stationary"], ["simulate", "--t-end", "0.05"]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(PRESETS)), fuzzed_commands, fuzzed_overrides)
+def test_fuzzed_overrides_end_in_a_documented_exit_code(preset, command, override):
+    # each run in a child process under a timeout, so that a hang fails
+    # the example instead of the suite
+    with tempfile.TemporaryDirectory() as out:
+        args = [command[0], "--preset", preset, "--set", override, *command[1:], "--out", out]
+        child = run_child("-m", "rupturesim.cli", *args, timeout=20)
+    assert child.returncode in (0, 1, 2, 3), child.stderr
+    assert "Traceback" not in child.stderr
+    assert child.returncode != 1 or any(
+        message in child.stderr for message in ("model violation", "verify:")
+    ), child.stderr
 
 
 @pytest.mark.parametrize(

@@ -328,22 +328,27 @@ def test_coupled_gap_hands_out_the_minimum_it_tested(ex3, monkeypatch):
 def test_coupled_tables_are_the_float64_step_recursion(ex3):
     # each chunk of a gap reuses these coefficients: they are the coupled
     # step itself on unit inputs, in the float64 arithmetic of every other
-    # step, whatever extended precision the platform offers
+    # step, whatever extended precision the platform offers, with the load's
+    # columns then multiplied by the height load's modes
     grid = build_grid(ex3, 64)
     ops = assemble_operators(grid, ex3)
     dt = ex3.numerics.dt
     rows, ends = ops.coupled_tables(dt)
-    inverse_h = solver._inverse_symbol(grid.n, *ops.height_matrix(dt))
-    inverse_z = solver._inverse_symbol(grid.n, *ops.thickness_matrix(dt))
-    one, zero = np.ones(inverse_h.size), np.zeros(inverse_h.size)
+    size = 2 * (grid.n // 2 + 1)
+    one, zero = np.ones(size), np.zeros(size)
+    load = ops.height_load_modes.view(np.float64)
     chunk_ends = []
-    for row, (z, h, load) in enumerate([(one, zero, zero), (zero, one, zero), (zero, zero, one)]):
+    for row, (z, h, unit) in enumerate([(one, zero, zero), (zero, one, zero), (zero, zero, one)]):
+        pair = np.stack((h, z))
         for j in range(solver._CHUNK):
-            h, z = solver._coupled_step(h, z, load, inverse_h, inverse_z, dt, ops.alpha)
-            assert np.array_equal(rows[row, j], z - h)
-        chunk_ends.append((h, z))
+            pair = solver._step_modes(pair, dt, ops, unit)
+            thickness = pair[1] - pair[0]
+            assert np.array_equal(rows[row, j], thickness * load if row == 2 else thickness)
+        chunk_ends.append(pair)
     (_, z_of_z), (h_of_h, z_of_h), (h_of_l, z_of_l) = chunk_ends
-    assert np.array_equal(ends, np.stack((h_of_h, h_of_l, z_of_z, z_of_h, z_of_l)))
+    assert np.array_equal(
+        ends, np.stack((h_of_h, h_of_l * load, z_of_z, z_of_h, z_of_l * load))
+    )
 
 
 def test_evolve_to_current_time_is_identity():

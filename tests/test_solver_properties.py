@@ -351,8 +351,10 @@ def zero_mean_shape(ops):
 @given(evaporation_free_parameters, seeds, st.floats(1e-6, 1.0))
 def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, depth):
     # with alpha = 0 the step is nonnegative with row sums 1 and lifts the
-    # zero-mean shape s by dt*mean(load) >= 0, so no later state falls below
-    # min s + min(x - s); a start on s plus a constant sits on that bound
+    # zero-mean shape s by dt*mean(load) >= 0, so after k steps no state
+    # falls below min s + min(x - s) + k*dt*mean(load); a start on s plus a
+    # constant sits on that bound.  A mean load within roundoff of 0 lifts
+    # nothing
     n, dt, sigma, strengths, mean_load, kind = params
     ops = operators(n, sigma, 0.0, strengths, math.fsum(strengths) - mean_load)
     shape = zero_mean_shape(ops)
@@ -360,10 +362,24 @@ def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, 
     start = Field(ops.grid, noise if kind == "noise" else shape + noise[0])
     bound = float(np.min(shape) + np.min(start.values - shape))
     scale = max(np.max(np.abs(start.values)), np.max(np.abs(shape)))
-    gap = depth * (scale + 1.0)
-    assert rupture._settle_steps(start, dt, ops, bound + gap) is None
+    # Python floats, as the run passes them
+    gap = depth * (float(scale) + 1.0)
+    threshold, mean = bound + gap, float(np.mean(ops.load))
+    settle = rupture._settle_steps(start, dt, ops, threshold)
+    if mean <= JUMP_TOL * np.max(np.abs(ops.load)):
+        assert settle is None
+    else:
+        # the lift, or the constant subsolution, reaches the threshold by
+        # step settle, and plain steps from there stay above it
+        subsolution = np.min(start.values) + settle * dt * ops.load_min
+        assert max(bound + settle * dt * mean, subsolution) >= threshold
+        state = jump_decoupled(start, settle, dt, ops)[0] if settle else start
+        scale = max(scale, np.max(np.abs(state.values)))
+        for _ in range(50):
+            assert np.min(state.values) >= threshold - JUMP_TOL * scale
+            state = advance(state, dt, ops)
     settle = rupture._settle_steps(start, dt, ops, bound - gap)
-    if np.mean(ops.load) < 0.0:
+    if mean < 0.0:
         assert settle is None
         return
     assert settle == 0
