@@ -19,15 +19,16 @@ hands out the rfft modes of the state it makes, so a chain of jumps pays
 one forward transform and one inverse transform per jump, and it skips the
 per-mode factors that would underflow.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
-step is lower-triangular per mode: the bundle's per-mode tables give
-the thickness after each step of a 16-step chunk, one batched inverse
-transform per chunk gives their minima, and only the state before the last
-step taken returns to real space, from which ``advance`` takes and checks
-that step; it hands out the modes of the state it reaches too.  One
-per-mode step, ``_step_modes``, serves both state kinds: the checked
-steps' solves only transform its modes back and check them, and the
-probe's trials, the coupled tables and the coupled rebuild take it too, so
-all of them agree bit for bit.  A caller that holds a state's modes passes
+step is lower-triangular per mode: per 16-step chunk one product with the
+bundle's per-mode tables gives the thickness after each step and one
+batched inverse transform their minima, and the chunk base moves on as the
+last thickness plus the height from the tables.  Only the state before the
+last step taken returns to real space, formed in the same way from the
+tested thickness, and ``advance`` takes and checks that step from it; it
+hands out the modes of the state it reaches too.  One per-mode step,
+``_step_modes``, serves both state kinds: the checked steps' solves only
+transform its modes back and check them, and the probe's trials and the
+coupled tables take it too, so all of them agree bit for bit.  A caller that holds a state's modes passes
 them to ``advance``, which then takes no forward transform.  ``StepProbe``
 owns what one step of any size from a state of either kind does, from the
 state's modes (one forward transform when none are given): its minimum
@@ -205,13 +206,13 @@ class Operators:
 
         ``rows[0..2, j]`` give the thickness after ``j + 1`` steps as
         ``rows[0, j]*zeta + rows[1, j]*h + rows[2, j]`` in terms of the start
-        modes; ``ends`` gives the height after the whole chunk as
-        ``ends[0]*h + ends[1]`` and the surface as ``ends[2]*zeta +
-        ends[3]*h + ends[4]``.  They come from the step :func:`_step_modes`
-        itself, run on unit inputs in float64, and not from a closed form in
-        powers of the two step factors, which divides by their difference
-        where they meet; the load's columns ``rows[2]``, ``ends[1]`` and
-        ``ends[4]`` are then multiplied by the height load's modes.
+        modes, and ``heights[0..1, j]`` the height after them as
+        ``heights[0, j]*h + heights[1, j]``; the surface is their sum.  They
+        come from the step :func:`_step_modes` itself, run on unit inputs in
+        float64, and not from a closed form in powers of the two step
+        factors, which divides by their difference where they meet; the
+        load's columns ``rows[2]`` and ``heights[1]`` are then multiplied by
+        the height load's modes.
         """
         # unit inputs: row 0 starts from zeta = 1, row 1 from h = 1, and
         # row 2 from zero with a unit load
@@ -219,14 +220,16 @@ class Operators:
         pair[0, 1] = pair[1, 0] = 1.0
         unit = np.array([[0.0], [0.0], [1.0]])
         rows = np.empty((3, _CHUNK, pair.shape[2]))
+        heights = np.empty((2, _CHUNK, pair.shape[2]))
         for j in range(_CHUNK):
             pair = _step_modes(pair, dt, self, unit)
             rows[:, j] = pair[1] - pair[0]
-        (h, z), load = pair, self.height_load_modes.view(np.float64)
+            heights[:, j] = pair[0, 1:]  # the height does not depend on zeta
+        load = self.height_load_modes.view(np.float64)
         rows[2] *= load
-        ends = np.stack((h[1], h[2] * load, z[0], z[1], z[2] * load))
-        rows.flags.writeable = ends.flags.writeable = False
-        return rows, ends
+        heights[1] *= load
+        rows.flags.writeable = heights.flags.writeable = False
+        return rows, heights
 
     @functools.cached_property
     def load_min(self) -> float:
@@ -282,16 +285,30 @@ def _load_vector(
 @functools.lru_cache(maxsize=8)
 def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
     """The operator bundle of one grid and configuration, built once and
-    shared by every run on them, such as the return maps of an orbit search;
-    a load that is not finite raises :class:`DomainError`."""
+    shared by every run on them, such as the return maps of an orbit search.
+    A load that is not finite raises :class:`DomainError`, and so does, in
+    coupled mode, a mean height load whose product with the larger step
+    stiffness overflows: the checks of the coupled solves would overflow
+    within about a unit of time."""
     sigma_eff, strengths_eff, offset_eff = effective_parameters(config)
     with np.errstate(over="ignore", invalid="ignore"):
         load = _load_vector(grid, config.junctions, strengths_eff, offset_eff)
         height_load = _load_vector(
             grid, config.junctions, config.jump_strengths, config.forcing_offset
         ) / config.tau
+        # the mean height has no restoring term: a coupled run moves it by
+        # minus the mean height load per unit of time, and the check of each
+        # coupled solve multiplies it by the stiffness of a step matrix
+        drift = -np.mean(height_load)
+        stiffness = max(config.sigma1 / config.tau, sigma_eff) / grid.dx**2
+        growth = stiffness * abs(drift)
     if not (np.isfinite(load).all() and np.isfinite(height_load).all()):
         raise DomainError(f"the nodal load is not finite on the grid of spacing {grid.dx:g}")
+    if config.mode == "coupled" and not np.isfinite(growth):
+        raise DomainError(
+            f"the mean height moves by {drift:g} per unit time, too fast for the "
+            f"coupled solves' checks at the step stiffness {stiffness:g}"
+        )
     load.flags.writeable = height_load.flags.writeable = False
     return Operators(
         grid=grid,
@@ -517,8 +534,8 @@ def _step_modes(
 
 
 # steps per chunk of jump_coupled: one batched inverse transform of this many
-# thickness rows spreads its overhead, and each further row adds to the
-# cached tables and the working set
+# thickness rows spreads its overhead, and each further row adds five rows to
+# the cached tables and three to the buffers of each call
 _CHUNK = 16
 
 
@@ -530,68 +547,72 @@ def jump_coupled(
 
     Per rfft mode the coupled step (:func:`_step_modes`) is
     lower-triangular, so the whole gap runs in mode space from one forward
-    transform: per chunk of ``_CHUNK`` steps the bundle's tables
-    (:meth:`Operators.coupled_tables`, built by the same step in float64)
-    give the thickness modes after every step, one batched inverse transform
-    gives their minima, and the chunk-end coefficients move the chunk base
-    on.  The modes of the state before the
-    last step taken are rebuilt from their chunk base by the same step
-    and transformed back, and :func:`advance` takes and checks the last step
-    from them; the minimum thickness of the state it hands out must match
-    the one tested for that step up to roundoff.  Returns the number of
-    steps taken (``0``, with ``state`` itself, when the first step crosses),
-    the state, and the rfft modes of its ``h`` and ``zeta`` as two rows,
-    those its solves transformed back.  A non-finite thickness raises
-    :class:`LinearSolveError`.
-    The time advances by repeated additions of ``dt``, so it is
-    bit-identical to stepping.
+    transform.  Per chunk of ``_CHUNK`` steps one product with the bundle's
+    thickness rows (:meth:`Operators.coupled_tables`, built by the same step
+    in float64) gives the thickness modes after every step from the chunk
+    base's ``(zeta, h)``, and one batched inverse transform gives their
+    minima.  The next chunk's base is its last thickness row plus the height
+    from the height rows.  The state before the last step taken is formed in
+    the same way from the tested row of that step, or is a chunk's base, and
+    :func:`advance` takes and checks the last step from its modes; the
+    minimum thickness of the state it hands out must match the one tested
+    for that step up to roundoff.  Returns the number of steps taken (``0``,
+    with ``state`` itself, when the first step crosses), the state, and the
+    rfft modes of its ``h`` and ``zeta`` as two rows, those its solves
+    transformed back.  A non-finite thickness raises
+    :class:`LinearSolveError`.  The time advances by repeated additions of
+    ``dt``, so it is bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     grid = state.h.grid
     n = grid.n
-    rows, ends = ops.coupled_tables(dt)
-    h, z = np.fft.rfft(np.stack((state.h.values, state.zeta.values))).view(np.float64)
-    eta = np.empty((_CHUNK, n // 2 + 1), dtype=complex)
-    eta_rows, product = eta.view(np.float64), np.empty((_CHUNK, h.size))
-    # base and previous: (step, h, zeta) modes at the start of this chunk and
-    # of the one before; low: the tested thickness minimum after step done
-    done, low = 0, math.nan
-    base = previous = (0, h, z)
+    rows, heights = ops.coupled_tables(dt)
+    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values)))
+    # two slots, used by alternate chunks so that the one before stays
+    # readable: bases[s] holds the (zeta, h, 1) modes at the start of the
+    # chunk in slot s, and etas[s] its thickness modes after each step
+    bases = np.empty((2, 3, rows.shape[2]))
+    bases[0, 1], bases[0, 0] = start.view(np.float64)
+    bases[:, 2] = 1.0
+    etas = np.empty((2, _CHUNK, n // 2 + 1), dtype=complex)
+    values = np.empty((_CHUNK, n))
+    # done: steps before this chunk; low: the tested thickness minimum after
+    # the last step of the chunk before
+    done, slot, low = 0, 0, math.nan
     while True:
         count = min(_CHUNK, steps - done)
-        out, tmp = eta_rows[:count], product[:count]
-        np.multiply(rows[0, :count], z, out=out)
-        out += np.multiply(rows[1, :count], h, out=tmp)
-        out += rows[2, :count]
-        lows = np.fft.irfft(eta[:count], n).min(axis=1)
+        base, eta = bases[slot], etas[slot, :count]
+        np.einsum("cjk,ck->jk", rows[:, :count], base, out=eta.view(np.float64))
+        lows = np.fft.irfft(eta, n, out=values[:count]).min(axis=1)
         if not np.isfinite(lows).all():
             raise LinearSolveError("coupled step gave a non-finite thickness")
         crossed = np.flatnonzero(lows <= eta_c)
-        if crossed.size:
-            first = int(crossed[0])
-            taken = done + first
-            if first:
-                low = float(lows[first - 1])
+        first = int(crossed[0]) if crossed.size else count  # steps taken of this chunk
+        if first:
+            low = float(lows[first - 1])
+        if first < count or done + count == steps:
             break
-        done += count
-        low = float(lows[-1])
-        if done == steps:
-            taken = done
-            break
-        h, z = ends[0] * h + ends[1], ends[2] * z + ends[3] * h + ends[4]
-        previous, base = base, (done, h, z)
+        done, slot = done + count, 1 - slot
+        moved = bases[slot]
+        np.multiply(heights[0, -1], base[1], out=moved[1])
+        moved[1] += heights[1, -1]
+        np.add(eta[-1].view(np.float64), moved[1], out=moved[0])
+    taken = done + first
     if taken == 0:
-        return 0, state, np.stack((h, z)).view(complex)
+        return 0, state, start
 
-    # rebuild steps taken - 1 and taken from the base of the chunk that
-    # holds step taken - 1, by the same step; advance takes step taken
-    # again from the modes of step taken - 1
-    origin, h, z = base if base[0] < taken else previous
+    # the state after taken - 1 steps: a chunk's base, or its tested
+    # thickness row plus the height from the height rows; when this chunk's
+    # first step crosses, it lies in the full chunk before
+    if first == 0:
+        slot, first = 1 - slot, _CHUNK
+    z, h = bases[slot, :2]
+    if first > 1:
+        h = heights[0, first - 2] * h + heights[1, first - 2]
+        z = etas[slot, first - 2].view(np.float64) + h
     pair = np.stack((h, z))
-    for _ in range(taken - origin):
-        pair_prev, pair = pair, _step_modes(pair, dt, ops)
-    modes = pair_prev.view(complex)
+    modes = pair.view(complex)
     h_prev, z_prev = np.fft.irfft(modes, n)
     time = _time_after(state.time, taken - 1, dt)
     before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
@@ -602,7 +623,7 @@ def jump_coupled(
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
-    return taken, state, pair.view(complex)
+    return taken, state, _step_modes(pair, dt, ops).view(complex)
 
 
 def advance(

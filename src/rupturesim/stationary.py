@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ModelConfig, effective_parameters
-from .errors import NoSolutionError, SingularSystemError, UnsupportedError
+from .errors import DomainError, NoSolutionError, SingularSystemError, UnsupportedError
 
 _RESIDUAL_TOL = 1.0e-8
 
@@ -89,6 +89,13 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
     lam = math.sqrt(config.alpha / sigma)
     junctions = np.asarray(config.junctions, dtype=float)
     lengths = interval_lengths(junctions, config.omega)
+    if math.exp(-lam * lengths.min()) == 1.0:
+        # the pair of the shortest interval is one function in float64, and
+        # the system is singular
+        raise DomainError(
+            f"evaporation too weak against diffusion for the stationary profile: "
+            f"lam = {lam:g} leaves the two exponentials of an interval equal"
+        )
     matrix, rhs = _jump_system(lam, lengths, strengths, sigma)
     try:
         solution = np.linalg.solve(matrix, rhs)
@@ -216,7 +223,10 @@ def _pieces(profile: StationaryProfile, idx, u) -> tuple[np.ndarray, np.ndarray,
     grow = first * np.exp(-lam * (profile.lengths[idx] - u))
     decay = second * np.exp(-lam * u)
     pair = grow + decay
-    return profile.offset + pair, lam * (grow - decay), lam * lam * pair
+    # the slope and curvature of a profile far steeper than its values may
+    # pass the float range; they are then infinite
+    with np.errstate(over="ignore"):
+        return profile.offset + pair, lam * (grow - decay), lam * lam * pair
 
 
 def eval_stationary(profile: StationaryProfile, x) -> np.ndarray | float:

@@ -1,8 +1,9 @@
-"""Each benchmark workload's seed-0 library call, run and checked as the
-harness under ``perfbench/`` runs and checks it: the invariants of
-``workloads.check`` and the fingerprint stored in ``reference.json``.  A
-change that moves an event time by more than the harness's tolerance fails
-here, not only when the benchmark runs.
+"""Each benchmark workload's library call, run and checked as the harness
+under ``perfbench/`` runs and checks it: at seed 0 the invariants of
+``workloads.check`` and the fingerprint stored in ``reference.json``, and
+at seed 7, a sine start, the invariants alone.  A change that moves an
+event time by more than the harness's tolerance, or that holds only at the
+flat start, fails here, not only when the benchmark runs.
 
 The harness runs in a child interpreter that writes no bytecode, so that
 ``perfbench/`` is left as it is and its modules do not join this process:
@@ -25,25 +26,36 @@ NAMES = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["w
 CHECK = """
 import json, sys
 from pathlib import Path
-perfbench, name, out = sys.argv[1:]
+perfbench, name, seed, out = sys.argv[1:]
 sys.path.insert(0, perfbench)
 from setup_probe import set_up
 from workloads import WORKLOADS, check, initial_spec, library_fingerprint, run_library
-workload = WORKLOADS[name]
-reference = json.loads((Path(perfbench) / "reference.json").read_text())[name]
-config, eta0 = set_up(workload.commands(initial_spec(0), Path(out))[0])
+workload, seed = WORKLOADS[name], int(seed)
+reference = json.loads((Path(perfbench) / "reference.json").read_text())[name] if seed == 0 else None
+config, eta0 = set_up(workload.commands(initial_spec(seed), Path(out))[0])
 fingerprint = library_fingerprint(workload, config, run_library(workload, config, eta0))
 print(json.dumps(check(workload, fingerprint, config, eta0, reference)))
 """
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_seed_zero_library_call_matches_the_reference(name, tmp_path):
+def check_library_call(name, seed, out):
+    """The violations ``workloads.check`` finds in the workload's library
+    call at ``seed``, against the stored reference at seed 0 only."""
     src = str(Path(rupturesim.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     child = subprocess.run(
-        [sys.executable, "-B", "-c", CHECK, str(PERFBENCH), name, str(tmp_path / "out")],
+        [sys.executable, "-B", "-c", CHECK, str(PERFBENCH), name, str(seed), str(out)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert child.returncode == 0, child.stderr
-    assert json.loads(child.stdout.splitlines()[-1]) == []
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_seed_zero_library_call_matches_the_reference(name, tmp_path):
+    assert check_library_call(name, 0, tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_seed_seven_library_call_keeps_the_invariants(name, tmp_path):
+    assert check_library_call(name, 7, tmp_path / "out") == []

@@ -411,6 +411,29 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
     assert "Warning" not in child.stderr
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "--preset", "ex3", "--set", "tau=1e-300", "--t-end", "0.05"], 2),
+        (["stationary", "--preset", "ex1", "--set", "sigma2=1e-300"], 0),
+        (["stationary", "--preset", "ex1", "--set", "sigma2=1e300"], 2),
+        (["stationary", "--preset", "ex1", "--set", "alpha=1e-300"], 2),
+    ],
+    ids=["coupled-tau-1e-300", "stationary-sigma2-1e-300", "stationary-sigma2-1e300",
+         "stationary-alpha-1e-300"],
+)
+def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, code):
+    # a coupled height load of about 1e302 drifted the mean height until
+    # the solves' checks overflowed, with eight warnings and exit 3; the
+    # stationary curvature of a steep profile overflowed with a warning;
+    # and an exponential pair that rounds to one function made the
+    # stationary system singular, exit 3
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == code, child.stderr
+    assert "Traceback" not in child.stderr
+    assert "Warning" not in child.stderr
+
+
 # one --set override per run: an edge value on a model parameter, or a
 # grid too small for the junctions to sit on distinct nodes.  find-periodic,
 # verify, runs without --t-end and numerics.dt overrides are left out: they

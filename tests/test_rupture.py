@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -1056,6 +1057,56 @@ def test_shared_operators_are_read_only(ex1, ex3):
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+def test_coupled_runs_sharing_one_bundle_in_two_threads_match_sequential_runs(ex3):
+    # the bundle and its lazily filled tables are shared; every buffer a
+    # coupled gap writes must belong to its call
+    grid = build_grid(ex3, 256)
+    flat = constant_field(grid, ex3.eta_a)
+    wavy = Field(grid, ex3.eta_a * (1.0 + 0.2 * np.sin(2.0 * np.pi * 3.0 * grid.nodes)))
+    starts = [CoupledState.from_thickness(eta) for eta in (flat, wavy)]
+
+    def run(start):
+        return run_with_rupture(ex3, start.copy(), max_events=5)
+
+    sequential = [run(start) for start in starts]
+    solver.assemble_operators.cache_clear()
+    solver.Operators.coupled_tables.cache_clear()
+    ops = assemble_operators(grid, ex3)  # one bundle; its tables fill in the threads
+    barrier = threading.Barrier(len(starts))
+    threaded = [None] * len(starts)
+
+    def worker(index):
+        barrier.wait()
+        try:
+            threaded[index] = run(starts[index])
+        except Exception as exc:
+            threaded[index] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(starts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that they interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not any(isinstance(result, Exception) for result in threaded), threaded
+    assert assemble_operators(grid, ex3) is ops
+    for (events, final), (expected, expected_final) in zip(threaded, sequential):
+        assert len(events) == len(expected) == 5
+        for event, reference in zip(events, expected):
+            assert event.time == reference.time
+            assert event.reset_intervals == reference.reset_intervals
+            for name in ("pre_profile", "post_profile", "pre_h", "post_h"):
+                assert np.array_equal(getattr(event, name).values, getattr(reference, name).values)
+        assert final.time == expected_final.time
+        assert np.array_equal(final.h.values, expected_final.h.values)
+        assert np.array_equal(final.zeta.values, expected_final.zeta.values)
 
 
 def test_no_deadline_is_computed_after_the_last_event(monkeypatch, ex1):
