@@ -17,12 +17,14 @@ zero-mean stationary shape) shows when it never can.  The certificates are
 the paper's constant subsolution, which weakens as the thickness nears the
 threshold, and a bound on how far the state can move per step, read off
 the Fourier modes of its drive ``load - (alpha I + sigma K) x``, which ends
-each gap in a few jumps.  Each jump hands the rfft modes of its state to
-the next, so the jumps of a gap pay one forward transform between them,
-and one inverse transform each; the per-mode factors that would underflow
-are skipped.  In coupled mode a gap runs in one call of the mode-space
-kernel, which tests the thickness after every step and checks the backward
-error of the state it hands out.
+each gap in a few jumps.  A gap forms each quantity of a state once: each
+jump hands the rfft modes of its state to the next, so the jumps of a gap
+pay one forward transform between them and one inverse transform each,
+and with them the state's extremes, which the jump's own check reduced;
+the decision that refuses to jump hands its drive and the drive's
+magnitude to the probe of the next step.  In coupled mode a gap runs in
+one call of the mode-space kernel, which tests the thickness after every
+step and checks the backward error of the state it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
 crossing search, which decides every step from them with one
 :class:`rupturesim.solver.StepProbe` per state, the step that brackets the
@@ -101,6 +103,14 @@ class RuptureEvent:
     post_h: Field | None = None
 
 
+@functools.lru_cache(maxsize=8)
+def _forcing_integral(config: ModelConfig) -> float:
+    """``sum(strengths) - offset*omega`` of the effective reduced forcing,
+    built once per config."""
+    _, strengths, offset = effective_parameters(config)
+    return math.fsum(strengths) - offset * config.omega
+
+
 def rupture_time_bounds(config: ModelConfig, eta0: Field) -> BoundsReport:
     """Evaluate both bounds at the given initial data.
 
@@ -120,11 +130,10 @@ def rupture_time_bounds(config: ModelConfig, eta0: Field) -> BoundsReport:
     ratio_up = mean0 / config.eta_c
     t_upper = math.log(ratio_up) / alpha if ratio_up > 0.0 else math.nan
 
-    integral_f = math.fsum(strengths) - offset * config.omega
     lower_applicable = (
         all(c >= 0.0 for c in strengths) and offset >= 0.0 and inf0 > config.eta_c
     )
-    upper_applicable = integral_f <= 0.0 and mean0 > config.eta_c
+    upper_applicable = _forcing_integral(config) <= 0.0 and mean0 > config.eta_c
     return BoundsReport(
         t_lower=t_lower,
         t_upper=t_upper,
@@ -138,14 +147,21 @@ def rupture_horizon(config: ModelConfig, eta0: Field) -> float | None:
     ``None`` when the upper bound does not apply.
 
     The discrete mean decays by ``1/(1 + alpha*dt)`` per step, slightly
-    slower than the continuous one, so the continuous upper bound is
-    stretched by ``1 + alpha*dt`` and padded by ten steps.
+    slower than the continuous one, so the continuous upper bound of
+    :func:`rupture_time_bounds` is stretched by ``1 + alpha*dt`` and padded
+    by ten steps.  The forcing's integral is cached per config, so a gap
+    pays only for the mean of ``eta0``.
     """
-    bounds = rupture_time_bounds(config, eta0)
-    if not (bounds.upper_applicable and math.isfinite(bounds.t_upper)):
+    if config.alpha <= 0.0:
+        raise DomainError("rupture-time bounds require alpha > 0")
+    mean0 = float(np.mean(eta0.values))
+    if not (_forcing_integral(config) <= 0.0 and mean0 > config.eta_c):
+        return None
+    t_upper = math.log(mean0 / config.eta_c) / config.alpha
+    if not math.isfinite(t_upper):
         return None
     dt = config.numerics.dt
-    return bounds.t_upper * (1.0 + config.alpha * dt) + 10.0 * dt
+    return t_upper * (1.0 + config.alpha * dt) + 10.0 * dt
 
 
 def _subsolution(c0: float, load_min: float, alpha: float, dt: float, steps: int) -> float:
@@ -179,11 +195,11 @@ def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: 
     return steps
 
 
-def _change_rate(drive: np.ndarray, dt: float, ops: Operators) -> float:
+def _change_rate(magnitude: np.ndarray, dt: float, ops: Operators) -> float:
     """Bound ``dt*sum_k w_k |v_k|/(1 + dt*symbol_k)`` on how far one
-    decoupled step can move any node, from the rfft modes ``v`` of the drive
-    ``load - (alpha I + sigma K) x``, with ``w_k`` from
-    :func:`solver._mode_weights`.
+    decoupled step can move any node, from the ``magnitude`` ``|v_k|`` of
+    the rfft modes ``v`` of the drive ``load - (alpha I + sigma K) x``, with
+    ``w_k`` from :func:`solver._mode_weights`.
 
     With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``, ``j``
     steps move mode ``k`` of ``x`` by ``v_k (1 - f_k^j)/symbol_k``, and
@@ -193,7 +209,7 @@ def _change_rate(drive: np.ndarray, dt: float, ops: Operators) -> float:
     at every node, so no node moves by more than ``j`` times the returned
     rate in ``j`` steps.
     """
-    return float(np.dot(np.abs(drive), ops.decoupled_factors(dt)[2]))
+    return float(np.dot(magnitude, ops.decoupled_factors(dt)[2]))
 
 
 def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
@@ -208,14 +224,14 @@ def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
     return sys.maxsize if quotient >= sys.maxsize else math.floor(quotient)
 
 
-def _roundoff_scale(state: Field, ops: Operators) -> float:
-    """The larger of the state and, with evaporation, the a-priori bound
-    ``max|load|/alpha`` on the fixed point and on every later state, which
-    scales the roundoff of the closed forms.  Without evaporation no such
-    bound exists, and the caller of a jump adds the jumped state."""
-    values = state.values
+def _roundoff_scale(low: float, high: float, ops: Operators) -> float:
+    """The larger of a state, given by its extremes, and, with evaporation,
+    the a-priori bound ``max|load|/alpha`` on the fixed point and on every
+    later state, which scales the roundoff of the closed forms.  Without
+    evaporation no such bound exists, and the caller of a jump adds the
+    jumped state."""
     bound = ops.fixed_point_bound if ops.alpha > 0.0 else 0.0
-    return max(float(values.max()), -float(values.min()), bound)
+    return max(high, -low, bound)
 
 
 def _room(limit: float | None, time: float, dt: float) -> int:
@@ -245,13 +261,14 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     0 lifts nothing, and the bound holds from the start or never.
     """
     values = state.values
-    safe = _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold)
+    low = float(np.min(values))
+    safe = _safe_steps(low, ops.load_min, ops.alpha, dt, threshold)
     # at alpha = 0 the count also saturates for a subsolution that falls slowly
     if safe == sys.maxsize and (ops.alpha > 0.0 or ops.load_min >= 0.0):
         return 0
     mean = float(np.mean(ops.load))
     if ops.alpha > 0.0:
-        base, scale = ops.fixed_point, _roundoff_scale(state, ops)
+        base, scale = ops.fixed_point, _roundoff_scale(low, float(values.max()), ops)
     elif mean >= 0.0:
         modes = np.zeros_like(ops.load_modes)
         modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
@@ -264,12 +281,26 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     if ops.alpha == 0.0:
         if dip <= margin:
             return 0
-        lift = dt * (mean - _JUMP_TOL * float(np.max(np.abs(ops.load))))
+        lift = dt * (mean - _JUMP_TOL * ops.load_peak)
         quotient = (dip - margin) / lift if lift > 0.0 else math.inf
         return math.ceil(quotient) if quotient < sys.maxsize else None
     if not margin > 0.0:
         return None
     return 0 if dip <= margin else math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
+
+
+@dataclass
+class _Carried:
+    """What a decoupled gap has formed about its current state, handed on
+    so that nothing is formed twice: the state's ``extremes`` ``(min,
+    max)``, which the jump that made it reduced for its check, and, once a
+    decision has refused to jump from it, the ``drive`` it formed from the
+    state's modes and the drive's ``magnitude``.  The fields are the
+    keywords of :class:`StepProbe` that take them."""
+
+    extremes: tuple[float, float] | None = None
+    drive: np.ndarray | None = None
+    magnitude: np.ndarray | None = None
 
 
 def _jump_to_bound(
@@ -279,6 +310,7 @@ def _jump_to_bound(
     threshold: float,
     limit: float | None,
     modes: np.ndarray | None = None,
+    carried: _Carried | None = None,
 ) -> tuple[Field, np.ndarray] | None:
     """Jump over every step that the constant subsolution
     (:func:`_safe_steps`) or the change rate (:func:`_change_rate`,
@@ -288,14 +320,20 @@ def _jump_to_bound(
 
     The drive formed once from the rfft modes of ``state`` serves both the
     rate and the jump: from the ``modes`` a previous jump handed out, else
-    from one ``rfft``.  The crossing bisection's value tolerance is in
-    ``threshold``, so no jumped-over step could have located an event.  A
-    jumped state that is not finite or falls below the larger of the two
-    lower bounds beyond roundoff, on the scale of the start and the jumped
-    state, raises :class:`LinearSolveError`; one that leaves the time where
-    it is, :class:`DomainError`.
+    from one ``rfft``.  The gap's ``carried`` record, if given, supplies
+    the extremes of ``state`` and takes those of the jumped state, or, when
+    no step is free, the drive and its magnitude.  The crossing bisection's
+    value tolerance is in ``threshold``, so no jumped-over step could have
+    located an event.  A jumped state that is not finite or falls below the
+    larger of the two lower bounds beyond roundoff, on the scale of the
+    start and the jumped state, raises :class:`LinearSolveError`; one that
+    leaves the time where it is, :class:`DomainError`.
     """
-    c0 = float(state.values.min())
+    if carried is None:
+        carried = _Carried()
+    if carried.extremes is None:
+        carried.extremes = float(state.values.min()), float(state.values.max())
+    c0, top = carried.extremes
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > threshold:
         return None
@@ -303,18 +341,20 @@ def _jump_to_bound(
     if modes is None:
         modes = np.fft.rfft(state.values)
     drive = ops.load_modes - ops.symbol * modes
-    rate = _change_rate(drive, dt, ops)
+    magnitude = np.abs(drive)
+    rate = _change_rate(magnitude, dt, ops)
     steps = max(
         _safe_steps(c0, load_min, ops.alpha, dt, threshold),
         _spectral_steps(c0, rate, threshold),
     )
     steps = min(steps, room)
     if steps < 1:
+        carried.drive, carried.magnitude = drive, magnitude
         return None
     jumped, modes = jump_decoupled(state, steps, dt, ops, modes, drive)
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
     low, high = float(jumped.values.min()), float(jumped.values.max())
-    scale = max(_roundoff_scale(state, ops), high, -low)
+    scale = max(_roundoff_scale(c0, top, ops), high, -low)
     # a nan shows in both extremes, an infinity in one of them
     if not (low >= bound - _JUMP_TOL * scale and -math.inf < low and high < math.inf):
         raise LinearSolveError(
@@ -322,6 +362,7 @@ def _jump_to_bound(
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
+    carried.extremes = low, high
     return jumped, modes
 
 
@@ -443,9 +484,11 @@ def run_with_rupture(
     Stops after ``max_events`` events or at ``t_end``, whichever comes
     first; ``numerics.max_ruptures`` caps the event count when
     ``max_events`` is not given.  A non-finite ``t_end`` raises
-    :class:`ValueError`.  Raises :class:`StagnationError` when two
-    events are separated by less than one nominal time step, which signals
-    that the step size is too coarse for the configured threshold gap.
+    :class:`ValueError`, and one that steps of ``dt`` cannot reach, because
+    they no longer advance the time before it, :class:`DomainError`.
+    Raises :class:`StagnationError` when two events are separated by less
+    than one nominal time step, which signals that the step size is too
+    coarse for the configured threshold gap.
 
     Each gap first skips every step its state kind proves free of rupture:
     in decoupled mode by closed-form jumps
@@ -470,9 +513,17 @@ def run_with_rupture(
     eta0 = initial.eta
     if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")
+    dt = config.numerics.dt
+    # a step of dt advances every time below t_end only if it advances the
+    # largest one, whose half ulp it must exceed
+    if t_end is not None and initial.time < t_end:
+        last = math.nextafter(t_end, -math.inf)
+        if not dt > 0.5 * math.ulp(last):
+            raise DomainError(
+                f"steps of dt = {dt:g} no longer advance the time before t_end = {t_end:g}"
+            )
 
     ops = assemble_operators(eta0.grid, config)
-    dt = config.numerics.dt
     cap = max_events if max_events is not None else config.numerics.max_ruptures
     value_tol = config.numerics.event_tol * config.eta_a
     threshold, floor = config.eta_c + value_tol, config.eta_c - value_tol
@@ -490,25 +541,29 @@ def run_with_rupture(
 
     def skip(
         state: Field | CoupledState, limit: float
-    ) -> tuple[Field | CoupledState, np.ndarray | None]:
+    ) -> tuple[Field | CoupledState, np.ndarray | None, _Carried]:
         """The state after every step from ``state`` that its kind proves
-        free of rupture, a full step or more before ``limit``, and its rfft
-        modes where the skip formed them (else ``None``)."""
+        free of rupture, a full step or more before ``limit``, its rfft
+        modes where the skip formed them (else ``None``), and what else the
+        decoupled skip formed about it."""
+        carried = _Carried()
         if coupled:
             steps = _room(limit, state.time, dt)
             if steps < 1:
-                return state, None
-            return jump_coupled(state, steps, dt, ops, config.eta_c)[1:]
+                return state, None, carried
+            return *jump_coupled(state, steps, dt, ops, config.eta_c)[1:], carried
         modes = None  # each jump hands its state's modes to the next
-        while (jumped := _jump_to_bound(state, dt, ops, threshold, limit, modes)) is not None:
+        while (
+            jumped := _jump_to_bound(state, dt, ops, threshold, limit, modes, carried)
+        ) is not None:
             state, modes = jumped
-        return state, modes
+        return state, modes, carried
 
     events: list[RuptureEvent] = []
     state = initial
     while len(events) < cap and state.time < end:
         deadline, due = gap_deadline(state)
-        state, modes = skip(state, min(end, deadline))
+        state, modes, carried = skip(state, min(end, deadline))
         while (time := state.time) < end:
             if time > deadline:
                 if due:
@@ -520,10 +575,10 @@ def run_with_rupture(
                     "above the threshold for good; give an end time (--t-end)"
                 )
             step_dt = step_toward(end - time, dt)
-            probe = StepProbe(state, step_dt, ops, config.eta_c, floor, modes)
+            probe = StepProbe(state, step_dt, ops, config.eta_c, floor, modes, **vars(carried))
             if probe.at_dt[0] <= config.eta_c:
                 break
-            state, modes = probe.step(step_dt), None
+            state, modes, carried = probe.step(step_dt), None, _Carried()
         else:  # reached t_end
             break
 

@@ -16,8 +16,9 @@ and fixed point.  ``jump_decoupled`` applies many equal decoupled steps at
 once in closed form, for every ``alpha >= 0``: they move each rfft mode in
 proportion to the drive, the modes of ``load - (alpha I + sigma K) x``.  It
 hands out the rfft modes of the state it makes, so a chain of jumps pays
-one forward transform and one inverse transform per jump, and it skips the
-per-mode factors that would underflow.
+one forward transform and one inverse transform per jump, and it evaluates
+the per-mode factors only over the prefix of modes where they exceed about
+``2**-64``, which gives the uncut values bit for bit.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
 step is lower-triangular per mode: per 16-step chunk one product with the
 bundle's per-mode tables gives the thickness after each step and one
@@ -31,7 +32,8 @@ transform its modes back and check them, and the probe's trials and the
 coupled tables take it too, so all of them agree bit for bit.  A caller that holds a state's modes passes
 them to ``advance``, which then takes no forward transform.  ``StepProbe``
 owns what one step of any size from a state of either kind does, from the
-state's modes (one forward transform when none are given): its minimum
+state's modes (one forward transform when none are given), and from the
+drive and extremes a decoupled gap has already formed: its minimum
 thickness is bit for bit that of ``advance``
 from the same modes; it bounds a step from how far it moves each mode of
 the thickness, with a slack for the roundoff of ``advance``, without
@@ -176,14 +178,33 @@ class Operators:
         return 1.0 / dt + self.alpha, self.sigma / self.grid.dx**2
 
     @functools.cached_property
-    def symbol(self) -> np.ndarray:
-        """Eigenvalue ``alpha + sigma*s_k/dx^2`` of ``alpha I + sigma K`` per
-        rfft mode (``s_k`` from :func:`_second_difference_symbol`);
-        read-only."""
+    def diffusion(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma*lambda_k, sigma_h*lambda_k)`` per rfft mode, with
+        ``lambda_k = s_k/dx^2`` and ``s_k`` from
+        :func:`_second_difference_symbol`; read-only."""
         dx = self.grid.dx
-        symbol = self.alpha + self.sigma * (_second_difference_symbol(self.grid.n) / (dx * dx))
+        curvature = _second_difference_symbol(self.grid.n) / (dx * dx)
+        tables = self.sigma * curvature, self.sigma_h * curvature
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
+    @functools.cached_property
+    def symbol(self) -> np.ndarray:
+        """Eigenvalue ``alpha + sigma*lambda_k`` of ``alpha I + sigma K`` per
+        rfft mode; read-only."""
+        symbol = self.alpha + self.diffusion[0]
         symbol.flags.writeable = False
         return symbol
+
+    @functools.cached_property
+    def still_count(self) -> int:
+        """How many leading rfft modes have symbol 0, so that a decoupled
+        step moves them by ``dt`` times the drive: mode 0 without
+        evaporation, and those whose diffusion underflows, which lead
+        because ``lambda_k`` grows with ``k``."""
+        moving = np.flatnonzero(self.symbol > 0.0)
+        return int(moving[0]) if moving.size else len(self.symbol)
 
     @functools.lru_cache(maxsize=4)
     def decoupled_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,10 +258,20 @@ class Operators:
         return float(np.min(self.load))
 
     @functools.cached_property
+    def load_peak(self) -> float:
+        """``max|load|``."""
+        return float(np.max(np.abs(self.load)))
+
+    @functools.cached_property
+    def height_load_peak(self) -> float:
+        """``max|height_load|``."""
+        return float(np.max(np.abs(self.height_load)))
+
+    @functools.cached_property
     def fixed_point_bound(self) -> float:
         """The a-priori bound ``max|load|/alpha`` on the fixed point.
         Requires ``alpha > 0``."""
-        return float(np.max(np.abs(self.load))) / self.alpha
+        return self.load_peak / self.alpha
 
     @functools.cached_property
     def load_modes(self) -> np.ndarray:
@@ -289,7 +320,11 @@ def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
     A load that is not finite raises :class:`DomainError`, and so does, in
     coupled mode, a mean height load whose product with the larger step
     stiffness overflows: the checks of the coupled solves would overflow
-    within about a unit of time."""
+    within about a unit of time.  So does a coupled mean height load, mode
+    0 of its rfft over ``n``, that lies within the roundoff of its sum
+    (``n*eps`` times the mean of ``|height_load|``) yet moves the mean
+    thickness by more than the event tolerance per step: the forcing is
+    balanced up to roundoff, and that roundoff would decide the run."""
     sigma_eff, strengths_eff, offset_eff = effective_parameters(config)
     with np.errstate(over="ignore", invalid="ignore"):
         load = _load_vector(grid, config.junctions, strengths_eff, offset_eff)
@@ -302,6 +337,7 @@ def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
         drift = -np.mean(height_load)
         stiffness = max(config.sigma1 / config.tau, sigma_eff) / grid.dx**2
         growth = stiffness * abs(drift)
+        roundoff = grid.n * np.finfo(float).eps * np.mean(np.abs(height_load))
     if not (np.isfinite(load).all() and np.isfinite(height_load).all()):
         raise DomainError(f"the nodal load is not finite on the grid of spacing {grid.dx:g}")
     if config.mode == "coupled" and not np.isfinite(growth):
@@ -310,7 +346,7 @@ def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
             f"coupled solves' checks at the step stiffness {stiffness:g}"
         )
     load.flags.writeable = height_load.flags.writeable = False
-    return Operators(
+    ops = Operators(
         grid=grid,
         sigma=sigma_eff,
         alpha=config.alpha,
@@ -318,6 +354,18 @@ def assemble_operators(grid: Grid, config: ModelConfig) -> Operators:
         height_load=height_load,
         sigma_h=config.sigma1 / config.tau,
     )
+    if config.mode == "coupled":
+        # each coupled step moves the mean thickness by dt*mean/(1 + alpha*dt)
+        mean = float(ops.height_load_modes[0].real) / grid.n
+        moved = config.numerics.dt * abs(mean)
+        value_tol = config.numerics.event_tol * config.eta_a
+        if abs(mean) <= roundoff and moved > value_tol:
+            raise DomainError(
+                f"the mean height load {mean:g} is within the roundoff of its sum, yet "
+                f"moves the thickness by {moved:g} per step, more than the event "
+                f"tolerance {value_tol:g}: the forcing's balance is lost at tau = {config.tau:g}"
+            )
+    return ops
 
 
 @functools.lru_cache(maxsize=8)
@@ -435,11 +483,17 @@ def jump_decoupled(
     holds the rfft modes of ``state`` passes them as ``modes``, such as
     those the jump before handed out, which stand for that transform up to
     roundoff, and the drive formed from them as ``drive``; the one inverse
-    transform is then the only one.  A power ``F_k^m`` of at most about
-    ``2**-1000`` is set to 0 without evaluating it, where it would mostly
-    underflow or turn subnormal, which is slow: ``1 - F_k^m`` rounds to 1
-    either way.  The time advances by ``steps`` repeated additions of
-    ``dt``, so it is bit-identical to stepping.
+    transform is then the only one.  The powers ``F_k^m`` are evaluated
+    only over the prefix of modes whose growth ``g_k`` lies below a cut at
+    which ``F_k^m`` is about ``2**-64``.  Past it every power is smaller,
+    and ``1 - F_k^m`` rounds to 1 for any ``F_k^m`` up to ``2**-54``, so
+    the cut modes take ``1/symbol_k`` bit for bit as the uncut closed form
+    does, and skip powers that would mostly underflow or turn subnormal,
+    which is slow.  That holds even where a rounded ``g_k`` does not grow
+    with ``k``: a mode on the wrong side of the cut lies within roundoff of
+    it, where its power is still about ``2**-64``.  The time advances by
+    ``steps`` repeated additions of ``dt``, so it is bit-identical to
+    stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -449,14 +503,17 @@ def jump_decoupled(
     if drive is None:
         drive = ops.load_modes - symbol * modes
     growth, divisor, _ = ops.decoupled_factors(dt)
-    # test growth, not 1 + growth: where 1 + growth rounds to 1, so does a
-    # bound on it for steps near sys.maxsize, and every mode would be dropped
-    kept = growth < math.expm1(1000.0 * math.log(2.0) / steps)
-    factors = np.power(divisor, -steps, out=np.zeros_like(growth), where=kept)
-    reach = np.full_like(symbol, steps * dt)  # where symbol_k = 0
-    np.divide(1.0 - factors, symbol, out=reach, where=symbol > 0.0)
-    modes = modes + reach * drive
-    return Field(grid, np.fft.irfft(modes, grid.n), _time_after(state.time, steps, dt)), modes
+    # cut growth, not 1 + growth: where 1 + growth rounds to 1, so does a
+    # bound on it for steps near sys.maxsize, and every mode would be cut
+    kept = int(np.searchsorted(growth, math.expm1(64.0 * math.log(2.0) / steps)))
+    reach = np.ones_like(symbol)
+    np.subtract(1.0, np.power(divisor[:kept], -steps), out=reach[:kept])
+    still = ops.still_count
+    reach[:still] = steps * dt
+    reach[still:] /= symbol[still:]
+    moved = reach * drive
+    moved += modes
+    return Field(grid, np.fft.irfft(moved, grid.n), _time_after(state.time, steps, dt)), moved
 
 
 def _time_after(time: float, steps: int, dt: float) -> float:
@@ -666,7 +723,12 @@ class StepProbe:
 
     ``modes`` are the state's rfft modes as :func:`advance` takes them (for
     a coupled state, those of ``h`` and ``zeta`` as two rows); only when
-    none are given is ``pre`` transformed here, once.  :meth:`minimum_after`
+    none are given is ``pre`` transformed here, once.  A decoupled caller
+    that has already formed the state's ``extremes`` ``(min, max)``, its
+    drive from its modes (``p`` below) or the drive's ``magnitude`` passes
+    them, and they are not formed again; ``max|load|`` and, for a coupled
+    state, ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the
+    bundle's cached tables.  :meth:`minimum_after`
     takes the step by :func:`_step_modes` and inverts a coupled step's ``h``
     and ``zeta`` rows before their difference, as :attr:`CoupledState.eta`
     takes it, so its minimum is bit for bit that of :meth:`step`.
@@ -712,11 +774,22 @@ class StepProbe:
         eta_c: float,
         floor: float,
         modes: np.ndarray | None = None,
+        *,
+        extremes: tuple[float, float] | None = None,
+        drive: np.ndarray | None = None,
+        magnitude: np.ndarray | None = None,
     ) -> None:
         coupled = isinstance(pre, CoupledState)
-        inputs = np.stack((pre.h.values, pre.zeta.values)) if coupled else pre.values[None]
-        load = ops.height_load if coupled else ops.load
-        scale = max(dt * max(load.max(), -load.min()), inputs.max(), -inputs.min())
+        values = pre.eta.values
+        if coupled:
+            inputs = np.stack((pre.h.values, pre.zeta.values))
+            low, high = inputs.min(), inputs.max()
+            lowest = values.min()
+        else:
+            inputs = values[None]
+            low, high = (values.min(), values.max()) if extremes is None else extremes
+            lowest = low
+        scale = max(dt * (ops.height_load_peak if coupled else ops.load_peak), high, -low)
         n = ops.grid.n
         if modes is None:
             modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
@@ -726,23 +799,23 @@ class StepProbe:
         symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
         if coupled:
             h, z = modes
-            curvature = _second_difference_symbol(n) / dx2
-            self._nu, self._diffusion = ops.sigma_h * curvature, ops.sigma * curvature
+            self._diffusion, self._nu = ops.diffusion
             self._p = ops.alpha * h - symbol * z
             self._u = -(ops.height_load_modes + self._nu * h)
             peak = np.abs(self._p) + np.abs(self._u)
             stiffness = max(ops.sigma, ops.sigma_h)
         else:
-            self._p, self._u = ops.load_modes - symbol * modes, None
-            peak, stiffness = np.abs(self._p), ops.sigma
+            self._p = ops.load_modes - symbol * modes if drive is None else drive
+            self._u = None
+            peak = np.abs(self._p) if magnitude is None else magnitude
+            stiffness = ops.sigma
         slack = _TRIAL_GUARD * float(scale) * (1.0 + 4.0 * stiffness * dt / dx2)
 
         self.eta_c, self.floor = eta_c, floor
-        values = pre.eta.values
         weights = _mode_weights(n)
         rates = weights * peak
         self._drop = drop = float(np.sum(rates))
-        self._lowest = float(values.min()) - slack
+        self._lowest = float(lowest) - slack
         self._matrix = None
         if self._lowest - dt * drop <= eta_c:  # else the drop decides every step
             nodes = np.flatnonzero(values - slack - dt * drop <= eta_c)

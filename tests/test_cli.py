@@ -355,6 +355,25 @@ def test_simulate_refuses_a_time_step_that_no_longer_advances_the_time(tmp_path)
         assert "no longer advance the time" in child.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--preset", "ex3", "--set", "numerics.dt=2.2250738585072014e-308",
+         "--t-end", "1"],
+        ["simulate", "--preset", "ex3", "--set", "numerics.dt=1e-200", "--t-end", "1"],
+        ["simulate", "--preset", "ex1", "--set", "numerics.dt=2.2250738585072014e-308",
+         "--t-end", "1"],
+    ],
+    ids=["coupled-smallest-normal", "coupled-1e-200", "decoupled-smallest-normal"],
+)
+def test_simulate_refuses_a_time_step_that_cannot_reach_t_end(tmp_path, args):
+    # a coupled gap tests every step, so once t + dt == t it stepped until
+    # killed; the decoupled run was already refused by its jumps
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
+    assert child.returncode == 2, child.stderr
+    assert "steps of dt = " in child.stderr and "no longer advance the time" in child.stderr
+
+
 def test_simulate_refuses_a_domain_whose_grid_spacing_cannot_be_squared(tmp_path):
     # dx**2 overflowed in the first implicit step and ended in a traceback
     args = ["simulate", "--preset", "ex1", "--set", "omega=1e300", "--max-events", "1"]
@@ -418,13 +437,20 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
         (["stationary", "--preset", "ex1", "--set", "sigma2=1e-300"], 0),
         (["stationary", "--preset", "ex1", "--set", "sigma2=1e300"], 2),
         (["stationary", "--preset", "ex1", "--set", "alpha=1e-300"], 2),
+    ] + [
+        (["simulate", "--preset", "ex3", "--set", f"tau={tau}", "--t-end", "0.05"], 2)
+        for tau in ("1e-150", "1e-152", "1e-153", "1e-155", "1e-157", "1e-159")
     ],
     ids=["coupled-tau-1e-300", "stationary-sigma2-1e-300", "stationary-sigma2-1e300",
-         "stationary-alpha-1e-300"],
+         "stationary-alpha-1e-300", "coupled-tau-1e-150", "coupled-tau-1e-152",
+         "coupled-tau-1e-153", "coupled-tau-1e-155", "coupled-tau-1e-157", "coupled-tau-1e-159"],
 )
 def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, code):
     # a coupled height load of about 1e302 drifted the mean height until
-    # the solves' checks overflowed, with eight warnings and exit 3; the
+    # the solves' checks overflowed, with eight warnings and exit 3; at tau
+    # from 1e-150 to 1e-159 the roundoff residue of the balanced mean height
+    # load moved the height by up to 4e132 per step, and the run exited 3
+    # with "state is already at or below the threshold"; the
     # stationary curvature of a steep profile overflowed with a warning;
     # and an exponential pair that rounds to one function made the
     # stationary system singular, exit 3

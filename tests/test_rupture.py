@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rupturesim.config import ModelConfig, Numerics
+from rupturesim.config import ModelConfig, Numerics, effective_parameters
 from rupturesim.cli import preset_config
 from rupturesim.errors import (
     BracketError,
@@ -240,9 +240,9 @@ def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft
     real_probe, real_locate = rupture.StepProbe, rupture.locate_crossing
     carried, forward = [], []
 
-    def probe(pre, dt, ops, eta_c, floor, modes=None):
+    def probe(pre, dt, ops, eta_c, floor, modes=None, **formed):
         before = len(fft_calls)
-        made = real_probe(pre, dt, ops, eta_c, floor, modes)
+        made = real_probe(pre, dt, ops, eta_c, floor, modes, **formed)
         made.forward, made.carried = fft_calls[before:].count("rfft"), modes is not None
         return made
 
@@ -785,7 +785,7 @@ def test_a_gap_pays_one_forward_transform_for_its_jumps(monkeypatch, fft_calls, 
 def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
     ops, dt, threshold, state, _ = gap_case(ex1, 256)
     drive = ops.load_modes - ops.symbol * np.fft.rfft(state.values)
-    rate = rupture._change_rate(drive, dt, ops)
+    rate = rupture._change_rate(np.abs(drive), dt, ops)
     assert rate > 0.0
     for c0 in (threshold, threshold - 1e-3):
         assert rupture._spectral_steps(c0, rate, threshold) == 0
@@ -849,6 +849,49 @@ def test_horizon_covers_every_gap(ex1):
         start = event.post_profile
     unforced = preset_config("ex1", overrides=(("forcing_offset", 0.0),))
     assert rupture.rupture_horizon(unforced, start) is None
+
+
+def bounds_formula(config, eta0):
+    """``rupture_time_bounds`` and ``rupture_horizon`` with every term formed
+    from the config at each call, as they were first written."""
+    _, strengths, offset = effective_parameters(config)
+    alpha, eta_c = config.alpha, config.eta_c
+    inf0, mean0 = float(np.min(eta0.values)), float(np.mean(eta0.values))
+    shifted_c = offset / alpha + eta_c
+    ratio_low = (offset / alpha + inf0) / shifted_c if shifted_c != 0.0 else math.nan
+    t_lower = math.log(ratio_low) / alpha if ratio_low > 0.0 else math.nan
+    ratio_up = mean0 / eta_c
+    t_upper = math.log(ratio_up) / alpha if ratio_up > 0.0 else math.nan
+    integral_f = math.fsum(strengths) - offset * config.omega
+    lower = all(c >= 0.0 for c in strengths) and offset >= 0.0 and inf0 > eta_c
+    upper = integral_f <= 0.0 and mean0 > eta_c
+    horizon = None
+    if upper and math.isfinite(t_upper):
+        dt = config.numerics.dt
+        horizon = t_upper * (1.0 + alpha * dt) + 10.0 * dt
+    return (t_lower, t_upper, lower, upper), horizon
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(("ex1", "ex2")),
+    st.one_of(st.sampled_from((1e-320, 1e-12, 3e6)), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+    st.one_of(st.sampled_from((0.0, 3.0)), st.floats(-2.0, 8.0)),
+    st.floats(-0.02, 0.05),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_cached_bounds_equal_their_formulas_bit_for_bit(name, alpha, offset, base, seed):
+    # the config's terms come from a per-config cache, so a gap pays only for
+    # the mean of its state; the values must not move by a bit
+    config = preset_config(name, overrides=(("alpha", alpha), ("forcing_offset", offset)))
+    rng = np.random.default_rng(seed)
+    eta0 = Field(build_grid(config, 64), base + 0.01 * rng.standard_normal(64))
+    bounds, horizon = bounds_formula(config, eta0)
+    got = rupture_time_bounds(config, eta0)
+    times = (got.t_lower, got.t_upper)
+    same = [a == b or (math.isnan(a) and math.isnan(b)) for a, b in zip(bounds[:2], times)]
+    assert all(same) and bounds[2:] == (got.lower_applicable, got.upper_applicable)
+    assert rupture.rupture_horizon(config, eta0) == horizon
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

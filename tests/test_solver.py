@@ -527,3 +527,14 @@ def test_system_matrix_is_strictly_diagonally_dominant(ex1):
     diag, off = shift + 2.0 * stiffness, -stiffness
     assert diag > 0.0 and off <= 0.0
     assert diag - 2.0 * abs(off) == pytest.approx(1.0 / dt + ops.alpha, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [1e-150, 1e-152, 1e-159, 1e-20])
+def test_a_height_load_balanced_only_up_to_roundoff_is_refused(ex3, tau):
+    # the forcing of ex3 is balanced, but divided by a small tau the height
+    # load's sum keeps a roundoff residue, which moved the thickness by up to
+    # 4e132 per step; the preset's own sum is exactly 0, so it is not refused
+    grid = build_grid(ex3, 1024)
+    assert assemble_operators(grid, ex3).height_load_modes[0] == 0.0
+    with pytest.raises(DomainError, match="within the roundoff of its sum"):
+        assemble_operators(grid, replace(ex3, tau=tau))

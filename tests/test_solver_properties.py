@@ -428,9 +428,9 @@ def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
     ops = operators(n, sigma, alpha, strengths, offset)
     start = certificate_start(ops, kind, sign, seed)
     c0 = float(np.min(start.values))
-    scale = rupture._roundoff_scale(start, ops)
+    scale = rupture._roundoff_scale(c0, float(np.max(start.values)), ops)
     drive = ops.load_modes - ops.symbol * np.fft.rfft(start.values)
-    rate = rupture._change_rate(drive, dt, ops)
+    rate = rupture._change_rate(np.abs(drive), dt, ops)
     # a rate within roundoff of the state moves no node measurably
     assume(rate > 1e3 * JUMP_TOL * scale)
     threshold = c0 - (count + inside) * rate
@@ -442,6 +442,65 @@ def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
         low = float(np.min(state.values))
         assert low >= c0 - j * rate - JUMP_TOL * scale
         assert low > threshold
+
+
+# n, dt, sigma, alpha (0 included), the load, how far below the start's
+# minimum the jump threshold lies, and the steps before the gap's limit
+carry_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 0.5).map(lambda e: 10.0**e),
+    st.integers(2, 10**6),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(carry_parameters, seeds)
+def test_a_carried_gap_equals_one_recomputed_from_each_state(params, seed):
+    # a decoupled gap hands each jumped state's extremes to the next
+    # decision, and the refused decision's drive and its magnitude to the
+    # probe of the first step; forming them again from each state must not
+    # move a bit of any jump, handed-out mode or decision
+    n, dt, sigma, alpha, strengths, offset, depth, room = params
+    ops = operators(n, sigma, alpha, strengths, offset)
+    state = Field(ops.grid, random_rhs(n, seed))
+    c0 = float(np.min(state.values))
+    threshold = c0 - depth * (1.0 + abs(c0))
+    value_tol = 1e-6 * (1.0 + abs(c0))
+    eta_c = threshold - value_tol
+    modes, carried = None, rupture._Carried()
+    for _ in range(40):
+        recomputed = rupture._jump_to_bound(state, dt, ops, threshold, room * dt, modes)
+        jumped = rupture._jump_to_bound(state, dt, ops, threshold, room * dt, modes, carried)
+        if jumped is None:
+            assert recomputed is None
+            break
+        assert np.array_equal(jumped[0].values, recomputed[0].values)
+        assert jumped[0].time == recomputed[0].time
+        assert np.array_equal(jumped[1], recomputed[1])
+        state, modes = jumped
+        assert carried.extremes == (float(np.min(state.values)), float(np.max(state.values)))
+    if carried.drive is not None:
+        from_modes = np.fft.rfft(state.values) if modes is None else modes
+        assert np.array_equal(carried.drive, ops.load_modes - ops.symbol * from_modes)
+        assert np.array_equal(carried.magnitude, np.abs(carried.drive))
+
+    probes = [
+        solver.StepProbe(state, dt, ops, eta_c, eta_c - value_tol, modes, **formed)
+        for formed in (vars(carried), {})
+    ]
+    assert probes[0].at_dt == probes[1].at_dt
+    # the bisection of locate_crossing, whichever side each decision takes
+    lo, hi = 0.0, dt
+    for _ in range(12):
+        mid = 0.5 * (lo + hi)
+        low, decided = probes[0].decide(mid)
+        assert (low, decided) == probes[1].decide(mid)
+        lo, hi = (lo, mid) if low <= eta_c else (mid, hi)
 
 
 def coupled_case(params, seed):
