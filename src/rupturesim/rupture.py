@@ -15,9 +15,12 @@ mean's decay sets a horizon by which the gap must end, and the positivity
 of the step about the discrete fixed point (without evaporation, about the
 zero-mean stationary shape) shows when it never can.  The certificates are
 the paper's constant subsolution, which weakens as the thickness nears the
-threshold, and a bound on how far the state can move per step, read off
-the Fourier modes of its drive ``load - (alpha I + sigma K) x``, which ends
-each gap in a few jumps.  A gap forms each quantity of a state once: each
+threshold, and a bound on how far the state can move in ``m`` steps, read
+off the Fourier modes of its drive ``load - (alpha I + sigma K) x``.  That
+bound saturates as the fast modes settle; its linear majorant, ``m`` times
+a per-step rate, gives a first count, which Newton steps on the saturating
+bound raise once it is long enough to pay for them, and a gap ends in a
+few jumps.  A gap forms each quantity of a state once: each
 jump hands the rfft modes of its state to the next, so the jumps of a gap
 pay one forward transform between them and one inverse transform each,
 and with them the state's extremes, which the jump's own check reduced;
@@ -31,7 +34,8 @@ crossing search, which decides every step from them with one
 crossing first; this module keeps only the bisection over its decisions.
 So every decision, time and state is that of stepping with ``advance``
 from those modes.  A step returns to real space only where it does not
-cross, and at the located crossing, through the probe's checked step.
+cross, and at the located crossing, through the probe's checked step,
+which takes the probe's last full trial when that was of its size.
 """
 from __future__ import annotations
 
@@ -68,6 +72,11 @@ _BRACKET_FLOOR = 1.0e-3
 # roundoff allowed in the closed-form lower bounds, relative to
 # _roundoff_scale
 _JUMP_TOL = 1.0e-12
+# the change-rate count from which a jump refines it on the saturating reach
+# (_saturated_steps), about 13 us a refinement on ex1: from counts of 4 or
+# 8 on, the refinements cost orbit-ex1 more than the jumps they spare, and
+# 32 gains nothing over 16
+_REFINE_FROM = 16
 
 
 @dataclass(frozen=True)
@@ -201,15 +210,68 @@ def _change_rate(magnitude: np.ndarray, dt: float, ops: Operators) -> float:
     the rfft modes ``v`` of the drive ``load - (alpha I + sigma K) x``, with
     ``w_k`` from :func:`solver._mode_weights`.
 
-    With ``f_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``, ``j``
-    steps move mode ``k`` of ``x`` by ``v_k (1 - f_k^j)/symbol_k``, and
-    ``1 - f^j <= j (1 - f)`` for ``0 <= f <= 1``, where ``(1 -
-    f_k)/symbol_k = dt f_k``; a mode of symbol 0 moves by ``j*dt*v_k``.  Each
-    term of the inverse transform is at most ``w_k`` times its mode's move
-    at every node, so no node moves by more than ``j`` times the returned
-    rate in ``j`` steps.
+    With ``F_k = 1/(1 + dt*symbol_k)`` the step factor of mode ``k``, ``j``
+    steps move mode ``k`` of ``x`` by ``v_k (1 - F_k^j)/symbol_k``, and
+    ``j*dt*v_k`` where ``symbol_k = 0``.  Each term of the inverse transform
+    is at most ``w_k`` times its mode's move at every node, so no node moves
+    by more than the reach ``R(j) = sum_k w_k |v_k| (1 - F_k^j)/symbol_k``
+    in ``j`` steps (:func:`_saturated_steps`).  Since ``1 - F^j <= j (1 -
+    F)`` for ``0 <= F <= 1``, where ``(1 - F_k)/symbol_k = dt F_k``, the
+    returned rate is the slope of ``R``'s linear majorant: ``R(j) <= j *
+    rate``.
     """
     return float(np.dot(magnitude, ops.decoupled_factors(dt)[2]))
+
+
+def _saturated_steps(
+    gap: float,
+    magnitude: np.ndarray,
+    rate: float,
+    steps: int,
+    room: int,
+    dt: float,
+    ops: Operators,
+) -> tuple[int, float]:
+    """The change-rate count ``steps`` raised by up to two Newton steps on
+    the reach ``R`` of :func:`_change_rate`, at most to ``room``: the last
+    count ``m`` at which ``R(m)``, evaluated, is at most ``gap``, and
+    ``R(m)``; ``steps`` and its linear reach ``steps*rate`` when none is.
+
+    ``R`` is increasing and concave in ``m``, so from a count with ``R(m)
+    <= gap`` its tangent's root stays at or below the largest such count in
+    exact arithmetic; the root is rounded down, and an iterate is kept only
+    once ``R`` evaluated there is within ``gap``.  The powers ``F_k^m`` are
+    formed only over the cut prefix of ``steps``
+    (:meth:`Operators.kept_modes`), which holds that of every larger count;
+    every mode past it is charged its full reach ``w_k |v_k|/symbol_k``
+    (:attr:`Operators.reach_weights`), which exceeds its move by a factor
+    ``F_k^m`` below about ``2**-64``, and a mode of symbol 0 moves by
+    ``m*dt*w_k |v_k|``.
+    """
+    still, weights = ops.still_count, ops.reach_weights
+    growth, _, rates = ops.decoupled_factors(dt)
+    held = float(np.dot(magnitude[:still], rates[:still])) if still else 0.0
+    # counts only grow, so the first count's prefix holds every later one
+    top = ops.kept_modes(dt, steps)
+    live = magnitude[still:top] * weights[still:top]
+    logs = np.log1p(growth[still:top])  # -log F_k
+    slopes = live * logs
+    settled = float(np.dot(magnitude[top:], weights[top:]))
+    best, count = (steps, steps * rate), steps
+    for newton in (True, True, False):  # R at the count and after each Newton step
+        powers = np.expm1(-count * logs)  # F_k^m - 1, free of cancellation
+        reach = count * held + settled - float(np.dot(live, powers))
+        if not reach <= gap:
+            break
+        best = count, reach
+        if not newton or count >= room:
+            break
+        slope = held + float(np.dot(slopes, powers + 1.0))
+        increment = (gap - reach) / slope if slope > 0.0 else math.inf
+        if not increment >= 1.0:
+            break
+        count = room if increment >= room - count else count + math.floor(increment)
+    return best
 
 
 def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
@@ -317,17 +379,22 @@ def _jump_to_bound(
     :func:`_spectral_steps`) proves free of rupture, whichever covers more,
     ending at least one full step before ``limit`` (if any); returns the
     jumped state and its rfft modes, or ``None`` when no step is free.
+    A change-rate count of ``_REFINE_FROM`` or more is raised on the
+    saturating reach ``R`` (:func:`_saturated_steps`), whose linear
+    majorant the rate is.
 
-    The drive formed once from the rfft modes of ``state`` serves both the
-    rate and the jump: from the ``modes`` a previous jump handed out, else
-    from one ``rfft``.  The gap's ``carried`` record, if given, supplies
+    The drive formed once from the rfft modes of ``state`` serves the rate,
+    the reach and the jump: from the ``modes`` a previous jump handed out,
+    else from one ``rfft``.  The gap's ``carried`` record, if given, supplies
     the extremes of ``state`` and takes those of the jumped state, or, when
     no step is free, the drive and its magnitude.  The crossing bisection's
     value tolerance is in ``threshold``, so no jumped-over step could have
     located an event.  A jumped state that is not finite or falls below the
     larger of the two lower bounds beyond roundoff, on the scale of the
-    start and the jumped state, raises :class:`LinearSolveError`; one that
-    leaves the time where it is, :class:`DomainError`.
+    start and the jumped state, raises :class:`LinearSolveError`: the
+    subsolution, or ``c0`` less ``R`` at the refined count, else less the
+    linear reach.  One that leaves the time where it is raises
+    :class:`DomainError`.
     """
     if carried is None:
         carried = _Carried()
@@ -343,16 +410,18 @@ def _jump_to_bound(
     drive = ops.load_modes - ops.symbol * modes
     magnitude = np.abs(drive)
     rate = _change_rate(magnitude, dt, ops)
-    steps = max(
-        _safe_steps(c0, load_min, ops.alpha, dt, threshold),
-        _spectral_steps(c0, rate, threshold),
-    )
-    steps = min(steps, room)
+    safe = _safe_steps(c0, load_min, ops.alpha, dt, threshold)
+    spectral = _spectral_steps(c0, rate, threshold)
+    reach = spectral * rate
+    if _REFINE_FROM <= spectral and max(safe, spectral) < room:
+        spectral, reach = _saturated_steps(c0 - threshold, magnitude, rate, spectral, room, dt, ops)
+    steps = min(max(safe, spectral), room)
     if steps < 1:
         carried.drive, carried.magnitude = drive, magnitude
         return None
     jumped, modes = jump_decoupled(state, steps, dt, ops, modes, drive)
-    bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - steps * rate)
+    moved = reach if steps == spectral else steps * rate
+    bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - moved)
     low, high = float(jumped.values.min()), float(jumped.values.max())
     scale = max(_roundoff_scale(c0, top, ops), high, -low)
     # a nan shows in both extremes, an infinity in one of them

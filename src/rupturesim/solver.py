@@ -29,9 +29,14 @@ tested thickness, and ``advance`` takes and checks that step from it; it
 hands out the modes of the state it reaches too.  One per-mode step,
 ``_step_modes``, serves both state kinds: the checked steps' solves only
 transform its modes back and check them, and the probe's trials and the
-coupled tables take it too, so all of them agree bit for bit.  A caller that holds a state's modes passes
-them to ``advance``, which then takes no forward transform.  ``StepProbe``
-owns what one step of any size from a state of either kind does, from the
+coupled tables take it too, so all of them agree bit for bit.  A caller
+that holds a state's modes passes them to ``advance``, which then takes no
+forward transform, and one that has already taken the step by
+``_step_modes`` passes its new modes too, with or without their inverse
+transform: the coupled hand-off passes the modes it hands out, and a probe
+the modes and nodal rows of its last full trial, so the checked step only
+forms its right sides and checks the solves.  ``StepProbe`` owns what one
+step of any size from a state of either kind does, from the
 state's modes (one forward transform when none are given), and from the
 drive and extremes a decoupled gap has already formed: its minimum
 thickness is bit for bit that of ``advance``
@@ -150,9 +155,10 @@ class Operators:
     ``tau``, the forcing of the height equation.  The stiffness action is
     the periodic second difference with row pattern ``(-1, 2, -1)/dx**2``.
     The bundle owns the height and thickness step matrices, the decoupled
-    symbol and fixed point, the rfft modes of both loads, and per step size
-    the decoupled factors and the coupled chunk tables, cached on the
-    bundle's identity; all but the matrices fill lazily and deterministically.
+    symbol, reach weights and fixed point, the rfft modes of both loads,
+    and per step size the decoupled factors and the coupled chunk tables,
+    cached on the bundle's identity; all but the matrices fill lazily and
+    deterministically.
     Every array it holds is read-only, so one bundle can serve many runs.
     """
 
@@ -218,6 +224,29 @@ class Operators:
         for table in tables:
             table.flags.writeable = False
         return tables
+
+    def kept_modes(self, dt: float, steps: int) -> int:
+        """How many leading rfft modes keep a factor ``F_k^steps`` above
+        about ``2**-64`` over ``steps`` decoupled steps of ``dt``, ``F_k =
+        1/(1 + g_k)``: those whose growth ``g_k`` lies below ``expm1(64 ln
+        2/steps)``.  Past them every power is smaller, since ``g_k`` grows
+        with ``k`` up to roundoff."""
+        # cut growth, not 1 + growth: where 1 + growth rounds to 1, so does a
+        # bound on it for steps near sys.maxsize, and every mode would be cut
+        growth = self.decoupled_factors(dt)[0]
+        return int(np.searchsorted(growth, math.expm1(64.0 * math.log(2.0) / steps)))
+
+    @functools.cached_property
+    def reach_weights(self) -> np.ndarray:
+        """``w_k/symbol_k`` per rfft mode, with ``w_k`` from
+        :func:`_mode_weights`, and 0 on the leading ``still_count`` modes:
+        how far any number of decoupled steps can move any node per unit of
+        a mode's drive; read-only."""
+        weights = np.zeros_like(self.symbol)
+        still = self.still_count
+        weights[still:] = _mode_weights(self.grid.n)[still:] / self.symbol[still:]
+        weights.flags.writeable = False
+        return weights
 
     @functools.lru_cache(maxsize=4)
     def coupled_tables(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -405,7 +434,11 @@ def _inverse_symbol(n: int, shift: float, stiffness: float) -> np.ndarray:
 
 
 def solve_periodic_tridiagonal(
-    shift: float, stiffness: float, rhs: np.ndarray, modes: np.ndarray | None = None
+    shift: float,
+    stiffness: float,
+    rhs: np.ndarray,
+    modes: np.ndarray | None = None,
+    solution: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the cyclic tridiagonal system ``shift*I + stiffness*(-1, 2, -1)``.
 
@@ -414,7 +447,9 @@ def solve_periodic_tridiagonal(
     step matrices both terms are nonnegative, so their sum cancels no
     digits.  A step that has already formed the solution's modes per mode
     (:func:`_step_modes`) passes them as ``modes``; the solve then only
-    transforms them back.  Every solution is checked against the
+    transforms them back, and one that has transformed them back too passes
+    the result as ``solution``, which the solve only checks and returns.
+    Every solution is checked against the
     original system: a residual above ``1e-12 * |diag| * ||x||``, with
     ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
     independent of the grid size) raises :class:`LinearSolveError`; it
@@ -422,13 +457,14 @@ def solve_periodic_tridiagonal(
     arithmetic.
     """
     n = rhs.shape[0]
-    if modes is None:
-        modes = np.fft.rfft(rhs)
-        parts = modes.view(np.float64)
-        parts *= _inverse_symbol(n, shift, stiffness)
-    x = np.fft.irfft(modes, n)
-    _check_solution(shift, stiffness, x, rhs)
-    return x
+    if solution is None:
+        if modes is None:
+            modes = np.fft.rfft(rhs)
+            parts = modes.view(np.float64)
+            parts *= _inverse_symbol(n, shift, stiffness)
+        solution = np.fft.irfft(modes, n)
+    _check_solution(shift, stiffness, solution, rhs)
+    return solution
 
 
 def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray) -> None:
@@ -449,17 +485,27 @@ def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarr
 
 
 def step_decoupled(
-    state: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
+    state: Field,
+    dt: float,
+    ops: Operators,
+    modes: np.ndarray | None = None,
+    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> Field:
     """One backward-Euler step of the reduced thickness equation.  The new
     modes come from :func:`_step_modes`, applied to the rfft modes of
-    ``state``: ``modes`` if given, else one transform of ``state``."""
-    if modes is None:
-        modes = np.fft.rfft(state.values)
-    (parts,) = _step_modes(modes.reshape(1, -1).view(np.float64), dt, ops)
+    ``state``: ``modes`` if given, else one transform of ``state``; or they
+    are given, with or without their inverse transform, as ``stepped``
+    (see :func:`advance`)."""
+    if stepped is None:
+        if modes is None:
+            modes = np.fft.rfft(state.values)
+        stepped = _step_modes(modes.reshape(1, -1).view(np.float64), dt, ops).view(complex), None
+    (parts,), values = stepped
     rhs = state.values / dt + ops.load
-    values = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, parts.view(complex))
-    return Field(state.grid, values, state.time + dt)
+    x = solve_periodic_tridiagonal(
+        *ops.thickness_matrix(dt), rhs, parts, None if values is None else values[0]
+    )
+    return Field(state.grid, x, state.time + dt)
 
 
 def jump_decoupled(
@@ -502,10 +548,8 @@ def jump_decoupled(
         modes = np.fft.rfft(state.values)
     if drive is None:
         drive = ops.load_modes - symbol * modes
-    growth, divisor, _ = ops.decoupled_factors(dt)
-    # cut growth, not 1 + growth: where 1 + growth rounds to 1, so does a
-    # bound on it for steps near sys.maxsize, and every mode would be cut
-    kept = int(np.searchsorted(growth, math.expm1(64.0 * math.log(2.0) / steps)))
+    divisor = ops.decoupled_factors(dt)[1]
+    kept = ops.kept_modes(dt, steps)
     reach = np.ones_like(symbol)
     np.subtract(1.0, np.power(divisor[:kept], -steps), out=reach[:kept])
     still = ops.still_count
@@ -546,7 +590,12 @@ def _time_after(time: float, steps: int, dt: float) -> float:
 
 
 def step_coupled(
-    h: Field, zeta: Field, dt: float, ops: Operators, modes: np.ndarray | None = None
+    h: Field,
+    zeta: Field,
+    dt: float,
+    ops: Operators,
+    modes: np.ndarray | None = None,
+    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
 ) -> tuple[Field, Field]:
     """One backward-Euler step of the height/surface pair.
 
@@ -555,15 +604,20 @@ def step_coupled(
     splitting introduces no error into the height and only a first-order
     term into the surface.  The new modes of both come from
     :func:`_step_modes`, applied to the rfft modes of ``h`` and ``zeta`` as
-    two rows: ``modes`` if given, else one transform of both.
+    two rows: ``modes`` if given, else one transform of both; or they are
+    given, with or without their inverse transform, as ``stepped`` (see
+    :func:`advance`).
     """
-    if modes is None:
-        modes = np.fft.rfft(np.stack((h.values, zeta.values)))
-    h_parts, z_parts = _step_modes(modes.view(np.float64), dt, ops).view(complex)
+    if stepped is None:
+        if modes is None:
+            modes = np.fft.rfft(np.stack((h.values, zeta.values)))
+        stepped = _step_modes(modes.view(np.float64), dt, ops).view(complex), None
+    (h_parts, z_parts), values = stepped
+    h_values, z_values = (None, None) if values is None else values
     rhs = h.values / dt - ops.height_load
-    h_new = solve_periodic_tridiagonal(*ops.height_matrix(dt), rhs, h_parts)
+    h_new = solve_periodic_tridiagonal(*ops.height_matrix(dt), rhs, h_parts, h_values)
     rhs = zeta.values / dt + ops.alpha * h_new
-    z_new = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, z_parts)
+    z_new = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, z_parts, z_values)
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
@@ -611,14 +665,14 @@ def jump_coupled(
     minima.  The next chunk's base is its last thickness row plus the height
     from the height rows.  The state before the last step taken is formed in
     the same way from the tested row of that step, or is a chunk's base, and
-    :func:`advance` takes and checks the last step from its modes; the
-    minimum thickness of the state it hands out must match the one tested
-    for that step up to roundoff.  Returns the number of steps taken (``0``,
-    with ``state`` itself, when the first step crosses), the state, and the
-    rfft modes of its ``h`` and ``zeta`` as two rows, those its solves
-    transformed back.  A non-finite thickness raises
-    :class:`LinearSolveError`.  The time advances by repeated additions of
-    ``dt``, so it is bit-identical to stepping.
+    :func:`advance` takes and checks the last step from its modes and the
+    step's new modes, formed here once; the minimum thickness of the state
+    it hands out must match the one tested for that step up to roundoff.
+    Returns the number of steps taken (``0``, with ``state`` itself, when
+    the first step crosses), the state, and the rfft modes of its ``h`` and
+    ``zeta`` as two rows, those its solves transformed back.  A non-finite
+    thickness raises :class:`LinearSolveError`.  The time advances by
+    repeated additions of ``dt``, so it is bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -673,27 +727,37 @@ def jump_coupled(
     h_prev, z_prev = np.fft.irfft(modes, n)
     time = _time_after(state.time, taken - 1, dt)
     before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
-    state = advance(before, dt, ops, modes)
+    stepped = _step_modes(pair, dt, ops).view(complex)
+    state = advance(before, dt, ops, modes, stepped=(stepped, None))
     handed = float(np.min(state.eta.values))
     scale = max(float(np.abs(state.h.values).max()), float(np.abs(state.zeta.values).max()))
     if not abs(handed - low) <= _STEP_RESIDUAL_TOL * scale:
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
-    return taken, state, _step_modes(pair, dt, ops).view(complex)
+    return taken, state, stepped
 
 
 def advance(
-    state: Field | CoupledState, dt: float, ops: Operators, modes: np.ndarray | None = None
+    state: Field | CoupledState,
+    dt: float,
+    ops: Operators,
+    modes: np.ndarray | None = None,
+    *,
+    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
 ):
     """Single checked step of whichever system the state belongs to;
     ``modes``, if given, are the state's rfft modes (for a coupled state,
     those of ``h`` and ``zeta`` as two rows), which spare the step its
-    forward transforms."""
+    forward transforms.  A caller that has already taken this step from
+    those modes by :func:`_step_modes` passes the new modes as complex rows
+    in ``stepped``, with their inverse transform (one row of nodal values
+    per row of modes) or ``None``; the step then transforms back only what
+    is missing, and checks the solves as always."""
     if isinstance(state, CoupledState):
-        h, zeta = step_coupled(state.h, state.zeta, dt, ops, modes)
+        h, zeta = step_coupled(state.h, state.zeta, dt, ops, modes, stepped)
         return CoupledState(h, zeta)
-    return step_decoupled(state, dt, ops, modes)
+    return step_decoupled(state, dt, ops, modes, stepped)
 
 
 # roundoff allowed between a value formed from StepProbe.change and the step
@@ -830,12 +894,16 @@ class StepProbe:
                 self._matrix = (weights[:count] * phases.conj()).view(np.float64)
                 self._candidates, self._count = values[nodes], count
         self._slack = slack
+        self._trial = None
         self.at_dt = self.decide(dt)
 
     def minimum_after(self, tau: float) -> float:
-        """The minimum thickness after the step of ``tau``, unchecked."""
+        """The minimum thickness after the step of ``tau``, unchecked.  The
+        step's modes and their inverse transform are kept for :meth:`step`
+        until the next trial."""
         rows = _step_modes(self._rows, tau, self.ops).view(complex)
         values = np.fft.irfft(rows, self.ops.grid.n)
+        self._trial = tau, (rows, values)
         return float(np.min(values[1] - values[0]) if len(values) == 2 else values[0].min())
 
     def change(self, tau: float, count: int) -> np.ndarray:
@@ -872,8 +940,14 @@ class StepProbe:
         return self.minimum_after(tau), False
 
     def step(self, tau: float) -> Field | CoupledState:
-        """The state after the checked step of ``tau`` from ``pre``."""
-        return advance(self.pre, tau, self.ops, self.modes)
+        """The state after the checked step of ``tau`` from ``pre``.  When
+        the last full trial (:meth:`minimum_after`) was of this ``tau``, its
+        modes and nodal rows are handed to :func:`advance` as ``stepped``,
+        which then only forms the right sides and checks the solves; the
+        rows become the state's, so the trial is not kept."""
+        trial, self._trial = self._trial, None
+        stepped = trial[1] if trial is not None and trial[0] == tau else None
+        return advance(self.pre, tau, self.ops, self.modes, stepped=stepped)
 
 
 def step_toward(remaining: float, dt: float) -> float:

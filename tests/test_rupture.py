@@ -267,8 +267,8 @@ def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
     pre = constant_field(grid, 0.0105)
     real = solver.advance
 
-    def raised(state, dt, ops, modes=None):
-        stepped = real(state, dt, ops, modes)
+    def raised(state, dt, ops, modes=None, **given):
+        stepped = real(state, dt, ops, modes, **given)
         return Field(stepped.grid, stepped.values + 1e-3, stepped.time)
 
     monkeypatch.setattr(solver, "advance", raised)  # the probe's checked step
@@ -464,9 +464,9 @@ def counted_advances(monkeypatch):
     calls = []
     real = solver.advance
 
-    def advance(*args):
+    def advance(*args, **kwargs):
         calls.append(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
     patch_advance(monkeypatch, advance)
     return calls
@@ -552,10 +552,10 @@ def test_run_that_cannot_rupture_is_refused(monkeypatch):
     moves = []
 
     def counted(real):
-        def move(*args):
+        def move(*args, **kwargs):
             moves.append(1)
             assert len(moves) < 1_000, "the run was not refused"
-            return real(*args)
+            return real(*args, **kwargs)
 
         return move
 
@@ -582,10 +582,10 @@ def test_run_without_evaporation_that_cannot_rupture_is_refused(monkeypatch):
     moves = []
     real = solver.advance
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         moves.append(1)
         assert len(moves) < 1_000, "the run was not refused"
-        return real(*args)
+        return real(*args, **kwargs)
 
     patch_advance(monkeypatch, counted)
     for eta_a in (0.3, 0.14):
@@ -646,10 +646,10 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
             jumps.append(1)
         return jumped
 
-    def advance(*args):
+    def advance(*args, **kwargs):
         if not locating:
             loop_steps.append(1)
-        return real_advance(*args)
+        return real_advance(*args, **kwargs)
 
     def locate_crossing(*args, **kwargs):
         locating.append(1)
@@ -684,9 +684,9 @@ def test_a_gap_without_evaporation_jumps_and_steps_only_to_cross(monkeypatch):
         jumps.append(1)
         return real_jump(*args)
 
-    def advance(*args):
+    def advance(*args, **kwargs):
         (probed if probing else unprobed).append(1)
-        return real_advance(*args)
+        return real_advance(*args, **kwargs)
 
     def step(self, tau):
         probing.append(1)
@@ -739,20 +739,30 @@ def test_jump_below_the_change_rate_bound_is_refused(monkeypatch, ex1):
     ops, dt, threshold, state, modes = gap_case(ex1, 256)
     c0, load_min = float(np.min(state.values)), float(np.min(ops.load))
     assert rupture._jump_to_bound(state, dt, ops, threshold, None, modes) is not None
+    rate = rupture._change_rate(np.abs(ops.load_modes - ops.symbol * modes), dt, ops)
+    linear = rupture._spectral_steps(c0, rate, threshold)
+    assert linear >= rupture._REFINE_FROM  # this jump is refined on the saturating reach
 
     real = rupture.jump_decoupled
+    for past_the_linear_reach in (False, True):
+        taken = []
 
-    def lowered(state, steps, *args):
-        # still above the subsolution, but below the change-rate bound
-        jumped, jumped_modes = real(state, steps, *args)
-        floor = rupture._subsolution(c0, load_min, ops.alpha, dt, steps)
-        assert floor < threshold  # the jump goes past the subsolution's steps
-        jumped.values += 0.5 * (floor + threshold) - np.min(jumped.values)
-        return jumped, jumped_modes
+        def lowered(state, steps, *args):
+            # still above the subsolution, and, for the refined jump, also
+            # above the linear reach steps*rate, but below the bound
+            jumped, jumped_modes = real(state, steps, *args)
+            floor = rupture._subsolution(c0, load_min, ops.alpha, dt, steps)
+            if past_the_linear_reach:
+                floor = max(floor, c0 - steps * rate)
+            assert floor < threshold  # the jump goes past the subsolution's steps
+            jumped.values += 0.5 * (floor + threshold) - np.min(jumped.values)
+            taken.append(steps)
+            return jumped, jumped_modes
 
-    monkeypatch.setattr(rupture, "jump_decoupled", lowered)
-    with pytest.raises(LinearSolveError, match="below the discrete lower bound"):
-        rupture._jump_to_bound(state, dt, ops, threshold, None, modes)
+        monkeypatch.setattr(rupture, "jump_decoupled", lowered)
+        with pytest.raises(LinearSolveError, match="below the discrete lower bound"):
+            rupture._jump_to_bound(state, dt, ops, threshold, None, modes)
+        assert taken[0] > linear
 
 
 @pytest.mark.parametrize("start", ["flat", "post-reset"])
@@ -815,10 +825,10 @@ def test_start_at_the_fixed_point_jumps_once_and_lands_on_t_end(monkeypatch, wob
     moves = []
 
     def counted(real, name):
-        def move(*args):
+        def move(*args, **kwargs):
             moves.append(name)
             assert len(moves) < 100, "the run loops"
-            return real(*args)
+            return real(*args, **kwargs)
 
         return move
 
@@ -1095,7 +1105,7 @@ def test_shared_operators_are_read_only(ex1, ex3):
         ops = assemble_operators(build_grid(config, 64), config)
         dt = config.numerics.dt
         arrays = (ops.load, ops.height_load, ops.symbol, ops.fixed_point,
-                  ops.load_modes, ops.height_load_modes,
+                  ops.reach_weights, ops.load_modes, ops.height_load_modes,
                   *ops.decoupled_factors(dt), *ops.coupled_tables(dt))
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rupturesim import rupture, solver
 from rupturesim.config import ModelConfig, Numerics
+from rupturesim.errors import LinearSolveError
 from rupturesim.solver import (
     CoupledState,
     Field,
@@ -444,6 +445,66 @@ def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
         assert low > threshold
 
 
+# n, dt, sigma, alpha (0 included), the load, how many steps of 10*dt
+# smooth the noise start, which leaves fewer live modes, the change-rate
+# count and where the threshold falls inside the next step's rate
+saturation_parameters = st.tuples(
+    st.integers(4, 512),
+    st.floats(-5.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 1.0).map(lambda e: 10.0**e),
+    st.one_of(st.just(0.0), st.floats(-2.0, 2.0).map(lambda e: 10.0**e)),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 3),
+    st.integers(rupture._REFINE_FROM, 80),
+    st.floats(0.05, 0.95),
+)
+# the steps a saturation example may refine to, all of which it steps
+SATURATION_ROOM = 400
+
+
+def reach_after(steps, magnitude, rate, dt, ops):
+    """``R(steps)``, how far ``steps`` decoupled steps can move any node: the
+    refinement with no room past ``steps`` evaluates it there and stops."""
+    return rupture._saturated_steps(math.inf, magnitude, rate, steps, steps, dt, ops)[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(saturation_parameters, seeds)
+def test_plain_stepping_stays_above_the_threshold_up_to_the_refined_count(params, seed):
+    # the saturating reach R(m) lies under its linear majorant m*rate, so the
+    # refined count is never below the change-rate count, and plain stepping
+    # stays within R of the start, and so at or above the threshold, for
+    # every step up to the refined count
+    n, dt, sigma, alpha, strengths, offset, smoothing, count, inside = params
+    ops = operators(n, sigma, alpha, strengths, offset)
+    start = Field(ops.grid, random_rhs(n, seed))
+    for _ in range(smoothing):
+        start = advance(start, 10.0 * dt, ops)
+    c0 = float(np.min(start.values))
+    scale = rupture._roundoff_scale(c0, float(np.max(start.values)), ops)
+    magnitude = np.abs(ops.load_modes - ops.symbol * np.fft.rfft(start.values))
+    rate = rupture._change_rate(magnitude, dt, ops)
+    # a rate within roundoff of the state moves no node measurably
+    assume(rate > 1e3 * JUMP_TOL * scale)
+    threshold = c0 - (count + inside) * rate
+    assert rupture._spectral_steps(c0, rate, threshold) == count
+    refined, reach = rupture._saturated_steps(
+        c0 - threshold, magnitude, rate, count, SATURATION_ROOM, dt, ops
+    )
+    assert count <= refined <= SATURATION_ROOM
+    assert reach <= c0 - threshold
+    state = start
+    for j in range(1, refined + 1):
+        moved = reach_after(j, magnitude, rate, dt, ops)
+        # the two sums agree term by term at one step, up to roundoff
+        assert moved <= j * rate * (1.0 + 1e-12)
+        state = advance(state, dt, ops)
+        low = float(np.min(state.values))
+        assert low >= c0 - moved - JUMP_TOL * scale
+        assert low >= threshold - JUMP_TOL * scale
+
+
 # n, dt, sigma, alpha (0 included), the load, how far below the start's
 # minimum the jump threshold lies, and the steps before the gap's limit
 carry_parameters = st.tuples(
@@ -699,6 +760,30 @@ def test_a_step_from_the_state_equals_the_step_from_its_modes(
     assert stepped.time == from_modes.time
     for got, want in zip(state_arrays(stepped), state_arrays(from_modes)):
         assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(*step_cases)
+def test_a_step_after_its_trial_reuses_it_and_equals_advance(
+    kind, n, dt, sigma, sigma1, tau, fraction, seed
+):
+    # the checked step of the last full trial's size takes that trial's
+    # modes and rows, transforms nothing and checks the solves as always
+    ops, pre = step_case(kind, n, dt, sigma, sigma1, tau, seed)
+    modes, step = state_modes(pre), fraction * dt
+    expected = advance(pre, step, ops, modes)
+    probe = solver.StepProbe(pre, dt, ops, -math.inf, -math.inf, modes)  # no threshold
+    probe.minimum_after(step)
+    untransformed = AssertionError("the trial was transformed again")
+    with mock.patch.object(np.fft, "irfft", side_effect=untransformed):
+        stepped = probe.step(step)
+    assert stepped.time == expected.time
+    for got, want in zip(state_arrays(stepped), state_arrays(expected)):
+        assert np.array_equal(got, want)
+    probe.minimum_after(step)
+    with mock.patch.object(solver, "_STEP_RESIDUAL_TOL", -1.0):
+        with pytest.raises(LinearSolveError):
+            probe.step(step)
 
 
 def bounded_case(params, seed, smoothing, reset):
