@@ -19,7 +19,6 @@ from .stationary import (
     check_condition_S,
     eval_stationary,
     solve_stationary,
-    solve_stationary_alpha0,
 )
 from .solver import (
     CoupledState,
@@ -89,7 +88,6 @@ __all__ = [
     "rupture_time_bounds",
     "save_scenario",
     "solve_stationary",
-    "solve_stationary_alpha0",
     "step_coupled",
     "step_decoupled",
     "validate",

@@ -350,8 +350,8 @@ def _cmd_bounds(manifest: RunManifest, config: ModelConfig) -> int:
 
 def _cmd_stationary(manifest: RunManifest, config: ModelConfig) -> int:
     grid = build_grid(config)
+    profile = stationary.solve_stationary(config)
     if config.alpha > 0.0:
-        profile = stationary.solve_stationary(config)
         report = stationary.check_condition_S(profile, config)
         payload = {
             "command": "stationary",
@@ -361,7 +361,6 @@ def _cmd_stationary(manifest: RunManifest, config: ModelConfig) -> int:
             "min_per_interval": [list(pair) for pair in report.min_per_interval],
         }
     else:
-        profile = stationary.solve_stationary_alpha0(config)
         payload = {
             "command": "stationary",
             "condition_S_holds": None,

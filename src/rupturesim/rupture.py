@@ -249,12 +249,12 @@ def _saturated_steps(
     ``m*dt*w_k |v_k|``.
     """
     still, weights = ops.still_count, ops.reach_weights
-    growth, _, rates = ops.decoupled_factors(dt)
+    _, logs, rates = ops.decoupled_factors(dt)
     held = float(np.dot(magnitude[:still], rates[:still])) if still else 0.0
     # counts only grow, so the first count's prefix holds every later one
     top = ops.kept_modes(dt, steps)
     live = magnitude[still:top] * weights[still:top]
-    logs = np.log1p(growth[still:top])  # -log F_k
+    logs = logs[still:top]  # -log F_k
     slopes = live * logs
     settled = float(np.dot(magnitude[top:], weights[top:]))
     best, count = (steps, steps * rate), steps

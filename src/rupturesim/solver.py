@@ -214,13 +214,13 @@ class Operators:
 
     @functools.lru_cache(maxsize=4)
     def decoupled_factors(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(g, 1 + g, dt*w/(1 + g))`` per rfft mode, with ``g =
-        dt*symbol`` and ``w`` from :func:`_mode_weights`: the growth and step
-        divisor of a decoupled step of ``dt`` and the weights of its change
-        rate, which scale the drive; read-only and built once per step
-        size."""
+        """``(g, log1p(g), dt*w/(1 + g))`` per rfft mode, with ``g =
+        dt*symbol`` and ``w`` from :func:`_mode_weights`: the growth of a
+        decoupled step of ``dt``, ``-log F_k`` of its factor ``F_k = 1/(1 +
+        g_k)``, and the weights of its change rate, which scale the drive;
+        read-only and built once per step size."""
         growth = dt * self.symbol
-        tables = growth, 1.0 + growth, dt * _mode_weights(self.grid.n) / (1.0 + growth)
+        tables = growth, np.log1p(growth), dt * _mode_weights(self.grid.n) / (1.0 + growth)
         for table in tables:
             table.flags.writeable = False
         return tables
@@ -529,17 +529,18 @@ def jump_decoupled(
     holds the rfft modes of ``state`` passes them as ``modes``, such as
     those the jump before handed out, which stand for that transform up to
     roundoff, and the drive formed from them as ``drive``; the one inverse
-    transform is then the only one.  The powers ``F_k^m`` are evaluated
-    only over the prefix of modes whose growth ``g_k`` lies below a cut at
-    which ``F_k^m`` is about ``2**-64``.  Past it every power is smaller,
-    and ``1 - F_k^m`` rounds to 1 for any ``F_k^m`` up to ``2**-54``, so
-    the cut modes take ``1/symbol_k`` bit for bit as the uncut closed form
-    does, and skip powers that would mostly underflow or turn subnormal,
-    which is slow.  That holds even where a rounded ``g_k`` does not grow
-    with ``k``: a mode on the wrong side of the cut lies within roundoff of
-    it, where its power is still about ``2**-64``.  The time advances by
-    ``steps`` repeated additions of ``dt``, so it is bit-identical to
-    stepping.
+    transform is then the only one.  ``1 - F_k^m`` is formed as
+    ``-expm1(-m*log1p(g_k))``, which does not cancel where ``g_k`` is tiny
+    (mode 0 under weak evaporation), and only over the prefix of modes
+    whose growth ``g_k`` lies below a cut at which ``F_k^m`` is about
+    ``2**-64``.  Past it every power is smaller, and ``1 - F_k^m`` rounds
+    to 1 for any ``F_k^m`` up to ``2**-54``, so the cut modes take
+    ``1/symbol_k`` bit for bit as the uncut closed form does, and skip the
+    work of the powers.  That holds even where a rounded ``g_k`` does not
+    grow with ``k``: a mode on the wrong side of the cut lies within
+    roundoff of it, where its power is still about ``2**-64``.  The time
+    advances by ``steps`` repeated additions of ``dt``, so it is
+    bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -548,10 +549,10 @@ def jump_decoupled(
         modes = np.fft.rfft(state.values)
     if drive is None:
         drive = ops.load_modes - symbol * modes
-    divisor = ops.decoupled_factors(dt)[1]
+    logs = ops.decoupled_factors(dt)[1]
     kept = ops.kept_modes(dt, steps)
     reach = np.ones_like(symbol)
-    np.subtract(1.0, np.power(divisor[:kept], -steps), out=reach[:kept])
+    reach[:kept] = -np.expm1(-steps * logs[:kept])
     still = ops.still_count
     reach[:still] = steps * dt
     reach[still:] /= symbol[still:]

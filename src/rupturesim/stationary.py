@@ -1,24 +1,30 @@
 """Closed-form stationary profile of the reduced layer-thickness equation.
 
-Off the junctions the stationary profile solves
-``sigma * s'' - alpha * s = A`` and is therefore a constant plus a pair of
-exponentials on each junction interval, with ``lam = sqrt(alpha/sigma)``.
-At each junction the derivative drops by ``c_k/sigma``.  Each interval's
-pair is scaled to its own length ``L``: one exponential decays from the
-right end and one from the left, ``exp(-lam*(L - u))`` and ``exp(-lam*u)``
-with ``u`` the distance from the left end, so neither exceeds 1 on the
-interval and no entry of the linear system exceeds ``max(1, lam)``,
-however stiff the evaporation.  One per-interval evaluator gives the
-value, slope and curvature of either family to every query.
+Off the junctions the stationary profile solves ``sigma*s'' - alpha*s =
+A``; at each junction the derivative drops by ``c_k/sigma``.  With ``B =
+sum(c)/omega`` the profile is ``s = (B - A)/alpha + r``, where ``r`` solves
+the same problem under the mass-conserving offset ``B`` and has mean 0.
+Without evaporation the constant is 0, a profile exists only when ``A =
+B``, and the zero mean fixes the additive constant left free.
 
-For ``alpha = 0`` the profile is piecewise quadratic, exists only when the
-offset is the mass-conserving choice, and is normalized here to zero mean
-(the continuous problem leaves the additive constant free).
+On an interval of length ``L``, with ``lam = sqrt(alpha/sigma)`` and ``v``
+the distance from its centre, ``r = p*C + q*S + (B/sigma)*Q`` with ``C =
+cosh(lam*v)/cosh(lam*L/2)``, ``S = sinh(lam*v)/(lam*cosh(lam*L/2))`` and
+``Q = (C - 1)/lam**2``.  With ``a = u*phi(lam*u)`` and ``b`` likewise for
+the distances ``u`` and ``L - u`` to the two ends, ``phi(z) = (1 -
+exp(-z))/z = exp(-z/2)*sinh(z/2)/(z/2)`` the first phi-function of
+exponential integrators (Hochbruck & Ostermann, Acta Numerica 19, 2010),
+and ``scale = 1 + exp(-lam*L)``: ``C*scale = exp(-lam*u) + exp(-lam*(L -
+u))``, ``S*scale = a - b`` and ``Q*scale = -a*b``.  None exceeds its size
+at ``lam = 0``, cancels as ``lam*L -> 0`` or overflows however stiff the
+evaporation.  One solve of continuity, the slope jumps and ``mean(r) = 0``
+serves every ``alpha >= 0``, and one per-interval evaluator gives the
+value, slope and curvature to every query.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +32,20 @@ from .config import ModelConfig, effective_parameters
 from .errors import DomainError, NoSolutionError, SingularSystemError, UnsupportedError
 
 _RESIDUAL_TOL = 1.0e-8
+# 2n/(2n + 1)!, n = 10..1: the series of (x*cosh x - sinh x)/x**3 in x**2,
+# highest power first; its last term is below 1e-18 of the sum for x <= 1
+_BULGE_SERIES = tuple(2.0 * n / math.factorial(2 * n + 1) for n in range(10, 0, -1))
 
 
 @dataclass(frozen=True)
 class StationaryProfile:
     """Piecewise closed form of the stationary profile.
 
-    ``lengths[k]`` is the length ``L_k`` of the k-th interval.  For
-    ``alpha > 0`` row ``k`` of ``coeffs`` holds the exponential pair
-    ``(p_k, q_k)`` so that on the k-th interval
-    ``s(x) = offset + p_k*exp(-lam*(L_k - u)) + q_k*exp(-lam*u)`` with
-    ``u = x - a_k``; neither exponential exceeds 1 on the interval.  For
-    the degenerate ``alpha = 0`` branch (``alpha_zero`` set) row ``k``
-    holds ``(slope_k, value_k)`` of
-    ``s(x) = quad_lead*u**2 + slope_k*u + value_k`` instead.
+    ``lengths[k]`` is the length ``L_k`` of the k-th interval, and row
+    ``k`` of ``coeffs`` holds ``(p_k, q_k)`` so that on it ``s = offset +
+    p_k*C + q_k*S + (balanced_offset/sigma)*Q`` in the basis of the module
+    docstring, ``offset = (balanced_offset - forcing_offset)/alpha`` (0
+    without evaporation).
     """
 
     omega: float
@@ -48,11 +54,10 @@ class StationaryProfile:
     sigma: float
     alpha: float
     forcing_offset: float
+    balanced_offset: float
     lam: float
     offset: float
     coeffs: np.ndarray
-    alpha_zero: bool = False
-    quad_lead: float = 0.0
 
     @property
     def num_intervals(self) -> int:
@@ -76,32 +81,38 @@ class SReport:
 
 
 def solve_stationary(config: ModelConfig) -> StationaryProfile:
-    """Solve the continuity/jump system for the unique stationary profile.
+    """Solve the continuity/jump system for the stationary profile, for
+    any ``alpha >= 0``.
 
-    Requires ``alpha > 0``; the degenerate case is handled by
-    :func:`solve_stationary_alpha0`.  Raises
-    :class:`SingularSystemError` if the assembled system cannot be solved
-    to the expected residual.
+    Without evaporation a profile exists only when the forcing offset is
+    the mass-conserving choice; otherwise raises :class:`NoSolutionError`.
+    Raises :class:`DomainError` if the mean ``(B - A)/alpha`` is not
+    finite, and :class:`SingularSystemError` if the assembled system
+    cannot be solved to the expected residual.
     """
-    if config.alpha <= 0.0:
-        raise UnsupportedError("alpha must be positive; use solve_stationary_alpha0")
     sigma, strengths, offset_a = effective_parameters(config)
-    lam = math.sqrt(config.alpha / sigma)
+    balanced = math.fsum(strengths) / config.omega
+    if config.alpha > 0.0:
+        offset = (balanced - offset_a) / config.alpha
+        if not math.isfinite(offset):
+            raise DomainError(
+                f"the stationary profile's mean (B - A)/alpha = {offset:g} is not finite"
+            )
+    elif abs(offset_a - balanced) <= 1.0e-12 * max(abs(offset_a), abs(balanced)):
+        offset = 0.0
+    else:
+        raise NoSolutionError(
+            "no stationary profile: forcing offset is not the mass-conserving choice"
+        )
+    lam = math.sqrt(config.alpha) / math.sqrt(sigma)  # alpha/sigma may overflow
     junctions = np.asarray(config.junctions, dtype=float)
     lengths = interval_lengths(junctions, config.omega)
-    if math.exp(-lam * lengths.min()) == 1.0:
-        # the pair of the shortest interval is one function in float64, and
-        # the system is singular
-        raise DomainError(
-            f"evaporation too weak against diffusion for the stationary profile: "
-            f"lam = {lam:g} leaves the two exponentials of an interval equal"
-        )
-    matrix, rhs = _jump_system(lam, lengths, strengths, sigma)
+    matrix, rhs = _jump_system(lam, lengths, strengths, sigma, balanced)
     try:
-        solution = np.linalg.solve(matrix, rhs)
+        solution = np.linalg.solve(matrix, rhs)[:-1]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(str(exc)) from exc
-    residual = np.max(np.abs(matrix @ solution - rhs))
+    residual = np.max(np.abs(matrix[:, :-1] @ solution - rhs))
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL * (1.0 + np.max(np.abs(rhs))):
         raise SingularSystemError(f"stationary solve residual {residual:g}")
 
@@ -112,81 +123,71 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
         sigma=sigma,
         alpha=config.alpha,
         forcing_offset=offset_a,
+        balanced_offset=balanced,
         lam=lam,
-        offset=-offset_a / config.alpha,
+        offset=offset,
         coeffs=solution.reshape(-1, 2),
     )
 
 
-def _jump_system(lam, lengths, strengths, sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix and right side of the conditions on ``(p_0, q_0, p_1, ...)``:
-    row ``2j`` is continuity at the right end of interval ``j``, row
-    ``2j + 1`` the slope jump ``-c_m/sigma`` there, ``m = j + 1`` mod the
-    interval count.  Every entry is at most ``max(1, lam)`` in size."""
+def _jump_system(lam, lengths, strengths, sigma, balanced) -> tuple[np.ndarray, np.ndarray]:
+    """Bordered square system for ``(p_0, q_0, p_1, ..., mu)``: row ``2j``
+    is continuity at the right end of interval ``j``, row ``2j + 1`` the
+    slope jump ``-c_m/sigma`` there, ``m = j + 1`` mod the interval count,
+    and the last row ``mean(r) = 0``.  With ``T = tanh(lam*L/2)/lam`` the
+    value of ``S`` at the right end, no entry exceeds ``max(1, lam, L/2)``.
+    The slope rows sum to ``-lam**2*sum(L)`` times the mean row; the last
+    column is that left null vector at unit length, so the solution is the
+    least-squares one, with ``mu`` 0 up to roundoff, and as well
+    conditioned."""
     k = len(lengths)
-    decay = np.exp(-lam * lengths)
-    matrix = np.zeros((2 * k, 2 * k))
-    rhs = np.zeros(2 * k)
+    half, bulge = _interval_terms(lam, lengths)
+    shear = lam * (lam * half)
+    drive = balanced / sigma
+    matrix = np.zeros((2 * k + 1, 2 * k + 1))
+    rhs = np.zeros(2 * k + 1)
     for j in range(k):
         m = (j + 1) % k
-        matrix[2 * j, 2 * j : 2 * j + 2] += (1.0, decay[j])
-        matrix[2 * j, 2 * m : 2 * m + 2] -= (decay[m], 1.0)
-        matrix[2 * j + 1, 2 * m : 2 * m + 2] += (lam * decay[m], -lam)
-        matrix[2 * j + 1, 2 * j : 2 * j + 2] -= (lam, -lam * decay[j])
-        rhs[2 * j + 1] = -strengths[m] / sigma
+        matrix[2 * j, 2 * j : 2 * j + 2] += (1.0, half[j])
+        matrix[2 * j, 2 * m : 2 * m + 2] -= (1.0, -half[m])
+        matrix[2 * j + 1, 2 * m : 2 * m + 2] += (-shear[m], 1.0)
+        matrix[2 * j + 1, 2 * j : 2 * j + 2] -= (shear[j], 1.0)
+        rhs[2 * j + 1] = drive * (half[m] + half[j]) - strengths[m] / sigma
+    total = float(np.sum(lengths))
+    matrix[2 * k, 0 : 2 * k : 2] = 2.0 * half / total
+    rhs[2 * k] = -drive * np.sum(bulge) / total
+    # unit length without forming lam**2*total, which may overflow
+    turn = math.atan2(lam * lam * total, math.sqrt(k))
+    matrix[1 : 2 * k : 2, 2 * k] = math.cos(turn) / math.sqrt(k)
+    matrix[2 * k, 2 * k] = math.sin(turn)
     return matrix, rhs
 
 
-def solve_stationary_alpha0(config: ModelConfig) -> StationaryProfile:
-    """Piecewise-quadratic stationary profile for ``alpha = 0``.
+def _damped(lam, u):
+    """``(1 - exp(-lam*u))/lam``, the integral of ``exp(-lam*t)`` over
+    ``[0, u]``, without cancellation, and ``u`` itself at ``lam = 0``."""
+    return np.expm1(-lam * u) / -lam if lam > 0.0 else u
 
-    Exists only when the forcing offset equals the mean jump strength
-    (zero forcing integral); otherwise raises :class:`NoSolutionError`.
-    The free additive constant is fixed by zero mean over one period.
-    """
-    if config.alpha != 0.0:
-        raise UnsupportedError("alpha must be zero; use solve_stationary")
-    sigma, strengths, offset_a = effective_parameters(config)
-    total = math.fsum(strengths)
-    target = total / config.omega
-    scale = max(abs(offset_a), abs(target))
-    if abs(offset_a - target) > 1.0e-12 * scale:
-        raise NoSolutionError(
-            "no stationary profile: forcing offset is not the mass-conserving choice"
-        )
 
-    junctions = np.asarray(config.junctions, dtype=float)
-    k = len(junctions)
-    lengths = interval_lengths(junctions, config.omega)
-    lead = offset_a / (2.0 * sigma)
-
-    # slope_j = t + dslope_j and value_j = base_j + t*(a_j - a_0); the
-    # periodic continuity wrap determines t since the jump wrap is the
-    # solvability condition already checked above.
-    dslope = np.zeros(k)
-    base = np.zeros(k)
-    for j in range(k - 1):
-        dslope[j + 1] = dslope[j] + (offset_a / sigma) * lengths[j] - strengths[j + 1] / sigma
-        base[j + 1] = base[j] + lead * lengths[j] ** 2 + dslope[j] * lengths[j]
-    last = k - 1
-    t = -(base[last] + lead * lengths[last] ** 2 + dslope[last] * lengths[last]) / config.omega
-    slope = dslope + t
-    value = base + t * (junctions - junctions[0])
-
-    profile = StationaryProfile(
-        omega=config.omega,
-        junctions=junctions,
-        lengths=lengths,
-        sigma=sigma,
-        alpha=0.0,
-        forcing_offset=offset_a,
-        lam=0.0,
-        offset=0.0,
-        coeffs=np.column_stack([slope, value]),
-        alpha_zero=True,
-        quad_lead=lead,
-    )
-    return replace(profile, coeffs=np.column_stack([slope, value - profile_mean(profile)]))
+def _interval_terms(lam: float, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per interval, ``T = tanh(x)/lam = (L/2)*(1 - x**2*g)``, the value of
+    ``S`` at the right end and half the integral of ``C``, and the integral
+    of ``Q``, ``-L*(L/2)**2*g``, with ``x = lam*L/2`` and ``g = (x - tanh
+    x)/x**3``, which cancels below ``x = 1`` and is summed there instead."""
+    terms = []
+    for length in lengths.tolist():
+        x = lam * length / 2.0
+        if x >= 1.0:
+            ratio = math.tanh(x) / x
+            spread = (1.0 - ratio) / lam / lam  # (L/2)**2*g
+        else:
+            series = 0.0
+            for coefficient in _BULGE_SERIES:
+                series = series * x * x + coefficient
+            series /= math.cosh(x)
+            ratio, spread = 1.0 - x * x * series, (length / 2.0) * (length / 2.0) * series
+        terms.append((length / 2.0 * ratio, -length * spread))
+    return np.array(terms).T
 
 
 def interval_lengths(junctions: np.ndarray, omega: float) -> np.ndarray:
@@ -213,20 +214,22 @@ def _locate(profile: StationaryProfile, x: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _pieces(profile: StationaryProfile, idx, u) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Value, slope and curvature of the closed form of interval ``idx`` at
-    local coordinate ``u``; broadcasts over both."""
-    first, second = profile.coeffs[idx, 0], profile.coeffs[idx, 1]
-    if profile.alpha_zero:
-        lead = profile.quad_lead
-        curvature = np.full(np.shape(u), 2.0 * lead)
-        return lead * u**2 + first * u + second, 2.0 * lead * u + first, curvature
-    lam = profile.lam
-    grow = first * np.exp(-lam * (profile.lengths[idx] - u))
-    decay = second * np.exp(-lam * u)
-    pair = grow + decay
+    local coordinate ``u``, in the scaled basis of the module docstring;
+    broadcasts over both."""
+    lam, length = profile.lam, profile.lengths[idx]
+    p, q = profile.coeffs[idx].T
+    rest = length - u
+    a, b = _damped(lam, u), _damped(lam, rest)
+    even, odd = np.exp(-lam * u) + np.exp(-lam * rest), a - b  # C and S times scale
+    scale = 1.0 + np.exp(-lam * length)  # 2*cosh(lam*L/2)*exp(-lam*L/2)
+    drive = profile.balanced_offset / profile.sigma
+    pair = p * even + q * odd
+    value = profile.offset + (pair - drive * a * b) / scale
     # the slope and curvature of a profile far steeper than its values may
     # pass the float range; they are then infinite
     with np.errstate(over="ignore"):
-        return profile.offset + pair, lam * (grow - decay), lam * lam * pair
+        slope = (lam * (lam * (p * odd)) + drive * odd + q * even) / scale
+        return value, slope, (lam * (lam * pair) + drive * even) / scale
 
 
 def eval_stationary(profile: StationaryProfile, x) -> np.ndarray | float:
@@ -253,17 +256,18 @@ def interval_extrema(profile: StationaryProfile) -> list[tuple[float, float]]:
     """Exact ``(min, max)`` of the profile on the closure of each interval.
 
     Uses the endpoints plus the single interior turning point, where the
-    slope vanishes, when it falls inside: ``u* = L/2 + log(q/p)/(2*lam)``
-    of an exponential pair with ``p*q > 0``, or the quadratic's vertex.  The
-    result does not depend on any sampling grid.
+    slope ``(lam**2 p + B/sigma)*S + q*C`` vanishes, when it falls inside:
+    ``v* = atanh(lam*t)/lam`` from the centre with ``t = -q/(lam**2 p +
+    B/sigma)``, formed as ``t*atanh(y)/y`` with ``y = lam*t`` so that it
+    tends to the parabola's vertex ``t`` as ``lam -> 0``.  The result does
+    not depend on any sampling grid.
     """
-    lengths = profile.lengths
-    first, second = profile.coeffs.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if profile.alpha_zero:
-            turn = -first / (2.0 * profile.quad_lead)
-        else:
-            turn = lengths / 2.0 + np.log(second / first) / (2.0 * profile.lam)
+    lengths, lam = profile.lengths, profile.lam
+    p, q = profile.coeffs.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = -q / (lam * (lam * p) + profile.balanced_offset / profile.sigma)
+        y = lam * ratio
+        turn = lengths / 2.0 + ratio * np.where(y == 0.0, 1.0, np.arctanh(y) / y)
     # a turning point outside the open interval is replaced by its left end
     turn = np.where((0.0 < turn) & (turn < lengths), turn, 0.0)
     u = np.stack((np.zeros_like(lengths), lengths, turn))
@@ -273,13 +277,9 @@ def interval_extrema(profile: StationaryProfile) -> list[tuple[float, float]]:
 
 def profile_mean(profile: StationaryProfile) -> float:
     """Exact mean of the profile over one period."""
-    lengths = profile.lengths
-    first, second = profile.coeffs.T
-    if profile.alpha_zero:
-        lead = profile.quad_lead
-        total = np.sum(lead * lengths**3 / 3.0 + first * lengths**2 / 2.0 + second * lengths)
-        return float(total / profile.omega)
-    total = np.sum((first + second) * -np.expm1(-profile.lam * lengths)) / profile.lam
+    half, bulge = _interval_terms(profile.lam, profile.lengths)
+    drive = profile.balanced_offset / profile.sigma
+    total = np.sum(2.0 * half * profile.coeffs[:, 0] + drive * bulge)
     return float(profile.offset + total / profile.omega)
 
 
@@ -289,7 +289,7 @@ def check_condition_S(profile: StationaryProfile, config: ModelConfig) -> SRepor
     Refuses ``alpha = 0`` profiles: their additive constant is a
     normalization choice here, and the decision would depend on it.
     """
-    if profile.alpha_zero:
+    if profile.alpha == 0.0:
         raise UnsupportedError(
             "threshold localization is undefined for the alpha = 0 profile family"
         )

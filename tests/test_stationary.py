@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from rupturesim.config import ModelConfig, config_from_dict, effective_parameters
 from rupturesim.errors import NoSolutionError, UnsupportedError
@@ -87,7 +89,7 @@ def test_translation_equivariance(ex1):
 
 def test_quadratic_branch_closed_form():
     cfg = single_junction_config(alpha=0.0)
-    profile = stationary.solve_stationary_alpha0(cfg)
+    profile = stationary.solve_stationary(cfg)
     xs = np.linspace(0.0, 1.0, 501)
     exact = xs**2 / 2.0 - xs / 2.0 + 1.0 / 12.0
     assert np.max(np.abs(stationary.eval_stationary(profile, xs) - exact)) < 1e-12
@@ -98,12 +100,12 @@ def test_quadratic_branch_closed_form():
 def test_quadratic_branch_requires_mass_balance():
     cfg = single_junction_config(alpha=0.0, forcing_offset=1.5)
     with pytest.raises(NoSolutionError):
-        stationary.solve_stationary_alpha0(cfg)
+        stationary.solve_stationary(cfg)
 
 
 def test_quadratic_branch_zero_forcing():
     cfg = single_junction_config(alpha=0.0, jump_strengths=(0.0,), forcing_offset=0.0)
-    profile = stationary.solve_stationary_alpha0(cfg)
+    profile = stationary.solve_stationary(cfg)
     xs = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(stationary.eval_stationary(profile, xs))) < 1e-14
 
@@ -117,7 +119,7 @@ def test_quadratic_branch_with_several_junctions(ex1, junctions, strengths):
     # offset 3 is the mass-conserving choice for both strength sets
     cfg = replace(ex1, alpha=0.0, junctions=junctions, jump_strengths=strengths)
     sigma, scaled, offset = effective_parameters(cfg)
-    profile = stationary.solve_stationary_alpha0(cfg)
+    profile = stationary.solve_stationary(cfg)
     k = len(junctions)
     for j, c in enumerate(scaled):
         assert stationary.junction_slope_jump(profile, j) == pytest.approx(-c / sigma, abs=1e-13)
@@ -144,10 +146,18 @@ def test_quadratic_branch_with_several_junctions(ex1, junctions, strengths):
 
 
 def test_branch_routing():
+    # one solve for every alpha >= 0: balanced alpha = 0 is the zero-mean
+    # quadratic, unbalanced alpha = 0 has no profile, and the localization
+    # check refuses the alpha = 0 family
+    cfg = single_junction_config(alpha=0.0)
+    profile = stationary.solve_stationary(cfg)
+    xs = np.linspace(0.0, 1.0, 101)
+    exact = xs**2 / 2.0 - xs / 2.0 + 1.0 / 12.0
+    assert np.max(np.abs(stationary.eval_stationary(profile, xs) - exact)) < 1e-12
+    with pytest.raises(NoSolutionError):
+        stationary.solve_stationary(single_junction_config(alpha=0.0, forcing_offset=1.5))
     with pytest.raises(UnsupportedError):
-        stationary.solve_stationary(single_junction_config(alpha=0.0))
-    with pytest.raises(UnsupportedError):
-        stationary.solve_stationary_alpha0(single_junction_config())
+        stationary.check_condition_S(profile, cfg)
 
 
 def test_continuity_at_junctions(ex1):
@@ -184,11 +194,13 @@ def test_uniqueness_under_permuted_assembly(ex1):
     # permuting the equations of the linear system must not change the answer
     profile = stationary.solve_stationary(ex1)
     sigma, strengths, _ = effective_parameters(ex1)
-    matrix, rhs = stationary._jump_system(profile.lam, profile.lengths, strengths, sigma)
+    matrix, rhs = stationary._jump_system(
+        profile.lam, profile.lengths, strengths, sigma, profile.balanced_offset
+    )
     k = len(profile.junctions)
     rng = np.random.default_rng(11)
-    perm = rng.permutation(2 * k)
-    permuted = np.linalg.solve(matrix[perm], rhs[perm]).reshape(k, 2)
+    perm = rng.permutation(2 * k + 1)
+    permuted = np.linalg.solve(matrix[perm], rhs[perm])[:-1].reshape(k, 2)
     assert np.max(np.abs(permuted - profile.coeffs)) < 1e-10
 
 
@@ -287,7 +299,7 @@ def test_localization_fails_for_flat_zero_profile():
 
 def test_localization_check_refused_for_quadratic_branch():
     cfg = single_junction_config(alpha=0.0)
-    profile = stationary.solve_stationary_alpha0(cfg)
+    profile = stationary.solve_stationary(cfg)
     with pytest.raises(UnsupportedError):
         stationary.check_condition_S(profile, cfg)
 
@@ -308,14 +320,15 @@ def graded_mean(profile, nodes=20):
     interval's own coordinate, on panels that double in width away from
     either end from well inside the boundary layer of width ``1/lam``, so
     that any evaporation rate is resolved.  The right half of an interval
-    is the left half of the mirrored pair ``(q, p)``, which keeps the
+    is the left half of the mirrored coefficients ``(p, -q)``, since ``C``
+    and ``Q`` are even about the centre and ``S`` is odd, which keeps the
     distance to the right end exact."""
     points, weights = np.polynomial.legendre.leggauss(nodes)
-    mirrored = replace(profile, coeffs=profile.coeffs[:, ::-1])
+    mirrored = replace(profile, coeffs=profile.coeffs * (1.0, -1.0))
     total = 0.0
     for k, length in enumerate(profile.lengths):
         half = length / 2.0
-        first = min(half, 1.0 / profile.lam) / 16.0
+        first = half / max(1.0, half * profile.lam) / 16.0
         edges = [0.0] + [first * 2.0**i for i in range(int(np.log2(half / first)) + 1)] + [half]
         for lo, hi in zip(edges, edges[1:]):
             u = lo + (hi - lo) * (points + 1.0) / 2.0
@@ -357,3 +370,44 @@ def test_closed_form_under_stiff_evaporation(ex1, alpha):
     scale = abs(profile.offset) + coeffs * min(1.0, 1.0 / profile.lam)
     expected = graded_mean(profile)
     assert stationary.profile_mean(profile) == pytest.approx(expected, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.just(0.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e)),
+    st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    st.tuples(*[st.floats(-2.0, 2.0, allow_subnormal=False)] * 3),
+)
+def test_one_solve_is_uniform_as_evaporation_vanishes(ex1, alpha, sigma, strengths):
+    # the exponential pair of each interval cancelled as lam*L -> 0: at
+    # alpha = 1e-12 the ex1 profile came out near 78.7 instead of within
+    # 0.065 of 0, and alpha = 1e-10 and 1e-30 failed the residual check
+    balanced = math.fsum(strengths) / ex1.omega
+    cfg = replace(ex1, alpha=alpha, sigma2=sigma, jump_strengths=strengths,
+                  forcing_offset=balanced)
+    profile = stationary.solve_stationary(cfg)
+    limit = stationary.solve_stationary(replace(cfg, alpha=0.0))
+    assert profile.offset == 0.0 and limit.lam == 0.0
+    lam = profile.lam
+    p, q = np.max(np.abs(profile.coeffs), axis=0)
+    drive = abs(balanced) / sigma
+    # C, S and Q are at most 1, omega/2 and omega**2/8 in size
+    size = p + q * ex1.omega / 2.0 + drive * ex1.omega**2 / 8.0
+
+    xs = np.random.default_rng(3).uniform(0.0, cfg.omega, 500)
+    xs = xs[np.min(np.abs(xs[:, None] - np.array(cfg.junctions)[None, :]), axis=1) > 1e-6]
+    residual = np.max(np.abs(stationary.ode_residual(profile, xs)))
+    assert residual <= 1e-12 * (sigma * lam**2 * size + abs(balanced))
+    for k, c in enumerate(strengths):
+        jump = stationary.junction_slope_jump(profile, k)
+        slopes = lam * p + q + drive * ex1.omega / 2.0 + max(map(abs, strengths)) / sigma
+        assert abs(jump + c / sigma) <= 1e-12 * slopes
+    assert abs(stationary.profile_mean(profile)) <= 1e-12 * size
+    assert abs(graded_mean(profile)) <= 1e-12 * size
+
+    # sigma*(s_0 - s_alpha)'' = alpha*s_alpha with both of mean 0, so the
+    # difference is at most alpha*omega**2/12*max|s_alpha|/sigma
+    largest = max(max(abs(lo), abs(hi)) for lo, hi in stationary.interval_extrema(profile))
+    xs = np.linspace(0.0, ex1.omega, 1001, endpoint=False)
+    gap = stationary.eval_stationary(profile, xs) - stationary.eval_stationary(limit, xs)
+    assert np.max(np.abs(gap)) <= alpha * ex1.omega**2 * largest / sigma + 1e-12 * size
