@@ -42,16 +42,21 @@ from .rupture import (
     rupture_intervals,
     rupture_time_bounds,
 )
-from .periodic import (
-    ConvergenceReport,
-    GradientProbeReport,
-    find_periodic,
-    gradient_probe,
-    poincare_map,
-    verify_periodic,
-)
 
 __version__ = "0.1.0"
+
+# periodic's exports are imported on first use (PEP 562), so that a process
+# that never searches for an orbit does not load the module
+_PERIODIC = frozenset(("ConvergenceReport", "GradientProbeReport", "find_periodic",
+                       "gradient_probe", "poincare_map", "verify_periodic"))
+
+
+def __getattr__(name: str):
+    if name in _PERIODIC:
+        from . import periodic
+
+        return getattr(periodic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundsReport",

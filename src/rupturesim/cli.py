@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .rupture import run_with_rupture, rupture_time_bounds
 from .solver import CoupledState, Field, build_grid
-from .periodic import find_periodic, splice, verify_periodic
 from . import stationary
 
 _EX1 = {
@@ -59,8 +59,7 @@ PRESETS: dict[str, dict] = {
 COMMANDS = ("simulate", "bounds", "stationary", "find-periodic", "verify")
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(NamedTuple):
     """Everything one invocation needs; presets are ex1/ex2/ex3."""
 
     command: str
@@ -373,6 +372,10 @@ def _cmd_stationary(manifest: RunManifest, config: ModelConfig) -> int:
 
 
 def _cmd_find_periodic(manifest: RunManifest, config: ModelConfig) -> int:
+    # periodic is imported by the two commands that use it, so that the
+    # others do not load it
+    from .periodic import find_periodic, splice
+
     grid = build_grid(config)
     xi0 = make_initial_field(manifest.eta0, grid, config)
     max_iter = manifest.max_iter if manifest.max_iter is not None else 50
@@ -402,6 +405,8 @@ def _cmd_find_periodic(manifest: RunManifest, config: ModelConfig) -> int:
 
 
 def _cmd_verify(manifest: RunManifest, config: ModelConfig) -> int:
+    from .periodic import verify_periodic
+
     out = manifest.output_dir
     report_path = out / "report.json"
     if report_path.exists():
@@ -525,5 +530,18 @@ def main(argv: list[str] | None = None) -> int:
     return run(manifest)
 
 
+def entry() -> int:
+    """Process entry of ``python -m rupturesim.cli`` and the ``rupturesim``
+    script: :func:`main`, then ``gc.freeze()``, so that the collections
+    while the interpreter finalizes do not walk every object the imports
+    made.  atexit handlers, stream flushes and module teardown still run.
+    :func:`main` itself freezes nothing, since it is also called
+    in-process."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

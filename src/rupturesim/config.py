@@ -14,6 +14,7 @@ import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError, SchemaError
 
@@ -120,8 +121,7 @@ class ModelConfig:
             )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of the admissibility checks; validation never raises."""
 
     condition_C_holds: bool

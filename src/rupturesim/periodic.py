@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .solver import (
 from . import stationary
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Picard-iteration history of the return map.
 
     ``iterates`` holds ``(m, t_r, sup_diff)`` per application, where
@@ -49,8 +48,7 @@ class ConvergenceReport:
     distinguished_interval: int
 
 
-@dataclass(frozen=True)
-class GradientProbeReport:
+class GradientProbeReport(NamedTuple):
     """Fitted smoothing-estimate constants and the probed data.
 
     ``samples`` holds ``(t, sup |grad|, fitted bound at t)``; ``c0`` and
@@ -73,6 +71,15 @@ def distinguished_interval(profile: stationary.StationaryProfile, config: ModelC
         return report.rupture_interval_index
     mins = [lo for _, lo in report.min_per_interval]
     return int(np.argmin(mins))
+
+
+@functools.lru_cache(maxsize=8)
+def _stationary_basis(config: ModelConfig) -> tuple[stationary.StationaryProfile, int]:
+    """The stationary profile of ``config`` and its
+    :func:`distinguished_interval`, solved once per configuration and
+    shared by every caller; the profile's arrays are read-only."""
+    profile = stationary.solve_stationary(config)
+    return profile, distinguished_interval(profile, config)
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,8 +181,7 @@ def find_periodic(
         raise ValueError("max_iter must be at least 1")
     if fp_tol is None:
         fp_tol = config.numerics.fp_tol
-    profile = stationary.solve_stationary(config)
-    index = distinguished_interval(profile, config)
+    profile, index = _stationary_basis(config)
     if xi0 is None:
         xi0 = constant_field(build_grid(config), config.eta_a)
 
@@ -216,8 +222,7 @@ def verify_periodic(config: ModelConfig, fixed_profile: Field, tol: float) -> bo
     """
     if config.mode != "decoupled":
         raise UnsupportedError("orbit verification is defined for decoupled mode only")
-    profile = stationary.solve_stationary(config)
-    index = distinguished_interval(profile, config)
+    _, index = _stationary_basis(config)
     start = splice(fixed_profile, config, index)
     start.time = 0.0
     events, _ = run_with_rupture(config, start, max_events=2)

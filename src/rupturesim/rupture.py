@@ -42,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +79,7 @@ _JUMP_TOL = 1.0e-12
 _REFINE_FROM = 16
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     """Closed-form lower/upper bounds on the next rupture time.
 
     The lower bound comes from the spatially constant subsolution of the
@@ -95,8 +94,7 @@ class BoundsReport:
     upper_applicable: bool
 
 
-@dataclass(frozen=True)
-class RuptureEvent:
+class RuptureEvent(NamedTuple):
     """One rupture: when it happened, where, and the states around it.
 
     ``pre_profile``/``post_profile`` are the thickness just before and just
@@ -351,18 +349,18 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     return 0 if dip <= margin else math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
 
 
-@dataclass
 class _Carried:
     """What a decoupled gap has formed about its current state, handed on
     so that nothing is formed twice: the state's ``extremes`` ``(min,
     max)``, which the jump that made it reduced for its check, and, once a
     decision has refused to jump from it, the ``drive`` it formed from the
-    state's modes and the drive's ``magnitude``.  The fields are the
+    state's modes and the drive's ``magnitude``.  The attributes are the
     keywords of :class:`StepProbe` that take them."""
 
-    extremes: tuple[float, float] | None = None
-    drive: np.ndarray | None = None
-    magnitude: np.ndarray | None = None
+    def __init__(self) -> None:
+        self.extremes: tuple[float, float] | None = None
+        self.drive: np.ndarray | None = None
+        self.magnitude: np.ndarray | None = None
 
 
 def _jump_to_bound(

@@ -24,7 +24,7 @@ value, slope and curvature to every query.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _RESIDUAL_TOL = 1.0e-8
 _BULGE_SERIES = tuple(2.0 * n / math.factorial(2 * n + 1) for n in range(10, 0, -1))
 
 
-@dataclass(frozen=True)
-class StationaryProfile:
+class StationaryProfile(NamedTuple):
     """Piecewise closed form of the stationary profile.
 
     ``lengths[k]`` is the length ``L_k`` of the k-th interval, and row
@@ -64,8 +63,7 @@ class StationaryProfile:
         return len(self.junctions)
 
 
-@dataclass(frozen=True)
-class SReport:
+class SReport(NamedTuple):
     """Localization check of the rupture threshold against the profile.
 
     ``condition_S_holds`` is true exactly when one interval dips to or
@@ -86,9 +84,11 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
 
     Without evaporation a profile exists only when the forcing offset is
     the mass-conserving choice; otherwise raises :class:`NoSolutionError`.
-    Raises :class:`DomainError` if the mean ``(B - A)/alpha`` is not
-    finite, and :class:`SingularSystemError` if the assembled system
-    cannot be solved to the expected residual.
+    Raises :class:`DomainError` if the mean ``(B - A)/alpha``, the
+    evaporation rate ``sqrt(alpha/sigma)`` or the drive ``B/sigma`` is not
+    finite, and :class:`SingularSystemError` if the assembled system cannot
+    be solved to the expected residual.  The profile's arrays are
+    read-only.
     """
     sigma, strengths, offset_a = effective_parameters(config)
     balanced = math.fsum(strengths) / config.omega
@@ -105,6 +105,10 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
             "no stationary profile: forcing offset is not the mass-conserving choice"
         )
     lam = math.sqrt(config.alpha) / math.sqrt(sigma)  # alpha/sigma may overflow
+    drive = balanced / sigma
+    for name, value in (("evaporation rate sqrt(alpha/sigma)", lam), ("drive B/sigma", drive)):
+        if not math.isfinite(value):
+            raise DomainError(f"the stationary profile's {name} = {value:g} is not finite")
     junctions = np.asarray(config.junctions, dtype=float)
     lengths = interval_lengths(junctions, config.omega)
     matrix, rhs = _jump_system(lam, lengths, strengths, sigma, balanced)
@@ -115,6 +119,9 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
     residual = np.max(np.abs(matrix[:, :-1] @ solution - rhs))
     if not np.isfinite(residual) or residual > _RESIDUAL_TOL * (1.0 + np.max(np.abs(rhs))):
         raise SingularSystemError(f"stationary solve residual {residual:g}")
+    coeffs = solution.reshape(-1, 2)
+    for array in (junctions, lengths, coeffs):
+        array.flags.writeable = False
 
     return StationaryProfile(
         omega=config.omega,
@@ -126,7 +133,7 @@ def solve_stationary(config: ModelConfig) -> StationaryProfile:
         balanced_offset=balanced,
         lam=lam,
         offset=offset,
-        coeffs=solution.reshape(-1, 2),
+        coeffs=coeffs,
     )
 
 

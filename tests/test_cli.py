@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -321,14 +322,48 @@ def run_child(*args, timeout):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor periodic, which only find-periodic and verify import
     child = run_child(
         "-c",
         "import sys, rupturesim.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'rupturesim.periodic' in sys.modules)",
         timeout=60,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    assert child.stdout.strip() == "[] False"
+
+
+def test_result_records_are_named_tuples(ex1):
+    # their documented use: ._replace, unpacking and comparison as tuples
+    records = (rupturesim.BoundsReport, rupturesim.RuptureEvent, rupturesim.ConvergenceReport,
+               rupturesim.GradientProbeReport, rupturesim.StationaryProfile, rupturesim.SReport,
+               rupturesim.ValidationReport, cli.RunManifest)
+    assert all(issubclass(record, tuple) and record._fields for record in records)
+    report = rupturesim.validate(ex1)
+    holds, _, mass = report
+    assert report._replace(integral_f=0.0) == (holds, 0.0, mass)
+
+
+def test_in_process_main_freezes_nothing(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["bounds", "--preset", "ex1", "--out", str(tmp_path / "bounds")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_process_entry_runs_main_then_freezes_the_heap(tmp_path):
+    # the entry of `python -m rupturesim.cli` and of the console script
+    out = tmp_path / "bounds"
+    child = run_child(
+        "-c",
+        "import gc, sys, rupturesim.cli as cli; "
+        f"sys.argv = ['rupturesim', 'bounds', '--preset', 'ex1', '--out', {str(out)!r}]; "
+        "code = cli.entry(); print(code, gc.get_freeze_count() > 0)",
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "0 True"
+    assert read_json(out / "report.json")["command"] == "bounds"
 
 
 def test_simulate_refuses_a_run_that_cannot_rupture(tmp_path):
@@ -478,6 +513,9 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
         (["stationary", "--preset", "ex1", "--set", f"alpha={alpha}",
           "--set", "forcing_offset=4"], code)
         for alpha, code in (("1e-300", 0), ("1e-310", 2))
+    ] + [
+        (["stationary", "--preset", "ex1", "--set", "alpha=1e300", "--set", "sigma2=5e-324"], 2),
+        (["stationary", "--preset", "ex1", "--set", "sigma2=1e-310"], 2),
     ],
     ids=["coupled-tau-1e-300", "stationary-sigma2-1e-300", "stationary-sigma2-1e300",
          "stationary-alpha-1e-300", "coupled-tau-1e-150", "coupled-tau-1e-152",
@@ -485,7 +523,8 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
          "stationary-alpha-1e-8", "stationary-alpha-1e-10", "stationary-alpha-1e-12",
          "stationary-alpha-1e-30", "stationary-sigma2-1e25", "stationary-sigma2-1e29",
          "stationary-sigma2-1e31", "stationary-unbalanced-alpha-1e-300",
-         "stationary-mean-overflows"],
+         "stationary-mean-overflows", "stationary-rate-overflows",
+         "stationary-drive-overflows"],
 )
 def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, code):
     # a coupled height load of about 1e302 drifted the mean height until
@@ -496,8 +535,9 @@ def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, cod
     # stationary curvature of a steep profile overflowed with a warning;
     # the stationary exponential pair of an interval cancelled as lam*L ->
     # 0, so weak evaporation gave a wrong profile with exit 0 or failed the
-    # residual check with exit 3; and a stationary mean (B - A)/alpha that
-    # overflows is refused
+    # residual check with exit 3; and a stationary mean (B - A)/alpha, an
+    # evaporation rate sqrt(alpha/sigma) or a drive B/sigma that overflows is
+    # refused: the last two warned and exited 3 with a residual of nan
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
     assert child.returncode == code, child.stderr
     assert "Traceback" not in child.stderr

@@ -164,6 +164,39 @@ def test_verify_periodic_with_vacuous_tolerance(ex1, ex1_converged):
     assert verify_periodic(ex1, ex1_converged.fixed_profile, math.inf)
 
 
+def test_search_and_verification_share_one_stationary_solve(monkeypatch, ex1):
+    solves = []
+    real = stationary.solve_stationary
+
+    def counted(config):
+        solves.append(config)
+        return real(config)
+
+    monkeypatch.setattr(stationary, "solve_stationary", counted)
+    periodic._stationary_basis.cache_clear()
+    report = find_periodic(ex1, fp_tol=1e-3, max_iter=3)
+    verify_periodic(ex1, report.fixed_profile, math.inf)
+    find_periodic(preset_config("ex1"), max_iter=1)  # an equal configuration
+    assert solves == [ex1]
+    # the one profile is shared by every caller, so it cannot be written to
+    profile, index = periodic._stationary_basis(ex1)
+    assert index == report.distinguished_interval == 0
+    for array in (profile.junctions, profile.lengths, profile.coeffs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_the_package_loads_periodic_exports_on_first_use():
+    import rupturesim
+
+    for name in ("ConvergenceReport", "GradientProbeReport", "find_periodic",
+                 "gradient_probe", "poincare_map", "verify_periodic"):
+        assert getattr(rupturesim, name) is getattr(periodic, name)
+    assert all(hasattr(rupturesim, name) for name in rupturesim.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rupturesim.no_such_name
+
+
 def test_iterates_stay_in_the_invariant_band(ex1, ex1_profile):
     band = default_invariant_band(ex1_profile, ex1)
     s_min = min(lo for lo, _ in stationary.interval_extrema(ex1_profile))

@@ -324,7 +324,7 @@ def graded_mean(profile, nodes=20):
     and ``Q`` are even about the centre and ``S`` is odd, which keeps the
     distance to the right end exact."""
     points, weights = np.polynomial.legendre.leggauss(nodes)
-    mirrored = replace(profile, coeffs=profile.coeffs * (1.0, -1.0))
+    mirrored = profile._replace(coeffs=profile.coeffs * (1.0, -1.0))
     total = 0.0
     for k, length in enumerate(profile.lengths):
         half = length / 2.0
