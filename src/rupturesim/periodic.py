@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ModelConfig, effective_parameters
-from .errors import ModelViolationError, UnsupportedError
+from .errors import DomainError, ModelViolationError, UnsupportedError
 from .rupture import node_intervals, run_with_rupture
 from .solver import (
     CoupledState,
@@ -77,9 +77,13 @@ def distinguished_interval(profile: stationary.StationaryProfile, config: ModelC
 def _stationary_basis(config: ModelConfig) -> tuple[stationary.StationaryProfile, int]:
     """The stationary profile of ``config`` and its
     :func:`distinguished_interval`, solved once per configuration and
-    shared by every caller; the profile's arrays are read-only."""
+    shared by every caller; the profile's arrays are read-only.  An
+    interval that holds every node raises :class:`DomainError`."""
     profile = stationary.solve_stationary(config)
-    return profile, distinguished_interval(profile, config)
+    index = distinguished_interval(profile, config)
+    if _open_interval(build_grid(config), config, index).all():
+        raise DomainError(f"the distinguished interval {index} holds every node of the grid")
+    return profile, index
 
 
 @functools.lru_cache(maxsize=8)

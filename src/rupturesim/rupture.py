@@ -10,8 +10,9 @@ Which interval holds a node is decided by
 :func:`rupturesim.stationary.interval_index` alone.
 In decoupled mode the paper's rupture-time bounds run inside the event
 loop, with or without evaporation: each closed-form jump of a gap skips
-every step that either of two certificates proves free of rupture, the
-mean's decay sets a horizon by which the gap must end, and the positivity
+every step that either of two certificates proves free of rupture, down
+to a roundoff margin above ``eta_c`` (:func:`rupturesim.solver.roundoff`),
+the mean's decay sets a horizon by which the gap must end, and the positivity
 of the step about the discrete fixed point (without evaporation, about the
 zero-mean stationary shape) shows when it never can.  The certificates are
 the paper's constant subsolution, which weakens as the thickness nears the
@@ -20,22 +21,17 @@ off the Fourier modes of its drive ``load - (alpha I + sigma K) x``.  That
 bound saturates as the fast modes settle; its linear majorant, ``m`` times
 a per-step rate, gives a first count, which Newton steps on the saturating
 bound raise once it is long enough to pay for them, and a gap ends in a
-few jumps.  A gap forms each quantity of a state once: each
-jump hands the rfft modes of its state to the next, so the jumps of a gap
-pay one forward transform between them and one inverse transform each,
-and with them the state's extremes, which the jump's own check reduced;
-the decision that refuses to jump hands its drive and the drive's
-magnitude to the probe of the next step.  In coupled mode a gap runs in
+few jumps.  A gap forms each quantity of a state once (:class:`_Carried`),
+and each jump hands the rfft modes of its state to the next, so the jumps
+of a gap pay one forward transform between them and one inverse transform
+each.  In coupled mode a gap runs in
 one call of the mode-space kernel, which tests the thickness after every
 step and checks the backward error of the state it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
-crossing search, which decides every step from them with one
-:class:`rupturesim.solver.StepProbe` per state, the step that brackets the
-crossing first; this module keeps only the bisection over its decisions.
-So every decision, time and state is that of stepping with ``advance``
-from those modes.  A step returns to real space only where it does not
-cross, and at the located crossing, through the probe's checked step,
-which takes the probe's last full trial when that was of its size.
+crossing search, whose decisions come from one
+:class:`rupturesim.solver.StepProbe` per state; this module keeps only the
+bisection over them, so every decision, time and state is that of
+stepping with ``advance`` from those modes.
 """
 from __future__ import annotations
 
@@ -64,14 +60,14 @@ from .solver import (
     assemble_operators,
     jump_coupled,
     jump_decoupled,
+    mode_sum,
+    roundoff,
     step_toward,
 )
 from .stationary import interval_index
 
 _BRACKET_FLOOR = 1.0e-3
-# roundoff allowed in the closed-form lower bounds, relative to
-# _roundoff_scale
-_JUMP_TOL = 1.0e-12
+_JUMP_FACTOR = 16.0  # on solver.roundoff(), for plain stepping's drift too
 # the change-rate count from which a jump refines it on the saturating reach
 # (_saturated_steps), about 13 us a refinement on ex1: from counts of 4 or
 # 8 on, the refinements cost orbit-ex1 more than the jumps they spare, and
@@ -284,16 +280,6 @@ def _spectral_steps(c0: float, rate: float, threshold: float) -> int:
     return sys.maxsize if quotient >= sys.maxsize else math.floor(quotient)
 
 
-def _roundoff_scale(low: float, high: float, ops: Operators) -> float:
-    """The larger of a state, given by its extremes, and, with evaporation,
-    the a-priori bound ``max|load|/alpha`` on the fixed point and on every
-    later state, which scales the roundoff of the closed forms.  Without
-    evaporation no such bound exists, and the caller of a jump adds the
-    jumped state."""
-    bound = ops.fixed_point_bound if ops.alpha > 0.0 else 0.0
-    return max(high, -low, bound)
-
-
 def _room(limit: float | None, time: float, dt: float) -> int:
     """Steps of ``dt`` that one jump or batch from ``time`` may take and
     still end a full step before ``limit``, allowing for roundoff in the
@@ -303,11 +289,12 @@ def _room(limit: float | None, time: float, dt: float) -> int:
     return sys.maxsize if quotient >= sys.maxsize else int(quotient) - 2
 
 
-def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> int | None:
+def _settle_steps(state: Field, dt: float, ops: Operators, eta_c: float) -> int | None:
     """Step count after which a decoupled run from ``state`` stays above
-    ``threshold`` for good, or ``None`` when this bound does not show it.
+    the threshold of the jumps (:func:`_jump_to_bound`) for good, or
+    ``None`` when this bound does not show it.
 
-    A state whose constant subsolution never falls below ``threshold``
+    A state whose constant subsolution never falls below the threshold
     settles at once.  Else, one step maps ``x`` to ``P x + dt P load``, with
     ``P = (I/dt + sigma K + alpha I)^-1 / dt`` nonnegative and of row sums
     ``q = 1/(1 + alpha*dt)``.  About a base ``b`` that a step carries to
@@ -317,31 +304,32 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     0`` it is the zero-mean shape ``s`` with rfft modes ``l_k/symbol_k``,
     which a step lifts by ``dt*mean(load)``, and ``q = 1``, so after ``k``
     steps every node is at least ``min s + min(x - s) + k*dt*mean(load)``;
-    the count takes the roundoff off ``mean(load)``, so a mean within it of
-    0 lifts nothing, and the bound holds from the start or never.
+    the count takes the roundoff of the load's mode sum off ``mean(load)``,
+    so a mean within it of 0 lifts nothing, and the bound holds from the
+    start or never.
     """
     values = state.values
-    low = float(np.min(values))
-    safe = _safe_steps(low, ops.load_min, ops.alpha, dt, threshold)
+    size = mode_sum(ops.grid.n, np.fft.rfft(values))
+    threshold = eta_c + _JUMP_FACTOR * roundoff(size + ops.shares(False)[0])
+    safe = _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold)
     # at alpha = 0 the count also saturates for a subsolution that falls slowly
     if safe == sys.maxsize and (ops.alpha > 0.0 or ops.load_min >= 0.0):
         return 0
     mean = float(np.mean(ops.load))
     if ops.alpha > 0.0:
-        base, scale = ops.fixed_point, _roundoff_scale(low, float(values.max()), ops)
+        base = ops.fixed_point
     elif mean >= 0.0:
         modes = np.zeros_like(ops.load_modes)
         modes[1:] = ops.load_modes[1:] / ops.symbol[1:]
         base = np.fft.irfft(modes, ops.grid.n)
-        scale = max(float(np.max(np.abs(values))), float(np.max(np.abs(base))))
     else:
         return None
-    margin = float(np.min(base)) - threshold - _JUMP_TOL * scale
+    margin = float(np.min(base)) - threshold
     dip = -float(np.min(values - base))
     if ops.alpha == 0.0:
         if dip <= margin:
             return 0
-        lift = dt * (mean - _JUMP_TOL * ops.load_peak)
+        lift = dt * (mean - roundoff(mode_sum(ops.grid.n, ops.load_modes)))
         quotient = (dip - margin) / lift if lift > 0.0 else math.inf
         return math.ceil(quotient) if quotient < sys.maxsize else None
     if not margin > 0.0:
@@ -352,13 +340,15 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
 class _Carried:
     """What a decoupled gap has formed about its current state, handed on
     so that nothing is formed twice: the state's ``extremes`` ``(min,
-    max)``, which the jump that made it reduced for its check, and, once a
+    max)`` and the ``size`` (:func:`rupturesim.solver.mode_sum`) of its
+    modes, which the jump that made it formed for its check, and, once a
     decision has refused to jump from it, the ``drive`` it formed from the
     state's modes and the drive's ``magnitude``.  The attributes are the
     keywords of :class:`StepProbe` that take them."""
 
     def __init__(self) -> None:
         self.extremes: tuple[float, float] | None = None
+        self.size: float | None = None
         self.drive: np.ndarray | None = None
         self.magnitude: np.ndarray | None = None
 
@@ -367,7 +357,7 @@ def _jump_to_bound(
     state: Field,
     dt: float,
     ops: Operators,
-    threshold: float,
+    eta_c: float,
     limit: float | None,
     modes: np.ndarray | None = None,
     carried: _Carried | None = None,
@@ -384,27 +374,30 @@ def _jump_to_bound(
     The drive formed once from the rfft modes of ``state`` serves the rate,
     the reach and the jump: from the ``modes`` a previous jump handed out,
     else from one ``rfft``.  The gap's ``carried`` record, if given, supplies
-    the extremes of ``state`` and takes those of the jumped state, or, when
-    no step is free, the drive and its magnitude.  The crossing bisection's
-    value tolerance is in ``threshold``, so no jumped-over step could have
-    located an event.  A jumped state that is not finite or falls below the
-    larger of the two lower bounds beyond roundoff, on the scale of the
-    start and the jumped state, raises :class:`LinearSolveError`: the
-    subsolution, or ``c0`` less ``R`` at the refined count, else less the
-    linear reach.  One that leaves the time where it is raises
-    :class:`DomainError`.
+    the extremes and mode sum of ``state`` and takes those of the jumped
+    state, or, when no step is free, the drive and its magnitude.  A step is
+    free when its minimum is proved to stay above ``eta_c`` plus a margin
+    (:func:`rupturesim.solver.roundoff`).  A jumped state that is not finite
+    or falls below the larger of the two lower bounds beyond that margin,
+    with the jumped state's mode sum added, raises
+    :class:`LinearSolveError`: the subsolution, or ``c0`` less ``R`` at the
+    refined count, else less the linear reach.  One that leaves the time
+    where it is raises :class:`DomainError`.
     """
     if carried is None:
         carried = _Carried()
     if carried.extremes is None:
         carried.extremes = float(state.values.min()), float(state.values.max())
-    c0, top = carried.extremes
+    c0 = carried.extremes[0]
     room = _room(limit, state.time, dt)
-    if room < 1 or not c0 > threshold:
+    if room < 1 or not c0 > eta_c:
         return None
     load_min = ops.load_min
     if modes is None:
         modes = np.fft.rfft(state.values)
+    if carried.size is None:
+        carried.size = mode_sum(ops.grid.n, modes)
+    threshold = eta_c + _JUMP_FACTOR * roundoff(carried.size + ops.shares(False)[0])
     drive = ops.load_modes - ops.symbol * modes
     magnitude = np.abs(drive)
     rate = _change_rate(magnitude, dt, ops)
@@ -421,15 +414,16 @@ def _jump_to_bound(
     moved = reach if steps == spectral else steps * rate
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - moved)
     low, high = float(jumped.values.min()), float(jumped.values.max())
-    scale = max(_roundoff_scale(c0, top, ops), high, -low)
+    size = mode_sum(ops.grid.n, modes)
+    allowance = _JUMP_FACTOR * roundoff(carried.size + size + ops.shares(False)[0])
     # a nan shows in both extremes, an infinity in one of them
-    if not (low >= bound - _JUMP_TOL * scale and -math.inf < low and high < math.inf):
+    if not (low >= bound - allowance and -math.inf < low and high < math.inf):
         raise LinearSolveError(
             f"jump of {steps} steps gave minimum {low:g} below the discrete lower bound {bound:g}"
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
-    carried.extremes = low, high
+    carried.extremes, carried.size = (low, high), size
     return jumped, modes
 
 
@@ -592,8 +586,7 @@ def run_with_rupture(
 
     ops = assemble_operators(eta0.grid, config)
     cap = max_events if max_events is not None else config.numerics.max_ruptures
-    value_tol = config.numerics.event_tol * config.eta_a
-    threshold, floor = config.eta_c + value_tol, config.eta_c - value_tol
+    floor = config.eta_c - config.numerics.event_tol * config.eta_a
     coupled = config.mode == "coupled"
     end = math.inf if t_end is None else t_end
 
@@ -603,7 +596,9 @@ def run_with_rupture(
         horizon = rupture_horizon(config, start) if not coupled and config.alpha > 0.0 else None
         if horizon is not None:
             return start.time + horizon, True
-        settle = None if coupled or t_end is not None else _settle_steps(start, dt, ops, threshold)
+        settle = None
+        if not coupled and t_end is None:
+            settle = _settle_steps(start, dt, ops, config.eta_c)
         return start.time + (math.inf if settle is None else settle * dt), False
 
     def skip(
@@ -621,7 +616,7 @@ def run_with_rupture(
             return *jump_coupled(state, steps, dt, ops, config.eta_c)[1:], carried
         modes = None  # each jump hands its state's modes to the next
         while (
-            jumped := _jump_to_bound(state, dt, ops, threshold, limit, modes, carried)
+            jumped := _jump_to_bound(state, dt, ops, config.eta_c, limit, modes, carried)
         ) is not None:
             state, modes = jumped
         return state, modes, carried

@@ -9,10 +9,11 @@ step matrix is circulant, so it is inverted by dividing each rfft mode by
 its eigenvalue; the eigenvalues of the second difference come from one
 cached table per grid size, and the reciprocal eigenvalues of the few most
 recent step matrices are cached too.  Every solve is checked for a backward
-error of about 1e-12.  The operator bundle :class:`Operators`, one per grid
-and configuration, owns every table built from them and a step size: the
-step matrices, the coupled chunk tables, and the decoupled symbol, factors
-and fixed point.  ``jump_decoupled`` applies many equal decoupled steps at
+error of about 1e-12, on the one roundoff scale of every closed form and
+trial here (:func:`roundoff`).  The operator bundle :class:`Operators`, one
+per grid and configuration, owns every table built from them and a step
+size: the step matrices, the coupled chunk tables, and the decoupled
+symbol, factors and fixed point.  ``jump_decoupled`` applies many equal decoupled steps at
 once in closed form, for every ``alpha >= 0``: they move each rfft mode in
 proportion to the drive, the modes of ``load - (alpha I + sigma K) x``.  It
 hands out the rfft modes of the state it makes, so a chain of jumps pays
@@ -27,24 +28,14 @@ last thickness plus the height from the tables.  Only the state before the
 last step taken returns to real space, formed in the same way from the
 tested thickness, and ``advance`` takes and checks that step from it; it
 hands out the modes of the state it reaches too.  One per-mode step,
-``_step_modes``, serves both state kinds: the checked steps' solves only
-transform its modes back and check them, and the probe's trials and the
-coupled tables take it too, so all of them agree bit for bit.  A caller
-that holds a state's modes passes them to ``advance``, which then takes no
-forward transform, and one that has already taken the step by
-``_step_modes`` passes its new modes too, with or without their inverse
-transform: the coupled hand-off passes the modes it hands out, and a probe
-the modes and nodal rows of its last full trial, so the checked step only
-forms its right sides and checks the solves.  ``StepProbe`` owns what one
-step of any size from a state of either kind does, from the
-state's modes (one forward transform when none are given), and from the
-drive and extremes a decoupled gap has already formed: its minimum
-thickness is bit for bit that of ``advance``
-from the same modes; it bounds a step from how far it moves each mode of
-the thickness, with a slack for the roundoff of ``advance``, without
-taking it; and it takes the checked step that hands a state out.  These
-are the crossing bisection's decisions.  Both state kinds expose their
-layer thickness as ``eta``.
+``_step_modes``, serves both state kinds, the checked steps, the probe's
+trials and the coupled tables, so all of them agree bit for bit; a caller
+that holds a state's modes, or has already taken the step, passes them to
+``advance`` (see there).  ``StepProbe`` owns the crossing bisection's
+decisions about one step of any size from a state of either kind: its
+minimum thickness, bit for bit that of ``advance``, or a bound on it from
+how far the step moves each mode, and the checked step that hands a state
+out.  Both state kinds expose their layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -62,7 +53,7 @@ from .config import ModelConfig, effective_parameters
 from .errors import DomainError, LinearSolveError, UnsupportedError
 from . import stationary
 
-_STEP_RESIDUAL_TOL = 1.0e-12
+_ROUNDOFF = 1.0e-12  # of roundoff()'s mode-sum scale
 
 
 @dataclass(frozen=True)
@@ -286,21 +277,20 @@ class Operators:
         """``min(load)``, the constant load of the subsolution."""
         return float(np.min(self.load))
 
-    @functools.cached_property
-    def load_peak(self) -> float:
-        """``max|load|``."""
-        return float(np.max(np.abs(self.load)))
-
-    @functools.cached_property
-    def height_load_peak(self) -> float:
-        """``max|height_load|``."""
-        return float(np.max(np.abs(self.height_load)))
-
-    @functools.cached_property
-    def fixed_point_bound(self) -> float:
-        """The a-priori bound ``max|load|/alpha`` on the fixed point.
-        Requires ``alpha > 0``."""
-        return self.load_peak / self.alpha
+    @functools.lru_cache(maxsize=4)
+    def shares(self, coupled: bool) -> tuple[float, float]:
+        """The load's moves on :func:`roundoff`'s scale, for the decoupled
+        thickness or (``coupled``) the height: ``sum_k w_k |l_k|/mu_k`` over
+        the modes of positive symbol ``mu_k``, the most any number of steps
+        moves them by the load ``l``, and the fixed point's mode sum (with
+        ``alpha = 0``, the zero-mean shape's); and ``sum_k w_k |l_k|`` over
+        the rest, which each step of ``dt`` moves by ``dt`` times it."""
+        load, symbol = self.load_modes, self.symbol
+        if coupled:
+            load, symbol = self.height_load_modes, self.diffusion[1]
+        magnitude = np.abs(load) * _mode_weights(self.grid.n)
+        moving = symbol > 0.0
+        return float(np.sum(magnitude[moving] / symbol[moving])), float(np.sum(magnitude[~moving]))
 
     @functools.cached_property
     def load_modes(self) -> np.ndarray:
@@ -421,6 +411,40 @@ def _mode_weights(n: int) -> np.ndarray:
     return weights
 
 
+def mode_sum(n: int, modes: np.ndarray) -> float:
+    """``sum_k w_k |m_k|`` over the rows of rfft ``modes`` of ``n`` nodes,
+    with ``w_k`` from :func:`_mode_weights`: the most the inverse transform
+    can reach at any node."""
+    return float(np.sum(np.abs(modes) @ _mode_weights(n)))
+
+
+def roundoff(scale: float) -> float:
+    """The roundoff allowance ``1e-12*scale``, about 4,500 ``eps``, that
+    every closed form, trial and check here takes on its mode-sum scale,
+    times the factor of its own operation.
+
+    Roundoff in a sum is bounded by ``eps`` times the sum of the magnitudes
+    added (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 4).  A step, jump or trial forms each rfft mode from that mode
+    of its start and of the load's move (:meth:`Operators.shares`), and the
+    inverse transform adds the modes with weights ``w_k``: the scale is the
+    :func:`mode_sum` of the states summed plus the load's share.  The
+    factors: ``|diag|`` for a solve's residual (:func:`_check_solution`),
+    the step matrix times the solution's error; 1 for the coupled kernel's
+    handed-out minimum (:func:`jump_coupled`); ``1 + 4*sigma*dt/dx^2`` for
+    the probe's slack (:class:`StepProbe`), by which the terms ``mu*x`` of
+    the change's high modes carry the state's roundoff; and 16 for a jump's
+    margin above ``eta_c`` (``rupture._jump_to_bound``, and the settle
+    count), which also covers plain stepping: its rounded step factors err
+    the same way each step, so over ``N`` steps of a decaying state it
+    drifts from the closed form by up to about ``N*eps`` of the scale.  A
+    drift past the margin could move a crossing only where a step's minimum
+    lies within it of ``eta_c``, where the steps after the jumps could
+    decide otherwise than plain stepping at any margin.
+    """
+    return _ROUNDOFF * scale
+
+
 @functools.lru_cache(maxsize=4)
 def _inverse_symbol(n: int, shift: float, stiffness: float) -> np.ndarray:
     """``1/(shift + stiffness*s_k)`` per rfft mode of the cyclic matrix, each
@@ -449,12 +473,10 @@ def solve_periodic_tridiagonal(
     (:func:`_step_modes`) passes them as ``modes``; the solve then only
     transforms them back, and one that has transformed them back too passes
     the result as ``solution``, which the solve only checks and returns.
-    Every solution is checked against the
-    original system: a residual above ``1e-12 * |diag| * ||x||``, with
-    ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
-    independent of the grid size) raises :class:`LinearSolveError`; it
-    cannot occur for the diagonally dominant step matrices in exact
-    arithmetic.
+    Every solution is checked against the original system
+    (:func:`_check_solution`), a backward error of about ``1e-12``
+    independent of the grid size, which cannot fail for the diagonally
+    dominant step matrices in exact arithmetic.
     """
     n = rhs.shape[0]
     if solution is None:
@@ -463,22 +485,24 @@ def solve_periodic_tridiagonal(
             parts = modes.view(np.float64)
             parts *= _inverse_symbol(n, shift, stiffness)
         solution = np.fft.irfft(modes, n)
-    _check_solution(shift, stiffness, solution, rhs)
+    _check_solution(shift, stiffness, solution, rhs, modes)
     return solution
 
 
-def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray) -> None:
-    """Raise :class:`LinearSolveError` unless ``x`` solves the cyclic system
-    ``shift*I + stiffness*(-1, 2, -1)`` with right side ``rhs`` to a
-    residual of at most ``1e-12 * |diag| * max|x|``, ``diag = shift +
-    2*stiffness``."""
+def _check_solution(
+    shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray, modes: np.ndarray
+) -> None:
+    """Raise :class:`LinearSolveError` unless ``x``, the inverse transform of
+    ``modes``, solves the cyclic system ``shift*I + stiffness*(-1, 2, -1)``
+    with right side ``rhs`` to within ``|shift + 2*stiffness|`` times the
+    :func:`roundoff` of their :func:`mode_sum`."""
     diag = shift + 2.0 * stiffness
     residual = diag * x - rhs
     residual[1:] -= stiffness * x[:-1]
     residual[:-1] -= stiffness * x[1:]
     residual[0] -= stiffness * x[-1]
     residual[-1] -= stiffness * x[0]
-    limit = _STEP_RESIDUAL_TOL * abs(diag) * max(x.max(), -x.min())
+    limit = abs(diag) * roundoff(mode_sum(len(x), modes))
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
         raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
@@ -731,8 +755,7 @@ def jump_coupled(
     stepped = _step_modes(pair, dt, ops).view(complex)
     state = advance(before, dt, ops, modes, stepped=(stepped, None))
     handed = float(np.min(state.eta.values))
-    scale = max(float(np.abs(state.h.values).max()), float(np.abs(state.zeta.values).max()))
-    if not abs(handed - low) <= _STEP_RESIDUAL_TOL * scale:
+    if not abs(handed - low) <= roundoff(mode_sum(n, modes) + mode_sum(n, stepped)):
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
@@ -761,10 +784,6 @@ def advance(
     return step_decoupled(state, dt, ops, modes, stepped)
 
 
-# roundoff allowed between a value formed from StepProbe.change and the step
-# of advance, relative to the inputs, before the stiffness factor of the
-# probe's slack
-_TRIAL_GUARD = 1.0e-12
 # entries per grid node of the probe's candidate-node matrix, above which the
 # matrix costs more to build than the full trials it would spare
 _NODE_BUDGET = 4
@@ -789,11 +808,11 @@ class StepProbe:
     ``modes`` are the state's rfft modes as :func:`advance` takes them (for
     a coupled state, those of ``h`` and ``zeta`` as two rows); only when
     none are given is ``pre`` transformed here, once.  A decoupled caller
-    that has already formed the state's ``extremes`` ``(min, max)``, its
-    drive from its modes (``p`` below) or the drive's ``magnitude`` passes
-    them, and they are not formed again; ``max|load|`` and, for a coupled
-    state, ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the
-    bundle's cached tables.  :meth:`minimum_after`
+    that has already formed the state's ``extremes`` ``(min, max)``, the
+    :func:`mode_sum` of its modes as ``size``, its drive from its modes
+    (``p`` below) or the drive's ``magnitude`` passes them, and they are
+    not formed again; the load's shares and, for a coupled state,
+    ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the bundle.  :meth:`minimum_after`
     takes the step by :func:`_step_modes` and inverts a coupled step's ``h``
     and ``zeta`` rows before their difference, as :attr:`CoupledState.eta`
     takes it, so its minimum is bit for bit that of :meth:`step`.
@@ -813,12 +832,9 @@ class StepProbe:
     divisor is below 1 and ``r/(1 + tau*mu) <= 1/(1 + tau*nu)``, whatever
     the ratio of ``sigma`` to ``sigma_h``.  A value formed from
     :meth:`change` takes the step by other arithmetic than :func:`advance`,
-    so it may differ from it by roundoff.  The slack allows for it:
-    ``_TRIAL_GUARD`` times the largest magnitude among the state and ``dt``
-    times the load, times ``1 + 4*sigma*dt/dx^2``, with the larger of
-    ``sigma`` and ``sigma_h`` for a coupled state.  That allowance is
-    measured, not proven; the stiffness factor is for the high modes of the
-    change, whose terms ``mu*x`` are the largest.
+    so it may differ from it by roundoff, which the slack allows for
+    (:func:`roundoff`; for a coupled state with the larger of ``sigma`` and
+    ``sigma_h``).
 
     :meth:`bound` decides a step without its inverse transform where it
     can.  With ``w_k`` from :func:`_mode_weights` no node falls by more than
@@ -841,25 +857,18 @@ class StepProbe:
         modes: np.ndarray | None = None,
         *,
         extremes: tuple[float, float] | None = None,
+        size: float | None = None,
         drive: np.ndarray | None = None,
         magnitude: np.ndarray | None = None,
     ) -> None:
         coupled = isinstance(pre, CoupledState)
         values = pre.eta.values
-        if coupled:
-            inputs = np.stack((pre.h.values, pre.zeta.values))
-            low, high = inputs.min(), inputs.max()
-            lowest = values.min()
-        else:
-            inputs = values[None]
-            low, high = (values.min(), values.max()) if extremes is None else extremes
-            lowest = low
-        scale = max(dt * (ops.height_load_peak if coupled else ops.load_peak), high, -low)
+        lowest = values.min() if extremes is None else extremes[0]
         n = ops.grid.n
         if modes is None:
-            modes = np.fft.rfft(inputs) if coupled else np.fft.rfft(inputs)[0]
+            modes = np.fft.rfft(np.stack((pre.h.values, pre.zeta.values)) if coupled else values)
         self.pre, self.ops, self.modes = pre, ops, modes
-        self._rows = modes.reshape(len(inputs), -1).view(np.float64)
+        self._rows = modes.reshape(-1, n // 2 + 1).view(np.float64)
 
         symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
         if coupled:
@@ -874,7 +883,9 @@ class StepProbe:
             self._u = None
             peak = np.abs(self._p) if magnitude is None else magnitude
             stiffness = ops.sigma
-        slack = _TRIAL_GUARD * float(scale) * (1.0 + 4.0 * stiffness * dt / dx2)
+        fixed, still = ops.shares(coupled)
+        size = mode_sum(n, modes) if size is None else size
+        slack = roundoff(size + fixed + dt * still) * (1.0 + 4.0 * stiffness * dt / dx2)
 
         self.eta_c, self.floor = eta_c, floor
         weights = _mode_weights(n)

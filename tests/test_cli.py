@@ -516,6 +516,8 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
     ] + [
         (["stationary", "--preset", "ex1", "--set", "alpha=1e300", "--set", "sigma2=5e-324"], 2),
         (["stationary", "--preset", "ex1", "--set", "sigma2=1e-310"], 2),
+        (["find-periodic", "--preset", "ex1", "--set", "omega=1e12"], 2),
+        (["find-periodic", "--preset", "ex2", "--set", "omega=1e12"], 2),
     ],
     ids=["coupled-tau-1e-300", "stationary-sigma2-1e-300", "stationary-sigma2-1e300",
          "stationary-alpha-1e-300", "coupled-tau-1e-150", "coupled-tau-1e-152",
@@ -524,7 +526,8 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
          "stationary-alpha-1e-30", "stationary-sigma2-1e25", "stationary-sigma2-1e29",
          "stationary-sigma2-1e31", "stationary-unbalanced-alpha-1e-300",
          "stationary-mean-overflows", "stationary-rate-overflows",
-         "stationary-drive-overflows"],
+         "stationary-drive-overflows", "orbit-interval-holds-every-node-ex1",
+         "orbit-interval-holds-every-node-ex2"],
 )
 def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, code):
     # a coupled height load of about 1e302 drifted the mean height until
@@ -537,7 +540,10 @@ def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, cod
     # 0, so weak evaporation gave a wrong profile with exit 0 or failed the
     # residual check with exit 3; and a stationary mean (B - A)/alpha, an
     # evaporation rate sqrt(alpha/sigma) or a drive B/sigma that overflows is
-    # refused: the last two warned and exited 3 with a residual of nan
+    # refused: the last two warned and exited 3 with a residual of nan; and
+    # an orbit search whose distinguished interval holds every node (all
+    # three junctions within the first grid spacing) took the maximum of
+    # an empty difference, a ValueError traceback with exit 1
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
     assert child.returncode == code, child.stderr
     assert "Traceback" not in child.stderr
@@ -545,11 +551,12 @@ def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, cod
 
 
 # one --set override per run: an edge value on a model parameter, or a
-# grid too small for the junctions to sit on distinct nodes.  find-periodic,
-# verify, runs without --t-end and numerics.dt overrides are left out: they
-# hold the rows of ROADMAP item D that still hang (coupled runs that cannot
-# rupture, eta_a = 1e300 searches, a clock that stops in a coupled gap) or
-# take minutes (sigma2 = 1e12 and above without an end time)
+# grid too small for the junctions to sit on distinct nodes.  Every preset
+# runs the set-up commands and a run to an end time; the decoupled presets
+# also run an orbit search and a run without an end time.  verify,
+# numerics.dt overrides and coupled runs without an end time are left out:
+# coupled runs that cannot rupture and a clock that stops in a coupled gap
+# still hang (ROADMAP item K)
 fuzzed_overrides = st.one_of(
     st.builds(
         "{}={}".format,
@@ -559,14 +566,24 @@ fuzzed_overrides = st.one_of(
     ),
     st.sampled_from((4, 5, 7)).map("numerics.grid_points={}".format),
 )
-fuzzed_commands = st.sampled_from((["bounds"], ["stationary"], ["simulate", "--t-end", "0.05"]))
+fuzzed_runs = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(PRESETS)),
+        st.sampled_from((["bounds"], ["stationary"], ["simulate", "--t-end", "0.05"])),
+    ),
+    st.tuples(
+        st.sampled_from(("ex1", "ex2")),
+        st.sampled_from((["find-periodic"], ["simulate", "--max-events", "1"])),
+    ),
+)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from(sorted(PRESETS)), fuzzed_commands, fuzzed_overrides)
-def test_fuzzed_overrides_end_in_a_documented_exit_code(preset, command, override):
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fuzzed_runs, fuzzed_overrides)
+def test_fuzzed_overrides_end_in_a_documented_exit_code(run, override):
     # each run in a child process under a timeout, so that a hang fails
     # the example instead of the suite
+    preset, command = run
     with tempfile.TemporaryDirectory() as out:
         args = [command[0], "--preset", preset, "--set", override, *command[1:], "--out", out]
         child = run_child("-m", "rupturesim.cli", *args, timeout=20)
@@ -596,6 +613,31 @@ def test_subnormal_time_step_is_a_config_error(tmp_path, args):
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
     assert child.returncode == 2, child.stderr
     assert child.stderr.startswith("configuration error: numerics.dt")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["simulate", "--preset", "ex1", "--set", "sigma2=1e12", "--max-events", "1"], 0),
+        (["find-periodic", "--preset", "ex1", "--set", "eta_a=1e300"], 1),
+    ],
+    ids=["sigma2-1e12", "eta_a-1e300"],
+)
+def test_decoupled_gaps_jump_down_to_eta_c(tmp_path, args, code):
+    # the jumps certified down to eta_c + event_tol*eta_a, with a margin on
+    # the scale max|load|/alpha = 611: at sigma2 = 1e12 the flat state then
+    # decayed from 3e-8 to eta_c = 3e-14 one probed step at a time, for
+    # 12 s, and at eta_a = 1e300 no state lay above the threshold to jump
+    # from, so the search never ended.  Both take about 0.3 s; the timeout
+    # leaves room for a slow host
+    out = tmp_path / "run"
+    child = run_child("-m", "rupturesim.cli", *args, "--out", str(out), timeout=3)
+    assert child.returncode == code, child.stderr
+    if code == 0:
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [event["t"] for event in events] == [26.515399999951544]
+    else:
+        assert child.stderr.startswith("model violation: rupture touched intervals (0, 1, 2)")
 
 
 def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from rupturesim.cli import main, preset_config
-from rupturesim.errors import HorizonError, ModelViolationError, UnsupportedError
+from rupturesim.errors import DomainError, HorizonError, ModelViolationError, UnsupportedError
 from rupturesim import periodic, rupture, solver, stationary
 from rupturesim.periodic import (
     default_invariant_band,
@@ -184,6 +184,18 @@ def test_search_and_verification_share_one_stationary_solve(monkeypatch, ex1):
     for array in (profile.junctions, profile.lengths, profile.coeffs):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@pytest.mark.parametrize("preset", ["ex1", "ex2"])
+def test_an_interval_that_holds_every_node_is_refused(preset):
+    # every junction lies within the first grid spacing, so the distinguished
+    # interval holds all nodes and no profile lies outside it to compare
+    config = preset_config(preset, overrides=(("omega", 1e12),))
+    grid = build_grid(config)
+    with pytest.raises(DomainError, match="holds every node"):
+        find_periodic(config, max_iter=1)
+    with pytest.raises(DomainError, match="holds every node"):
+        verify_periodic(config, constant_field(grid, config.eta_a), 1e-5)
 
 
 def test_the_package_loads_periodic_exports_on_first_use():

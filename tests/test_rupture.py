@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rupturesim.config import ModelConfig, Numerics, effective_parameters
 from rupturesim.cli import preset_config
@@ -1014,6 +1014,13 @@ def admissible_run(mode, evaporation, params):
 @pytest.mark.parametrize("evaporation", [True, False])
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(params=admissible_runs)
+# ex1's forcing with sigma2 = 1e12, whose fixed point lies within 1e-13 of
+# 0, and with eta_a = 1e300: the random sigma2 (0.1 to 3) and eta_a never
+# reach this regime, where jumps certify down to eta_c itself
+@example(params=("case_i", [0.1, 0.6, 0.9], [1.0, 1.0, 1.0, 1.0], 0.0, 80.0, 1.0, 1e12, 1.0,
+                 10.0**-2.5, 0.03, 64, 10.0**-4.3, 1, 0.0))
+@example(params=("case_i", [0.1, 0.6, 0.9], [1.0, 1.0, 1.0, 1.0], 0.0, 80.0, 1.0, 1.0, 1.0,
+                 10.0**-2.5, 1e300, 64, 10.0**-4.3, 1, 0.0))
 def test_run_equals_plain_stepping_on_random_configurations(mode, evaporation, params):
     # jumps, the coupled kernel, the carried modes and the bounds change no
     # event time or reset interval of plain stepping

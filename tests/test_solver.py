@@ -240,8 +240,8 @@ def test_coupled_batch_guards(ex3, monkeypatch):
     with pytest.raises(ValueError):
         solver.jump_coupled(start, 0, 1e-4, ops, ex3.eta_c)
     # the state handed out passes the solve's backward-error check, which no
-    # residual passes at a negative tolerance
-    monkeypatch.setattr(solver, "_STEP_RESIDUAL_TOL", -1.0)
+    # residual passes at a negative roundoff allowance
+    monkeypatch.setattr(solver, "_ROUNDOFF", -1.0)
     with pytest.raises(LinearSolveError):
         solver.jump_coupled(start, 4, 1e-4, ops, ex3.eta_c)
     taken, same, modes = solver.jump_coupled(start, 4, 1e-4, ops, 1.0)  # the first step crosses

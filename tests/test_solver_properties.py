@@ -308,7 +308,7 @@ def test_first_jump_of_a_fine_ex1_gap_equals_the_uncut_closed_form(ex1, kind):
     start = Field(ops.grid, values)
     jumped, _ = jump_decoupled(start, steps, dt, ops)
     assert np.array_equal(jumped.values, drive_values(start, steps, dt, ops))
-    scale = max(np.max(np.abs(values)), ops.fixed_point_bound)
+    scale = max(np.max(np.abs(values)), np.max(np.abs(ops.load)) / ops.alpha)
     assert np.max(np.abs(jumped.values - exact_values(start, steps, dt, ops))) <= JUMP_TOL * scale
 
 
@@ -367,8 +367,8 @@ def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, 
     # with alpha = 0 the step is nonnegative with row sums 1 and lifts the
     # zero-mean shape s by dt*mean(load) >= 0, so after k steps no state
     # falls below min s + min(x - s) + k*dt*mean(load); a start on s plus a
-    # constant sits on that bound.  A mean load within roundoff of 0 lifts
-    # nothing
+    # constant sits on that bound.  A mean load within the roundoff
+    # allowance of the load's mode sum lifts nothing
     n, dt, sigma, strengths, mean_load, kind = params
     ops = operators(n, sigma, 0.0, strengths, math.fsum(strengths) - mean_load)
     shape = zero_mean_shape(ops)
@@ -380,7 +380,7 @@ def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, 
     gap = depth * (float(scale) + 1.0)
     threshold, mean = bound + gap, float(np.mean(ops.load))
     settle = rupture._settle_steps(start, dt, ops, threshold)
-    if mean <= JUMP_TOL * np.max(np.abs(ops.load)):
+    if mean <= solver.roundoff(solver.mode_sum(n, ops.load_modes)):
         assert settle is None
     else:
         # the lift, or the constant subsolution, reaches the threshold by
@@ -419,6 +419,14 @@ certificate_parameters = st.tuples(
 )
 
 
+def jump_margin(start, ops):
+    """The roundoff margin above the threshold down to which a jump from
+    ``start`` certifies its steps: plain stepping must stay within it of
+    every certificate."""
+    size = solver.mode_sum(ops.grid.n, np.fft.rfft(start.values))
+    return rupture._JUMP_FACTOR * solver.roundoff(size + ops.shares(False)[0])
+
+
 def certificate_start(ops, kind, sign, seed):
     """A start of the given kind: noise of either sign, the fixed point with
     its lowest node raised or lowered by half the gap to the next lowest
@@ -442,11 +450,11 @@ def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
     ops = operators(n, sigma, alpha, strengths, offset)
     start = certificate_start(ops, kind, sign, seed)
     c0 = float(np.min(start.values))
-    scale = rupture._roundoff_scale(c0, float(np.max(start.values)), ops)
+    margin = jump_margin(start, ops)
     drive = ops.load_modes - ops.symbol * np.fft.rfft(start.values)
     rate = rupture._change_rate(np.abs(drive), dt, ops)
     # a rate within roundoff of the state moves no node measurably
-    assume(rate > 1e3 * JUMP_TOL * scale)
+    assume(rate > 1e3 * margin)
     threshold = c0 - (count + inside) * rate
     certified = rupture._spectral_steps(c0, rate, threshold)
     assert certified == count
@@ -454,7 +462,7 @@ def test_steps_stay_within_the_change_rate_of_the_start(params, seed):
     for j in range(1, min(certified, 60) + 1):
         state = advance(state, dt, ops)
         low = float(np.min(state.values))
-        assert low >= c0 - j * rate - JUMP_TOL * scale
+        assert low >= c0 - j * rate - margin
         assert low > threshold
 
 
@@ -495,11 +503,11 @@ def test_plain_stepping_stays_above_the_threshold_up_to_the_refined_count(params
     for _ in range(smoothing):
         start = advance(start, 10.0 * dt, ops)
     c0 = float(np.min(start.values))
-    scale = rupture._roundoff_scale(c0, float(np.max(start.values)), ops)
+    margin = jump_margin(start, ops)
     magnitude = np.abs(ops.load_modes - ops.symbol * np.fft.rfft(start.values))
     rate = rupture._change_rate(magnitude, dt, ops)
     # a rate within roundoff of the state moves no node measurably
-    assume(rate > 1e3 * JUMP_TOL * scale)
+    assume(rate > 1e3 * margin)
     threshold = c0 - (count + inside) * rate
     assert rupture._spectral_steps(c0, rate, threshold) == count
     refined, reach = rupture._saturated_steps(
@@ -514,8 +522,8 @@ def test_plain_stepping_stays_above_the_threshold_up_to_the_refined_count(params
         assert moved <= j * rate * (1.0 + 1e-12)
         state = advance(state, dt, ops)
         low = float(np.min(state.values))
-        assert low >= c0 - moved - JUMP_TOL * scale
-        assert low >= threshold - JUMP_TOL * scale
+        assert low >= c0 - moved - margin
+        assert low >= threshold - margin
 
 
 # n, dt, sigma, alpha (0 included), the load, how far below the start's
@@ -794,7 +802,7 @@ def test_a_step_after_its_trial_reuses_it_and_equals_advance(
     for got, want in zip(state_arrays(stepped), state_arrays(expected)):
         assert np.array_equal(got, want)
     probe.minimum_after(step)
-    with mock.patch.object(solver, "_STEP_RESIDUAL_TOL", -1.0):
+    with mock.patch.object(solver, "_ROUNDOFF", -1.0):
         with pytest.raises(LinearSolveError):
             probe.step(step)
 
