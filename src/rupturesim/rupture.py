@@ -10,23 +10,23 @@ Which interval holds a node is decided by
 :func:`rupturesim.stationary.interval_index` alone.
 In decoupled mode the paper's rupture-time bounds run inside the event
 loop, with or without evaporation: each closed-form jump of a gap skips
-every step that either of two certificates proves free of rupture, down
-to a roundoff margin above ``eta_c`` (:func:`rupturesim.solver.roundoff`),
-the mean's decay sets a horizon by which the gap must end, and the positivity
-of the step about the discrete fixed point (without evaporation, about the
-zero-mean stationary shape) shows when it never can.  The certificates are
+every step that either of two certificates proves to stay a roundoff
+margin (:func:`_margin`) above ``eta_c``, the mean's decay sets a horizon
+by which the gap must end, and the positivity of the step about the
+discrete fixed point (without evaporation, about the zero-mean stationary
+shape) shows when it never can.  The certificates are
 the paper's constant subsolution, which weakens as the thickness nears the
 threshold, and a bound on how far the state can move in ``m`` steps, read
 off the Fourier modes of its drive ``load - (alpha I + sigma K) x``.  That
 bound saturates as the fast modes settle; its linear majorant, ``m`` times
 a per-step rate, gives a first count, which Newton steps on the saturating
 bound raise once it is long enough to pay for them, and a gap ends in a
-few jumps.  A gap forms each quantity of a state once (:class:`_Carried`),
-and each jump hands the rfft modes of its state to the next, so the jumps
-of a gap pay one forward transform between them and one inverse transform
-each.  In coupled mode a gap runs in
-one call of the mode-space kernel, which tests the thickness after every
-step and checks the backward error of the state it hands out.
+few jumps.  A gap forms each quantity of a state once (:class:`_Carried`):
+it transforms its start forward once, and each jump hands the rfft modes
+of its state to the next, so each jump pays one inverse transform.  In
+coupled mode a gap runs in one call of the mode-space kernel, which tests
+the thickness after every step and checks the backward error of the state
+it hands out.
 Either way the gap hands the Fourier modes of the state it reaches to the
 crossing search, whose decisions come from one
 :class:`rupturesim.solver.StepProbe` per state; this module keeps only the
@@ -52,6 +52,7 @@ from .errors import (
     StagnationError,
 )
 from .solver import (
+    _ROUNDOFF,
     CoupledState,
     Field,
     Grid,
@@ -61,13 +62,12 @@ from .solver import (
     jump_coupled,
     jump_decoupled,
     mode_sum,
-    roundoff,
     step_toward,
 )
 from .stationary import interval_index
 
 _BRACKET_FLOOR = 1.0e-3
-_JUMP_FACTOR = 16.0  # on solver.roundoff(), for plain stepping's drift too
+_JUMP_FACTOR = 16.0  # on solver._ROUNDOFF, for plain stepping's drift too
 # the change-rate count from which a jump refines it on the saturating reach
 # (_saturated_steps), about 13 us a refinement on ex1: from counts of 4 or
 # 8 on, the refinements cost orbit-ex1 more than the jumps they spare, and
@@ -289,12 +289,11 @@ def _room(limit: float | None, time: float, dt: float) -> int:
     return sys.maxsize if quotient >= sys.maxsize else int(quotient) - 2
 
 
-def _settle_steps(state: Field, dt: float, ops: Operators, eta_c: float) -> int | None:
+def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> int | None:
     """Step count after which a decoupled run from ``state`` stays above
-    the threshold of the jumps (:func:`_jump_to_bound`) for good, or
-    ``None`` when this bound does not show it.
+    ``threshold`` for good, or ``None`` when this bound does not show it.
 
-    A state whose constant subsolution never falls below the threshold
+    A state whose constant subsolution never falls below ``threshold``
     settles at once.  Else, one step maps ``x`` to ``P x + dt P load``, with
     ``P = (I/dt + sigma K + alpha I)^-1 / dt`` nonnegative and of row sums
     ``q = 1/(1 + alpha*dt)``.  About a base ``b`` that a step carries to
@@ -304,13 +303,11 @@ def _settle_steps(state: Field, dt: float, ops: Operators, eta_c: float) -> int 
     0`` it is the zero-mean shape ``s`` with rfft modes ``l_k/symbol_k``,
     which a step lifts by ``dt*mean(load)``, and ``q = 1``, so after ``k``
     steps every node is at least ``min s + min(x - s) + k*dt*mean(load)``;
-    the count takes the roundoff of the load's mode sum off ``mean(load)``,
-    so a mean within it of 0 lifts nothing, and the bound holds from the
-    start or never.
+    the count takes the load's mode sum's roundoff off ``mean(load)``, so
+    a mean within it of 0 lifts nothing, and the bound holds from the start
+    or never.
     """
     values = state.values
-    size = mode_sum(ops.grid.n, np.fft.rfft(values))
-    threshold = eta_c + _JUMP_FACTOR * roundoff(size + ops.shares(False)[0])
     safe = _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold)
     # at alpha = 0 the count also saturates for a subsolution that falls slowly
     if safe == sys.maxsize and (ops.alpha > 0.0 or ops.load_min >= 0.0):
@@ -329,7 +326,7 @@ def _settle_steps(state: Field, dt: float, ops: Operators, eta_c: float) -> int 
     if ops.alpha == 0.0:
         if dip <= margin:
             return 0
-        lift = dt * (mean - roundoff(mode_sum(ops.grid.n, ops.load_modes)))
+        lift = dt * (mean - _ROUNDOFF * mode_sum(ops.grid.n, ops.load_modes))
         quotient = (dip - margin) / lift if lift > 0.0 else math.inf
         return math.ceil(quotient) if quotient < sys.maxsize else None
     if not margin > 0.0:
@@ -337,17 +334,23 @@ def _settle_steps(state: Field, dt: float, ops: Operators, eta_c: float) -> int 
     return 0 if dip <= margin else math.ceil(math.log(dip / margin) / math.log1p(ops.alpha * dt))
 
 
+def _margin(size: float, ops: Operators) -> float:
+    """The roundoff margin above ``eta_c`` of a decoupled jump from states of
+    mode sum ``size`` (``solver._ROUNDOFF``, with the fixed point's share)."""
+    return _JUMP_FACTOR * _ROUNDOFF * (size + ops.shares(False)[0])
+
+
 class _Carried:
     """What a decoupled gap has formed about its current state, handed on
-    so that nothing is formed twice: the state's ``extremes`` ``(min,
-    max)`` and the ``size`` (:func:`rupturesim.solver.mode_sum`) of its
-    modes, which the jump that made it formed for its check, and, once a
-    decision has refused to jump from it, the ``drive`` it formed from the
-    state's modes and the drive's ``magnitude``.  The attributes are the
-    keywords of :class:`StepProbe` that take them."""
+    so that nothing is formed twice: the state's minimum ``low`` and the
+    ``size`` (:func:`rupturesim.solver.mode_sum`) of its modes, which the
+    jump that made it formed for its check, and, once a decision has refused
+    to jump from it, the ``drive`` it formed from the state's modes and the
+    drive's ``magnitude``.  The attributes are the keywords of
+    :class:`StepProbe` that take them."""
 
     def __init__(self) -> None:
-        self.extremes: tuple[float, float] | None = None
+        self.low: float | None = None
         self.size: float | None = None
         self.drive: np.ndarray | None = None
         self.magnitude: np.ndarray | None = None
@@ -374,21 +377,20 @@ def _jump_to_bound(
     The drive formed once from the rfft modes of ``state`` serves the rate,
     the reach and the jump: from the ``modes`` a previous jump handed out,
     else from one ``rfft``.  The gap's ``carried`` record, if given, supplies
-    the extremes and mode sum of ``state`` and takes those of the jumped
+    the minimum and mode sum of ``state`` and takes those of the jumped
     state, or, when no step is free, the drive and its magnitude.  A step is
-    free when its minimum is proved to stay above ``eta_c`` plus a margin
-    (:func:`rupturesim.solver.roundoff`).  A jumped state that is not finite
-    or falls below the larger of the two lower bounds beyond that margin,
-    with the jumped state's mode sum added, raises
-    :class:`LinearSolveError`: the subsolution, or ``c0`` less ``R`` at the
-    refined count, else less the linear reach.  One that leaves the time
-    where it is raises :class:`DomainError`.
+    free when its minimum is proved to stay above ``eta_c`` plus the
+    :func:`_margin` of ``state``.  A jumped state that is not finite or
+    falls below the larger of the two lower bounds by more than the margin
+    of both states raises :class:`LinearSolveError`: the subsolution, or
+    ``c0`` less ``R`` at the refined count, else less the linear reach.  One
+    that leaves the time where it is raises :class:`DomainError`.
     """
     if carried is None:
         carried = _Carried()
-    if carried.extremes is None:
-        carried.extremes = float(state.values.min()), float(state.values.max())
-    c0 = carried.extremes[0]
+    if carried.low is None:
+        carried.low = float(state.values.min())
+    c0 = carried.low
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > eta_c:
         return None
@@ -397,7 +399,7 @@ def _jump_to_bound(
         modes = np.fft.rfft(state.values)
     if carried.size is None:
         carried.size = mode_sum(ops.grid.n, modes)
-    threshold = eta_c + _JUMP_FACTOR * roundoff(carried.size + ops.shares(False)[0])
+    threshold = eta_c + _margin(carried.size, ops)
     drive = ops.load_modes - ops.symbol * modes
     magnitude = np.abs(drive)
     rate = _change_rate(magnitude, dt, ops)
@@ -415,7 +417,7 @@ def _jump_to_bound(
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - moved)
     low, high = float(jumped.values.min()), float(jumped.values.max())
     size = mode_sum(ops.grid.n, modes)
-    allowance = _JUMP_FACTOR * roundoff(carried.size + size + ops.shares(False)[0])
+    allowance = _margin(carried.size + size, ops)
     # a nan shows in both extremes, an infinity in one of them
     if not (low >= bound - allowance and -math.inf < low and high < math.inf):
         raise LinearSolveError(
@@ -423,7 +425,7 @@ def _jump_to_bound(
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
-    carried.extremes, carried.size = (low, high), size
+    carried.low, carried.size = low, size
     return jumped, modes
 
 
@@ -590,31 +592,32 @@ def run_with_rupture(
     coupled = config.mode == "coupled"
     end = math.inf if t_end is None else t_end
 
-    def gap_deadline(start: Field | CoupledState) -> tuple[float, bool]:
-        """Time by which the gap from ``start`` ends (``inf`` if none), and
-        whether a rupture is due by then (else none can follow it)."""
+    def gap_deadline(start: Field | CoupledState, modes: np.ndarray | None) -> tuple[float, bool]:
+        """Time by which the gap from ``start`` (of decoupled rfft ``modes``)
+        ends (``inf`` if none), and whether a rupture is due by then."""
         horizon = rupture_horizon(config, start) if not coupled and config.alpha > 0.0 else None
         if horizon is not None:
             return start.time + horizon, True
         settle = None
         if not coupled and t_end is None:
-            settle = _settle_steps(start, dt, ops, config.eta_c)
+            threshold = config.eta_c + _margin(mode_sum(ops.grid.n, modes), ops)
+            settle = _settle_steps(start, dt, ops, threshold)
         return start.time + (math.inf if settle is None else settle * dt), False
 
     def skip(
-        state: Field | CoupledState, limit: float
+        state: Field | CoupledState, limit: float, modes: np.ndarray | None
     ) -> tuple[Field | CoupledState, np.ndarray | None, _Carried]:
-        """The state after every step from ``state`` that its kind proves
-        free of rupture, a full step or more before ``limit``, its rfft
-        modes where the skip formed them (else ``None``), and what else the
-        decoupled skip formed about it."""
+        """The state after every step from ``state`` (of decoupled rfft
+        ``modes``) that its kind proves free of rupture, a full step or more
+        before ``limit``, its rfft modes where the skip holds them (else
+        ``None``), and what else the decoupled skip formed about it."""
         carried = _Carried()
         if coupled:
             steps = _room(limit, state.time, dt)
             if steps < 1:
                 return state, None, carried
             return *jump_coupled(state, steps, dt, ops, config.eta_c)[1:], carried
-        modes = None  # each jump hands its state's modes to the next
+        # each jump hands its state's modes to the next
         while (
             jumped := _jump_to_bound(state, dt, ops, config.eta_c, limit, modes, carried)
         ) is not None:
@@ -624,8 +627,9 @@ def run_with_rupture(
     events: list[RuptureEvent] = []
     state = initial
     while len(events) < cap and state.time < end:
-        deadline, due = gap_deadline(state)
-        state, modes, carried = skip(state, min(end, deadline))
+        modes = None if coupled else np.fft.rfft(state.values)
+        deadline, due = gap_deadline(state, modes)
+        state, modes, carried = skip(state, min(end, deadline), modes)
         while (time := state.time) < end:
             if time > deadline:
                 if due:

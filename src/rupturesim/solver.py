@@ -9,17 +9,17 @@ step matrix is circulant, so it is inverted by dividing each rfft mode by
 its eigenvalue; the eigenvalues of the second difference come from one
 cached table per grid size, and the reciprocal eigenvalues of the few most
 recent step matrices are cached too.  Every solve is checked for a backward
-error of about 1e-12, on the one roundoff scale of every closed form and
-trial here (:func:`roundoff`).  The operator bundle :class:`Operators`, one
-per grid and configuration, owns every table built from them and a step
-size: the step matrices, the coupled chunk tables, and the decoupled
-symbol, factors and fixed point.  ``jump_decoupled`` applies many equal decoupled steps at
-once in closed form, for every ``alpha >= 0``: they move each rfft mode in
-proportion to the drive, the modes of ``load - (alpha I + sigma K) x``.  It
-hands out the rfft modes of the state it makes, so a chain of jumps pays
-one forward transform and one inverse transform per jump, and it evaluates
-the per-mode factors only over the prefix of modes where they exceed about
-``2**-64``, which gives the uncut values bit for bit.
+error of about 1e-12 (``_ROUNDOFF``, the one roundoff model here).  The
+operator bundle :class:`Operators`, one per grid and configuration, owns
+every table built from them and a step size: the step matrices, the coupled
+chunk tables, and the decoupled symbol, factors and fixed point.
+``jump_decoupled`` applies many equal decoupled steps at once in closed
+form, for every ``alpha >= 0``: they move each rfft mode in proportion to
+the drive, the modes of ``load - (alpha I + sigma K) x``.  It hands out the
+rfft modes of the state it makes, so a chain of jumps pays one forward
+transform and one inverse transform per jump, and it evaluates the per-mode
+factors only over the prefix of modes where they exceed about ``2**-64``,
+which gives the uncut values bit for bit.
 ``jump_coupled`` runs a whole coupled gap in rfft mode space, where each
 step is lower-triangular per mode: per 16-step chunk one product with the
 bundle's per-mode tables gives the thickness after each step and one
@@ -53,7 +53,19 @@ from .config import ModelConfig, effective_parameters
 from .errors import DomainError, LinearSolveError, UnsupportedError
 from . import stationary
 
-_ROUNDOFF = 1.0e-12  # of roundoff()'s mode-sum scale
+# The roundoff allowance, about 4,500 eps, of every check, closed form and
+# trial here, on the sum of the magnitudes it adds (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 4), times a factor of its
+# own.  A step forms each rfft mode from that mode of its start and the load,
+# and the inverse transform adds the modes with weights w_k: the sum is the
+# mode_sum of the states plus Operators.shares.  Factors: 1 for jump_coupled's
+# handed-out minimum; 1 + 4*sigma*dt/dx^2 for StepProbe's slack (the change's
+# high modes, mu*x); rupture._JUMP_FACTOR for a jump's margin above eta_c,
+# which also covers plain stepping's drift of about N*eps in N steps of a
+# decaying state: a drift past it could move a crossing only where a step's
+# minimum lies within it of eta_c, where no margin makes the two agree.
+# _check_solution keeps |diag|*max|x|; the mode sum loosens it up to sqrt(n).
+_ROUNDOFF = 1.0e-12
 
 
 @dataclass(frozen=True)
@@ -279,12 +291,11 @@ class Operators:
 
     @functools.lru_cache(maxsize=4)
     def shares(self, coupled: bool) -> tuple[float, float]:
-        """The load's moves on :func:`roundoff`'s scale, for the decoupled
+        """The load's moves on the scale of ``_ROUNDOFF``, for the decoupled
         thickness or (``coupled``) the height: ``sum_k w_k |l_k|/mu_k`` over
         the modes of positive symbol ``mu_k``, the most any number of steps
-        moves them by the load ``l``, and the fixed point's mode sum (with
-        ``alpha = 0``, the zero-mean shape's); and ``sum_k w_k |l_k|`` over
-        the rest, which each step of ``dt`` moves by ``dt`` times it."""
+        moves them by the load ``l`` (the fixed point's mode sum), and
+        ``sum_k w_k |l_k|`` over the rest, moved by ``dt`` times it a step."""
         load, symbol = self.load_modes, self.symbol
         if coupled:
             load, symbol = self.height_load_modes, self.diffusion[1]
@@ -412,37 +423,10 @@ def _mode_weights(n: int) -> np.ndarray:
 
 
 def mode_sum(n: int, modes: np.ndarray) -> float:
-    """``sum_k w_k |m_k|`` over the rows of rfft ``modes`` of ``n`` nodes,
-    with ``w_k`` from :func:`_mode_weights`: the most the inverse transform
-    can reach at any node."""
-    return float(np.sum(np.abs(modes) @ _mode_weights(n)))
-
-
-def roundoff(scale: float) -> float:
-    """The roundoff allowance ``1e-12*scale``, about 4,500 ``eps``, that
-    every closed form, trial and check here takes on its mode-sum scale,
-    times the factor of its own operation.
-
-    Roundoff in a sum is bounded by ``eps`` times the sum of the magnitudes
-    added (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 4).  A step, jump or trial forms each rfft mode from that mode
-    of its start and of the load's move (:meth:`Operators.shares`), and the
-    inverse transform adds the modes with weights ``w_k``: the scale is the
-    :func:`mode_sum` of the states summed plus the load's share.  The
-    factors: ``|diag|`` for a solve's residual (:func:`_check_solution`),
-    the step matrix times the solution's error; 1 for the coupled kernel's
-    handed-out minimum (:func:`jump_coupled`); ``1 + 4*sigma*dt/dx^2`` for
-    the probe's slack (:class:`StepProbe`), by which the terms ``mu*x`` of
-    the change's high modes carry the state's roundoff; and 16 for a jump's
-    margin above ``eta_c`` (``rupture._jump_to_bound``, and the settle
-    count), which also covers plain stepping: its rounded step factors err
-    the same way each step, so over ``N`` steps of a decaying state it
-    drifts from the closed form by up to about ``N*eps`` of the scale.  A
-    drift past the margin could move a crossing only where a step's minimum
-    lies within it of ``eta_c``, where the steps after the jumps could
-    decide otherwise than plain stepping at any margin.
-    """
-    return _ROUNDOFF * scale
+    """``sum_k w_k |m_k|`` (:func:`_mode_weights`) over the rows of rfft
+    ``modes`` of ``n`` nodes: the most their inverse reaches at a node."""
+    total = np.abs(modes) @ _mode_weights(n)  # a scalar for one row
+    return float(total if total.ndim == 0 else total.sum())
 
 
 @functools.lru_cache(maxsize=4)
@@ -473,10 +457,12 @@ def solve_periodic_tridiagonal(
     (:func:`_step_modes`) passes them as ``modes``; the solve then only
     transforms them back, and one that has transformed them back too passes
     the result as ``solution``, which the solve only checks and returns.
-    Every solution is checked against the original system
-    (:func:`_check_solution`), a backward error of about ``1e-12``
-    independent of the grid size, which cannot fail for the diagonally
-    dominant step matrices in exact arithmetic.
+    Every solution is checked against the
+    original system: a residual above ``1e-12 * |diag| * ||x||``, with
+    ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
+    independent of the grid size) raises :class:`LinearSolveError`; it
+    cannot occur for the diagonally dominant step matrices in exact
+    arithmetic.
     """
     n = rhs.shape[0]
     if solution is None:
@@ -485,24 +471,22 @@ def solve_periodic_tridiagonal(
             parts = modes.view(np.float64)
             parts *= _inverse_symbol(n, shift, stiffness)
         solution = np.fft.irfft(modes, n)
-    _check_solution(shift, stiffness, solution, rhs, modes)
+    _check_solution(shift, stiffness, solution, rhs)
     return solution
 
 
-def _check_solution(
-    shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray, modes: np.ndarray
-) -> None:
-    """Raise :class:`LinearSolveError` unless ``x``, the inverse transform of
-    ``modes``, solves the cyclic system ``shift*I + stiffness*(-1, 2, -1)``
-    with right side ``rhs`` to within ``|shift + 2*stiffness|`` times the
-    :func:`roundoff` of their :func:`mode_sum`."""
+def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray) -> None:
+    """Raise :class:`LinearSolveError` unless ``x`` solves the cyclic system
+    ``shift*I + stiffness*(-1, 2, -1)`` with right side ``rhs`` to a
+    residual of at most ``1e-12 * |diag| * max|x|``, ``diag = shift +
+    2*stiffness``."""
     diag = shift + 2.0 * stiffness
     residual = diag * x - rhs
     residual[1:] -= stiffness * x[:-1]
     residual[:-1] -= stiffness * x[1:]
     residual[0] -= stiffness * x[-1]
     residual[-1] -= stiffness * x[0]
-    limit = abs(diag) * roundoff(mode_sum(len(x), modes))
+    limit = _ROUNDOFF * abs(diag) * max(x.max(), -x.min())
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
         raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
@@ -755,7 +739,7 @@ def jump_coupled(
     stepped = _step_modes(pair, dt, ops).view(complex)
     state = advance(before, dt, ops, modes, stepped=(stepped, None))
     handed = float(np.min(state.eta.values))
-    if not abs(handed - low) <= roundoff(mode_sum(n, modes) + mode_sum(n, stepped)):
+    if not abs(handed - low) <= _ROUNDOFF * (mode_sum(n, modes) + mode_sum(n, stepped)):
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
@@ -808,14 +792,15 @@ class StepProbe:
     ``modes`` are the state's rfft modes as :func:`advance` takes them (for
     a coupled state, those of ``h`` and ``zeta`` as two rows); only when
     none are given is ``pre`` transformed here, once.  A decoupled caller
-    that has already formed the state's ``extremes`` ``(min, max)``, the
+    that has already formed the state's minimum as ``low``, the
     :func:`mode_sum` of its modes as ``size``, its drive from its modes
     (``p`` below) or the drive's ``magnitude`` passes them, and they are
     not formed again; the load's shares and, for a coupled state,
-    ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the bundle.  :meth:`minimum_after`
-    takes the step by :func:`_step_modes` and inverts a coupled step's ``h``
-    and ``zeta`` rows before their difference, as :attr:`CoupledState.eta`
-    takes it, so its minimum is bit for bit that of :meth:`step`.
+    ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the bundle.
+    :meth:`minimum_after` takes the step by :func:`_step_modes` and inverts
+    a coupled step's ``h`` and ``zeta`` rows before their difference, as
+    :attr:`CoupledState.eta` takes it, so its minimum is bit for bit that
+    of :meth:`step`.
 
     A step of ``tau`` moves rfft mode ``k`` of the thickness by exactly
     ``tau*q_k(tau)``, and :meth:`change` gives ``q_k(tau)`` for the first
@@ -833,7 +818,7 @@ class StepProbe:
     the ratio of ``sigma`` to ``sigma_h``.  A value formed from
     :meth:`change` takes the step by other arithmetic than :func:`advance`,
     so it may differ from it by roundoff, which the slack allows for
-    (:func:`roundoff`; for a coupled state with the larger of ``sigma`` and
+    (``_ROUNDOFF``; for a coupled state with the larger of ``sigma`` and
     ``sigma_h``).
 
     :meth:`bound` decides a step without its inverse transform where it
@@ -856,14 +841,14 @@ class StepProbe:
         floor: float,
         modes: np.ndarray | None = None,
         *,
-        extremes: tuple[float, float] | None = None,
+        low: float | None = None,
         size: float | None = None,
         drive: np.ndarray | None = None,
         magnitude: np.ndarray | None = None,
     ) -> None:
         coupled = isinstance(pre, CoupledState)
         values = pre.eta.values
-        lowest = values.min() if extremes is None else extremes[0]
+        lowest = values.min() if low is None else low
         n = ops.grid.n
         if modes is None:
             modes = np.fft.rfft(np.stack((pre.h.values, pre.zeta.values)) if coupled else values)
@@ -885,7 +870,7 @@ class StepProbe:
             stiffness = ops.sigma
         fixed, still = ops.shares(coupled)
         size = mode_sum(n, modes) if size is None else size
-        slack = roundoff(size + fixed + dt * still) * (1.0 + 4.0 * stiffness * dt / dx2)
+        slack = _ROUNDOFF * (size + fixed + dt * still) * (1.0 + 4.0 * stiffness * dt / dx2)
 
         self.eta_c, self.floor = eta_c, floor
         weights = _mode_weights(n)
