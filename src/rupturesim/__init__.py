@@ -30,8 +30,6 @@ from .solver import (
     constant_field,
     evolve,
     fourier_reference,
-    step_coupled,
-    step_decoupled,
 )
 from .rupture import (
     BoundsReport,
@@ -93,8 +91,6 @@ __all__ = [
     "rupture_time_bounds",
     "save_scenario",
     "solve_stationary",
-    "step_coupled",
-    "step_decoupled",
     "validate",
     "verify_periodic",
 ]

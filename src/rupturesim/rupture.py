@@ -172,16 +172,21 @@ def _subsolution(c0: float, load_min: float, alpha: float, dt: float, steps: int
     (1/dt + alpha)``, in closed form, ``c0 + steps*dt*load_min`` without
     evaporation.  Backward Euler is an M-matrix step that maps constants to
     constants, so a state whose minimum is ``c0`` stays at or above ``c_k``
-    after ``k`` steps, for any sign of the load."""
+    after ``k`` steps, for any sign of the load.  The decay is
+    ``exp(-steps*log1p(alpha*dt))``, at the rate of :func:`_safe_steps`'
+    estimate; a power of the rounded ``1 + alpha*dt`` is off it by up to
+    ``eps/(alpha*dt)`` relatively."""
     if alpha == 0.0:
         return c0 + steps * (dt * load_min)
     c_inf = load_min / alpha
-    return c_inf + (c0 - c_inf) * (1.0 + alpha * dt) ** -steps
+    return c_inf + (c0 - c_inf) * math.exp(-steps * math.log1p(alpha * dt))
 
 
 def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: float) -> int:
     """Largest ``m`` with ``c_m >= threshold`` for the subsolution from
-    ``c0`` (``sys.maxsize`` when it never falls below ``threshold``)."""
+    ``c0`` (``sys.maxsize`` when it never falls below ``threshold``), to
+    the resolution of ``m`` as a float, in which the closed form takes it:
+    an estimate walks down by one unit in that last place, at least 1."""
     if c0 < threshold:
         return 0
     if alpha == 0.0:  # c_k falls by -dt*load_min per step
@@ -194,7 +199,7 @@ def _safe_steps(c0: float, load_min: float, alpha: float, dt: float, threshold: 
             return sys.maxsize
         steps = int(math.log((c0 - c_inf) / (threshold - c_inf)) / math.log1p(alpha * dt))
     while steps > 0 and _subsolution(c0, load_min, alpha, dt, steps) < threshold:
-        steps -= 1
+        steps -= max(1, int(math.ulp(steps)))
     return steps
 
 

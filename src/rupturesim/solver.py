@@ -26,16 +26,18 @@ bundle's per-mode tables gives the thickness after each step and one
 batched inverse transform their minima, and the chunk base moves on as the
 last thickness plus the height from the tables.  Only the state before the
 last step taken returns to real space, formed in the same way from the
-tested thickness, and ``advance`` takes and checks that step from it; it
-hands out the modes of the state it reaches too.  One per-mode step,
-``_step_modes``, serves both state kinds, the checked steps, the probe's
-trials and the coupled tables, so all of them agree bit for bit; a caller
-that holds a state's modes, or has already taken the step, passes them to
-``advance`` (see there).  ``StepProbe`` owns the crossing bisection's
-decisions about one step of any size from a state of either kind: its
-minimum thickness, bit for bit that of ``advance``, or a bound on it from
-how far the step moves each mode, and the checked step that hands a state
-out.  Both state kinds expose their layer thickness as ``eta``.
+tested thickness, and ``advance`` checks that step; it hands out the modes
+of the state it reaches too.  One per-mode step, ``_step_modes``, serves
+both state kinds, the checked steps, the probe's trials and the coupled
+tables, so all of them agree bit for bit.  ``advance`` alone forms a
+checked step, from the state's modes or as the nodal rows a caller has
+already formed (``solution``); the step and solve functions under it only
+check them against the real-space right sides.  ``StepProbe`` owns the
+crossing bisection's decisions about one step of any size from a state of
+either kind: its minimum thickness, bit for bit that of ``advance``, or a
+bound on it from how far the step moves each mode, and the checked step
+that hands a state out.  Both state kinds expose their layer thickness as
+``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -64,7 +66,7 @@ from . import stationary
 # which also covers plain stepping's drift of about N*eps in N steps of a
 # decaying state: a drift past it could move a crossing only where a step's
 # minimum lies within it of eta_c, where no margin makes the two agree.
-# _check_solution keeps |diag|*max|x|; the mode sum loosens it up to sqrt(n).
+# The solve check keeps |diag|*max|x|; the mode sum loosens it up to sqrt(n).
 _ROUNDOFF = 1.0e-12
 
 
@@ -442,77 +444,39 @@ def _inverse_symbol(n: int, shift: float, stiffness: float) -> np.ndarray:
 
 
 def solve_periodic_tridiagonal(
-    shift: float,
-    stiffness: float,
-    rhs: np.ndarray,
-    modes: np.ndarray | None = None,
-    solution: np.ndarray | None = None,
+    shift: float, stiffness: float, rhs: np.ndarray, solution: np.ndarray
 ) -> np.ndarray:
-    """Solve the cyclic tridiagonal system ``shift*I + stiffness*(-1, 2, -1)``.
-
-    The matrix is circulant, so mode ``k`` of the solution is mode ``k`` of
-    ``rhs`` divided by the eigenvalue ``shift + stiffness*s_k``; for the
-    step matrices both terms are nonnegative, so their sum cancels no
-    digits.  A step that has already formed the solution's modes per mode
-    (:func:`_step_modes`) passes them as ``modes``; the solve then only
-    transforms them back, and one that has transformed them back too passes
-    the result as ``solution``, which the solve only checks and returns.
-    Every solution is checked against the
-    original system: a residual above ``1e-12 * |diag| * ||x||``, with
-    ``diag = shift + 2*stiffness`` (a backward error of about ``1e-12``,
-    independent of the grid size) raises :class:`LinearSolveError`; it
-    cannot occur for the diagonally dominant step matrices in exact
-    arithmetic.
-    """
-    n = rhs.shape[0]
-    if solution is None:
-        if modes is None:
-            modes = np.fft.rfft(rhs)
-            parts = modes.view(np.float64)
-            parts *= _inverse_symbol(n, shift, stiffness)
-        solution = np.fft.irfft(modes, n)
-    _check_solution(shift, stiffness, solution, rhs)
-    return solution
-
-
-def _check_solution(shift: float, stiffness: float, x: np.ndarray, rhs: np.ndarray) -> None:
-    """Raise :class:`LinearSolveError` unless ``x`` solves the cyclic system
-    ``shift*I + stiffness*(-1, 2, -1)`` with right side ``rhs`` to a
-    residual of at most ``1e-12 * |diag| * max|x|``, ``diag = shift +
-    2*stiffness``."""
+    """Check ``solution`` of the cyclic tridiagonal system ``shift*I +
+    stiffness*(-1, 2, -1)`` with right side ``rhs`` and return it: a
+    residual above ``1e-12 * |diag| * max|x|``, ``diag = shift +
+    2*stiffness`` (a backward error of about ``1e-12``, independent of the
+    grid size), raises :class:`LinearSolveError`; it cannot occur for the
+    diagonally dominant step matrices in exact arithmetic.  ``x`` and
+    ``rhs`` are scaled by a power of two near ``1/max|x|``, exactly, so a
+    huge state meeting a stiff step cannot overflow the residual."""
     diag = shift + 2.0 * stiffness
-    residual = diag * x - rhs
+    top, exponent = math.frexp(max(solution.max(), -solution.min()))
+    x = np.ldexp(solution, -exponent)
+    residual = diag * x - np.ldexp(rhs, -exponent)
     residual[1:] -= stiffness * x[:-1]
     residual[:-1] -= stiffness * x[1:]
     residual[0] -= stiffness * x[-1]
     residual[-1] -= stiffness * x[0]
-    limit = _ROUNDOFF * abs(diag) * max(x.max(), -x.min())
+    limit = _ROUNDOFF * abs(diag) * top
     worst = np.abs(residual).max()
     if not math.isfinite(worst) or worst > limit:
-        raise LinearSolveError(f"cyclic solve residual {worst:g} exceeds {limit:g}")
+        raise LinearSolveError(
+            f"cyclic solve residual {worst:g} exceeds {limit:g}, both scaled by 2**{-exponent}"
+        )
+    return solution
 
 
-def step_decoupled(
-    state: Field,
-    dt: float,
-    ops: Operators,
-    modes: np.ndarray | None = None,
-    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
-) -> Field:
-    """One backward-Euler step of the reduced thickness equation.  The new
-    modes come from :func:`_step_modes`, applied to the rfft modes of
-    ``state``: ``modes`` if given, else one transform of ``state``; or they
-    are given, with or without their inverse transform, as ``stepped``
-    (see :func:`advance`)."""
-    if stepped is None:
-        if modes is None:
-            modes = np.fft.rfft(state.values)
-        stepped = _step_modes(modes.reshape(1, -1).view(np.float64), dt, ops).view(complex), None
-    (parts,), values = stepped
+def step_decoupled(state: Field, dt: float, ops: Operators, solution: np.ndarray) -> Field:
+    """Check the backward-Euler step of the reduced thickness equation to
+    ``solution``, one row of new nodal values formed by :func:`advance`,
+    against its real-space right side."""
     rhs = state.values / dt + ops.load
-    x = solve_periodic_tridiagonal(
-        *ops.thickness_matrix(dt), rhs, parts, None if values is None else values[0]
-    )
+    x = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, solution[0])
     return Field(state.grid, x, state.time + dt)
 
 
@@ -599,34 +563,22 @@ def _time_after(time: float, steps: int, dt: float) -> float:
 
 
 def step_coupled(
-    h: Field,
-    zeta: Field,
-    dt: float,
-    ops: Operators,
-    modes: np.ndarray | None = None,
-    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
+    h: Field, zeta: Field, dt: float, ops: Operators, solution: np.ndarray
 ) -> tuple[Field, Field]:
-    """One backward-Euler step of the height/surface pair.
+    """Check the backward-Euler step of the height/surface pair to
+    ``solution``, the new nodal rows of ``h`` and ``zeta`` formed by
+    :func:`advance`, against the real-space right sides.
 
     The height equation is autonomous and is advanced first; the surface
     equation then uses the fresh height in its relaxation term, so the
     splitting introduces no error into the height and only a first-order
-    term into the surface.  The new modes of both come from
-    :func:`_step_modes`, applied to the rfft modes of ``h`` and ``zeta`` as
-    two rows: ``modes`` if given, else one transform of both; or they are
-    given, with or without their inverse transform, as ``stepped`` (see
-    :func:`advance`).
+    term into the surface.
     """
-    if stepped is None:
-        if modes is None:
-            modes = np.fft.rfft(np.stack((h.values, zeta.values)))
-        stepped = _step_modes(modes.view(np.float64), dt, ops).view(complex), None
-    (h_parts, z_parts), values = stepped
-    h_values, z_values = (None, None) if values is None else values
+    h_values, z_values = solution
     rhs = h.values / dt - ops.height_load
-    h_new = solve_periodic_tridiagonal(*ops.height_matrix(dt), rhs, h_parts, h_values)
+    h_new = solve_periodic_tridiagonal(*ops.height_matrix(dt), rhs, h_values)
     rhs = zeta.values / dt + ops.alpha * h_new
-    z_new = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, z_parts, z_values)
+    z_new = solve_periodic_tridiagonal(*ops.thickness_matrix(dt), rhs, z_values)
     t = h.time + dt
     return Field(h.grid, h_new, t), Field(zeta.grid, z_new, t)
 
@@ -673,14 +625,14 @@ def jump_coupled(
     base's ``(zeta, h)``, and one batched inverse transform gives their
     minima.  The next chunk's base is its last thickness row plus the height
     from the height rows.  The state before the last step taken is formed in
-    the same way from the tested row of that step, or is a chunk's base, and
-    :func:`advance` takes and checks the last step from its modes and the
-    step's new modes, formed here once; the minimum thickness of the state
-    it hands out must match the one tested for that step up to roundoff.
-    Returns the number of steps taken (``0``, with ``state`` itself, when
-    the first step crosses), the state, and the rfft modes of its ``h`` and
-    ``zeta`` as two rows, those its solves transformed back.  A non-finite
-    thickness raises :class:`LinearSolveError`.  The time advances by
+    the same way from the tested row of that step, or is a chunk's base;
+    :func:`advance` checks the inverse transform of the last step's new
+    modes, formed here once, as its ``solution``, and the minimum thickness
+    of the state it hands out must match the one tested for that step up to
+    roundoff.  Returns the number of steps taken (``0``, with ``state``
+    itself, when the first step crosses), the state, and the rfft modes of
+    its ``h`` and ``zeta`` as two rows.  A non-finite thickness raises
+    :class:`LinearSolveError`.  The time advances by
     repeated additions of ``dt``, so it is bit-identical to stepping.
     """
     if steps < 1:
@@ -736,14 +688,14 @@ def jump_coupled(
     h_prev, z_prev = np.fft.irfft(modes, n)
     time = _time_after(state.time, taken - 1, dt)
     before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
-    stepped = _step_modes(pair, dt, ops).view(complex)
-    state = advance(before, dt, ops, modes, stepped=(stepped, None))
+    after = _step_modes(pair, dt, ops).view(complex)
+    state = advance(before, dt, ops, solution=np.fft.irfft(after, n))
     handed = float(np.min(state.eta.values))
-    if not abs(handed - low) <= _ROUNDOFF * (mode_sum(n, modes) + mode_sum(n, stepped)):
+    if not abs(handed - low) <= _ROUNDOFF * (mode_sum(n, modes) + mode_sum(n, after)):
         raise LinearSolveError(
             f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
         )
-    return taken, state, stepped
+    return taken, state, after
 
 
 def advance(
@@ -752,20 +704,25 @@ def advance(
     ops: Operators,
     modes: np.ndarray | None = None,
     *,
-    stepped: tuple[np.ndarray, np.ndarray | None] | None = None,
+    solution: np.ndarray | None = None,
 ):
-    """Single checked step of whichever system the state belongs to;
-    ``modes``, if given, are the state's rfft modes (for a coupled state,
-    those of ``h`` and ``zeta`` as two rows), which spare the step its
-    forward transforms.  A caller that has already taken this step from
-    those modes by :func:`_step_modes` passes the new modes as complex rows
-    in ``stepped``, with their inverse transform (one row of nodal values
-    per row of modes) or ``None``; the step then transforms back only what
-    is missing, and checks the solves as always."""
-    if isinstance(state, CoupledState):
-        h, zeta = step_coupled(state.h, state.zeta, dt, ops, modes, stepped)
-        return CoupledState(h, zeta)
-    return step_decoupled(state, dt, ops, modes, stepped)
+    """Single checked step of whichever system the state belongs to.  Its
+    new nodal rows (a thickness, or ``h`` and ``zeta``) are ``solution``, a
+    step a caller has already taken by :func:`_step_modes` and transformed
+    back; else :func:`_step_modes` of ``modes``, the state's rfft modes (a
+    coupled state's as two rows) or one transform of the state, then one
+    batched inverse transform.  Either way the solves are checked against
+    the real-space right sides."""
+    coupled = isinstance(state, CoupledState)
+    if solution is None:
+        if modes is None:
+            nodal = np.stack((state.h.values, state.zeta.values)) if coupled else state.values
+            modes = np.fft.rfft(nodal)
+        rows = modes.reshape(-1, ops.grid.n // 2 + 1).view(np.float64)
+        solution = np.fft.irfft(_step_modes(rows, dt, ops).view(complex), ops.grid.n)
+    if coupled:
+        return CoupledState(*step_coupled(state.h, state.zeta, dt, ops, solution))
+    return step_decoupled(state, dt, ops, solution)
 
 
 # entries per grid node of the probe's candidate-node matrix, above which the
@@ -896,11 +853,10 @@ class StepProbe:
 
     def minimum_after(self, tau: float) -> float:
         """The minimum thickness after the step of ``tau``, unchecked.  The
-        step's modes and their inverse transform are kept for :meth:`step`
-        until the next trial."""
+        step's nodal rows are kept for :meth:`step` until the next trial."""
         rows = _step_modes(self._rows, tau, self.ops).view(complex)
         values = np.fft.irfft(rows, self.ops.grid.n)
-        self._trial = tau, (rows, values)
+        self._trial = tau, values
         return float(np.min(values[1] - values[0]) if len(values) == 2 else values[0].min())
 
     def change(self, tau: float, count: int) -> np.ndarray:
@@ -939,12 +895,13 @@ class StepProbe:
     def step(self, tau: float) -> Field | CoupledState:
         """The state after the checked step of ``tau`` from ``pre``.  When
         the last full trial (:meth:`minimum_after`) was of this ``tau``, its
-        modes and nodal rows are handed to :func:`advance` as ``stepped``,
-        which then only forms the right sides and checks the solves; the
-        rows become the state's, so the trial is not kept."""
+        nodal rows are handed to :func:`advance` as ``solution``, which then
+        only forms the right sides and checks the solves; the rows become
+        the state's, so the trial is not kept.  Otherwise :func:`advance`
+        takes the step from the probe's ``modes``."""
         trial, self._trial = self._trial, None
-        stepped = trial[1] if trial is not None and trial[0] == tau else None
-        return advance(self.pre, tau, self.ops, self.modes, stepped=stepped)
+        solution = trial[1] if trial is not None and trial[0] == tau else None
+        return advance(self.pre, tau, self.ops, self.modes, solution=solution)
 
 
 def step_toward(remaining: float, dt: float) -> float:

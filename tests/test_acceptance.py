@@ -148,7 +148,7 @@ def test_criterion_04_discrete_mean_decay(ex1):
     state = constant_field(grid, ex1.eta_a)
     worst = 0.0
     for _ in range(10_000):
-        new = solver.step_decoupled(state, dt, ops)
+        new = solver.advance(state, dt, ops)
         lhs = float(np.mean(new.values)) * (1.0 + ex1.alpha * dt)
         rhs = float(np.mean(state.values))
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -173,8 +173,8 @@ def test_criterion_05_comparison_principle(ex1):
         low = Field(grid, rng.uniform(-1.0, 1.0, grid.n), 0.0)
         high = Field(grid, low.values + rng.uniform(0.0, 1.0, grid.n), 0.0)
         for _ in range(100):
-            low = solver.step_decoupled(low, dt, ops)
-            high = solver.step_decoupled(high, dt, ops)
+            low = solver.advance(low, dt, ops)
+            high = solver.advance(high, dt, ops)
             worst = max(worst, float(np.max(low.values - high.values)))
     report(
         5,
@@ -366,13 +366,13 @@ def test_criterion_11_coupled_decoupled_consistency(ex1):
     dt = coupled_cfg.numerics.dt
     eta = constant_field(grid, coupled_cfg.eta_a)
     h = Field(grid, 0.2 * np.sin(2.0 * np.pi * grid.nodes), 0.0)
-    zeta = Field(grid, h.values + eta.values, 0.0)
+    pair = CoupledState(h, Field(grid, h.values + eta.values, 0.0))
     worst = 0.0
     steps = int(round(0.5 / dt))
     for _ in range(steps):
-        h, zeta = solver.step_coupled(h, zeta, dt, ops)
-        eta = solver.step_decoupled(eta, dt, ops_single)
-        worst = max(worst, float(np.max(np.abs((zeta.values - h.values) - eta.values))))
+        pair = solver.advance(pair, dt, ops)
+        eta = solver.advance(eta, dt, ops_single)
+        worst = max(worst, float(np.max(np.abs((pair.zeta.values - pair.h.values) - eta.values))))
     report(
         11,
         "pair dynamics reduce to the single equation",

@@ -518,6 +518,8 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
         (["stationary", "--preset", "ex1", "--set", "sigma2=1e-310"], 2),
         (["find-periodic", "--preset", "ex1", "--set", "omega=1e12"], 2),
         (["find-periodic", "--preset", "ex2", "--set", "omega=1e12"], 2),
+        (["simulate", "--preset", "ex1", "--set", "eta_a=1e300", "--set", "sigma2=1e12",
+          "--t-end", "0.05"], 0),
     ],
     ids=["coupled-tau-1e-300", "stationary-sigma2-1e-300", "stationary-sigma2-1e300",
          "stationary-alpha-1e-300", "coupled-tau-1e-150", "coupled-tau-1e-152",
@@ -527,7 +529,7 @@ def test_offset_that_cancels_the_threshold_ends_without_a_traceback(tmp_path, ar
          "stationary-sigma2-1e31", "stationary-unbalanced-alpha-1e-300",
          "stationary-mean-overflows", "stationary-rate-overflows",
          "stationary-drive-overflows", "orbit-interval-holds-every-node-ex1",
-         "orbit-interval-holds-every-node-ex2"],
+         "orbit-interval-holds-every-node-ex2", "huge-state-meets-stiff-step"],
 )
 def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, code):
     # a coupled height load of about 1e302 drifted the mean height until
@@ -543,7 +545,9 @@ def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, cod
     # refused: the last two warned and exited 3 with a residual of nan; and
     # an orbit search whose distinguished interval holds every node (all
     # three junctions within the first grid spacing) took the maximum of
-    # an empty difference, a ValueError traceback with exit 1
+    # an empty difference, a ValueError traceback with exit 1; and a huge
+    # state met a stiff step, whose solve check overflowed in diag*x with
+    # seven warnings and exited 3 with a residual of nan
     child = run_child("-m", "rupturesim.cli", *args, "--out", str(tmp_path / "run"), timeout=30)
     assert child.returncode == code, child.stderr
     assert "Traceback" not in child.stderr
@@ -553,10 +557,10 @@ def test_extreme_admissible_parameters_end_without_a_warning(tmp_path, args, cod
 # one --set override per run: an edge value on a model parameter, or a
 # grid too small for the junctions to sit on distinct nodes.  Every preset
 # runs the set-up commands and a run to an end time; the decoupled presets
-# also run an orbit search and a run without an end time.  verify,
-# numerics.dt overrides and coupled runs without an end time are left out:
-# coupled runs that cannot rupture and a clock that stops in a coupled gap
-# still hang (ROADMAP item K)
+# also run an orbit search and a run without an end time, which draw
+# numerics.dt and strength edges and the finest grid too.  verify and
+# coupled runs without an end time are left out: coupled runs that cannot
+# rupture and a clock that stops in a coupled gap still hang (ROADMAP item K)
 fuzzed_overrides = st.one_of(
     st.builds(
         "{}={}".format,
@@ -566,24 +570,33 @@ fuzzed_overrides = st.one_of(
     ),
     st.sampled_from((4, 5, 7)).map("numerics.grid_points={}".format),
 )
+decoupled_overrides = st.one_of(
+    st.sampled_from(("1e-300", "1e-12", "0.5", "1e300")).map("numerics.dt={}".format),
+    st.sampled_from(("[0,0,0]", "[-1,-1,-1]", "[1e300,1e300,1e300]", "[-1e300,1,1]")).map(
+        "jump_strengths={}".format
+    ),
+    st.just("numerics.grid_points=65536"),
+)
 fuzzed_runs = st.one_of(
     st.tuples(
         st.sampled_from(sorted(PRESETS)),
         st.sampled_from((["bounds"], ["stationary"], ["simulate", "--t-end", "0.05"])),
+        fuzzed_overrides,
     ),
     st.tuples(
         st.sampled_from(("ex1", "ex2")),
         st.sampled_from((["find-periodic"], ["simulate", "--max-events", "1"])),
+        st.one_of(fuzzed_overrides, decoupled_overrides),
     ),
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(fuzzed_runs, fuzzed_overrides)
-def test_fuzzed_overrides_end_in_a_documented_exit_code(run, override):
+@settings(max_examples=72, deadline=None, derandomize=True)
+@given(fuzzed_runs)
+def test_fuzzed_overrides_end_in_a_documented_exit_code(run):
     # each run in a child process under a timeout, so that a hang fails
     # the example instead of the suite
-    preset, command = run
+    preset, command, override = run
     with tempfile.TemporaryDirectory() as out:
         args = [command[0], "--preset", preset, "--set", override, *command[1:], "--out", out]
         child = run_child("-m", "rupturesim.cli", *args, timeout=20)
@@ -638,6 +651,20 @@ def test_decoupled_gaps_jump_down_to_eta_c(tmp_path, args, code):
         assert [event["t"] for event in events] == [26.515399999951544]
     else:
         assert child.stderr.startswith("model violation: rupture touched intervals (0, 1, 2)")
+
+
+def test_a_fine_time_step_finds_the_orbit_in_a_few_subsolution_counts(tmp_path):
+    # the subsolution raised the rounded 1 + alpha*dt to -steps, whose rate
+    # is 8.9e-5 relatively off the estimate's log1p(alpha*dt) at dt = 1e-12,
+    # so each safe-step count walked down some 1e5 steps one at a time: 36
+    # million closed forms and 9 s.  It takes about 0.4 s; the timeout
+    # leaves room for a slow host
+    out = tmp_path / "run"
+    args = ["find-periodic", "--preset", "ex1", "--set", "numerics.dt=1e-12", "--out", str(out)]
+    child = run_child("-m", "rupturesim.cli", *args, timeout=5)
+    assert child.returncode == 0, child.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] and len(report["iterates"]) == 33
 
 
 def test_simulate_under_a_positive_forcing_integral_still_ruptures(tmp_path):

@@ -119,7 +119,7 @@ def test_crossing_matches_scalar_decay_time():
     dt = 1e-3
     state = constant_field(grid, 2.0 * cfg.eta_c)
     while True:
-        trial = solver.step_decoupled(state, dt, ops)
+        trial = solver.advance(state, dt, ops)
         if float(np.min(trial.values)) <= cfg.eta_c:
             break
         state = trial
@@ -136,7 +136,7 @@ def test_tighter_event_tolerance_lands_closer():
         ops = assemble_operators(grid, cfg)
         state = constant_field(grid, 2.0 * cfg.eta_c)
         while True:
-            trial = solver.step_decoupled(state, dt, ops)
+            trial = solver.advance(state, dt, ops)
             if float(np.min(trial.values)) <= cfg.eta_c:
                 break
             state = trial
@@ -814,6 +814,24 @@ def test_a_rate_too_small_to_divide_by_certifies_every_step():
     assert rupture._safe_steps(1e10, -1e-300, 0.0, 1e-4, 1e-3) == sys.maxsize
 
 
+@pytest.mark.parametrize("dt", [1e-12, 1e-300])
+def test_safe_steps_walk_down_in_a_few_closed_forms(monkeypatch, dt):
+    # the estimate and the closed form share the rate log1p(alpha*dt); at
+    # dt = 1e-300 the count is about 1e300, which a walk of single steps
+    # never moves in floating point
+    calls = []
+    real = rupture._subsolution
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rupture, "_subsolution", counted)
+    steps = rupture._safe_steps(1.0, 0.5, 1.0, dt, 0.6)
+    assert len(calls) <= 4
+    assert 0 < steps and real(1.0, 0.5, 1.0, dt, steps) >= 0.6
+
+
 @pytest.mark.parametrize("wobble", [0.0, 1e-15])
 def test_start_at_the_fixed_point_jumps_once_and_lands_on_t_end(monkeypatch, wobble):
     # the state does not move, so the change rate is roundoff and certifies
@@ -1039,7 +1057,7 @@ def test_a_coupled_gap_is_one_kernel_call_with_one_check_per_equation(monkeypatc
     # batches of 16 steps took 31 kernel calls and 62 checks here
     calls = {"kernel": 0, "checks": 0}
     inside = []
-    kernel, check = rupture.jump_coupled, solver._check_solution
+    kernel, check = rupture.jump_coupled, solver.solve_periodic_tridiagonal
 
     def counted_kernel(*args):
         calls["kernel"] += 1
@@ -1054,7 +1072,7 @@ def test_a_coupled_gap_is_one_kernel_call_with_one_check_per_equation(monkeypatc
         return check(*args)
 
     monkeypatch.setattr(rupture, "jump_coupled", counted_kernel)
-    monkeypatch.setattr(solver, "_check_solution", counted_check)
+    monkeypatch.setattr(solver, "solve_periodic_tridiagonal", counted_check)
     start = CoupledState.from_thickness(constant_field(build_grid(ex3, 256), ex3.eta_a))
     events, _ = run_with_rupture(ex3, start, max_events=5)
     assert len(events) == 5

@@ -18,8 +18,6 @@ from rupturesim.solver import (
     evolve,
     fourier_reference,
     solve_periodic_tridiagonal,
-    step_coupled,
-    step_decoupled,
 )
 
 
@@ -91,17 +89,20 @@ def test_load_preserves_total_strength(ex1):
 def test_cyclic_solve_against_dense_oracle():
     rng = np.random.default_rng(5)
     for n in (4, 7, 64):
-        diag = 4.0 + rng.uniform(0.0, 1.0)
-        off = -rng.uniform(0.1, 1.0)
+        # a step matrix shift*I + stiffness*(-1, 2, -1) with a diagonal of
+        # about 3 to 6 and off-diagonals of -0.1 to -1
+        cfg = plain_config(sigma2=rng.uniform(0.1, 1.0) / n**2, jump_strengths=(1.0,))
+        ops = assemble_operators(build_grid(cfg, n), cfg)
+        dt = 1.0 / (2.0 + rng.uniform(0.0, 1.0))
+        shift, stiffness = ops.thickness_matrix(dt)
         matrix = np.zeros((n, n))
         for i in range(n):
-            matrix[i, i] = diag
-            matrix[i, (i + 1) % n] = off
-            matrix[i, (i - 1) % n] = off
-        rhs = rng.standard_normal(n)
-        # the same matrix as shift*I + stiffness*(-1, 2, -1)
-        got = solve_periodic_tridiagonal(diag + 2.0 * off, -off, rhs)
-        expected = np.linalg.solve(matrix, rhs)
+            matrix[i, i] = shift + 2.0 * stiffness
+            matrix[i, (i + 1) % n] = -stiffness
+            matrix[i, (i - 1) % n] = -stiffness
+        start = Field(ops.grid, rng.standard_normal(n))
+        got = advance(start, dt, ops).values
+        expected = np.linalg.solve(matrix, start.values / dt + ops.load)
         assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
@@ -109,9 +110,10 @@ def test_cyclic_solve_against_dense_oracle():
 def test_cyclic_solve_check_is_grid_independent(n):
     # the ex1 step matrix at dt = 1e-4; the backward error of an exact solve
     # stays near roundoff however stiff the fine grid makes the matrix
-    dx2 = (1.0 / n) ** 2
-    rhs = np.random.default_rng(n).uniform(size=n)
-    x = solve_periodic_tridiagonal(1.0e4 + 1.0, 1.0 / dx2, rhs)
+    cfg = plain_config()  # sigma = alpha = 1, no load
+    ops = assemble_operators(build_grid(cfg, n), cfg)
+    start = Field(ops.grid, np.random.default_rng(n).uniform(size=n))
+    x = advance(start, 1.0e-4, ops).values
     assert np.all(np.isfinite(x))
 
 
@@ -124,7 +126,7 @@ def test_stiff_step_matches_the_mode_division(ex1):
     ops = assemble_operators(grid, cfg)
     dt = cfg.numerics.dt
     x = np.random.default_rng(7).uniform(0.0, 0.05, grid.n)
-    out = step_decoupled(Field(grid, x, 0.0), dt, ops).values
+    out = advance(Field(grid, x, 0.0), dt, ops).values
     exact = np.fft.irfft((np.fft.rfft(x) + dt * ops.load_modes) / (1.0 + dt * ops.symbol), grid.n)
     scale = max(np.max(np.abs(x)), dt * np.max(np.abs(ops.load)))
     assert np.max(np.abs(out - exact)) <= 1e-15 * scale
@@ -134,10 +136,10 @@ def test_implicit_step_fixed_point(ex1):
     grid = build_grid(ex1, 256)
     ops = assemble_operators(grid, ex1)
     dx2 = grid.dx**2
-    # discrete steady state of the same operator
-    steady = solve_periodic_tridiagonal(ops.alpha, ops.sigma / dx2, ops.load)
+    # discrete steady state of the same operator, checked as its solve
+    steady = solve_periodic_tridiagonal(ops.alpha, ops.sigma / dx2, ops.load, ops.fixed_point)
     state = Field(grid, steady, 0.0)
-    out = step_decoupled(state, 0.05, ops)
+    out = advance(state, 0.05, ops)
     assert np.max(np.abs(out.values - steady)) < 1e-12
 
 
@@ -145,7 +147,7 @@ def test_implicit_step_constant_decay():
     cfg = plain_config()
     grid = build_grid(cfg, 64)
     ops = assemble_operators(grid, cfg)
-    out = step_decoupled(constant_field(grid, 1.0), 0.1, ops)
+    out = advance(constant_field(grid, 1.0), 0.1, ops)
     assert np.max(np.abs(out.values - 1.0 / 1.1)) < 1e-14
     assert out.time == pytest.approx(0.1)
 
@@ -158,8 +160,8 @@ def test_step_preserves_order():
     for _ in range(20):
         low = Field(grid, rng.standard_normal(grid.n), 0.0)
         high = Field(grid, low.values + rng.uniform(0.0, 1.0, grid.n), 0.0)
-        low = step_decoupled(low, 1e-3, ops)
-        high = step_decoupled(high, 1e-3, ops)
+        low = advance(low, 1e-3, ops)
+        high = advance(high, 1e-3, ops)
         assert np.min(high.values - low.values) >= -1e-12
 
 
@@ -167,9 +169,9 @@ def test_coupled_step_constant_modes():
     cfg = plain_config(mode="coupled")
     grid = build_grid(cfg, 64)
     ops = assemble_operators(grid, cfg)
-    h, zeta = step_coupled(constant_field(grid, 0.0), constant_field(grid, 1.0), 0.1, ops)
-    assert np.max(np.abs(h.values)) < 1e-14
-    assert np.max(np.abs(zeta.values - 1.0 / 1.1)) < 1e-14
+    out = advance(CoupledState(constant_field(grid, 0.0), constant_field(grid, 1.0)), 0.1, ops)
+    assert np.max(np.abs(out.h.values)) < 1e-14
+    assert np.max(np.abs(out.zeta.values - 1.0 / 1.1)) < 1e-14
 
 
 def test_coupled_matches_decoupled_when_rates_agree(ex1, ex3):
@@ -196,12 +198,12 @@ def test_coupled_matches_decoupled_when_rates_agree(ex1, ex3):
     rng = np.random.default_rng(23)
     eta = Field(grid, 0.05 + 0.01 * rng.standard_normal(grid.n), 0.0)
     h = Field(grid, 0.3 * np.sin(2 * np.pi * grid.nodes), 0.0)
-    zeta = Field(grid, h.values + eta.values, 0.0)
+    pair = CoupledState(h, Field(grid, h.values + eta.values, 0.0))
     dt = 1e-3
     for _ in range(50):
-        h, zeta = step_coupled(h, zeta, dt, ops)
-        eta = step_decoupled(eta, dt, ops)
-    assert np.max(np.abs((zeta.values - h.values) - eta.values)) < 1e-10
+        pair = advance(pair, dt, ops)
+        eta = advance(eta, dt, ops)
+    assert np.max(np.abs((pair.zeta.values - pair.h.values) - eta.values)) < 1e-10
 
 
 def test_height_mass_is_conserved(ex3):
@@ -209,11 +211,11 @@ def test_height_mass_is_conserved(ex3):
     ops = assemble_operators(grid, ex3)
     rng = np.random.default_rng(31)
     h = Field(grid, rng.standard_normal(grid.n), 0.0)
-    zeta = Field(grid, h.values + 0.05, 0.0)
+    pair = CoupledState(h, Field(grid, h.values + 0.05, 0.0))
     before = np.sum(h.values) * grid.dx
     for _ in range(100):
-        h, zeta = step_coupled(h, zeta, 1e-3, ops)
-    after = np.sum(h.values) * grid.dx
+        pair = advance(pair, 1e-3, ops)
+    after = np.sum(pair.h.values) * grid.dx
     assert abs(after - before) < 1e-10
 
 
@@ -485,7 +487,7 @@ def test_discrete_mean_decay_law(ex1):
     state = constant_field(grid, ex1.eta_a)
     dt = 1e-3
     for _ in range(200):
-        new = step_decoupled(state, dt, ops)
+        new = advance(state, dt, ops)
         lhs = np.mean(new.values) * (1.0 + ex1.alpha * dt)
         rhs = np.mean(state.values)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
@@ -514,8 +516,8 @@ def test_translation_equivariance_by_one_node(ex1):
     ops_rolled = assemble_operators(grid, rolled_cfg)
     rng = np.random.default_rng(53)
     values = rng.standard_normal(grid.n)
-    out = step_decoupled(Field(grid, values, 0.0), 1e-3, ops)
-    out_rolled = step_decoupled(Field(grid, np.roll(values, 1), 0.0), 1e-3, ops_rolled)
+    out = advance(Field(grid, values, 0.0), 1e-3, ops)
+    out_rolled = advance(Field(grid, np.roll(values, 1), 0.0), 1e-3, ops_rolled)
     assert np.max(np.abs(np.roll(out.values, 1) - out_rolled.values)) < 1e-12
 
 

@@ -20,8 +20,6 @@ from rupturesim.solver import (
     assemble_operators,
     build_grid,
     jump_decoupled,
-    solve_periodic_tridiagonal,
-    step_decoupled,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -87,14 +85,22 @@ def random_rhs(n, seed):
     return rng.uniform(-1.0, 1.0) + rng.standard_normal(n)
 
 
+def solve_case(params, seed):
+    """Operators of one step example and a random start; the step's matrix
+    is :func:`step_matrix` of the parameters."""
+    n, dt, sigma, alpha = params
+    ops = operators(n, sigma, alpha)
+    return ops, Field(ops.grid, random_rhs(n, seed))
+
+
 @PROPERTY_SETTINGS
 @given(step_parameters, seeds)
 def test_cached_solve_matches_dense_solve(params, seed):
-    n = params[0]
+    n, dt = params[:2]
+    ops, start = solve_case(params, seed)
     shift, stiffness = step_matrix(*params)
-    rhs = random_rhs(n, seed)
-    got = solve_periodic_tridiagonal(shift, stiffness, rhs)
-    expected = np.linalg.solve(dense(n, shift, stiffness), rhs)
+    got = advance(start, dt, ops).values
+    expected = np.linalg.solve(dense(n, shift, stiffness), start.values / dt + ops.load)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -106,14 +112,13 @@ def clear_solve_caches():
 @PROPERTY_SETTINGS
 @given(step_parameters, seeds)
 def test_repeat_solve_is_bit_identical_cold_or_warm(params, seed):
-    n = params[0]
-    shift, stiffness = step_matrix(*params)
-    rhs = random_rhs(n, seed)
+    ops, start = solve_case(params, seed)
+    dt = params[1]
     clear_solve_caches()
-    cold = solve_periodic_tridiagonal(shift, stiffness, rhs)
-    warm = solve_periodic_tridiagonal(shift, stiffness, rhs)
+    cold = advance(start, dt, ops).values
+    warm = advance(start, dt, ops).values
     clear_solve_caches()
-    cold_again = solve_periodic_tridiagonal(shift, stiffness, rhs)
+    cold_again = advance(start, dt, ops).values
     assert np.array_equal(cold, warm)
     assert np.array_equal(cold, cold_again)
 
@@ -172,8 +177,8 @@ def test_decoupled_step_preserves_order(params, seed):
     rng = np.random.default_rng(seed)
     low = rng.standard_normal(n)
     high = low + rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
-    stepped_low = step_decoupled(Field(ops.grid, low), dt, ops).values
-    stepped_high = step_decoupled(Field(ops.grid, high), dt, ops).values
+    stepped_low = advance(Field(ops.grid, low), dt, ops).values
+    stepped_high = advance(Field(ops.grid, high), dt, ops).values
     # the exact step is monotone; allow only roundoff below it
     scale = max(np.max(np.abs(stepped_low)), np.max(np.abs(stepped_high)))
     assert np.min(stepped_high - stepped_low) >= -1e-13 * scale
@@ -195,7 +200,7 @@ def test_jump_matches_repeated_steps(params, seed):
     scale = max(np.max(np.abs(start.values)), reach)
     stepped = start
     for _ in range(steps):
-        stepped = step_decoupled(stepped, dt, ops)
+        stepped = advance(stepped, dt, ops)
     jumped, _ = jump_decoupled(start, steps, dt, ops)
     assert np.max(np.abs(jumped.values - stepped.values)) <= JUMP_TOL * scale
     assert jumped.time == stepped.time  # repeated additions of dt, as stepping
@@ -207,7 +212,7 @@ def test_step_and_jump_obey_the_mean_decay_law(params, seed):
     ops, start, steps, dt, scale = jump_case(params, seed)
     state, mean = start, float(np.mean(start.values))
     for _ in range(steps):
-        state = step_decoupled(state, dt, ops)
+        state = advance(state, dt, ops)
         expected = mean_step(mean, dt, ops)
         assert abs(np.mean(state.values) - expected) <= JUMP_TOL * scale
         mean = float(np.mean(state.values))
