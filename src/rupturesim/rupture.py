@@ -21,17 +21,15 @@ off the Fourier modes of its drive ``load - (alpha I + sigma K) x``.  That
 bound saturates as the fast modes settle; its linear majorant, ``m`` times
 a per-step rate, gives a first count, which Newton steps on the saturating
 bound raise once it is long enough to pay for them, and a gap ends in a
-few jumps.  A gap forms each quantity of a state once (:class:`_Carried`):
-it transforms its start forward once, and each jump hands the rfft modes
-of its state to the next, so each jump pays one inverse transform.  In
-coupled mode a gap runs in one call of the mode-space kernel, which tests
-the thickness after every step and checks the backward error of the state
-it hands out.
-Either way the gap hands the Fourier modes of the state it reaches to the
-crossing search, whose decisions come from one
+few jumps.  Each state keeps the Fourier modes, minimum and mode sum it
+was made with or first formed, so a gap transforms its start forward once
+and each jump pays one inverse transform.  In coupled mode a gap runs in
+one call of the mode-space kernel, which tests the thickness after every
+step and checks the backward error of the state it hands out.
+The crossing search's decisions come from one
 :class:`rupturesim.solver.StepProbe` per state; this module keeps only the
 bisection over them, so every decision, time and state is that of
-stepping with ``advance`` from those modes.
+stepping with ``advance``.
 """
 from __future__ import annotations
 
@@ -312,8 +310,7 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     a mean within it of 0 lifts nothing, and the bound holds from the start
     or never.
     """
-    values = state.values
-    safe = _safe_steps(float(np.min(values)), ops.load_min, ops.alpha, dt, threshold)
+    safe = _safe_steps(state.low, ops.load_min, ops.alpha, dt, threshold)
     # at alpha = 0 the count also saturates for a subsolution that falls slowly
     if safe == sys.maxsize and (ops.alpha > 0.0 or ops.load_min >= 0.0):
         return 0
@@ -327,7 +324,7 @@ def _settle_steps(state: Field, dt: float, ops: Operators, threshold: float) -> 
     else:
         return None
     margin = float(np.min(base)) - threshold
-    dip = -float(np.min(values - base))
+    dip = -float(np.min(state.values - base))
     if ops.alpha == 0.0:
         if dip <= margin:
             return 0
@@ -345,45 +342,21 @@ def _margin(size: float, ops: Operators) -> float:
     return _JUMP_FACTOR * _ROUNDOFF * (size + ops.shares(False)[0])
 
 
-class _Carried:
-    """What a decoupled gap has formed about its current state, handed on
-    so that nothing is formed twice: the state's minimum ``low`` and the
-    ``size`` (:func:`rupturesim.solver.mode_sum`) of its modes, which the
-    jump that made it formed for its check, and, once a decision has refused
-    to jump from it, the ``drive`` it formed from the state's modes and the
-    drive's ``magnitude``.  The attributes are the keywords of
-    :class:`StepProbe` that take them."""
-
-    def __init__(self) -> None:
-        self.low: float | None = None
-        self.size: float | None = None
-        self.drive: np.ndarray | None = None
-        self.magnitude: np.ndarray | None = None
-
-
 def _jump_to_bound(
-    state: Field,
-    dt: float,
-    ops: Operators,
-    eta_c: float,
-    limit: float | None,
-    modes: np.ndarray | None = None,
-    carried: _Carried | None = None,
-) -> tuple[Field, np.ndarray] | None:
+    state: Field, dt: float, ops: Operators, eta_c: float, limit: float | None
+) -> Field | tuple[np.ndarray, np.ndarray] | None:
     """Jump over every step that the constant subsolution
     (:func:`_safe_steps`) or the change rate (:func:`_change_rate`,
     :func:`_spectral_steps`) proves free of rupture, whichever covers more,
     ending at least one full step before ``limit`` (if any); returns the
-    jumped state and its rfft modes, or ``None`` when no step is free.
+    jumped state, whose ``low`` is the minimum its check reduces.  When no
+    step is free, it returns the drive formed from ``state.modes`` and its
+    magnitude, for :class:`StepProbe`, or ``None`` where it formed none.
     A change-rate count of ``_REFINE_FROM`` or more is raised on the
     saturating reach ``R`` (:func:`_saturated_steps`), whose linear
     majorant the rate is.
 
-    The drive formed once from the rfft modes of ``state`` serves the rate,
-    the reach and the jump: from the ``modes`` a previous jump handed out,
-    else from one ``rfft``.  The gap's ``carried`` record, if given, supplies
-    the minimum and mode sum of ``state`` and takes those of the jumped
-    state, or, when no step is free, the drive and its magnitude.  A step is
+    The one drive serves the rate, the reach and the jump.  A step is
     free when its minimum is proved to stay above ``eta_c`` plus the
     :func:`_margin` of ``state``.  A jumped state that is not finite or
     falls below the larger of the two lower bounds by more than the margin
@@ -391,21 +364,13 @@ def _jump_to_bound(
     ``c0`` less ``R`` at the refined count, else less the linear reach.  One
     that leaves the time where it is raises :class:`DomainError`.
     """
-    if carried is None:
-        carried = _Carried()
-    if carried.low is None:
-        carried.low = float(state.values.min())
-    c0 = carried.low
+    c0 = state.low
     room = _room(limit, state.time, dt)
     if room < 1 or not c0 > eta_c:
         return None
     load_min = ops.load_min
-    if modes is None:
-        modes = np.fft.rfft(state.values)
-    if carried.size is None:
-        carried.size = mode_sum(ops.grid.n, modes)
-    threshold = eta_c + _margin(carried.size, ops)
-    drive = ops.load_modes - ops.symbol * modes
+    threshold = eta_c + _margin(state.size, ops)
+    drive = ops.load_modes - ops.symbol * state.modes
     magnitude = np.abs(drive)
     rate = _change_rate(magnitude, dt, ops)
     safe = _safe_steps(c0, load_min, ops.alpha, dt, threshold)
@@ -415,14 +380,12 @@ def _jump_to_bound(
         spectral, reach = _saturated_steps(c0 - threshold, magnitude, rate, spectral, room, dt, ops)
     steps = min(max(safe, spectral), room)
     if steps < 1:
-        carried.drive, carried.magnitude = drive, magnitude
-        return None
-    jumped, modes = jump_decoupled(state, steps, dt, ops, modes, drive)
+        return drive, magnitude
+    jumped = jump_decoupled(state, steps, dt, ops, drive)
     moved = reach if steps == spectral else steps * rate
     bound = max(_subsolution(c0, load_min, ops.alpha, dt, steps), c0 - moved)
     low, high = float(jumped.values.min()), float(jumped.values.max())
-    size = mode_sum(ops.grid.n, modes)
-    allowance = _margin(carried.size + size, ops)
+    allowance = _margin(state.size + jumped.size, ops)
     # a nan shows in both extremes, an infinity in one of them
     if not (low >= bound - allowance and -math.inf < low and high < math.inf):
         raise LinearSolveError(
@@ -430,8 +393,8 @@ def _jump_to_bound(
         )
     if jumped.time == state.time:
         raise DomainError(f"steps of dt = {dt:g} no longer advance the time {state.time:g}")
-    carried.low, carried.size = low, size
-    return jumped, modes
+    jumped.low = low
+    return jumped
 
 
 def locate_crossing(
@@ -452,15 +415,14 @@ def locate_crossing(
     re-stepping from ``pre`` with :func:`rupturesim.solver.advance`.  Only
     the located step returns to real space, taken by the probe's checked
     step; its minimum must equal the tested one, or lie at or below the
-    bound that decided it.  A caller that holds the rfft modes of ``pre``,
-    or has already made the decision about the step of ``dt``, passes its
-    probe as ``probe``; with its modes, ``pre`` is not transformed at all.
-    Returns the elapsed time and the state at the located crossing (whose
-    minimum is at or below the threshold).
+    bound that decided it.  A caller that has already made the decision
+    about the step of ``dt`` passes its probe as ``probe``.  Returns the
+    elapsed time and the state at the located crossing (whose minimum is at
+    or below the threshold).
     """
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
-    if float(np.min(pre.eta.values)) <= eta_c:
+    if pre.low <= eta_c:
         raise BracketError("state is already at or below the threshold")
     if probe is None:
         probe = StepProbe(pre, dt, ops, eta_c, eta_c - value_tol)
@@ -477,10 +439,9 @@ def locate_crossing(
         else:
             lo = mid
     state_hi = probe.step(hi)
-    handed = float(np.min(state_hi.eta.values))
-    if not (handed <= low_hi if bounded else handed == low_hi):
+    if not (state_hi.low <= low_hi if bounded else state_hi.low == low_hi):
         raise LinearSolveError(
-            f"step of minimum thickness {handed:g} does not match the tested {low_hi:g}"
+            f"step of minimum thickness {state_hi.low:g} does not match the tested {low_hi:g}"
         )
     return hi, state_hi
 
@@ -562,10 +523,9 @@ def run_with_rupture(
     in decoupled mode by closed-form jumps
     (:func:`_jump_to_bound`), in coupled mode by one call of
     :func:`jump_coupled`, which takes all steps up to the one that
-    crosses; either hands out the modes of the state it reaches.  Single
-    steps then run to the crossing, each decided first by a
-    :class:`StepProbe` from the state's modes and taken by its checked step
-    only when it does not cross; the one that crosses hands its probe to
+    crosses.  Single steps then run to the crossing, each decided first by
+    a :class:`StepProbe` and taken by its checked step only when it does
+    not cross; the one that crosses hands its probe to
     :func:`locate_crossing`.  So event times are those of plain stepping.
     A decoupled gap with ``alpha > 0`` must rupture within
     :func:`rupture_horizon`, else :class:`HorizonError`.
@@ -579,7 +539,7 @@ def run_with_rupture(
     if t_end is not None and not math.isfinite(t_end):
         raise ValueError("t_end must be finite")
     eta0 = initial.eta
-    if not (float(np.min(eta0.values)) > config.eta_c and np.isfinite(eta0.values).all()):
+    if not (initial.low > config.eta_c and np.isfinite(eta0.values).all()):
         raise DomainError("initial thickness must be finite and exceed the rupture threshold")
     dt = config.numerics.dt
     # a step of dt advances every time below t_end only if it advances the
@@ -597,44 +557,36 @@ def run_with_rupture(
     coupled = config.mode == "coupled"
     end = math.inf if t_end is None else t_end
 
-    def gap_deadline(start: Field | CoupledState, modes: np.ndarray | None) -> tuple[float, bool]:
-        """Time by which the gap from ``start`` (of decoupled rfft ``modes``)
-        ends (``inf`` if none), and whether a rupture is due by then."""
+    def gap_deadline(start: Field | CoupledState) -> tuple[float, bool]:
+        """Time by which the gap from ``start`` ends (``inf`` if none), and
+        whether a rupture is due by then."""
         horizon = rupture_horizon(config, start) if not coupled and config.alpha > 0.0 else None
         if horizon is not None:
             return start.time + horizon, True
         settle = None
         if not coupled and t_end is None:
-            threshold = config.eta_c + _margin(mode_sum(ops.grid.n, modes), ops)
+            threshold = config.eta_c + _margin(start.size, ops)
             settle = _settle_steps(start, dt, ops, threshold)
         return start.time + (math.inf if settle is None else settle * dt), False
 
-    def skip(
-        state: Field | CoupledState, limit: float, modes: np.ndarray | None
-    ) -> tuple[Field | CoupledState, np.ndarray | None, _Carried]:
-        """The state after every step from ``state`` (of decoupled rfft
-        ``modes``) that its kind proves free of rupture, a full step or more
-        before ``limit``, its rfft modes where the skip holds them (else
-        ``None``), and what else the decoupled skip formed about it."""
-        carried = _Carried()
+    def skip(state: Field | CoupledState, limit: float) -> tuple:
+        """The state after every step from ``state`` that its kind proves
+        free of rupture, a full step or more before ``limit``, and the
+        refused jump decision's drive, if it formed one."""
         if coupled:
             steps = _room(limit, state.time, dt)
-            if steps < 1:
-                return state, None, carried
-            return *jump_coupled(state, steps, dt, ops, config.eta_c)[1:], carried
-        # each jump hands its state's modes to the next
-        while (
-            jumped := _jump_to_bound(state, dt, ops, config.eta_c, limit, modes, carried)
-        ) is not None:
-            state, modes = jumped
-        return state, modes, carried
+            if steps >= 1:
+                state = jump_coupled(state, steps, dt, ops, config.eta_c)[1]
+            return state, None
+        while isinstance(jumped := _jump_to_bound(state, dt, ops, config.eta_c, limit), Field):
+            state = jumped
+        return state, jumped
 
     events: list[RuptureEvent] = []
     state = initial
     while len(events) < cap and state.time < end:
-        modes = None if coupled else np.fft.rfft(state.values)
-        deadline, due = gap_deadline(state, modes)
-        state, modes, carried = skip(state, min(end, deadline), modes)
+        deadline, due = gap_deadline(state)
+        state, drive = skip(state, min(end, deadline))
         while (time := state.time) < end:
             if time > deadline:
                 if due:
@@ -646,10 +598,10 @@ def run_with_rupture(
                     "above the threshold for good; give an end time (--t-end)"
                 )
             step_dt = step_toward(end - time, dt)
-            probe = StepProbe(state, step_dt, ops, config.eta_c, floor, modes, **vars(carried))
+            probe = StepProbe(state, step_dt, ops, config.eta_c, floor, drive=drive)
             if probe.at_dt[0] <= config.eta_c:
                 break
-            state, modes, carried = probe.step(step_dt), None, _Carried()
+            state, drive = probe.step(step_dt), None
         else:  # reached t_end
             break
 

@@ -13,10 +13,12 @@ error of about 1e-12 (``_ROUNDOFF``, the one roundoff model here).  The
 operator bundle :class:`Operators`, one per grid and configuration, owns
 every table built from them and a step size: the step matrices, the coupled
 chunk tables, and the decoupled symbol, factors and fixed point.
+Both state kinds form their rfft ``modes``, minimum thickness ``low`` and
+mode sum ``size`` on first read and keep them; a producer assigns its own.
 ``jump_decoupled`` applies many equal decoupled steps at once in closed
 form, for every ``alpha >= 0``: they move each rfft mode in proportion to
-the drive, the modes of ``load - (alpha I + sigma K) x``.  It hands out the
-rfft modes of the state it makes, so a chain of jumps pays one forward
+the drive, the modes of ``load - (alpha I + sigma K) x``.  The state it
+makes keeps the modes it moved, so a chain of jumps pays one forward
 transform and one inverse transform per jump, and it evaluates the per-mode
 factors only over the prefix of modes where they exceed about ``2**-64``,
 which gives the uncut values bit for bit.
@@ -26,18 +28,17 @@ bundle's per-mode tables gives the thickness after each step and one
 batched inverse transform their minima, and the chunk base moves on as the
 last thickness plus the height from the tables.  Only the state before the
 last step taken returns to real space, formed in the same way from the
-tested thickness, and ``advance`` checks that step; it hands out the modes
-of the state it reaches too.  One per-mode step, ``_step_modes``, serves
-both state kinds, the checked steps, the probe's trials and the coupled
-tables, so all of them agree bit for bit.  ``advance`` alone forms a
-checked step, from the state's modes or as the nodal rows a caller has
-already formed (``solution``); the step and solve functions under it only
-check them against the real-space right sides.  ``StepProbe`` owns the
-crossing bisection's decisions about one step of any size from a state of
-either kind: its minimum thickness, bit for bit that of ``advance``, or a
-bound on it from how far the step moves each mode, and the checked step
-that hands a state out.  Both state kinds expose their layer thickness as
-``eta``.
+tested thickness, and ``advance`` checks that step.  One per-mode step,
+``_step_modes``, serves both state kinds, the checked steps, the probe's
+trials and the coupled tables, so all of them agree bit for bit.
+``advance`` alone forms a checked step, from the state's modes or as the
+nodal rows a caller has already formed (``solution``); the step and solve
+functions under it only check them against the real-space right sides.
+``StepProbe`` owns the crossing bisection's decisions about one step of any
+size from a state of either kind: its minimum thickness, bit for bit that
+of ``advance``, or a bound on it from how far the step moves each mode, and
+the checked step that hands a state out.  Both state kinds expose their
+layer thickness as ``eta``.
 
 ``fourier_reference`` provides an independent mild-solution oracle for the
 decoupled equation, evolving Fourier modes of the deviation from the
@@ -95,9 +96,41 @@ def build_grid(config: ModelConfig, n: int | None = None) -> Grid:
     return Grid(n=n, omega=config.omega, dx=dx, nodes=np.arange(n) * dx)
 
 
+class _formed:
+    """A quantity of a state, formed by the decorated method on first read
+    and kept in the instance ``__dict__``, where a producer that holds it
+    assigns it instead: a non-data descriptor, so later reads take no call
+    and no lock."""
+
+    def __init__(self, form) -> None:
+        self._form, self._name, self.__doc__ = form, form.__name__, form.__doc__
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        value = state.__dict__[self._name] = self._form(state)
+        return value
+
+
+class _State:
+    """``low`` and ``size``, which both state kinds form on first read."""
+
+    @_formed
+    def low(self) -> float:
+        """The minimum layer thickness."""
+        return float(self.eta.values.min())
+
+    @_formed
+    def size(self) -> float:
+        """:func:`mode_sum` of ``modes`` (up to roundoff where assigned)."""
+        return mode_sum(self.grid.n, self.modes)
+
+
 @dataclass
-class Field:
-    """Nodal values of one periodic scalar field at one time instant."""
+class Field(_State):
+    """Nodal values of one periodic scalar field at one time instant.  Once
+    its ``modes``, ``low`` or ``size`` has been read, the values must not
+    change in place: make a new field; ``copy()`` forms them afresh."""
 
     grid: Grid
     values: np.ndarray
@@ -108,6 +141,13 @@ class Field:
         """The layer thickness: the field itself."""
         return self
 
+    @_formed
+    def modes(self) -> np.ndarray:
+        """rfft modes of the values; read-only."""
+        modes = np.fft.rfft(self.values)
+        modes.flags.writeable = False
+        return modes
+
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy(), self.time)
 
@@ -117,9 +157,11 @@ def constant_field(grid: Grid, value: float, time: float = 0.0) -> Field:
 
 
 @dataclass
-class CoupledState:
+class CoupledState(_State):
     """Bubble-top height ``h`` and liquid-surface height ``zeta``; the layer
-    thickness is their difference."""
+    thickness is their difference.  Once its ``modes``, ``low`` or ``size``
+    has been read, neither field's values may change in place: make a new
+    state; ``copy()`` forms them afresh."""
 
     h: Field
     zeta: Field
@@ -134,8 +176,19 @@ class CoupledState:
         self.zeta.time = value
 
     @property
+    def grid(self) -> Grid:
+        return self.zeta.grid
+
+    @property
     def eta(self) -> Field:
         return Field(self.zeta.grid, self.zeta.values - self.h.values, self.zeta.time)
+
+    @_formed
+    def modes(self) -> np.ndarray:
+        """rfft modes of ``h`` and ``zeta`` as two rows; read-only."""
+        modes = np.fft.rfft((self.h.values, self.zeta.values))
+        modes.flags.writeable = False
+        return modes
 
     def copy(self) -> "CoupledState":
         return CoupledState(self.h.copy(), self.zeta.copy())
@@ -291,19 +344,36 @@ class Operators:
         """``min(load)``, the constant load of the subsolution."""
         return float(np.min(self.load))
 
+    @functools.cached_property
+    def fixed_tails(self) -> np.ndarray:
+        """``sum_{j >= k} w_j |l_j|/mu_j`` per rfft mode ``k`` (0 past the last)
+        over the load's modes ``l_j`` of positive symbol ``mu_j``: their share
+        of the :func:`mode_sum` of a state whose modes from ``k`` on sit at
+        the fixed point ``l_j/mu_j``, ``inf`` where it overflows; read-only."""
+        still, terms = self.still_count, np.zeros(len(self.symbol) + 1)
+        magnitude = np.abs(self.load_modes) * _mode_weights(self.grid.n)
+        with np.errstate(over="ignore"):
+            terms[still:-1] = magnitude[still:] / self.symbol[still:]
+        tails = np.cumsum(terms[::-1])[::-1]
+        tails.flags.writeable = False
+        return tails
+
     @functools.lru_cache(maxsize=4)
     def shares(self, coupled: bool) -> tuple[float, float]:
         """The load's moves on the scale of ``_ROUNDOFF``, for the decoupled
         thickness or (``coupled``) the height: ``sum_k w_k |l_k|/mu_k`` over
         the modes of positive symbol ``mu_k``, the most any number of steps
-        moves them by the load ``l`` (the fixed point's mode sum), and
-        ``sum_k w_k |l_k|`` over the rest, moved by ``dt`` times it a step."""
+        moves them by the load ``l`` (the fixed point's mode sum, ``inf``
+        where it overflows, which certifies no jump and decides no step),
+        and ``sum_k w_k |l_k|`` over the rest, moved by ``dt`` times it a step."""
         load, symbol = self.load_modes, self.symbol
         if coupled:
             load, symbol = self.height_load_modes, self.diffusion[1]
         magnitude = np.abs(load) * _mode_weights(self.grid.n)
         moving = symbol > 0.0
-        return float(np.sum(magnitude[moving] / symbol[moving])), float(np.sum(magnitude[~moving]))
+        with np.errstate(over="ignore"):
+            fixed = np.sum(magnitude[moving] / symbol[moving]) if coupled else self.fixed_tails[0]
+        return float(fixed), float(np.sum(magnitude[~moving]))
 
     @functools.cached_property
     def load_modes(self) -> np.ndarray:
@@ -485,23 +555,20 @@ def jump_decoupled(
     steps: int,
     dt: float,
     ops: Operators,
-    modes: np.ndarray | None = None,
     drive: np.ndarray | None = None,
-) -> tuple[Field, np.ndarray]:
+) -> Field:
     """``steps`` backward-Euler steps of the reduced thickness equation at
-    once, for any ``alpha >= 0``; returns the jumped state and its rfft
-    modes.
+    once, for any ``alpha >= 0``.
 
     Exact in exact arithmetic.  The drive ``v``, the rfft modes of ``load -
     (alpha I + sigma K) x``, sets how far a step moves each mode: one step
     moves mode ``k`` of ``x`` by ``dt*v_k/(1 + g_k)``, ``g_k =
     dt*symbol_k``, and multiplies ``v_k`` by ``F_k = 1/(1 + g_k)``, so
     ``m`` steps move it by ``v_k (1 - F_k^m)/symbol_k``, and by ``m*dt*v_k``
-    where ``symbol_k = 0`` (mode 0 without evaporation).  A caller that
-    holds the rfft modes of ``state`` passes them as ``modes``, such as
-    those the jump before handed out, which stand for that transform up to
-    roundoff, and the drive formed from them as ``drive``; the one inverse
-    transform is then the only one.  ``1 - F_k^m`` is formed as
+    where ``symbol_k = 0`` (mode 0 without evaporation).  ``drive`` is
+    formed from ``state.modes`` unless given.  The jumped state keeps the
+    modes it moved, which stand for its transform up to roundoff, so the
+    one inverse transform is the only one.  ``1 - F_k^m`` is formed as
     ``-expm1(-m*log1p(g_k))``, which does not cancel where ``g_k`` is tiny
     (mode 0 under weak evaporation), and only over the prefix of modes
     whose growth ``g_k`` lies below a cut at which ``F_k^m`` is about
@@ -510,27 +577,31 @@ def jump_decoupled(
     ``1/symbol_k`` bit for bit as the uncut closed form does, and skip the
     work of the powers.  That holds even where a rounded ``g_k`` does not
     grow with ``k``: a mode on the wrong side of the cut lies within
-    roundoff of it, where its power is still about ``2**-64``.  The time
-    advances by ``steps`` repeated additions of ``dt``, so it is
-    bit-identical to stepping.
+    roundoff of it, where its power is still about ``2**-64``.  The cut
+    modes sit at the fixed point ``l_k/symbol_k`` up to roundoff, so the
+    jumped state's ``size`` is the sum over the others plus
+    :attr:`Operators.fixed_tails` at the cut.  The time advances by
+    ``steps`` repeated additions of ``dt``, so it is bit-identical to
+    stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    grid, symbol = state.grid, ops.symbol
-    if modes is None:
-        modes = np.fft.rfft(state.values)
+    grid, symbol, modes = state.grid, ops.symbol, state.modes
     if drive is None:
         drive = ops.load_modes - symbol * modes
-    logs = ops.decoupled_factors(dt)[1]
-    kept = ops.kept_modes(dt, steps)
+    logs, still = ops.decoupled_factors(dt)[1], ops.still_count
+    cut = max(ops.kept_modes(dt, steps), still)
     reach = np.ones_like(symbol)
-    reach[:kept] = -np.expm1(-steps * logs[:kept])
-    still = ops.still_count
+    reach[:cut] = -np.expm1(-steps * logs[:cut])
     reach[:still] = steps * dt
     reach[still:] /= symbol[still:]
     moved = reach * drive
     moved += modes
-    return Field(grid, np.fft.irfft(moved, grid.n), _time_after(state.time, steps, dt)), moved
+    moved.flags.writeable = False
+    jumped = Field(grid, np.fft.irfft(moved, grid.n), _time_after(state.time, steps, dt))
+    jumped.modes = moved
+    jumped.size = float(np.abs(moved[:cut]) @ _mode_weights(grid.n)[:cut] + ops.fixed_tails[cut])
+    return jumped
 
 
 def _time_after(time: float, steps: int, dt: float) -> float:
@@ -613,7 +684,7 @@ _CHUNK = 16
 
 def jump_coupled(
     state: CoupledState, steps: int, dt: float, ops: Operators, eta_c: float
-) -> tuple[int, CoupledState, np.ndarray]:
+) -> tuple[int, CoupledState]:
     """Up to ``steps`` backward-Euler steps of the height/surface pair at
     once, stopping before the first whose thickness is at or below ``eta_c``.
 
@@ -627,25 +698,22 @@ def jump_coupled(
     from the height rows.  The state before the last step taken is formed in
     the same way from the tested row of that step, or is a chunk's base;
     :func:`advance` checks the inverse transform of the last step's new
-    modes, formed here once, as its ``solution``, and the minimum thickness
-    of the state it hands out must match the one tested for that step up to
-    roundoff.  Returns the number of steps taken (``0``, with ``state``
-    itself, when the first step crosses), the state, and the rfft modes of
-    its ``h`` and ``zeta`` as two rows.  A non-finite thickness raises
+    modes, which the state it hands out keeps, and that state's minimum
+    thickness must match the one tested for that step up to roundoff.
+    Returns the number of steps taken (``0``, with ``state`` itself, when
+    the first step crosses) and the state.  A non-finite thickness raises
     :class:`LinearSolveError`.  The time advances by
     repeated additions of ``dt``, so it is bit-identical to stepping.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    grid = state.h.grid
-    n = grid.n
+    grid, n = state.grid, state.grid.n
     rows, heights = ops.coupled_tables(dt)
-    start = np.fft.rfft(np.stack((state.h.values, state.zeta.values)))
     # two slots, used by alternate chunks so that the one before stays
     # readable: bases[s] holds the (zeta, h, 1) modes at the start of the
     # chunk in slot s, and etas[s] its thickness modes after each step
     bases = np.empty((2, 3, rows.shape[2]))
-    bases[0, 1], bases[0, 0] = start.view(np.float64)
+    bases[0, 1], bases[0, 0] = state.modes.view(np.float64)
     bases[:, 2] = 1.0
     etas = np.empty((2, _CHUNK, n // 2 + 1), dtype=complex)
     values = np.empty((_CHUNK, n))
@@ -672,7 +740,7 @@ def jump_coupled(
         np.add(eta[-1].view(np.float64), moved[1], out=moved[0])
     taken = done + first
     if taken == 0:
-        return 0, state, start
+        return 0, state
 
     # the state after taken - 1 steps: a chunk's base, or its tested
     # thickness row plus the height from the height rows; when this chunk's
@@ -690,37 +758,28 @@ def jump_coupled(
     before = CoupledState(Field(grid, h_prev, time), Field(grid, z_prev, time))
     after = _step_modes(pair, dt, ops).view(complex)
     state = advance(before, dt, ops, solution=np.fft.irfft(after, n))
-    handed = float(np.min(state.eta.values))
-    if not abs(handed - low) <= _ROUNDOFF * (mode_sum(n, modes) + mode_sum(n, after)):
+    after.flags.writeable = False
+    state.modes = after
+    if not abs(state.low - low) <= _ROUNDOFF * (mode_sum(n, modes) + state.size):
         raise LinearSolveError(
-            f"coupled state of minimum thickness {handed:g} does not match the tested {low:g}"
+            f"coupled state of minimum thickness {state.low:g} does not match the tested {low:g}"
         )
-    return taken, state, after
+    return taken, state
 
 
 def advance(
-    state: Field | CoupledState,
-    dt: float,
-    ops: Operators,
-    modes: np.ndarray | None = None,
-    *,
-    solution: np.ndarray | None = None,
+    state: Field | CoupledState, dt: float, ops: Operators, *, solution: np.ndarray | None = None
 ):
     """Single checked step of whichever system the state belongs to.  Its
     new nodal rows (a thickness, or ``h`` and ``zeta``) are ``solution``, a
     step a caller has already taken by :func:`_step_modes` and transformed
-    back; else :func:`_step_modes` of ``modes``, the state's rfft modes (a
-    coupled state's as two rows) or one transform of the state, then one
-    batched inverse transform.  Either way the solves are checked against
-    the real-space right sides."""
-    coupled = isinstance(state, CoupledState)
+    back; else :func:`_step_modes` of ``state.modes``, then one batched
+    inverse transform.  Either way the solves are checked against the
+    real-space right sides."""
     if solution is None:
-        if modes is None:
-            nodal = np.stack((state.h.values, state.zeta.values)) if coupled else state.values
-            modes = np.fft.rfft(nodal)
-        rows = modes.reshape(-1, ops.grid.n // 2 + 1).view(np.float64)
+        rows = state.modes.reshape(-1, ops.grid.n // 2 + 1).view(np.float64)
         solution = np.fft.irfft(_step_modes(rows, dt, ops).view(complex), ops.grid.n)
-    if coupled:
+    if isinstance(state, CoupledState):
         return CoupledState(*step_coupled(state.h, state.zeta, dt, ops, solution))
     return step_decoupled(state, dt, ops, solution)
 
@@ -743,17 +802,13 @@ class StepProbe:
     ``pre`` does: the crossing bisection's decisions about such steps
     against the threshold ``eta_c`` and ``floor``, the threshold less the
     value tolerance, starting with ``at_dt``, the decision about the step of
-    ``dt``; and :meth:`step`, the checked :func:`advance` from ``modes``,
-    the only step that hands a state out.
+    ``dt``; and :meth:`step`, the checked :func:`advance`, the only step
+    that hands a state out.
 
-    ``modes`` are the state's rfft modes as :func:`advance` takes them (for
-    a coupled state, those of ``h`` and ``zeta`` as two rows); only when
-    none are given is ``pre`` transformed here, once.  A decoupled caller
-    that has already formed the state's minimum as ``low``, the
-    :func:`mode_sum` of its modes as ``size``, its drive from its modes
-    (``p`` below) or the drive's ``magnitude`` passes them, and they are
-    not formed again; the load's shares and, for a coupled state,
-    ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the bundle.
+    It reads the state's ``modes``, ``low`` and ``size``.  A decoupled
+    caller that has formed the drive (``p`` below) and its magnitude
+    ``|p|`` passes them as ``drive``; the load's shares and, for a coupled
+    state, ``sigma_h*lambda_k`` and ``sigma*lambda_k`` come from the bundle.
     :meth:`minimum_after` takes the step by :func:`_step_modes` and inverts
     a coupled step's ``h`` and ``zeta`` rows before their difference, as
     :attr:`CoupledState.eta` takes it, so its minimum is bit for bit that
@@ -796,20 +851,12 @@ class StepProbe:
         ops: Operators,
         eta_c: float,
         floor: float,
-        modes: np.ndarray | None = None,
         *,
-        low: float | None = None,
-        size: float | None = None,
-        drive: np.ndarray | None = None,
-        magnitude: np.ndarray | None = None,
+        drive: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> None:
         coupled = isinstance(pre, CoupledState)
-        values = pre.eta.values
-        lowest = values.min() if low is None else low
-        n = ops.grid.n
-        if modes is None:
-            modes = np.fft.rfft(np.stack((pre.h.values, pre.zeta.values)) if coupled else values)
-        self.pre, self.ops, self.modes = pre, ops, modes
+        values, modes, n = pre.eta.values, pre.modes, ops.grid.n
+        self.pre, self.ops = pre, ops
         self._rows = modes.reshape(-1, n // 2 + 1).view(np.float64)
 
         symbol, dx2 = ops.symbol, ops.grid.dx * ops.grid.dx
@@ -821,19 +868,18 @@ class StepProbe:
             peak = np.abs(self._p) + np.abs(self._u)
             stiffness = max(ops.sigma, ops.sigma_h)
         else:
-            self._p = ops.load_modes - symbol * modes if drive is None else drive
-            self._u = None
-            peak = np.abs(self._p) if magnitude is None else magnitude
+            if drive is None:
+                drive = (p := ops.load_modes - symbol * modes), np.abs(p)
+            (self._p, peak), self._u = drive, None
             stiffness = ops.sigma
         fixed, still = ops.shares(coupled)
-        size = mode_sum(n, modes) if size is None else size
-        slack = _ROUNDOFF * (size + fixed + dt * still) * (1.0 + 4.0 * stiffness * dt / dx2)
+        slack = _ROUNDOFF * (pre.size + fixed + dt * still) * (1.0 + 4.0 * stiffness * dt / dx2)
 
         self.eta_c, self.floor = eta_c, floor
         weights = _mode_weights(n)
         rates = weights * peak
         self._drop = drop = float(np.sum(rates))
-        self._lowest = float(lowest) - slack
+        self._lowest = pre.low - slack
         self._matrix = None
         if self._lowest - dt * drop <= eta_c:  # else the drop decides every step
             nodes = np.flatnonzero(values - slack - dt * drop <= eta_c)
@@ -895,13 +941,11 @@ class StepProbe:
     def step(self, tau: float) -> Field | CoupledState:
         """The state after the checked step of ``tau`` from ``pre``.  When
         the last full trial (:meth:`minimum_after`) was of this ``tau``, its
-        nodal rows are handed to :func:`advance` as ``solution``, which then
-        only forms the right sides and checks the solves; the rows become
-        the state's, so the trial is not kept.  Otherwise :func:`advance`
-        takes the step from the probe's ``modes``."""
+        nodal rows are :func:`advance`'s ``solution``, which it only checks;
+        the rows become the state's, so the trial is not kept."""
         trial, self._trial = self._trial, None
         solution = trial[1] if trial is not None and trial[0] == tau else None
-        return advance(self.pre, tau, self.ops, self.modes, solution=solution)
+        return advance(self.pre, tau, self.ops, solution=solution)
 
 
 def step_toward(remaining: float, dt: float) -> float:

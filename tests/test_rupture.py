@@ -146,22 +146,23 @@ def test_tighter_event_tolerance_lands_closer():
 
 
 def test_crossing_reuses_the_step_it_is_given(fft_calls):
-    # the rfft modes of the state before the crossing, when given, spare the
-    # crossing its one forward transform
+    # the rfft modes of the state before the crossing, when assigned, spare
+    # the crossing its one forward transform
     cfg = decay_config(eta_c=0.01, eta_a=0.02)
     grid = build_grid(cfg, 16)
     ops = assemble_operators(grid, cfg)
     dt = 1e-3
     pre = constant_field(grid, 0.010005)  # one step falls below eta_c
-    locate_crossing(pre, dt, ops, cfg)  # fills the operators' lazily built modes
+    locate_crossing(pre.copy(), dt, ops, cfg)  # fills the operators' lazily built modes
     fft_calls.clear()
-    elapsed, located = locate_crossing(pre, dt, ops, cfg)
+    elapsed, located = locate_crossing(pre.copy(), dt, ops, cfg)
     transformed = fft_calls.count("rfft")
-    modes = np.fft.rfft(pre.values)
+    given = pre.copy()
+    given.modes = np.fft.rfft(pre.values)
     floor = cfg.eta_c - cfg.numerics.event_tol * cfg.eta_a
     fft_calls.clear()
-    probe = solver.StepProbe(pre, dt, ops, cfg.eta_c, floor, modes)
-    reused = locate_crossing(pre, dt, ops, cfg, probe=probe)
+    probe = solver.StepProbe(given, dt, ops, cfg.eta_c, floor)
+    reused = locate_crossing(given, dt, ops, cfg, probe=probe)
     assert fft_calls.count("rfft") == transformed - 1 == 0
     assert reused[0] == elapsed
     assert np.array_equal(reused[1].values, located.values)
@@ -179,7 +180,7 @@ def run_events(config, n, count):
 @pytest.mark.parametrize("preset, count", [("ex1", 4), ("ex3", 3)])
 def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, count):
     # with bounds that decide nothing and trials taken by advance from the
-    # trial's modes, every decision is that of plain stepping; the bounds
+    # state's modes, every decision is that of plain stepping; the bounds
     # and the mode-space trials must change nothing
     config = preset_config(preset)
     steps = counted_advances(monkeypatch)
@@ -187,7 +188,7 @@ def test_trials_taken_by_advance_locate_the_same_events(monkeypatch, preset, cou
     fast = len(steps)
 
     def minimum_after(self, tau):
-        return float(np.min(solver.advance(self.pre, tau, self.ops, self.modes).eta.values))
+        return float(np.min(solver.advance(self.pre, tau, self.ops).eta.values))
 
     monkeypatch.setattr(solver.StepProbe, "minimum_after", minimum_after)
     monkeypatch.setattr(solver.StepProbe, "bound", lambda self, tau: None)
@@ -217,7 +218,7 @@ def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
         elapsed, state = real(pre, dt, ops, config, probe=probe)
         given = len(steps) - before
         before = len(steps)
-        retried = solver.StepProbe(pre, dt, ops, probe.eta_c, probe.floor, probe.modes)
+        retried = solver.StepProbe(pre, dt, ops, probe.eta_c, probe.floor)
         again = real(pre, dt, ops, config, probe=retried)
         assert given == 1
         assert len(steps) - before == given
@@ -232,18 +233,18 @@ def test_a_crossing_takes_one_real_step(monkeypatch, preset, count):
 
 @pytest.mark.parametrize("preset", ["ex1", "ex3"])
 def test_an_event_with_carried_modes_takes_no_forward_transform(monkeypatch, fft_calls, preset):
-    # the skip hands the modes of the state it reaches to the decision about
-    # the step that brackets the crossing, to the bisection and to the
-    # located step, so none of them transforms that state forward
+    # the state the skip reaches keeps the modes it was made with, which the
+    # decision about the step that brackets the crossing, the bisection and
+    # the located step read, so none of them transforms that state forward
     config = preset_config(preset)
     run_events(config, 256, 1)  # fills the shared operators' lazily built modes
     real_probe, real_locate = rupture.StepProbe, rupture.locate_crossing
     carried, forward = [], []
 
-    def probe(pre, dt, ops, eta_c, floor, modes=None, **formed):
-        before = len(fft_calls)
-        made = real_probe(pre, dt, ops, eta_c, floor, modes, **formed)
-        made.forward, made.carried = fft_calls[before:].count("rfft"), modes is not None
+    def probe(pre, *args, **kwargs):
+        before, kept = len(fft_calls), "modes" in vars(pre)
+        made = real_probe(pre, *args, **kwargs)
+        made.forward, made.carried = fft_calls[before:].count("rfft"), kept
         return made
 
     def locate_crossing(pre, dt, ops, config, *, probe):
@@ -267,8 +268,8 @@ def test_a_handed_out_state_above_the_threshold_is_refused(monkeypatch):
     pre = constant_field(grid, 0.0105)
     real = solver.advance
 
-    def raised(state, dt, ops, modes=None, **given):
-        stepped = real(state, dt, ops, modes, **given)
+    def raised(*args, **kwargs):
+        stepped = real(*args, **kwargs)
         return Field(stepped.grid, stepped.values + 1e-3, stepped.time)
 
     monkeypatch.setattr(solver, "advance", raised)  # the probe's checked step
@@ -642,7 +643,7 @@ def test_a_gap_takes_a_few_jumps_and_steps_only_to_cross(monkeypatch, ex1):
 
     def jump_to_bound(*args):
         jumped = real_jump(*args)
-        if jumped is not None:
+        if isinstance(jumped, Field):
             jumps.append(1)
         return jumped
 
@@ -726,20 +727,20 @@ def test_a_jump_that_leaves_the_time_where_it_is_is_refused(alpha):
 def gap_case(config, n):
     """Operators, step size, threshold, and the state after the first jump
     of a gap from the reset level, which the change rate carries on, with
-    the transient modes that jump hands out."""
+    the transient modes that jump made."""
     grid = build_grid(config, n)
     ops = assemble_operators(grid, config)
     dt = config.numerics.dt
     threshold = config.eta_c + config.numerics.event_tol * config.eta_a
     start = constant_field(grid, config.eta_a)
-    return ops, dt, threshold, *rupture._jump_to_bound(start, dt, ops, threshold, None)
+    return ops, dt, threshold, rupture._jump_to_bound(start, dt, ops, threshold, None)
 
 
 def test_jump_below_the_change_rate_bound_is_refused(monkeypatch, ex1):
-    ops, dt, threshold, state, modes = gap_case(ex1, 256)
+    ops, dt, threshold, state = gap_case(ex1, 256)
     c0, load_min = float(np.min(state.values)), float(np.min(ops.load))
-    assert rupture._jump_to_bound(state, dt, ops, threshold, None, modes) is not None
-    rate = rupture._change_rate(np.abs(ops.load_modes - ops.symbol * modes), dt, ops)
+    assert isinstance(rupture._jump_to_bound(state, dt, ops, threshold, None), Field)
+    rate = rupture._change_rate(np.abs(ops.load_modes - ops.symbol * state.modes), dt, ops)
     linear = rupture._spectral_steps(c0, rate, threshold)
     assert linear >= rupture._REFINE_FROM  # this jump is refined on the saturating reach
 
@@ -750,38 +751,38 @@ def test_jump_below_the_change_rate_bound_is_refused(monkeypatch, ex1):
         def lowered(state, steps, *args):
             # still above the subsolution, and, for the refined jump, also
             # above the linear reach steps*rate, but below the bound
-            jumped, jumped_modes = real(state, steps, *args)
+            jumped = real(state, steps, *args)
             floor = rupture._subsolution(c0, load_min, ops.alpha, dt, steps)
             if past_the_linear_reach:
                 floor = max(floor, c0 - steps * rate)
             assert floor < threshold  # the jump goes past the subsolution's steps
             jumped.values += 0.5 * (floor + threshold) - np.min(jumped.values)
             taken.append(steps)
-            return jumped, jumped_modes
+            return jumped
 
         monkeypatch.setattr(rupture, "jump_decoupled", lowered)
         with pytest.raises(LinearSolveError, match="below the discrete lower bound"):
-            rupture._jump_to_bound(state, dt, ops, threshold, None, modes)
+            rupture._jump_to_bound(state, dt, ops, threshold, None)
         assert taken[0] > linear
 
 
 @pytest.mark.parametrize("start", ["flat", "post-reset"])
 def test_a_gap_pays_one_forward_transform_for_its_jumps(monkeypatch, fft_calls, ex1, start):
-    # the gap transforms its start forward once, and each jump hands its
-    # state's transient modes to the next, so up to its last jump the gap
+    # the gap transforms its start forward once, and each jumped state keeps
+    # the transient modes it was made with, so up to its last jump the gap
     # transforms forward once and back once per jump
     grid = build_grid(ex1, 256)
     flat = constant_field(grid, ex1.eta_a)
     # this first run also fills the shared operators' lazily built modes
     _, after = run_with_rupture(ex1, flat, max_events=1)
-    state = flat if start == "flat" else after
+    state = flat.copy() if start == "flat" else after
     skip_calls, jumps = [], []
     real = rupture._jump_to_bound
 
     def jump_to_bound(*args):
         jumped = real(*args)
         skip_calls[:] = fft_calls
-        if jumped is not None:
+        if isinstance(jumped, Field):
             jumps.append(1)
         return jumped
 
@@ -793,8 +794,77 @@ def test_a_gap_pays_one_forward_transform_for_its_jumps(monkeypatch, fft_calls, 
     assert skip_calls.count("irfft") == len(jumps)
 
 
+@pytest.mark.parametrize("preset", ["ex1", "ex3"])
+def test_a_second_run_from_one_start_reuses_its_transform(monkeypatch, preset):
+    # the start keeps the modes the first run formed, so a second run from
+    # the same object locates the same events without transforming it again
+    config = preset_config(preset)
+    run_events(config, 256, 1)  # fills the shared operators' lazily built modes
+    start = constant_field(build_grid(config, 256), config.eta_a)
+    rows = start.values
+    if config.mode == "coupled":
+        start = CoupledState.from_thickness(start)
+        rows = np.stack((start.h.values, start.zeta.values))
+    real, of_start = np.fft.rfft, []
+
+    def rfft(a, *args, **kwargs):
+        of_start.append(np.array_equal(a, rows))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", rfft)
+    runs = []
+    for _ in range(2):
+        of_start.clear()
+        events, _ = run_with_rupture(config, start, max_events=3)
+        runs.append((events, sum(of_start)))
+    (first, transformed), (second, again) = runs
+    assert transformed == 1 and again == 0
+    assert len(first) == len(second) == 3
+    for a, b in zip(first, second):
+        assert a.time == b.time and a.reset_intervals == b.reset_intervals
+        assert np.array_equal(a.pre_profile.values, b.pre_profile.values)
+        assert np.array_equal(a.post_profile.values, b.post_profile.values)
+
+
+@pytest.mark.parametrize("preset, count", [("ex1", 4), ("ex3", 3)])
+def test_every_state_a_run_makes_keeps_its_own_minimum_and_mode_sum(monkeypatch, preset, count):
+    # a state's minimum and mode sum are kept from where they were first
+    # formed or assigned: after every jump, coupled call, probe step and
+    # reset the minimum is that of the thickness exactly, and the mode sum,
+    # and the kept modes, are those of the state's values up to roundoff
+    made = []
+
+    def check(kind, state):
+        if not isinstance(state, (Field, CoupledState)):
+            return
+        made.append(kind)
+        assert state.low == float(np.min(state.eta.values))
+        exact = solver.mode_sum(state.grid.n, state.modes)
+        assert abs(state.size - exact) <= solver._ROUNDOFF * exact
+        nodal = state.values if isinstance(state, Field) else (state.h.values, state.zeta.values)
+        assert np.max(np.abs(state.modes - np.fft.rfft(nodal))) <= solver._ROUNDOFF * exact
+
+    def checked(kind, real, pick=lambda result: result):
+        def make(*args, **kwargs):
+            result = real(*args, **kwargs)
+            check(kind, pick(result))
+            return result
+
+        return make
+
+    monkeypatch.setattr(rupture, "_jump_to_bound", checked("jump", rupture._jump_to_bound))
+    monkeypatch.setattr(
+        rupture, "jump_coupled", checked("coupled", rupture.jump_coupled, lambda r: r[1])
+    )
+    monkeypatch.setattr(solver.StepProbe, "step", checked("step", solver.StepProbe.step))
+    monkeypatch.setattr(rupture, "apply_reset", checked("reset", rupture.apply_reset))
+    assert len(run_events(preset_config(preset), 256, count)) == count
+    kinds = {"jump", "step", "reset"} if preset == "ex1" else {"coupled", "step", "reset"}
+    assert set(made) == kinds
+
+
 def test_start_at_or_below_the_threshold_is_certified_for_no_step(ex1):
-    ops, dt, threshold, state, _ = gap_case(ex1, 256)
+    ops, dt, threshold, state = gap_case(ex1, 256)
     drive = ops.load_modes - ops.symbol * np.fft.rfft(state.values)
     rate = rupture._change_rate(np.abs(drive), dt, ops)
     assert rate > 0.0
@@ -1041,7 +1111,7 @@ def admissible_run(mode, evaporation, params):
 @example(params=("case_i", [0.1, 0.6, 0.9], [1.0, 1.0, 1.0, 1.0], 0.0, 80.0, 1.0, 1.0, 1.0,
                  10.0**-2.5, 1e300, 64, 10.0**-4.3, 1, 0.0))
 def test_run_equals_plain_stepping_on_random_configurations(mode, evaporation, params):
-    # jumps, the coupled kernel, the carried modes and the bounds change no
+    # jumps, the coupled kernel, the kept modes and the bounds change no
     # event time or reset interval of plain stepping
     config, start = admissible_run(mode, evaporation, params)
     t_end = 0.05
@@ -1186,6 +1256,46 @@ def test_coupled_runs_sharing_one_bundle_in_two_threads_match_sequential_runs(ex
         assert final.time == expected_final.time
         assert np.array_equal(final.h.values, expected_final.h.values)
         assert np.array_equal(final.zeta.values, expected_final.zeta.values)
+
+
+@pytest.mark.parametrize("preset", ["ex1", "ex3"])
+def test_runs_from_one_start_in_threads_match_a_run_from_a_copy(preset):
+    # runs from one start object share the quantities it forms on first
+    # use, which threads that form them at once store as equal values
+    config = preset_config(preset)
+    start = constant_field(build_grid(config, 256), config.eta_a)
+    if config.mode == "coupled":
+        start = CoupledState.from_thickness(start)
+    expected, _ = run_with_rupture(config, start.copy(), max_events=3)
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = [None] * workers
+
+    def worker(index):
+        barrier.wait()
+        try:
+            results[index] = run_with_rupture(config, start, max_events=3)[0]
+        except Exception as exc:
+            results[index] = exc
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that they interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for events in results:
+        assert not isinstance(events, Exception), events
+        assert len(events) == len(expected) == 3
+        for event, reference in zip(events, expected):
+            assert event.time == reference.time
+            assert event.reset_intervals == reference.reset_intervals
+            assert np.array_equal(event.pre_profile.values, reference.pre_profile.values)
 
 
 def test_no_deadline_is_computed_after_the_last_event(monkeypatch, ex1):

@@ -201,7 +201,7 @@ def test_jump_matches_repeated_steps(params, seed):
     stepped = start
     for _ in range(steps):
         stepped = advance(stepped, dt, ops)
-    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
     assert np.max(np.abs(jumped.values - stepped.values)) <= JUMP_TOL * scale
     assert jumped.time == stepped.time  # repeated additions of dt, as stepping
 
@@ -219,7 +219,7 @@ def test_step_and_jump_obey_the_mean_decay_law(params, seed):
     expected = float(np.mean(start.values))
     for _ in range(steps):
         expected = mean_step(expected, dt, ops)
-    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
     assert abs(np.mean(jumped.values) - expected) <= JUMP_TOL * scale
 
 
@@ -230,7 +230,7 @@ def test_jump_stays_above_the_constant_subsolution(params, seed):
     bound = rupture._subsolution(
         float(np.min(start.values)), float(np.min(ops.load)), ops.alpha, dt, steps
     )
-    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
     assert np.min(jumped.values) >= bound - JUMP_TOL * scale
 
 
@@ -296,7 +296,7 @@ def drive_values(start, steps, dt, ops):
 @given(jump_parameters_up_to(10**6), seeds)
 def test_jump_that_skips_underflowing_factors_equals_the_uncut_closed_form(params, seed):
     ops, start, steps, dt, scale = jump_case(params, seed)
-    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
     assert np.array_equal(jumped.values, drive_values(start, steps, dt, ops))
     assert np.max(np.abs(jumped.values - exact_values(start, steps, dt, ops))) <= JUMP_TOL * scale
 
@@ -311,7 +311,7 @@ def test_first_jump_of_a_fine_ex1_gap_equals_the_uncut_closed_form(ex1, kind):
     assert np.count_nonzero(uncut < sys.float_info.min) > n // 3
     values = np.full(n, ex1.eta_a) if kind == "flat" else random_rhs(n, 5)
     start = Field(ops.grid, values)
-    jumped, _ = jump_decoupled(start, steps, dt, ops)
+    jumped = jump_decoupled(start, steps, dt, ops)
     assert np.array_equal(jumped.values, drive_values(start, steps, dt, ops))
     scale = max(np.max(np.abs(values)), np.max(np.abs(ops.load)) / ops.alpha)
     assert np.max(np.abs(jumped.values - exact_values(start, steps, dt, ops))) <= JUMP_TOL * scale
@@ -324,8 +324,8 @@ def test_jump_of_steps_too_small_to_move_the_state_keeps_every_mode():
     ops = operators(64, 1.0, 1.0)
     start = Field(ops.grid, random_rhs(64, 11))
     dt, steps = 1e-300, sys.maxsize
-    jumped, modes = jump_decoupled(start, steps, dt, ops)
-    assert np.array_equal(modes, np.fft.rfft(start.values))
+    jumped = jump_decoupled(start, steps, dt, ops)
+    assert np.array_equal(jumped.modes, np.fft.rfft(start.values))
     assert np.array_equal(jumped.values, drive_values(start, steps, dt, ops))
     scale = np.max(np.abs(start.values))
     assert np.max(np.abs(jumped.values - exact_values(start, steps, dt, ops))) <= JUMP_TOL * scale
@@ -392,7 +392,7 @@ def test_run_without_evaporation_stays_above_the_positivity_bound(params, seed, 
         # step settle, and plain steps from there stay above it
         subsolution = np.min(start.values) + settle * dt * ops.load_min
         assert max(bound + settle * dt * mean, subsolution) >= threshold
-        state = jump_decoupled(start, settle, dt, ops)[0] if settle else start
+        state = jump_decoupled(start, settle, dt, ops) if settle else start
         scale = max(scale, np.max(np.abs(state.values)))
         for _ in range(50):
             assert np.min(state.values) >= threshold - JUMP_TOL * scale
@@ -557,10 +557,12 @@ carry_parameters = st.tuples(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(carry_parameters, seeds)
 def test_a_carried_gap_equals_one_recomputed_from_each_state(params, seed):
-    # a decoupled gap hands each jumped state's minimum to the next
-    # decision, and the refused decision's drive and its magnitude to the
-    # probe of the first step; forming them again from each state must not
-    # move a bit of any jump, handed-out mode or decision
+    # a decoupled gap's states keep their modes, minimum and mode sum, and
+    # the refused decision hands its drive and its magnitude to the probe of
+    # the first step; a gap that forms the minimum and the drive afresh from
+    # a copy of each state must not move a bit of any jump, kept mode or
+    # decision.  The modes and mode sum a jump made stand for its state up
+    # to roundoff, so the copy is assigned them
     n, dt, sigma, alpha, strengths, offset, depth, room = params
     ops = operators(n, sigma, alpha, strengths, offset)
     state = Field(ops.grid, random_rhs(n, seed))
@@ -568,26 +570,36 @@ def test_a_carried_gap_equals_one_recomputed_from_each_state(params, seed):
     threshold = c0 - depth * (1.0 + abs(c0))
     value_tol = 1e-6 * (1.0 + abs(c0))
     eta_c = threshold - value_tol
-    modes, carried = None, rupture._Carried()
+
+    def afresh(state):
+        copy = state.copy()
+        copy.modes, copy.size = state.modes, state.size
+        return copy
+
+    formed = None  # the refused decision's drive and magnitude
     for _ in range(40):
-        recomputed = rupture._jump_to_bound(state, dt, ops, threshold, room * dt, modes)
-        jumped = rupture._jump_to_bound(state, dt, ops, threshold, room * dt, modes, carried)
-        if jumped is None:
-            assert recomputed is None
+        recomputed = rupture._jump_to_bound(afresh(state), dt, ops, threshold, room * dt)
+        jumped = rupture._jump_to_bound(state, dt, ops, threshold, room * dt)
+        if not isinstance(jumped, Field):
+            assert not isinstance(recomputed, Field)
+            formed = jumped
             break
-        assert np.array_equal(jumped[0].values, recomputed[0].values)
-        assert jumped[0].time == recomputed[0].time
-        assert np.array_equal(jumped[1], recomputed[1])
-        state, modes = jumped
-        assert carried.low == float(np.min(state.values))
-    if carried.drive is not None:
-        from_modes = np.fft.rfft(state.values) if modes is None else modes
-        assert np.array_equal(carried.drive, ops.load_modes - ops.symbol * from_modes)
-        assert np.array_equal(carried.magnitude, np.abs(carried.drive))
+        assert np.array_equal(jumped.values, recomputed.values)
+        assert jumped.time == recomputed.time
+        assert np.array_equal(jumped.modes, recomputed.modes)
+        # the mode sum of the modes, up to the roundoff of the jump's start
+        exact = solver.mode_sum(n, jumped.modes)
+        assert abs(jumped.size - exact) <= solver._ROUNDOFF * (state.size + exact)
+        state = jumped
+        assert state.low == float(np.min(state.values))
+    if formed is not None:
+        drive, magnitude = formed
+        assert np.array_equal(drive, ops.load_modes - ops.symbol * state.modes)
+        assert np.array_equal(magnitude, np.abs(drive))
 
     probes = [
-        solver.StepProbe(state, dt, ops, eta_c, eta_c - value_tol, modes, **formed)
-        for formed in (vars(carried), {})
+        solver.StepProbe(state, dt, ops, eta_c, eta_c - value_tol, drive=formed),
+        solver.StepProbe(afresh(state), dt, ops, eta_c, eta_c - value_tol),
     ]
     assert probes[0].at_dt == probes[1].at_dt
     # the bisection of locate_crossing, whichever side each decision takes
@@ -639,7 +651,7 @@ def test_coupled_batch_matches_repeated_steps(params, seed):
     assume(min(abs(low - floor) for low in lows) > 1e-10 * (1.0 + max(map(abs, lows))))
     expected = next((i for i, low in enumerate(lows) if low <= floor), steps)
 
-    taken, batched, _ = solver.jump_coupled(start, steps, dt, ops, floor)
+    taken, batched = solver.jump_coupled(start, steps, dt, ops, floor)
     assert taken == expected
     stepped = states[taken]
     assert batched.time == stepped.time  # repeated additions of dt, as stepping
@@ -749,11 +761,11 @@ def step_case(kind, n, dt, sigma, sigma1, tau, seed):
     return assemble_operators(ops.grid, replace(config, sigma1=sigma1)), pre
 
 
-def config_probe(pre, dt, ops, config, modes=None):
+def config_probe(pre, dt, ops, config):
     """The step probe the bisection makes against ``config``'s threshold
     and value tolerance."""
     floor = config.eta_c - config.numerics.event_tol * config.eta_a
-    return solver.StepProbe(pre, dt, ops, config.eta_c, floor, modes)
+    return solver.StepProbe(pre, dt, ops, config.eta_c, floor)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -788,10 +800,12 @@ def test_a_step_from_the_state_equals_the_step_from_its_modes(
     kind, n, dt, sigma, sigma1, tau, fraction, seed
 ):
     # advance forms the right side's modes from the state's modes whether it
-    # transforms the state itself or is given them
+    # transforms the state itself or the state was assigned them
     ops, pre = step_case(kind, n, dt, sigma, sigma1, tau, seed)
     step = fraction * dt
-    stepped, from_modes = advance(pre, step, ops), advance(pre, step, ops, state_modes(pre))
+    given = pre.copy()
+    given.modes = state_modes(pre)
+    stepped, from_modes = advance(pre, step, ops), advance(given, step, ops)
     assert stepped.time == from_modes.time
     for got, want in zip(state_arrays(stepped), state_arrays(from_modes)):
         assert np.array_equal(got, want)
@@ -805,9 +819,9 @@ def test_a_step_after_its_trial_reuses_it_and_equals_advance(
     # the checked step of the last full trial's size takes that trial's
     # modes and rows, transforms nothing and checks the solves as always
     ops, pre = step_case(kind, n, dt, sigma, sigma1, tau, seed)
-    modes, step = state_modes(pre), fraction * dt
-    expected = advance(pre, step, ops, modes)
-    probe = solver.StepProbe(pre, dt, ops, -math.inf, -math.inf, modes)  # no threshold
+    step = fraction * dt
+    expected = advance(pre, step, ops)
+    probe = solver.StepProbe(pre, dt, ops, -math.inf, -math.inf)  # no threshold
     probe.minimum_after(step)
     untransformed = AssertionError("the trial was transformed again")
     with mock.patch.object(np.fft, "irfft", side_effect=untransformed):
@@ -884,15 +898,14 @@ def test_step_bounds_decide_only_as_advance_does(
     # the bounds were formed from
     config, ops, pre, dt = bounded_case(params, seed, smoothing, reset)
     value_tol = config.numerics.event_tol * config.eta_a
-    modes = state_modes(pre)
 
     def minimum(tau):
-        return float(np.min(advance(pre, tau, ops, modes).eta.values))
+        return float(np.min(advance(pre, tau, ops).eta.values))
 
     steps = [fraction * dt] + [k * dt / 8 for k in range(1, 9)]
     tied = minimum(steps[0])
     eta_c, floor = (tied + value_tol, tied) if tie_floor else (tied, tied - value_tol)
-    decide = solver.StepProbe(pre, dt, ops, eta_c, floor, modes).bound
+    decide = solver.StepProbe(pre, dt, ops, eta_c, floor).bound
     for tau in steps:
         bound, low = decide(tau), minimum(tau)
         if bound is None:
@@ -912,27 +925,25 @@ def test_step_bounds_of_a_stiff_state_near_equilibrium_decide_most_steps(kind, s
     params = (kind, 8192, 1e-4, 0.0, 10.0, 1.0, 0.0, None, 1e-6)
     config, ops, pre, dt = bounded_case(params, 0, smoothing, False)
     value_tol = config.numerics.event_tol * config.eta_a
-    modes = state_modes(pre)
-    tied = float(np.min(advance(pre, 0.6 * dt, ops, modes).eta.values))
-    decide = solver.StepProbe(pre, dt, ops, tied, tied - value_tol, modes).bound
+    tied = float(np.min(advance(pre, 0.6 * dt, ops).eta.values))
+    decide = solver.StepProbe(pre, dt, ops, tied, tied - value_tol).bound
     decided = [decide(k * dt / 8) for k in range(1, 9)]
     assert sum(bound is not None for bound in decided) >= 6
     assert any(bound is not None and bound < tied for bound in decided)
 
 
-def reference_crossing(pre, dt, ops, config, modes=None):
+def reference_crossing(pre, dt, ops, config):
     """The bisection of plain stepping: every trial re-steps from ``pre``
-    with ``advance`` from the rfft modes of ``pre`` (``modes``, else its
-    own), as the crossing's located step is taken; returns the time, the
-    state and the trial count."""
+    with ``advance`` from the rfft modes of ``pre``, as the crossing's
+    located step is taken; returns the time, the state and the trial
+    count."""
     eta_c = config.eta_c
     value_tol = config.numerics.event_tol * config.eta_a
-    modes = state_modes(pre) if modes is None else modes
-    state_hi = advance(pre, dt, ops, modes)
+    state_hi = advance(pre, dt, ops)
     lo, hi, trials = 0.0, dt, 0
     while abs(float(np.min(state_hi.eta.values)) - eta_c) > value_tol and (hi - lo) >= 1e-3 * dt:
         mid = 0.5 * (lo + hi)
-        trial = advance(pre, mid, ops, modes)
+        trial = advance(pre, mid, ops)
         trials += 1
         if float(np.min(trial.eta.values)) <= eta_c:
             hi, state_hi = mid, trial
@@ -968,7 +979,7 @@ def test_crossing_equals_the_bisection_of_plain_stepping(params, seed, given_mod
     expected, expected_state, expected_trials = reference_crossing(pre, dt, ops, config)
     calls = []
     with counting_trials(calls):
-        probe = config_probe(pre, dt, ops, config, state_modes(pre)) if given_modes else None
+        probe = config_probe(pre, dt, ops, config) if given_modes else None
         elapsed, state = rupture.locate_crossing(pre, dt, ops, config, probe=probe)
     assert elapsed == expected
     # the step of dt and each trial of plain stepping are decided once, by a
@@ -997,7 +1008,7 @@ def test_coupled_crossings_take_every_trial_of_the_plain_bisection(ex3):
     real_locate = rupture.locate_crossing
 
     def locate_crossing(pre, dt, ops, config, *, probe):
-        expected.append(reference_crossing(pre, dt, ops, config, probe.modes)[2])
+        expected.append(reference_crossing(pre, dt, ops, config)[2])
         before = len(calls)
         try:
             return real_locate(pre, dt, ops, config, probe=probe)
